@@ -38,6 +38,7 @@ import numpy as np
 from .elementary import op_from_json
 from .errors import (
     EquivalenceViolationError,
+    NonAbelianError,
     NumericalError,
     RestrictionMismatchError,
     ScenarioError,
@@ -132,14 +133,20 @@ def _as_complex(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
     raise ScenarioError(f"cannot read {value!r} as a complex number")
 
 
 def _as_element(value, group: FiniteGroup) -> int:
-    if isinstance(value, (list, tuple)):
-        return group.element_index([int(v) for v in value])
-    idx = int(value)
+    try:
+        if isinstance(value, (list, tuple)):
+            return group.element_index([int(v) for v in value])
+        idx = int(value)
+    except (NonAbelianError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"cannot read {value!r} as a group element: {exc}") from exc
     _schema(0 <= idx < group.order, f"element index {idx} out of range")
     return idx
 
@@ -156,8 +163,8 @@ def load_measure(spec, group: FiniteGroup) -> Measure:
         w = np.zeros(group.order, dtype=np.complex128)
         for entry in spec["weights"]:
             _schema(isinstance(entry, dict) and "elem" in entry, "weight entries need 'elem'")
-            w[_as_element(entry["elem"], group)] += complex(
-                float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            w[_as_element(entry["elem"], group)] += _as_complex(
+                [entry.get("re", 0.0), entry.get("im", 0.0)])
         return Measure(group, w)
     if "character_density" in spec:
         shape = group.abelian_shape
@@ -312,17 +319,18 @@ def exp_cp_posdef(s: Scenario, quick: bool) -> list[dict]:
 
 def exp_square_example(s: Scenario, quick: bool) -> list[dict]:
     params = s.params
-    modulus = int(params.get("modulus", 101))
+    modulus = params.get("modulus", 101)
     indices = params.get("indices", list(range(1, 7)))
     ks = params.get("ks", [params.get("k", 5)])
     records = []
     for k in ks:
         try:
-            scan = square_scan(modulus, indices, int(k), tol=max(s.tol, 1e-10), diag_seed=s.seed)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+            k = int(k)
+            scan = square_scan(modulus, indices, k, tol=max(s.tol, 1e-10), diag_seed=s.seed)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"bad square-example parameters: {exc}") from exc
         passed = scan.pop("passed")
-        records.append(_rec(s, f"k-{int(k)}", passed, **scan))
+        records.append(_rec(s, f"k-{k}", passed, **scan))
     return records
 
 

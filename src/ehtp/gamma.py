@@ -47,7 +47,6 @@ __all__ = [
 SCHUR_TOL = 1e-9
 DIFFSET_TOL = 1e-10
 TRANSFER_TOL = 1e-9
-SLICE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +90,25 @@ def slice_identity_residual(image: GammaImage, w: np.ndarray) -> float:
 
 def _symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> float:
     """Worst entrywise deviation of the operator from acting as the symbol
-    on the rotated matrix units."""
+    on the rotated matrix units, ``max |T(v_j v_k*) - S_jk v_j v_k*|``.
+
+    All d^2 images come from one product: with ``A_s = L_s V`` and
+    ``B_s = V* R_s``, entry ``(a, b)`` of ``T(v_j v_k*)`` is
+    ``sum_s A_s[a, j] B_s[k, b]``, a ``(d^2, n) @ (n, d^2)`` product.  The
+    symbol term is then subtracted one column j at a time, in place, so the
+    images are the only d^4 array."""
     op = gamma(diag.rep, mu).op
+    n, d = op.n_terms, op.dim
     v = diag.basis
+    vh = v.conj().T
+    cols = (op.left @ v).reshape(n, d * d).T          # row a*d + j
+    rows = (vh @ op.right).reshape(n, d * d)          # column k*d + b
+    images = (cols @ rows).reshape(d, d, d, d)        # [a, j, k, b]
     resid = 0.0
-    for j in range(diag.rep.dim):
-        for k in range(diag.rep.dim):
-            unit = np.outer(v[:, j], np.conj(v[:, k]))
-            resid = max(resid, float(np.abs(apply(op, unit) - symbol[j, k] * unit).max()))
+    for j in range(d):
+        block = images[:, j]                          # [a, k, b]
+        block -= v[:, j, None, None] * (symbol[j, :, None] * vh)
+        resid = max(resid, float(np.abs(block).max()))
     return resid
 
 
@@ -130,24 +140,27 @@ def schur_form(diag: DiagonalizedRep, mu: Measure, tol: float = SCHUR_TOL) -> np
 
 def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure, tol: float = DIFFSET_TOL) -> bool:
     """True iff the Fourier-Stieltjes transform vanishes on every quotient
-    ``sigma * tau^-1`` of spectrum characters."""
+    ``sigma * tau^-1`` of spectrum characters, to ``tol`` times the total
+    variation norm of ``mu``."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
     quotients = difference_set(diag.spectrum)
     values = [fourier_stieltjes(mu, sigma) for sigma in quotients]
-    return bool(max(abs(v) for v in values) <= tol)
+    return bool(max(abs(v) for v in values) <= tol * mu.norm)
 
 
 def kernel_test_tensor_conjugate(pi: Representation, mu: Measure, tol: float = TRANSFER_TOL) -> bool:
-    """True iff ``mu`` integrates to zero under ``pi (x) conj(pi)``."""
+    """True iff ``mu`` integrates to zero under ``pi (x) conj(pi)``, to
+    ``tol * d^2`` times the total variation norm of ``mu``."""
     tensor = tensor_conjugate(pi)
     resid = float(np.linalg.norm(integrate(tensor, mu)))
-    return bool(resid <= tol * pi.dim**2)
+    return bool(resid <= tol * pi.dim**2 * mu.norm)
 
 
 def kernel_test_transfer(image: GammaImage, tol: float = TRANSFER_TOL) -> bool:
-    """True iff the transfer matrix of the realized operator vanishes."""
-    return bool(np.linalg.norm(image.transfer()) <= tol * image.rep.dim**2)
+    """True iff the transfer matrix of the realized operator vanishes, to
+    ``tol * d^2`` times the total variation norm of the measure."""
+    return bool(np.linalg.norm(image.transfer()) <= tol * image.rep.dim**2 * image.source.norm)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,8 @@ def square_scan(modulus: int, indices, k: int, tol: float = 1e-10, diag_seed: in
     """
     indices = [int(n) for n in indices]
     modulus = int(modulus)
+    if modulus < 1:
+        raise ValueError(f"modulus must be a positive integer, got {modulus}")
     squares = [n * n % modulus for n in indices]
     if len(set(squares)) != len(squares):
         raise ValueError("indices have colliding squares modulo N; pairs would be ambiguous")

@@ -1,8 +1,10 @@
 """Command line interface: exit codes, report determinism, scenario loaders."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,16 @@ def scenario_file(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*args):
+    """``python -m ehtp ARGS`` in a fresh process, with the package on the path."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ehtp", *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def parse_report(text):
@@ -114,6 +126,36 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+# inputs that used to escape the loaders as tracebacks
+MALFORMED = {
+    "coordinates-on-cayley-group": {
+        "experiment": "gamma-homomorphism",
+        "group": {"kind": "cayley", "table": [[0, 1], [1, 0]]},
+        "representation": {"kind": "regular"},
+        "measures": [{"dirac": [1]}, {"dirac": 0}],
+    },
+    "weight-not-a-number": {
+        "experiment": "schur-identity",
+        "group": {"kind": "cyclic_product", "shape": [6]},
+        "representation": {"kind": "characters", "chars": [[0], [1]]},
+        "measures": [{"weights": [{"elem": 1, "re": "x"}]}],
+    },
+    "square-modulus-zero": {
+        "experiment": "square-example",
+        "params": {"modulus": 0, "indices": [1, 2, 3], "ks": [1]},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_exits_two_with_one_line(tmp_path, name):
+    proc = run_cli("run", "--scenario", scenario_file(tmp_path, MALFORMED[name]))
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scenario error:")
+    assert "Traceback" not in proc.stderr
+
+
 BATCH = [
     {"id": "c-kernel", "experiment": "kernel-equivalence",
      "group": {"kind": "cyclic_product", "shape": [5]},
@@ -169,8 +211,7 @@ class TestReports:
 
     def test_console_entry_point(self, tmp_path):
         src = scenario_file(tmp_path, SQUARE)
-        proc = subprocess.run([sys.executable, "-m", "ehtp", "run", "--scenario", src],
-                              capture_output=True, text=True)
+        proc = run_cli("run", "--scenario", src)
         assert proc.returncode == 0
         _, summary = parse_report(proc.stdout)
         assert summary["failed"] == 0

@@ -219,6 +219,30 @@ class TestKernelTests:
         assert kernel_test_transfer(img)
         assert np.linalg.norm(img.transfer()) < 1e-12
 
+    def test_thresholds_scale_with_the_measure(self):
+        # a generic measure shrunk to 1e-12 total variation is still far from
+        # the kernel relative to its size; kernel measures stay in it at any scale
+        g = make_cyclic_product([60])
+        chars = [Character((60,), (k,)) for k in (0, 7, 19, 23, 40, 52)]
+        pi = character_rep(g, chars)
+        diag = diagonalize(pi)
+        rng = np.random.default_rng(20031)
+        tiny = Measure(g, 1e-12 * (rng.standard_normal(60) + 1j * rng.standard_normal(60)))
+        assert not kernel_test_transfer(gamma(pi, tiny))
+        assert not kernel_test_difference_set(diag, tiny)
+        assert not kernel_test_tensor_conjugate(pi, tiny)
+
+        diff = {(a.exponents[0] - b.exponents[0]) % 60 for a in chars for b in chars}
+        table = np.array([c.values(g) for c in dual_group(g)])
+        for scale in (1.0, 1e-12, 1e6):
+            coeffs = np.zeros(60, dtype=np.complex128)
+            for k in sorted(set(range(60)) - diff):
+                coeffs[k] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+            mu = Measure(g, table.conj().T @ coeffs / 60.0)
+            assert kernel_test_transfer(gamma(pi, mu))
+            assert kernel_test_difference_set(diag, mu)
+            assert kernel_test_tensor_conjugate(pi, mu)
+
     def test_three_detectors_agree_on_random_measures(self):
         rng = np.random.default_rng(11)
         g = make_cyclic_product([8])

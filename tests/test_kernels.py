@@ -1,0 +1,186 @@
+"""The matrix-product kernels against their brute-force forms.
+
+Each fast path in ``elementary``, ``gamma`` and ``hnorm`` is checked here
+against the direct computation it replaced, kept as an oracle at small size
+(d <= 8): einsum contractions and loops over matrix units.  The oracles use
+nothing from the fast paths they check.
+"""
+
+import numpy as np
+import pytest
+
+from ehtp.elementary import ElementaryOperator, apply, choi, is_diagonal_bimodule, schur_op, vec
+from ehtp.gamma import _symbol_residual, schur_form
+from ehtp.groups import make_cyclic_product
+from ehtp.hnorm import _amplification_kernel, _amplified_apply
+from ehtp.measures import Measure
+from ehtp.representations import diagonalize, regular_rep
+from ehtp.suites import random_character_rep
+
+TOL = 1e-9
+
+# (n_terms, d): empty term lists, d == 1, and the sizes in between
+SHAPES = [(0, 1), (0, 4), (1, 1), (3, 1), (1, 2), (4, 3), (7, 5), (2, 8), (12, 8)]
+
+
+def _rc(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _random_op(rng, n, d):
+    return ElementaryOperator(d, _rc(rng, n, d, d), _rc(rng, n, d, d))
+
+
+def _close(fast, slow, scale=0.0):
+    """Agreement to 1e-12 relative to the larger of the oracle's size and
+    ``scale``, with a unit floor."""
+    size = float(np.max(np.abs(slow))) if np.size(slow) else 0.0
+    return float(np.max(np.abs(np.asarray(fast) - slow), initial=0.0)) <= 1e-12 * max(1.0, size, scale)
+
+
+# -- oracles: the brute-force forms ------------------------------------------
+
+
+def oracle_apply(t, x):
+    if t.n_terms == 0:
+        return np.zeros((t.dim, t.dim), dtype=np.complex128)
+    return np.einsum("nij,jk,nkl->il", t.left, x, t.right)
+
+
+def oracle_choi(t):
+    d = t.dim
+    c = np.zeros((d * d, d * d), dtype=np.complex128)
+    for a, b in t.terms:
+        c += np.outer(vec(a), np.conj(vec(b.conj().T)))
+    return c
+
+
+def oracle_is_diagonal_bimodule(t, tol=TOL):
+    d = t.dim
+    for j in range(d):
+        for k in range(d):
+            x = np.zeros((d, d), dtype=np.complex128)
+            x[j, k] = 1.0
+            y = oracle_apply(t, x)
+            y_res = y.copy()
+            y_res[j, k] = 0.0
+            if np.linalg.norm(y_res) > tol * max(1.0, float(np.linalg.norm(y))):
+                return False
+    return True
+
+
+def oracle_symbol_residual(diag, mu, symbol):
+    pi, v = diag.rep, diag.basis
+    support = mu.support()
+    op = ElementaryOperator(pi.dim, mu.weights[support, None, None] * pi.matrices[support],
+                            pi.matrices[support].conj().transpose(0, 2, 1))
+    resid = 0.0
+    for j in range(pi.dim):
+        for k in range(pi.dim):
+            unit = np.outer(v[:, j], np.conj(v[:, k]))
+            resid = max(resid, float(np.abs(oracle_apply(op, unit) - symbol[j, k] * unit).max()))
+    return resid
+
+
+def oracle_amplified_apply(lstack, rstack, x, d):
+    out = np.einsum("nua,aibj,nbv->uivj", lstack, x.reshape(d, d, d, d), rstack, optimize=True)
+    return out.reshape(d * d, d * d)
+
+
+# -- apply and choi ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_apply_matches_einsum(n, d):
+    rng = np.random.default_rng([n, d])
+    t = _random_op(rng, n, d)
+    for _ in range(3):
+        x = _rc(rng, d, d)
+        assert _close(apply(t, x), oracle_apply(t, x))
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_choi_matches_outer_product_loop(n, d):
+    t = _random_op(np.random.default_rng([n, d, 1]), n, d)
+    assert _close(choi(t), oracle_choi(t))
+
+
+# -- is_diagonal_bimodule --------------------------------------------------------
+
+
+def _bimodule_cases(rng, d):
+    symbol = 1e3 * _rc(rng, d, d)
+    phases = np.exp(2j * np.pi * rng.random(d))
+    perturb = _rc(rng, 1, d, d)
+    yield "schur", schur_op(symbol), True
+    yield "diagonal-conjugation", ElementaryOperator(
+        d, np.diag(phases)[None], np.diag(phases.conj())[None]), True
+    yield "zero-terms", ElementaryOperator(d, np.zeros((0, d, d)), np.zeros((0, d, d))), True
+    if d == 1:
+        yield "generic", _random_op(rng, 3, d), True
+        return
+    yield "generic", _random_op(rng, 3, d), False
+    # a large symbol plus a perturbation far below tol relative to each image,
+    # where sqrt(|col|^2 - |diag|^2) would cancel to noise above tol
+    small = ElementaryOperator(d, np.concatenate([schur_op(symbol).left, 1e-11 * perturb]),
+                               np.concatenate([schur_op(symbol).right, np.eye(d)[None]]))
+    yield "schur+1e-11", small, True
+    large = ElementaryOperator(d, np.concatenate([schur_op(symbol).left, 1e-3 * perturb]),
+                               np.concatenate([schur_op(symbol).right, np.eye(d)[None]]))
+    yield "schur+1e-3", large, False
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_is_diagonal_bimodule_matches_unit_loop(d):
+    rng = np.random.default_rng([d, 2])
+    for name, t, expected in _bimodule_cases(rng, d):
+        assert oracle_is_diagonal_bimodule(t) is expected, name
+        assert is_diagonal_bimodule(t) is expected, name
+
+
+# -- the symbol residual ---------------------------------------------------------
+
+
+def _symbol_cases():
+    rng = np.random.default_rng(3)
+    for shape in [(1,), (5,), (8,), (2, 4), (3, 3)]:
+        g = make_cyclic_product(list(shape))
+        reps = [regular_rep(g)] if g.order <= 8 else []
+        reps += [random_character_rep(g, rng, max_dim=6) for _ in range(2)]
+        for pi in reps:
+            diag = diagonalize(pi)
+            yield diag, Measure(g, _rc(rng, g.order))
+            yield diag, Measure(g, np.zeros(g.order))
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_symbol_residual_matches_unit_loop(case):
+    rng = np.random.default_rng([4, case])
+    checked = 0
+    for diag, mu in _symbol_cases():
+        d = diag.rep.dim
+        # case 0: the true symbol (residual at rounding level);
+        # case 1: a wrong symbol, so the map is not the claimed multiplier
+        symbol = schur_form(diag, mu) if case == 0 else _rc(rng, d, d)
+        fast = _symbol_residual(diag, mu, symbol)
+        slow = oracle_symbol_residual(diag, mu, symbol)
+        assert _close(fast, slow, scale=mu.norm)
+        gate = TOL * max(1.0, mu.norm)
+        assert (fast <= gate) == (slow <= gate) == (case == 0)
+        checked += 1
+    assert checked >= 10
+
+
+# -- the amplified map in the cb-norm lower bound ----------------------------------
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_amplified_apply_matches_einsum(n, d):
+    rng = np.random.default_rng([n, d, 5])
+    left, right = _rc(rng, n, d, d), _rc(rng, n, d, d)
+    forward = _amplification_kernel(left, right)
+    backward = _amplification_kernel(right, left)
+    for _ in range(2):
+        x = _rc(rng, d * d, d * d)
+        assert _close(_amplified_apply(forward, x, d), oracle_amplified_apply(left, right, x, d))
+        assert _close(_amplified_apply(backward, x, d), oracle_amplified_apply(right, left, x, d))
