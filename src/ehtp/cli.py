@@ -43,20 +43,19 @@ from .errors import (
     RestrictionMismatchError,
     ScenarioError,
 )
-from .gamma import _symbol_residual, gamma, kernel_test_difference_set, \
-    kernel_test_tensor_conjugate, kernel_test_transfer, restriction_spectrum_check
+from .gamma import gamma, kernel_test_difference_set, kernel_test_tensor_conjugate, \
+    kernel_test_transfer, restriction_spectrum_check, symbol_residual
 from .groups import Character, FiniteGroup, from_cayley, make_cyclic_product, \
     subgroup_and_restriction
 from .hnorm import haagerup_norm_bounds
-from .measures import Measure, dirac, from_density, in_augmentation_ideal
+from .measures import Measure, dirac, fourier_symbol, from_density, in_augmentation_ideal
 from .representations import character_rep, diagonalize, make_representation, regular_rep
 from .suites import (
     IDENTITIES,
     SUITE_NAMES,
-    _fourier_symbol,
-    _inverse_transform,
     gamma_report,
     homomorphism_residual,
+    kernel_measure,
     make_rng,
     random_measure,
     run_all,
@@ -264,7 +263,7 @@ def exp_schur_identity(s: Scenario, quick: bool) -> list[dict]:
     measures, _ = _measures_or_random(s, group, quick)
     records = []
     for i, mu in enumerate(measures):
-        resid = _symbol_residual(diag, mu, _fourier_symbol(diag, mu))
+        resid = symbol_residual(diag, mu, fourier_symbol(mu, diag.char_of_index))
         records.append(_rec(s, f"measure-{i:02d}", resid <= s.tol,
                             residual=float(resid), mu_norm=float(mu.norm)))
     return records
@@ -278,13 +277,7 @@ def exp_kernel_equivalence(s: Scenario, quick: bool) -> list[dict]:
     measures, origin = _measures_or_random(s, group, quick)
     if origin == "random":
         # make sure at least one instance lands in the kernel
-        from .groups import difference_set, dual_group
-
-        diff = difference_set(diag.spectrum).exponent_set()
-        rng = make_rng(s.seed, stream=1)
-        coeffs = {c.exponents: complex(rng.standard_normal(), rng.standard_normal())
-                  for c in dual_group(group) if c.exponents not in diff}
-        measures = measures + [_inverse_transform(group, coeffs)]
+        measures = measures + [kernel_measure(diag, make_rng(s.seed, stream=1))]
     records = []
     for i, mu in enumerate(measures):
         t1 = kernel_test_transfer(gamma(pi, mu))
@@ -523,12 +516,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run experiments from a JSON scenario file")
     run_p.add_argument("--scenario", required=True, metavar="FILE",
                        help="JSON scenario object or list of objects")
+    run_p.add_argument("--tol", type=float, default=None, help="override assertion tolerance")
     self_p = sub.add_parser("selftest", help="run the randomized invariant suite")
     for p in (run_p, self_p):
         p.add_argument("--seed", type=int, default=None,
                        help="64-bit base seed (default: scenario value or 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override assertion tolerance (run only)")
         p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json lines)")

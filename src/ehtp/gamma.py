@@ -22,7 +22,7 @@ import numpy as np
 from .elementary import ElementaryOperator, apply, slice_left, transfer_matrix
 from .errors import GroupMismatchError, NumericalError, RestrictionMismatchError
 from .groups import SubgroupRestriction, difference_set
-from .measures import Measure, fourier_stieltjes, reverse
+from .measures import Measure, fourier_on, fourier_symbol, reverse
 from .representations import (
     DiagonalizedRep,
     Representation,
@@ -36,6 +36,7 @@ __all__ = [
     "GammaImage",
     "gamma",
     "slice_identity_residual",
+    "symbol_residual",
     "schur_form",
     "kernel_test_difference_set",
     "kernel_test_tensor_conjugate",
@@ -88,7 +89,7 @@ def slice_identity_residual(image: GammaImage, w: np.ndarray) -> float:
     return float(np.linalg.norm(slice_left(image.op, w) - expected))
 
 
-def _symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> float:
+def symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> float:
     """Worst entrywise deviation of the operator from acting as the symbol
     on the rotated matrix units, ``max |T(v_j v_k*) - S_jk v_j v_k*|``.
 
@@ -96,7 +97,8 @@ def _symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> 
     ``B_s = V* R_s``, entry ``(a, b)`` of ``T(v_j v_k*)`` is
     ``sum_s A_s[a, j] B_s[k, b]``, a ``(d^2, n) @ (n, d^2)`` product.  The
     symbol term is then subtracted one column j at a time, in place, so the
-    images are the only d^4 array."""
+    images are the only d^4 array.  The operator is read directly, so the
+    residual does not depend on how ``symbol`` was computed."""
     op = gamma(diag.rep, mu).op
     n, d = op.n_terms, op.dim
     v = diag.basis
@@ -118,24 +120,19 @@ def schur_form(diag: DiagonalizedRep, mu: Measure, tol: float = SCHUR_TOL) -> np
     Entry ``(j, k)`` is ``mu_hat(chi_j * chi_k^-1)``; verified against a
     direct application of the operator to every rotated matrix unit.
     """
-    pi = diag.rep
-    if not pi.group.is_same(mu.group):
-        raise GroupMismatchError("representation and measure live on different groups")
-    d = pi.dim
-    chars = diag.char_of_index
-    cache: dict[tuple[int, ...], complex] = {}
-    symbol = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        for k in range(d):
-            quot = chars[j].quotient(chars[k])
-            if quot.exponents not in cache:
-                cache[quot.exponents] = fourier_stieltjes(mu, quot)
-            symbol[j, k] = cache[quot.exponents]
+    return _verified_symbol(diag, mu, tol)[0]
 
-    resid = _symbol_residual(diag, mu, symbol)
+
+def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
+    """The symbol and its residual; raises when the residual exceeds
+    ``tol * max(1, ||mu||_1)``."""
+    if not diag.rep.group.is_same(mu.group):
+        raise GroupMismatchError("representation and measure live on different groups")
+    symbol = fourier_symbol(mu, diag.char_of_index)
+    resid = symbol_residual(diag, mu, symbol)
     if resid > tol * max(1.0, mu.norm):
         raise NumericalError(f"symbol verification failed: residual {resid:.3e}")
-    return symbol
+    return symbol, resid
 
 
 def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure, tol: float = DIFFSET_TOL) -> bool:
@@ -144,9 +141,8 @@ def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure, tol: float = 
     variation norm of ``mu``."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
-    quotients = difference_set(diag.spectrum)
-    values = [fourier_stieltjes(mu, sigma) for sigma in quotients]
-    return bool(max(abs(v) for v in values) <= tol * mu.norm)
+    values = fourier_on(mu, difference_set(diag.spectrum))
+    return bool(np.abs(values).max() <= tol * mu.norm)
 
 
 def kernel_test_tensor_conjugate(pi: Representation, mu: Measure, tol: float = TRANSFER_TOL) -> bool:
@@ -205,6 +201,5 @@ def restriction_spectrum_check(
     rng = np.random.default_rng(seed)
     h = sub.subgroup
     kappa = Measure(h, rng.standard_normal(h.order) + 1j * rng.standard_normal(h.order))
-    symbol = schur_form(diag_h, kappa, tol=tol)
-    resid = _symbol_residual(diag_h, kappa, symbol)
+    _, resid = _verified_symbol(diag_h, kappa, tol)
     return RestrictionReport(expected_exps, actual_exps, resid)

@@ -5,7 +5,9 @@ Haar measure of a finite group is the *normalized* counting measure (total
 mass 1), so densities convert via ``mu({s}) = f(s) / |G|``.
 
 The Fourier-Stieltjes transform uses the plain (unconjugated) pairing
-``mu_hat(sigma) = sum_s sigma(s) * mu({s})``.
+``mu_hat(sigma) = sum_s sigma(s) * mu({s})``.  On a list of characters
+``chi_1, ..., chi_d`` the Fourier symbol ``mu_hat(chi_j chi_k^-1)`` is the
+matrix ``X diag(mu) X*`` with ``X[j, s] = chi_j(s)``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import Character, FiniteGroup, SpectrumSet
+from .groups import Character, FiniteGroup, SpectrumSet, dual_group
 
 __all__ = [
     "Measure",
@@ -28,6 +30,8 @@ __all__ = [
     "reverse_conj",
     "fourier_stieltjes",
     "fourier_on",
+    "fourier_symbol",
+    "from_transform",
     "in_augmentation_ideal",
 ]
 
@@ -138,6 +142,22 @@ def fourier_on(mu: Measure, e: SpectrumSet) -> np.ndarray:
     if not e.group.is_same(mu.group):
         raise GroupMismatchError("spectrum set lives on a different group")
     return e.table() @ mu.weights
+
+
+def fourier_symbol(mu: Measure, characters: Sequence[Character]) -> np.ndarray:
+    """The matrix ``mu_hat(chi_j * chi_k^-1)`` over a list of characters,
+    repeats allowed, computed as ``X diag(mu) X*`` with ``X[j, s] = chi_j(s)``."""
+    x = np.array([c.values(mu.group) for c in characters])
+    return (x * mu.weights) @ x.conj().T
+
+
+def from_transform(group: FiniteGroup, coefficients: dict[tuple[int, ...], complex]) -> Measure:
+    """The measure whose transform takes the given value at each character
+    listed by exponents and vanishes at every other one; inverts
+    :func:`fourier_on` on the dual group."""
+    duals = dual_group(group)
+    fhat = np.array([coefficients.get(c.exponents, 0.0) for c in duals], dtype=np.complex128)
+    return Measure(group, np.conj(duals.table()).T @ fhat / group.order)
 
 
 def in_augmentation_ideal(mu: Measure, tol: float = COEFF_TOL) -> bool:

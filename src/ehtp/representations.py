@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
 )
 from .groups import Character, FiniteGroup, SpectrumSet, SubgroupRestriction, spectrum
-from .measures import Measure
+from .measures import Measure, fourier_on
 
 __all__ = [
     "Representation",
@@ -32,7 +32,6 @@ __all__ = [
     "trivial_rep",
     "regular_rep",
     "character_rep",
-    "conjugate_rep",
     "integrate",
     "tensor_conjugate",
     "restrict_representation",
@@ -138,13 +137,6 @@ def character_rep(group: FiniteGroup, chars: Sequence[Character]) -> Representat
     idx = np.arange(d)
     mats[:, idx, idx] = table.T
     return Representation(group, d, mats)
-
-
-def conjugate_rep(pi: Representation, v: np.ndarray) -> Representation:
-    """The equivalent representation ``s -> V* pi(s) V`` for unitary V."""
-    v = np.asarray(v, dtype=np.complex128)
-    vh = v.conj().T
-    return Representation(pi.group, pi.dim, np.einsum("ij,sjk,kl->sil", vh, pi.matrices, v))
 
 
 def integrate(pi: Representation, mu: Measure) -> np.ndarray:
@@ -330,11 +322,8 @@ def gelfand(diag: DiagonalizedRep, mu: Measure, tol: float = 1e-9) -> dict[Chara
     """Evaluate ``sigma -> mu_hat(sigma)`` on the spectrum and verify that the
     integrated measure is diagonal in the joint eigenbasis with exactly those
     entries."""
-    from .measures import fourier_stieltjes
-
-    pi = diag.rep
-    rotated = diag.basis.conj().T @ integrate(pi, mu) @ diag.basis
-    values = {sigma: fourier_stieltjes(mu, sigma) for sigma in diag.spectrum}
+    rotated = diag.basis.conj().T @ integrate(diag.rep, mu) @ diag.basis
+    values = dict(zip(diag.spectrum, fourier_on(mu, diag.spectrum)))
     expected = np.diag(np.array([values[c] for c in diag.char_of_index]))
     resid = float(np.abs(rotated - expected).max())
     scale = max(1.0, mu.norm)

@@ -21,13 +21,13 @@ from .errors import (
     RestrictionMismatchError,
 )
 from .gamma import (
-    _symbol_residual,
     gamma,
     kernel_test_difference_set,
     kernel_test_tensor_conjugate,
     kernel_test_transfer,
     restriction_spectrum_check,
     slice_identity_residual,
+    symbol_residual,
 )
 from .groups import (
     Character,
@@ -43,7 +43,9 @@ from .measures import (
     Measure,
     convolve,
     dirac,
+    fourier_symbol,
     from_density,
+    from_transform,
     in_augmentation_ideal,
 )
 from .representations import (
@@ -65,6 +67,7 @@ __all__ = [
     "homomorphism_residual",
     "unitality_residual",
     "gamma_report",
+    "kernel_measure",
     "square_scan",
     "homomorphism_suite",
     "contractivity_suite",
@@ -220,14 +223,15 @@ def gamma_report(pi, mu: Measure, diag=None, norm_restarts: int = 8, seed: int =
     }
 
 
-def _fourier_symbol(diag, mu: Measure) -> np.ndarray:
-    from .measures import fourier_stieltjes
-
-    chars = diag.char_of_index
-    return np.array(
-        [[fourier_stieltjes(mu, cj.quotient(ck)) for ck in chars] for cj in chars],
-        dtype=np.complex128,
-    )
+def kernel_measure(diag, rng: np.random.Generator) -> Measure:
+    """A measure the realization sends to zero: its transform is drawn at
+    random off the difference set of the spectrum, one ``(re, im)`` pair per
+    character in dual-group order, and vanishes on the difference set."""
+    group = diag.rep.group
+    diff = difference_set(diag.spectrum).exponent_set()
+    coeffs = {c.exponents: complex(rng.standard_normal(), rng.standard_normal())
+              for c in dual_group(group) if c.exponents not in diff}
+    return from_transform(group, coeffs)
 
 
 def square_scan(modulus: int, indices, k: int, tol: float = 1e-10, diag_seed: int = 0) -> dict:
@@ -252,8 +256,8 @@ def square_scan(modulus: int, indices, k: int, tol: float = 1e-10, diag_seed: in
     pi = character_rep(group, [Character((modulus,), (sq,)) for sq in squares])
     diag = diagonalize(pi, seed=diag_seed)
     mu = from_density(group, Character((modulus,), (int(k),)).values(group))
-    symbol = _fourier_symbol(diag, mu)
-    verify = _symbol_residual(diag, mu, symbol)
+    symbol = fourier_symbol(mu, diag.char_of_index)
+    verify = symbol_residual(diag, mu, symbol)
 
     index_of_square = {sq: n for sq, n in zip(squares, indices)}
     labels = [index_of_square[c.exponents[0]] for c in diag.char_of_index]
@@ -342,7 +346,7 @@ def schur_suite(trials: int = 200, tol: float = 1e-9, seed: int = 0) -> list[dic
         pi = random_character_rep(group, rng, max_dim=8)
         mu = random_measure(group, rng)
         diag = diagonalize(pi, seed=_sub_seed(rng))
-        resid = _symbol_residual(diag, mu, _fourier_symbol(diag, mu))
+        resid = symbol_residual(diag, mu, fourier_symbol(mu, diag.char_of_index))
         records.append(_rec("schur-identity", f"triple-{i:03d}", resid <= tol,
                             residual=float(resid), group=_shape_label(group.abelian_shape),
                             dim=pi.dim))
@@ -357,15 +361,6 @@ def square_suite(ks=(5, 7, 9), modulus: int = 101, indices=(1, 2, 3, 4, 5, 6),
         passed = scan.pop("passed")
         records.append(_rec("square-example", f"N{modulus}-k{k}", passed, **scan))
     return records
-
-
-def _inverse_transform(group: FiniteGroup, coefficients: dict[tuple[int, ...], complex]) -> Measure:
-    """The measure whose transform takes the given value at each listed
-    character and vanishes at every other one."""
-    duals = dual_group(group)
-    fhat = np.array([coefficients.get(c.exponents, 0.0) for c in duals], dtype=np.complex128)
-    weights = np.conj(duals.table()).T @ fhat / group.order
-    return Measure(group, weights)
 
 
 def kernel_suite(trials: int = 500, tol: float = 1e-9, seed: int = 0) -> list[dict]:
@@ -385,14 +380,7 @@ def kernel_suite(trials: int = 500, tol: float = 1e-9, seed: int = 0) -> list[di
         if i % 2 == 0:
             flavor, mu = "generic", random_measure(group, rng)
         else:
-            # transform prescribed off the difference set, then inverted
-            flavor = "constructed-kernel"
-            diff = difference_set(diag.spectrum).exponent_set()
-            coeffs = {
-                c.exponents: complex(rng.standard_normal() + 1j * rng.standard_normal())
-                for c in dual_group(group) if c.exponents not in diff
-            }
-            mu = _inverse_transform(group, coeffs)
+            flavor, mu = "constructed-kernel", kernel_measure(diag, rng)
         t1, t2, t3 = verdicts(pi, diag, mu)
         records.append(_rec("kernel-equivalence", f"random-{i:03d}", t1 == t2 == t3,
                             flavor=flavor, transfer=t1, diffset=t2, tensorconj=t3,
@@ -412,7 +400,7 @@ def kernel_suite(trials: int = 500, tol: float = 1e-9, seed: int = 0) -> list[di
         picks = [("off-diffset", c) for c in off[:3]] + [("on-diffset", c) for c in on[:1]]
         for side, c in picks:
             scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            mu = _inverse_transform(group, {c.exponents: scale})
+            mu = from_transform(group, {c.exponents: scale})
             t1, t2, t3 = verdicts(pi, diag, mu)
             records.append(_rec("kernel-equivalence", f"adversarial-{case:03d}", t1 == t2 == t3,
                                 flavor=side, transfer=t1, diffset=t2, tensorconj=t3,

@@ -29,7 +29,7 @@ from .elementary import (
 from .errors import EquivalenceViolationError, GroupMismatchError, NumericalError
 from .gamma import gamma
 from .groups import SpectrumSet
-from .measures import Measure, fourier_stieltjes
+from .measures import Measure, fourier_symbol
 from .representations import DiagonalizedRep
 
 __all__ = [
@@ -88,13 +88,7 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
     """The kernel ``(sigma, tau) -> mu_hat(sigma tau^-1)`` on the spectrum."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
-    chars = diag.spectrum.characters
-    n = len(chars)
-    vals = np.zeros((n, n), dtype=np.complex128)
-    for i, sigma in enumerate(chars):
-        for j, tau in enumerate(chars):
-            vals[i, j] = fourier_stieltjes(mu, sigma.quotient(tau))
-    return VFunction(diag.spectrum, vals)
+    return VFunction(diag.spectrum, fourier_symbol(mu, diag.spectrum.characters))
 
 
 def is_positive_definite(u: VFunction, tol: float = PSD_TOL) -> bool:

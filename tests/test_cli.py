@@ -209,6 +209,13 @@ class TestReports:
         out = capsys.readouterr().out
         assert "suite" in out and "failed 0" in out
 
+    def test_selftest_has_no_tolerance_flag(self, capsys):
+        # the suites carry their own tolerances; --tol belongs to `run`
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--quick", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_console_entry_point(self, tmp_path):
         src = scenario_file(tmp_path, SQUARE)
         proc = run_cli("run", "--scenario", src)

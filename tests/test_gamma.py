@@ -22,7 +22,7 @@ from ehtp.groups import (
     subgroup_and_restriction,
 )
 from ehtp.hnorm import haagerup_norm_bounds
-from ehtp.measures import Measure, convolve, dirac, fourier_stieltjes
+from ehtp.measures import Measure, convolve, dirac, fourier_stieltjes, fourier_symbol
 from ehtp.representations import character_rep, diagonalize, regular_rep
 from ehtp.suites import random_character_rep, s3_cayley
 
@@ -145,15 +145,17 @@ class TestSchurForm:
     def test_symbol_entries_are_quotient_transforms(self):
         g = make_cyclic_product([3, 3])
         rng = np.random.default_rng(7)
-        pi = random_character_rep(g, rng, max_dim=5)
-        diag = diagonalize(pi)
-        mu = _random_measure(g, rng)
-        symbol = schur_form(diag, mu)
-        chars = diag.char_of_index
-        for j in range(pi.dim):
-            for k in range(pi.dim):
-                expect = fourier_stieltjes(mu, chars[j].quotient(chars[k]))
-                assert abs(symbol[j, k] - expect) < 1e-12
+        repeated = character_rep(g, [Character((3, 3), e) for e in ((1, 2), (0, 1), (1, 2), (2, 0))])
+        for pi in (random_character_rep(g, rng, max_dim=5), repeated):
+            diag = diagonalize(pi)
+            mu = _random_measure(g, rng)
+            symbol = schur_form(diag, mu)
+            chars = diag.char_of_index
+            assert np.array_equal(symbol, fourier_symbol(mu, chars))
+            for j in range(pi.dim):
+                for k in range(pi.dim):
+                    expect = fourier_stieltjes(mu, chars[j].quotient(chars[k]))
+                    assert abs(symbol[j, k] - expect) < 1e-12
 
     def test_symbol_acts_entrywise_on_rotated_units(self):
         g = make_cyclic_product([8])

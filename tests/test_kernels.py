@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ehtp.elementary import ElementaryOperator, apply, choi, is_diagonal_bimodule, schur_op, vec
-from ehtp.gamma import _symbol_residual, schur_form
+from ehtp.gamma import schur_form, symbol_residual
 from ehtp.groups import make_cyclic_product
 from ehtp.hnorm import _amplification_kernel, _amplified_apply
 from ehtp.measures import Measure
@@ -162,7 +162,7 @@ def test_symbol_residual_matches_unit_loop(case):
         # case 0: the true symbol (residual at rounding level);
         # case 1: a wrong symbol, so the map is not the claimed multiplier
         symbol = schur_form(diag, mu) if case == 0 else _rc(rng, d, d)
-        fast = _symbol_residual(diag, mu, symbol)
+        fast = symbol_residual(diag, mu, symbol)
         slow = oracle_symbol_residual(diag, mu, symbol)
         assert _close(fast, slow, scale=mu.norm)
         gate = TOL * max(1.0, mu.norm)

@@ -13,7 +13,9 @@ from ehtp.measures import (
     dirac,
     fourier_on,
     fourier_stieltjes,
+    fourier_symbol,
     from_density,
+    from_transform,
     in_augmentation_ideal,
     reverse_conj,
 )
@@ -160,6 +162,33 @@ class TestFourier:
         vals = fourier_on(mu, e)
         w5 = np.exp(2j * np.pi / 5)
         assert np.allclose(vals, [w5**3, w5])
+
+    # repeated characters, d = 1, several factors, |G| up to 360
+    @pytest.mark.parametrize("shape,d", [((1,), 1), ((7,), 1), ((2, 6), 9), ((3, 4, 5), 6),
+                                         ((360,), 8), ((2, 3, 60), 12)])
+    def test_fourier_symbol_matches_entrywise_quotient_transforms(self, shape, d):
+        g = make_cyclic_product(shape)
+        rng = np.random.default_rng(d)
+        duals = dual_group(g).characters
+        chars = [duals[int(rng.integers(len(duals)))] for _ in range(d)]
+        chars[-1] = chars[0]
+        mu = _random_measure(g, rng) * 1e3
+        symbol = fourier_symbol(mu, chars)
+        assert symbol.shape == (d, d)
+        for j, cj in enumerate(chars):
+            for k, ck in enumerate(chars):
+                expect = fourier_stieltjes(mu, cj.quotient(ck))
+                assert abs(symbol[j, k] - expect) <= 1e-12 * max(1.0, mu.norm)
+
+    @pytest.mark.parametrize("shape", [(1,), (8,), (2, 6), (3, 4, 5)])
+    def test_from_transform_inverts_fourier_on(self, shape):
+        g = make_cyclic_product(shape)
+        rng = np.random.default_rng(len(shape))
+        duals = dual_group(g)
+        coeffs = {c.exponents: complex(rng.standard_normal(), rng.standard_normal())
+                  for c in duals if rng.random() < 0.5}
+        expect = [coeffs.get(c.exponents, 0.0) for c in duals]
+        assert np.allclose(fourier_on(from_transform(g, coeffs), duals), expect, atol=1e-12)
 
     @given(SHAPES)
     def test_transform_is_multiplicative(self, shape):

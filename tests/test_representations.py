@@ -5,7 +5,7 @@ import pytest
 
 from ehtp.errors import GroupMismatchError, NonAbelianError, NumericalError
 from ehtp.groups import Character, dual_group, make_cyclic_product, subgroup_and_restriction
-from ehtp.measures import Measure, convolve, dirac, from_density
+from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes, from_density
 from ehtp.representations import (
     block_algebra_basis,
     character_rep,
@@ -180,6 +180,17 @@ class TestGelfand:
         w7 = np.exp(2j * np.pi / 7)
         assert vals[Character((7,), (1,))] == pytest.approx(w7)
         assert vals[Character((7,), (3,))] == pytest.approx(w7**3)
+
+    def test_matches_fourier_on_the_spectrum(self):
+        g = make_cyclic_product([3, 4])
+        rng = np.random.default_rng(4)
+        diag = diagonalize(random_character_rep(g, rng, max_dim=6))
+        mu = _random_measure(g, rng)
+        vals = gelfand(diag, mu)
+        assert list(vals) == list(diag.spectrum)
+        assert np.array_equal(list(vals.values()), fourier_on(mu, diag.spectrum))
+        for chi, v in vals.items():
+            assert abs(v - fourier_stieltjes(mu, chi)) < 1e-12
 
     def test_multiplicative_under_convolution(self):
         g = make_cyclic_product([4, 2])

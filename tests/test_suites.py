@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from ehtp.groups import from_cayley
+from ehtp.gamma import gamma, kernel_test_transfer
+from ehtp.groups import difference_set, dual_group, from_cayley, make_cyclic_product
+from ehtp.measures import fourier_on
+from ehtp.representations import diagonalize
 from ehtp.suites import (
     SUITE_NAMES,
     homomorphism_roster,
+    kernel_measure,
     make_rng,
+    random_character_rep,
     run_all,
     s3_cayley,
     square_scan,
@@ -103,3 +108,18 @@ class TestSquareScan:
         # 1^2 = 4^2 mod 5, so the index labels would be ambiguous
         with pytest.raises(ValueError):
             square_scan(5, [1, 4], 1)
+
+
+class TestKernelMeasure:
+    def test_transform_vanishes_on_the_difference_set_only(self):
+        rng = make_rng(3)
+        for shape in ((12,), (2, 6), (3, 3)):
+            g = make_cyclic_product(shape)
+            diag = diagonalize(random_character_rep(g, rng, max_dim=3))
+            mu = kernel_measure(diag, rng)
+            duals = dual_group(g)
+            on = np.array([c in difference_set(diag.spectrum) for c in duals])
+            values = np.abs(fourier_on(mu, duals))
+            assert values[on].max() <= 1e-12 * mu.norm
+            assert values[~on].min() > 1e-6
+            assert kernel_test_transfer(gamma(diag.rep, mu))

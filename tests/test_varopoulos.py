@@ -7,7 +7,7 @@ import pytest
 
 from ehtp.errors import GroupMismatchError, NumericalError
 from ehtp.groups import Character, make_cyclic_product
-from ehtp.measures import Measure, dirac, from_density
+from ehtp.measures import Measure, dirac, fourier_stieltjes, fourier_symbol, from_density
 from ehtp.representations import character_rep, diagonalize, regular_rep
 from ehtp.suites import random_character_rep
 from ehtp.varopoulos import (
@@ -58,6 +58,21 @@ class TestFromMeasure:
         _, diag = _spectrum(5, [1])
         with pytest.raises(GroupMismatchError):
             from_measure(diag, dirac(make_cyclic_product([6]), 0))
+
+    def test_matches_fourier_symbol_on_the_spectrum(self):
+        g = make_cyclic_product([2, 6])
+        rng = np.random.default_rng(1)
+        # repeated characters: the kernel lives on the spectrum, one row per character
+        pi = character_rep(g, [Character((2, 6), e) for e in ((1, 3), (0, 5), (1, 3), (1, 1))])
+        diag = diagonalize(pi)
+        mu = Measure(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
+        chars = diag.spectrum.characters
+        u = from_measure(diag, mu)
+        assert u.values.shape == (3, 3)
+        assert np.array_equal(u.values, fourier_symbol(mu, chars))
+        for i, sigma in enumerate(chars):
+            for j, tau in enumerate(chars):
+                assert abs(u.values[i, j] - fourier_stieltjes(mu, sigma.quotient(tau))) < 1e-12
 
 
 class TestPositiveDefiniteness:
