@@ -6,8 +6,8 @@ Two subcommands:
     Load one JSON scenario (or a list of them), execute the named
     experiments, and emit a machine-readable report: one JSON object per
     assertion plus a trailing summary object (CSV behind ``--format csv``).
-    Scenarios in a batch run concurrently, capped by the ``EHTP_THREADS``
-    environment variable; report assembly is sorted by scenario id.
+    Scenarios in a batch run one after another; the report is sorted by
+    scenario id.
 
 ``ehtp selftest``
     Run the full randomized invariant suite with a fixed default seed and
@@ -28,7 +28,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +51,6 @@ from .measures import Measure, dirac, fourier_symbol, from_density, in_augmentat
 from .representations import character_rep, diagonalize, make_representation, regular_rep
 from .suites import (
     IDENTITIES,
-    SUITE_NAMES,
     gamma_report,
     homomorphism_residual,
     kernel_measure,
@@ -396,16 +394,6 @@ EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
 # ---------------------------------------------------------------------------
 
 
-def _max_workers(tasks: int) -> int:
-    env = os.environ.get("EHTP_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ScenarioError(f"EHTP_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(tasks, os.cpu_count() or 1))
-
-
 def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
 
@@ -473,21 +461,9 @@ def _cmd_run(args) -> int:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     objs = payload if isinstance(payload, list) else [payload]
     scenarios = [load_scenario(obj, i, args.seed, args.tol) for i, obj in enumerate(objs)]
-
-    def run_one(s: Scenario) -> list[dict]:
-        return EXPERIMENTS[s.experiment](s, args.quick)
-
-    workers = _max_workers(len(scenarios))
-    if workers > 1 and len(scenarios) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_one, scenarios))
-    else:
-        chunks = [run_one(s) for s in scenarios]
-
-    ordered = sorted(zip(scenarios, chunks), key=lambda pair: pair[0].sid)
-    records = [rec for _, chunk in ordered for rec in chunk]
+    chunks = [(s.sid, EXPERIMENTS[s.experiment](s, args.quick)) for s in scenarios]
+    chunks.sort(key=lambda pair: pair[0])
+    records = [rec for _, chunk in chunks for rec in chunk]
     summary = _summary(records)
     _emit(_render(records, summary, args.format), args.out)
     if args.out:
@@ -496,8 +472,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    records = run_all(seed=args.seed, quick=args.quick,
-                      max_workers=_max_workers(len(SUITE_NAMES)))
+    records = run_all(seed=args.seed, quick=args.quick)
     summary = _summary(records)
     _print_table(records, sys.stdout)
     print(f"total {summary['total']}  failed {summary['failed']}", file=sys.stdout)

@@ -47,6 +47,7 @@ from .elementary import ElementaryOperator, apply, is_completely_positive, stron
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
 RELATIVE_DECREASE_TOL = 1e-8
+MAX_ITERS = 500            # cap on gauge descent steps
 PRUNE_TOL = 1e-12          # relative singular value cutoff for term pruning
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-12
@@ -80,7 +81,7 @@ class NormInterval:
         return {"lower": float(self.lower), "upper": float(self.upper), "iters": int(self.iterations)}
 
 
-def prune_terms(t: ElementaryOperator, rel_tol: float = PRUNE_TOL) -> ElementaryOperator:
+def prune_terms(t: ElementaryOperator) -> ElementaryOperator:
     """Rewrite with linearly independent term families on both sides.
 
     A dependent left family is compressed through its SVD (folding the
@@ -90,8 +91,8 @@ def prune_terms(t: ElementaryOperator, rel_tol: float = PRUNE_TOL) -> Elementary
     """
     left, right = _drop_zero_terms(t.left, t.right)
     if left.shape[0]:
-        left, right = _compress(left, right, rel_tol)
-        right, left = _compress(right, left, rel_tol)
+        left, right = _compress(left, right)
+        right, left = _compress(right, left)
     return ElementaryOperator(t.dim, left, right)
 
 
@@ -102,11 +103,11 @@ def _drop_zero_terms(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, n
     return left[keep], right[keep]
 
 
-def _compress(primary: np.ndarray, partner: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _compress(primary: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, d, _ = primary.shape
     mat = primary.reshape(n, d * d).T  # columns are the flattened terms
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > PRUNE_TOL * s[0])) if s.size else 0
     new_primary = (u[:, :rank] * s[:rank]).T.reshape(rank, d, d)
     new_partner = np.einsum("ki,iab->kab", vh[:rank], partner)
     return new_primary, new_partner
@@ -199,13 +200,7 @@ def _lower_bound(left: np.ndarray, right: np.ndarray, d: int, cap: float,
     return best
 
 
-def haagerup_norm_bounds(
-    t: ElementaryOperator,
-    max_iters: int = 500,
-    restarts: int = 200,
-    seed: int = 0,
-    rel_tol: float = RELATIVE_DECREASE_TOL,
-) -> NormInterval:
+def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 200, seed: int = 0) -> NormInterval:
     """Bracket the cb norm of an elementary operator; see the module docstring."""
     if t.n_terms == 0:
         raise ValueError("the term list is empty")
@@ -240,7 +235,7 @@ def haagerup_norm_bounds(
 
     trace = [best]
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         grad = _gauge_gradient(pl, pr, p, max(lam_x, 1e-300), max(lam_z, 1e-300), u, v)
         direction = -(p @ np.conj(grad) @ p)
         slope = float(np.real(np.sum(grad * direction)))
@@ -271,7 +266,7 @@ def haagerup_norm_bounds(
         if f_cur < best:
             best, best_state = f_cur, (pl, pr, p)
         trace.append(best)
-        if f_prev - f_cur < rel_tol * max(f_prev, 1e-300):
+        if f_prev - f_cur < RELATIVE_DECREASE_TOL * max(f_prev, 1e-300):
             break
 
     cert = _certificate(*best_state)

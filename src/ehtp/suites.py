@@ -110,6 +110,7 @@ SHAPE_POOL_24 = SHAPE_POOL_12 + (
 )
 
 _MAX_SEED = 2**63
+REPORT_NORM_RESTARTS = 8   # lower-bound restarts behind the cb_upper of a gamma report
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -208,10 +209,10 @@ def unitality_residual(pi) -> float:
     return float(np.linalg.norm(lhs - np.eye(d * d)))
 
 
-def gamma_report(pi, mu: Measure, diag=None, norm_restarts: int = 8, seed: int = 0) -> dict:
+def gamma_report(pi, mu: Measure, diag=None, seed: int = 0) -> dict:
     """The standard wire report for one realized measure."""
     image = gamma(pi, mu)
-    bounds = haagerup_norm_bounds(image.op, restarts=norm_restarts, seed=seed)
+    bounds = haagerup_norm_bounds(image.op, restarts=REPORT_NORM_RESTARTS, seed=seed)
     kernel = {"tensorconj": bool(kernel_test_tensor_conjugate(pi, mu))}
     kernel["diffset"] = bool(kernel_test_difference_set(diag, mu)) if diag is not None else None
     return {
@@ -567,31 +568,18 @@ _SUITE_SPECS = (
 SUITE_NAMES = tuple(name for name, *_ in _SUITE_SPECS)
 
 
-def run_all(seed: int = 0, quick: bool = False, names=None, max_workers: int = 1) -> list[dict]:
-    """Run the registered suites and return their records in registry order.
+def run_all(seed: int = 0, quick: bool = False, names=None) -> list[dict]:
+    """Run the registered suites one after another and return their records
+    in registry order.
 
-    ``quick`` switches every suite to its reduced trial counts.  With
-    ``max_workers`` > 1 the suites run on a thread pool; record content is
-    identical either way because each suite owns its random stream.
+    ``quick`` switches every suite to its reduced trial counts.
     """
     selected = [spec for spec in _SUITE_SPECS if names is None or spec[0] in names]
     if names is not None:
         unknown = set(names) - {spec[0] for spec in _SUITE_SPECS}
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-
-    def run_one(spec):
-        _, fn, full_kwargs, quick_kwargs = spec
-        return fn(seed=seed, **(quick_kwargs if quick else full_kwargs))
-
-    if max_workers > 1 and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(spec) for spec in selected]
     records: list[dict] = []
-    for chunk in results:
-        records.extend(chunk)
+    for _, fn, full_kwargs, quick_kwargs in selected:
+        records.extend(fn(seed=seed, **(quick_kwargs if quick else full_kwargs)))
     return records

@@ -185,16 +185,6 @@ class TestReports:
         first, second = (open(out, "rb").read() for out in outs)
         assert first == second
 
-    def test_worker_count_does_not_change_report(self, tmp_path, monkeypatch):
-        src = scenario_file(tmp_path, BATCH)
-        blobs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("EHTP_THREADS", threads)
-            out = str(tmp_path / f"report-t{threads}.json")
-            assert main(["run", "--scenario", src, "--seed", "11", "--out", out]) == 0
-            blobs.append(open(out, "rb").read())
-        assert blobs[0] == blobs[1]
-
     def test_csv_format(self, tmp_path, capsys):
         code = main(["run", "--scenario", scenario_file(tmp_path, SQUARE),
                      "--format", "csv"])

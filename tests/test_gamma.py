@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehtp.elementary import apply, transfer_matrix
+from ehtp.elementary import apply
 from ehtp.errors import GroupMismatchError
 from ehtp.gamma import (
     gamma,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ehtp.errors import NonAbelianError
 from ehtp.groups import (
     Character,
-    FiniteGroup,
     difference_set,
     dual_group,
     from_cayley,

@@ -1,4 +1,6 @@
-"""Package layout: modules use each other only through public names."""
+"""Package layout, checked with ``ast`` in place of a linter: modules use each
+other only through public names, the package starts no threads and reads no
+environment, and no file imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -25,3 +27,63 @@ def test_no_module_imports_private_names_from_another():
     assert len(modules) > 5
     offenders = {p.name: _private_imports(p) for p in modules}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _thread_and_environment_uses(path):
+    """``(line, what)`` for every import of ``concurrent.futures`` or
+    ``threading`` and every read of ``os.environ``."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "environ"
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, "os.environ"))
+            continue
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] == "threading" or m.startswith("concurrent.futures")
+                  or m == "os.environ"]
+    return found
+
+
+def test_package_runs_on_one_thread_and_reads_no_environment():
+    found = {p.name: _thread_and_environment_uses(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _unused_imports(path):
+    """``(line, name)`` for every imported name the file never reads; a name
+    listed in the module's ``__all__`` counts as read."""
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_every_imported_name_is_used():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(files) > 15
+    found = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in files}
+    assert {name: hits for name, hits in found.items() if hits} == {}

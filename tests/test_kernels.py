@@ -2,7 +2,8 @@
 
 Each fast path in ``elementary``, ``gamma`` and ``hnorm`` is checked here
 against the direct computation it replaced, kept as an oracle at small size
-(d <= 8): einsum contractions and loops over matrix units.  The oracles use
+(d <= 8): einsum contractions, loops over matrix units and the integrated
+``tensor_conjugate`` stack.  The oracles use
 nothing from the fast paths they check.
 """
 
@@ -10,12 +11,25 @@ import numpy as np
 import pytest
 
 from ehtp.elementary import ElementaryOperator, apply, choi, is_diagonal_bimodule, schur_op, vec
-from ehtp.gamma import schur_form, symbol_residual
-from ehtp.groups import make_cyclic_product
+from ehtp.gamma import (
+    TRANSFER_TOL,
+    _tensor_conjugate_norm,
+    kernel_test_tensor_conjugate,
+    schur_form,
+    symbol_residual,
+)
+from ehtp.groups import from_cayley, make_cyclic_product
 from ehtp.hnorm import _amplification_kernel, _amplified_apply
 from ehtp.measures import Measure
-from ehtp.representations import diagonalize, regular_rep
-from ehtp.suites import random_character_rep
+from ehtp.representations import (
+    character_rep,
+    diagonalize,
+    integrate,
+    make_representation,
+    regular_rep,
+    tensor_conjugate,
+)
+from ehtp.suites import kernel_measure, random_character, random_character_rep, s3_cayley
 
 TOL = 1e-9
 
@@ -80,6 +94,10 @@ def oracle_symbol_residual(diag, mu, symbol):
             unit = np.outer(v[:, j], np.conj(v[:, k]))
             resid = max(resid, float(np.abs(oracle_apply(op, unit) - symbol[j, k] * unit).max()))
     return resid
+
+
+def oracle_tensor_conjugate_norm(pi, mu):
+    return float(np.linalg.norm(integrate(tensor_conjugate(pi), mu)))
 
 
 def oracle_amplified_apply(lstack, rstack, x, d):
@@ -184,3 +202,51 @@ def test_amplified_apply_matches_einsum(n, d):
         x = _rc(rng, d * d, d * d)
         assert _close(_amplified_apply(forward, x, d), oracle_amplified_apply(left, right, x, d))
         assert _close(_amplified_apply(backward, x, d), oracle_amplified_apply(right, left, x, d))
+
+
+# -- the tensor-conjugate kernel predicate -----------------------------------------
+
+
+def _abelian_tensor_cases(rng):
+    """(label, pi, mu, in_kernel) on cyclic products: generic, zero and
+    kernel measures under regular and character representations."""
+    for shape in [(1,), (5,), (8,), (2, 4), (3, 3)]:
+        g = make_cyclic_product(list(shape))
+        reps = [regular_rep(g)] if g.order <= 8 else []
+        reps += [character_rep(g, [random_character(g, rng)])]
+        reps += [random_character_rep(g, rng, max_dim=6) for _ in range(2)]
+        for pi in reps:
+            label = f"{shape} d={pi.dim}"
+            yield label + " generic", pi, Measure(g, _rc(rng, g.order)), False
+            yield label + " zero", pi, Measure(g, np.zeros(g.order)), True
+            yield label + " kernel", pi, kernel_measure(diagonalize(pi), rng), True
+
+
+def _cayley_tensor_cases(rng):
+    """The same on S3 from its Cayley table: the regular representation
+    (faithful, so only zero is in the kernel), the sign character (d = 1)
+    and trivial + sign (d = 2), whose kernel is the measures with zero mass
+    on each coset of the rotations."""
+    g = from_cayley(s3_cayley())
+    sign = np.array([1.0] * 3 + [-1.0] * 3)   # elements are flip * 3 + rotation
+    sign_rep = make_representation(g, sign[:, None, None])
+    pair_rep = make_representation(g, np.stack([np.diag([1.0, x]) for x in sign]))
+    w = _rc(rng, 6)
+    on_cosets = np.concatenate([w[:3] - w[:3].mean(), w[3:] - w[3:].mean()])
+    for label, pi in [("regular", regular_rep(g)), ("sign", sign_rep), ("trivial+sign", pair_rep)]:
+        yield f"S3 {label} generic", pi, Measure(g, w), False
+        yield f"S3 {label} zero", pi, Measure(g, np.zeros(6)), True
+        yield f"S3 {label} coset-balanced", pi, Measure(g, on_cosets), label != "regular"
+
+
+def test_tensor_conjugate_predicate_matches_integrated_stack():
+    rng = np.random.default_rng(6)
+    checked = 0
+    for label, pi, mu, in_kernel in [*_abelian_tensor_cases(rng), *_cayley_tensor_cases(rng)]:
+        assert pi.dim <= 8
+        fast, slow = _tensor_conjugate_norm(pi, mu), oracle_tensor_conjugate_norm(pi, mu)
+        assert _close(fast, slow, scale=mu.norm), label
+        gate = TRANSFER_TOL * pi.dim**2 * mu.norm
+        assert kernel_test_tensor_conjugate(pi, mu) is (slow <= gate) is in_kernel, label
+        checked += 1
+    assert checked >= 60

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehtp.elementary import ElementaryOperator, apply, conjugation_op, transfer_matrix
-from ehtp.hnorm import NormInterval, haagerup_norm_bounds, prune_terms
+from ehtp.hnorm import haagerup_norm_bounds, prune_terms
 from ehtp.groups import make_cyclic_product
 from ehtp.measures import Measure, dirac
 from ehtp.gamma import gamma

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ehtp.errors import GroupMismatchError, NonAbelianError, NumericalError
-from ehtp.groups import Character, dual_group, make_cyclic_product, subgroup_and_restriction
-from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes, from_density
+from ehtp.groups import Character, make_cyclic_product, subgroup_and_restriction
+from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes
 from ehtp.representations import (
     block_algebra_basis,
     character_rep,

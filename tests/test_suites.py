@@ -49,12 +49,6 @@ class TestRegistry:
         b = run_all(seed=1, quick=True, names=["schur-identity"])
         assert a != b
 
-    def test_thread_pool_matches_serial_order(self):
-        serial = run_all(seed=3, quick=True, names=["kernel-equivalence", "cyclic-vector"])
-        pooled = run_all(seed=3, quick=True, names=["kernel-equivalence", "cyclic-vector"],
-                         max_workers=4)
-        assert serial == pooled
-
 
 class TestRngPolicy:
     def test_streams_are_independent(self):
