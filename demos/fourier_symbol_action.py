@@ -32,7 +32,7 @@ diag = diagonalize(pi, seed=0)
 rng = np.random.default_rng(1)
 mu = from_density(group, rng.standard_normal(101) + 1j * rng.standard_normal(101))
 
-symbol = schur_form(diag, mu, tol=1e-9)
+symbol = schur_form(diag, mu)
 print("symbol matrix shape:", symbol.shape)
 
 # cross-check one entry against the transform directly
@@ -51,7 +51,7 @@ duals = dual_group(group)
 for k in (5, 7, 9):
     fhat = np.array([1.0 if c.exponents == (k,) else 0.0 for c in duals])
     mu_k = Measure(group, np.conj(duals.table()).T @ fhat / group.order)
-    symbol = schur_form(diag, mu_k, tol=1e-9)
+    symbol = schur_form(diag, mu_k)
     on = np.argwhere(np.abs(symbol) > 0.5)
     pairs = sorted({tuple(sorted((labels[j], labels[m]))) for j, m in on})
     print(f"k = {k}: active (n, m) pairs {pairs},",

@@ -36,6 +36,7 @@ import numpy as np
 
 from .elementary import op_from_json
 from .errors import (
+    TOL,
     EquivalenceViolationError,
     NonAbelianError,
     NumericalError,
@@ -178,7 +179,7 @@ def load_scenario(obj, index: int, seed_override, tol_override) -> Scenario:
     _schema(experiment in EXPERIMENTS,
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
     seed = seed_override if seed_override is not None else int(obj.get("seed", 0))
-    tol = tol_override if tol_override is not None else float(obj.get("tol", 1e-9))
+    tol = tol_override if tol_override is not None else float(obj.get("tol", TOL))
     params = obj.get("params", {})
     _schema(isinstance(params, dict), "'params' must be an object")
     measures = obj.get("measures", [])
@@ -317,7 +318,7 @@ def exp_square_example(s: Scenario, quick: bool) -> list[dict]:
     for k in ks:
         try:
             k = int(k)
-            scan = square_scan(modulus, indices, k, tol=max(s.tol, 1e-10), diag_seed=s.seed)
+            scan = square_scan(modulus, indices, k, tol=s.tol, diag_seed=s.seed)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad square-example parameters: {exc}") from exc
         passed = scan.pop("passed")

@@ -26,6 +26,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (
+    CUTOFF,
+    TOL,
     BimoduleError,
     DimensionMismatchError,
     NotCompletelyPositiveError,
@@ -54,11 +56,6 @@ __all__ = [
     "op_to_json",
     "op_from_json",
 ]
-
-CP_TOL = 1e-9
-KRAUS_EIGENVALUE_CUTOFF = 1e-12   # relative to the largest Choi eigenvalue
-KRAUS_RECONSTRUCTION_TOL = 1e-9
-
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -229,7 +226,7 @@ def _choi_hermitian_part(t: ElementaryOperator, tol: float) -> np.ndarray | None
     return (c + c.conj().T) / 2
 
 
-def is_completely_positive(t: ElementaryOperator, tol: float = CP_TOL) -> bool:
+def is_completely_positive(t: ElementaryOperator, tol: float = TOL) -> bool:
     """True iff the Choi matrix is (numerically) positive semidefinite:
     Hermitian, with smallest eigenvalue >= -tol * max(1, largest absolute
     eigenvalue).  The unit floor keeps maps that are zero up to cancellation
@@ -244,7 +241,7 @@ def is_completely_positive(t: ElementaryOperator, tol: float = CP_TOL) -> bool:
     return bool(evals.min() >= -tol * max(1.0, top))
 
 
-def strongly_independent_kraus(t: ElementaryOperator, tol: float = CP_TOL) -> list[np.ndarray]:
+def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[np.ndarray]:
     """Kraus decomposition ``T(x) = sum_i k_i x k_i*`` with linearly
     independent (strongly independent) Kraus elements.
 
@@ -263,12 +260,12 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = CP_TOL) -> li
     if top <= 0.0:
         return []
     # unit floor: a map that is zero up to cancellation noise keeps no terms
-    keep = evals > KRAUS_EIGENVALUE_CUTOFF * max(1.0, top)
+    keep = evals > CUTOFF * max(1.0, top)
     kraus = [unvec(np.sqrt(lam) * evecs[:, i]) for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
 
     recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
     resid = _unit_residual(t, recon)
-    if resid > KRAUS_RECONSTRUCTION_TOL * max(1.0, top):
+    if resid > TOL * max(1.0, top):
         raise NumericalError(f"Kraus reconstruction residual {resid:.3e}")
     return kraus
 
@@ -278,7 +275,7 @@ def _unit_residual(s: ElementaryOperator, t: ElementaryOperator) -> float:
     return float(np.abs(transfer_matrix(s) - transfer_matrix(t)).max())
 
 
-def is_diagonal_bimodule(t: ElementaryOperator, tol: float = CP_TOL) -> bool:
+def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
     """True iff the map is a bimodule map over the diagonal MASA, i.e. it
     commutes with left/right multiplication by diagonal matrices.  Concretely
     every matrix unit must map to a multiple of itself: column ``k d + j`` of
@@ -310,7 +307,7 @@ class PositivityReport:
 def positive_implies_cp_check(
     t: ElementaryOperator,
     trials: int = 50,
-    tol: float = CP_TOL,
+    tol: float = TOL,
     seed: int = 0,
 ) -> PositivityReport:
     """Compare sampled positivity with complete positivity for a map that is

@@ -1,11 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types and the numerical threshold convention shared across the
+package.
 
 The CLI maps these onto exit codes: ScenarioError -> 2 (bad input shape),
 NumericalError -> 3 (a numerical precondition or verification failed),
 everything assertion-like -> 1.
+
+Every numerical threshold is one of two constants.  A pass/fail gate reads
+``residual <= TOL * scale``, where ``scale`` is the largest value the checked
+quantity can take for its data (``||mu||_1`` for a transform of ``mu``, d for
+a Frobenius residual of d x d unitaries, 1 on the unit circle); a gate with a
+``tol`` argument, which ``ehtp run --tol`` reaches, defaults to ``TOL``.  A
+rank decision keeps an eigenvalue or singular value ``> CUTOFF * largest``.
+Solver stops and step sizes are settings, not gates, and stay in their
+modules.
 """
 
 from __future__ import annotations
+
+TOL = 1e-9
+CUTOFF = 1e-12
 
 
 class EhtpError(Exception):
@@ -28,7 +41,8 @@ class DimensionMismatchError(EhtpError):
 
 class NumericalError(EhtpError):
     """A numerical verification failed: unitarity/homomorphism residuals,
-    joint diagonalization, phase rounding, reconstruction checks."""
+    joint diagonalization, phase rounding, reconstruction checks, each
+    against ``TOL`` times the data's scale (see the module docstring)."""
 
 
 class NotCompletelyPositiveError(EhtpError):

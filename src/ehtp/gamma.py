@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementary import ElementaryOperator, apply, slice_left, transfer_matrix
-from .errors import GroupMismatchError, NumericalError, RestrictionMismatchError
+from .errors import TOL, GroupMismatchError, NumericalError, RestrictionMismatchError
 from .groups import SubgroupRestriction, difference_set
 from .measures import Measure, fourier_on, fourier_symbol, reverse
 from .representations import (
@@ -43,11 +43,6 @@ __all__ = [
     "restriction_spectrum_check",
     "RestrictionReport",
 ]
-
-SCHUR_TOL = 1e-9
-DIFFSET_TOL = 1e-10
-TRANSFER_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class GammaImage:
@@ -113,13 +108,13 @@ def symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> f
     return resid
 
 
-def schur_form(diag: DiagonalizedRep, mu: Measure, tol: float = SCHUR_TOL) -> np.ndarray:
+def schur_form(diag: DiagonalizedRep, mu: Measure) -> np.ndarray:
     """Symbol matrix of the map in the joint eigenbasis.
 
     Entry ``(j, k)`` is ``mu_hat(chi_j * chi_k^-1)``; verified against a
     direct application of the operator to every rotated matrix unit.
     """
-    return _verified_symbol(diag, mu, tol)[0]
+    return _verified_symbol(diag, mu, TOL)[0]
 
 
 def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
@@ -134,26 +129,26 @@ def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np
     return symbol, resid
 
 
-def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure, tol: float = DIFFSET_TOL) -> bool:
+def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure) -> bool:
     """True iff the Fourier-Stieltjes transform vanishes on every quotient
-    ``sigma * tau^-1`` of spectrum characters, to ``tol`` times the total
+    ``sigma * tau^-1`` of spectrum characters, to ``TOL`` times the total
     variation norm of ``mu``."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
     values = fourier_on(mu, difference_set(diag.spectrum))
-    return bool(np.abs(values).max() <= tol * mu.norm)
+    return bool(np.abs(values).max() <= TOL * mu.norm)
 
 
-def kernel_test_tensor_conjugate(pi: Representation, mu: Measure, tol: float = TRANSFER_TOL) -> bool:
+def kernel_test_tensor_conjugate(pi: Representation, mu: Measure) -> bool:
     """True iff ``mu`` integrates to zero under ``pi (x) conj(pi)``, to
-    ``tol * d^2`` times the total variation norm of ``mu``.
+    ``TOL * d^2`` times the total variation norm of ``mu``.
 
     Since ``vec(pi(s) x pi(s)*) = (conj pi(s) (x) pi(s)) vec x``, this
     integral and the transfer matrix read by :func:`kernel_test_transfer`
     are the same d^2 x d^2 matrix up to a permutation of its indices, so the
     two predicates agree by construction; :func:`kernel_test_difference_set`
     is the independent one."""
-    return bool(_tensor_conjugate_norm(pi, mu) <= tol * pi.dim**2 * mu.norm)
+    return bool(_tensor_conjugate_norm(pi, mu) <= TOL * pi.dim**2 * mu.norm)
 
 
 def _tensor_conjugate_norm(pi: Representation, mu: Measure) -> float:
@@ -168,10 +163,10 @@ def _tensor_conjugate_norm(pi: Representation, mu: Measure) -> float:
     return float(np.linalg.norm((m.T * mu.weights) @ m.conj()))
 
 
-def kernel_test_transfer(image: GammaImage, tol: float = TRANSFER_TOL) -> bool:
+def kernel_test_transfer(image: GammaImage) -> bool:
     """True iff the transfer matrix of the realized operator vanishes, to
-    ``tol * d^2`` times the total variation norm of the measure."""
-    return bool(np.linalg.norm(image.transfer()) <= tol * image.rep.dim**2 * image.source.norm)
+    ``TOL * d^2`` times the total variation norm of the measure."""
+    return bool(np.linalg.norm(image.transfer()) <= TOL * image.rep.dim**2 * image.source.norm)
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ def restriction_spectrum_check(
     pi: Representation,
     sub: SubgroupRestriction,
     seed: int = 0,
-    tol: float = SCHUR_TOL,
+    tol: float = TOL,
 ) -> RestrictionReport:
     """Check that restricting the representation to a subgroup restricts its
     spectrum: the character set of ``pi`` restricted to H equals the

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GroupMismatchError
+from .errors import TOL, GroupMismatchError
 from .groups import Character, FiniteGroup, SpectrumSet, dual_group
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "from_transform",
     "in_augmentation_ideal",
 ]
-
-COEFF_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
@@ -80,7 +77,7 @@ class Measure:
     def __neg__(self) -> "Measure":
         return Measure(self.group, -self.weights)
 
-    def allclose(self, other: "Measure", tol: float = COEFF_TOL) -> bool:
+    def allclose(self, other: "Measure", tol: float = 1e-10) -> bool:
         _check_group(self, other)
         return bool(np.max(np.abs(self.weights - other.weights)) <= tol)
 
@@ -160,6 +157,7 @@ def from_transform(group: FiniteGroup, coefficients: dict[tuple[int, ...], compl
     return Measure(group, np.conj(duals.table()).T @ fhat / group.order)
 
 
-def in_augmentation_ideal(mu: Measure, tol: float = COEFF_TOL) -> bool:
-    """True iff the total mass vanishes (kernel of the trivial character)."""
-    return bool(abs(mu.total_mass) <= tol)
+def in_augmentation_ideal(mu: Measure) -> bool:
+    """True iff the total mass vanishes (kernel of the trivial character),
+    to ``TOL`` times the total variation norm of ``mu``."""
+    return bool(abs(mu.total_mass) <= TOL * mu.norm)

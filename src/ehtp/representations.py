@@ -17,6 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    CUTOFF,
+    TOL,
     DimensionMismatchError,
     GroupMismatchError,
     NonAbelianError,
@@ -40,11 +42,6 @@ __all__ = [
     "cyclic_vector",
 ]
 
-UNITARITY_TOL = 1e-9         # on ||U*U - I||_F, scaled by dimension
-HOMOMORPHISM_TOL = 1e-9      # on ||pi(a)pi(b) - pi(ab)||_F, scaled by dimension
-DIAGONALITY_TOL = 1e-9       # off-diagonal magnitude in the joint eigenbasis
-PHASE_TOL = 1e-6             # eigenvalue distance to the nearest root of unity
-RECONSTRUCTION_TOL = 1e-8    # ||pi(s) - V diag(chi(s)) V*||_F
 _EXHAUSTIVE_ORDER = 64
 _PAIR_SAMPLES = 200
 _MAX_RETRIES = 5
@@ -94,24 +91,24 @@ def _validate(pi: Representation) -> None:
     eye = np.eye(d)
     gram = np.einsum("sji,sjk->sik", np.conj(pi.matrices), pi.matrices)
     resid = np.linalg.norm(gram - eye, axis=(1, 2)).max()
-    if resid > UNITARITY_TOL * d:
+    if resid > TOL * d:
         raise NumericalError(f"matrices are not unitary: ||U*U - I||_F = {resid:.3e}")
 
-    if np.linalg.norm(pi.matrices[pi.group.identity] - eye) > HOMOMORPHISM_TOL * d:
+    if np.linalg.norm(pi.matrices[pi.group.identity] - eye) > TOL * d:
         raise NumericalError("identity element is not represented by the identity matrix")
 
     if n <= _EXHAUSTIVE_ORDER:
         for a in range(n):
             prod = pi.matrices[a] @ pi.matrices
             resid = np.linalg.norm(prod - pi.matrices[pi.group.cayley[a]], axis=(1, 2)).max()
-            if resid > HOMOMORPHISM_TOL * d:
+            if resid > TOL * d:
                 raise NumericalError(f"homomorphism law fails at element {a}: residual {resid:.3e}")
     else:
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, n, size=(_PAIR_SAMPLES, 2))
         for a, b in pairs:
             resid = np.linalg.norm(pi.matrices[a] @ pi.matrices[b] - pi.matrices[pi.group.cayley[a, b]])
-            if resid > HOMOMORPHISM_TOL * d:
+            if resid > TOL * d:
                 raise NumericalError(f"homomorphism law fails at pair ({a},{b}): residual {resid:.3e}")
 
 
@@ -193,7 +190,8 @@ def _offdiag_max(mats: np.ndarray) -> float:
 
 
 def _cluster(values: np.ndarray, tol: float = 1e-8) -> list[list[int]]:
-    """Group indices whose (possibly complex) values coincide within tol."""
+    """Group indices whose (possibly complex) values coincide within tol.
+    A refinement setting, not a gate: ``diagonalize`` checks the basis."""
     clusters: list[list[int]] = []
     reps: list[complex] = []
     for idx, val in enumerate(values):
@@ -251,9 +249,8 @@ def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
 
     Raises :class:`NonAbelianError` without a cyclic-product presentation and
     :class:`NumericalError` when the input is not (numerically) a
-    representation: non-commuting matrices, eigenvalue phases that do not
-    round to roots of unity within 1e-6, or a reconstruction residual above
-    1e-8.
+    representation: non-commuting matrices, eigenvalues farther than ``TOL``
+    from a root of unity, or a reconstruction residual above ``TOL * d``.
     """
     shape = pi.group.abelian_shape
     if shape is None:
@@ -270,13 +267,13 @@ def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
         herm = (herm + herm.conj().T) / 2
         _, cand = np.linalg.eigh(herm)
         rotated = np.einsum("ij,sjk,kl->sil", cand.conj().T, mats, cand)
-        if _offdiag_max(rotated) <= DIAGONALITY_TOL:
+        if _offdiag_max(rotated) <= TOL:
             v = cand
             break
     if v is None:
         v = _refine_sequentially(pi)
         rotated = np.einsum("ij,sjk,kl->sil", v.conj().T, mats, v)
-        if _offdiag_max(rotated) > DIAGONALITY_TOL:
+        if _offdiag_max(rotated) > TOL:
             raise NumericalError(
                 "joint diagonalization failed; matrices do not commute within tolerance"
             )
@@ -287,8 +284,8 @@ def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
     table = np.array([c.values(pi.group) for c in chars])  # (d, order)
     recon = np.einsum("ij,sj,kj->sik", v, table.T, np.conj(v))
     resid = float(np.linalg.norm(recon - mats, axis=(1, 2)).max())
-    if resid > RECONSTRUCTION_TOL:
-        raise NumericalError(f"eigenbasis reconstruction residual {resid:.3e} exceeds {RECONSTRUCTION_TOL}")
+    if resid > TOL * pi.dim:
+        raise NumericalError(f"eigenbasis reconstruction residual {resid:.3e} exceeds {TOL * pi.dim:.3e}")
 
     return DiagonalizedRep(pi, v, tuple(chars), spectrum(pi.group, chars, sort=True))
 
@@ -309,25 +306,24 @@ def _read_characters(pi: Representation, v: np.ndarray, shape: tuple[int, ...]) 
             lam = diags[axis][j]
             k = int(np.round(np.angle(lam) * n / (2 * np.pi))) % n
             root = np.exp(2j * np.pi * k / n)
-            if abs(lam - root) > PHASE_TOL:
+            if abs(lam - root) > TOL:
                 raise NumericalError(
-                    f"eigenvalue {lam:.6f} is not a {n}-th root of unity within {PHASE_TOL}"
+                    f"eigenvalue {lam:.6f} is not a {n}-th root of unity within {TOL}"
                 )
             exps.append(k)
         chars.append(Character(shape, tuple(exps)))
     return chars
 
 
-def gelfand(diag: DiagonalizedRep, mu: Measure, tol: float = 1e-9) -> dict[Character, complex]:
+def gelfand(diag: DiagonalizedRep, mu: Measure) -> dict[Character, complex]:
     """Evaluate ``sigma -> mu_hat(sigma)`` on the spectrum and verify that the
     integrated measure is diagonal in the joint eigenbasis with exactly those
-    entries."""
+    entries, to ``TOL * max(1, ||mu||_1)``."""
     rotated = diag.basis.conj().T @ integrate(diag.rep, mu) @ diag.basis
     values = dict(zip(diag.spectrum, fourier_on(mu, diag.spectrum)))
     expected = np.diag(np.array([values[c] for c in diag.char_of_index]))
     resid = float(np.abs(rotated - expected).max())
-    scale = max(1.0, mu.norm)
-    if resid > tol * scale:
+    if resid > TOL * max(1.0, mu.norm):
         raise NumericalError(f"integrated measure is not diagonal with transform values: residual {resid:.3e}")
     return values
 
@@ -361,7 +357,7 @@ def cyclic_vector(diag_dims: Sequence[int], vectors: Sequence[np.ndarray]) -> np
         scale = np.linalg.norm(vec)
         for k in range(len(dims)):
             blk = slice(starts[k], starts[k + 1])
-            if covered[k] or np.linalg.norm(vec[blk]) <= 1e-12 * max(1.0, scale):
+            if covered[k] or np.linalg.norm(vec[blk]) <= CUTOFF * max(1.0, scale):
                 continue
             xi[blk] = vec[blk]
             covered[k] = True

@@ -16,6 +16,7 @@ import numpy as np
 
 from .elementary import ElementaryOperator
 from .errors import (
+    TOL,
     EquivalenceViolationError,
     NumericalError,
     RestrictionMismatchError,
@@ -111,6 +112,11 @@ SHAPE_POOL_24 = SHAPE_POOL_12 + (
 
 _MAX_SEED = 2**63
 REPORT_NORM_RESTARTS = 8   # lower-bound restarts behind the cb_upper of a gamma report
+SQUARE_MODULUS = 101       # the square-example suite's group Z_N, index set and shifts k
+SQUARE_INDICES = (1, 2, 3, 4, 5, 6)
+SQUARE_KS = (5, 7, 9)
+CP_SAMPLE_TRIALS = 20      # sampled states per cp-posdef triple
+NORM_REL_WIDTH = 1e-4      # widest norm-interval bracket, relative to the exact norm
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -235,7 +241,7 @@ def kernel_measure(diag, rng: np.random.Generator) -> Measure:
     return from_transform(group, coeffs)
 
 
-def square_scan(modulus: int, indices, k: int, tol: float = 1e-10, diag_seed: int = 0) -> dict:
+def square_scan(modulus: int, indices, k: int, tol: float = TOL, diag_seed: int = 0) -> dict:
     """Exhaustive-oracle comparison for the quadratic-exponent symbol.
 
     The oracle scans all index pairs with exact integer arithmetic first;
@@ -292,7 +298,7 @@ def square_scan(modulus: int, indices, k: int, tol: float = 1e-10, diag_seed: in
 # ---------------------------------------------------------------------------
 
 
-def homomorphism_suite(pairs_per_group: int = 100, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def homomorphism_suite(pairs_per_group: int = 100, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=1)
     records = []
     for label, group in homomorphism_roster():
@@ -301,18 +307,18 @@ def homomorphism_suite(pairs_per_group: int = 100, tol: float = 1e-9, seed: int 
         else:
             pi = random_character_rep(group, rng, max_dim=8)
         resid = unitality_residual(pi)
-        records.append(_rec("gamma-homomorphism", f"{label}/unit", resid <= tol,
+        records.append(_rec("gamma-homomorphism", f"{label}/unit", resid <= TOL,
                             residual=resid, group=label, dim=pi.dim))
         for i in range(pairs_per_group):
             mu = random_measure(group, rng)
             nu = random_measure(group, rng)
             resid = homomorphism_residual(pi, mu, nu)
-            records.append(_rec("gamma-homomorphism", f"{label}/pair-{i:03d}", resid <= tol,
+            records.append(_rec("gamma-homomorphism", f"{label}/pair-{i:03d}", resid <= TOL,
                                 residual=resid, group=label, dim=pi.dim))
     return records
 
 
-def contractivity_suite(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=2)
     records = []
     for i in range(trials):
@@ -321,7 +327,7 @@ def contractivity_suite(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> 
         mu = random_measure(group, rng)
         bounds = haagerup_norm_bounds(gamma(pi, mu).op, restarts=2, seed=_sub_seed(rng))
         excess = bounds.upper - mu.norm
-        ok = excess <= tol and bounds.lower <= bounds.upper + 1e-12 and _monotone(bounds.upper_trace)
+        ok = excess <= TOL and bounds.lower <= bounds.upper + 1e-12 and _monotone(bounds.upper_trace)
         records.append(_rec("contractivity", f"generic-{i:03d}", ok,
                             upper=float(bounds.upper), lower=float(bounds.lower),
                             tv_norm=float(mu.norm), excess=float(excess),
@@ -339,7 +345,7 @@ def contractivity_suite(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> 
     return records
 
 
-def schur_suite(trials: int = 200, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def schur_suite(trials: int = 200, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=3)
     records = []
     for i in range(trials):
@@ -348,23 +354,22 @@ def schur_suite(trials: int = 200, tol: float = 1e-9, seed: int = 0) -> list[dic
         mu = random_measure(group, rng)
         diag = diagonalize(pi, seed=_sub_seed(rng))
         resid = symbol_residual(diag, mu, fourier_symbol(mu, diag.char_of_index))
-        records.append(_rec("schur-identity", f"triple-{i:03d}", resid <= tol,
+        records.append(_rec("schur-identity", f"triple-{i:03d}", resid <= TOL,
                             residual=float(resid), group=_shape_label(group.abelian_shape),
                             dim=pi.dim))
     return records
 
 
-def square_suite(ks=(5, 7, 9), modulus: int = 101, indices=(1, 2, 3, 4, 5, 6),
-                 tol: float = 1e-10, seed: int = 0) -> list[dict]:
+def square_suite(seed: int = 0) -> list[dict]:
     records = []
-    for k in ks:
-        scan = square_scan(modulus, indices, k, tol=tol, diag_seed=seed)
+    for k in SQUARE_KS:
+        scan = square_scan(SQUARE_MODULUS, SQUARE_INDICES, k, diag_seed=seed)
         passed = scan.pop("passed")
-        records.append(_rec("square-example", f"N{modulus}-k{k}", passed, **scan))
+        records.append(_rec("square-example", f"N{SQUARE_MODULUS}-k{k}", passed, **scan))
     return records
 
 
-def kernel_suite(trials: int = 500, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=5)
     records = []
 
@@ -410,8 +415,7 @@ def kernel_suite(trials: int = 500, tol: float = 1e-9, seed: int = 0) -> list[di
     return records
 
 
-def cp_posdef_suite(trials: int = 1000, tol: float = 1e-9, seed: int = 0,
-                    sample_trials: int = 20) -> list[dict]:
+def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=6)
     records = []
     for i in range(trials):
@@ -433,15 +437,14 @@ def cp_posdef_suite(trials: int = 1000, tol: float = 1e-9, seed: int = 0,
             s = int(rng.integers(group.order))
             mu = (dirac(group, s) - dirac(group, group.identity)) * float(rng.random() + 0.5)
         try:
-            report = equivalence_suite(diag, mu, trials=sample_trials, tol=tol,
-                                       seed=_sub_seed(rng))
+            report = equivalence_suite(diag, mu, trials=CP_SAMPLE_TRIALS, seed=_sub_seed(rng))
         except (EquivalenceViolationError, NumericalError) as exc:
             records.append(_rec("cp-posdef-equivalence", f"triple-{i:04d}", False,
                                 flavor=flavor, error=str(exc)))
             continue
         ok = report.consistent
         if report.completely_positive and report.kraus_count:
-            ok = ok and report.kraus_min_singular > 1e-9
+            ok = ok and report.kraus_min_singular > TOL
         records.append(_rec("cp-posdef-equivalence", f"triple-{i:04d}", ok,
                             flavor=flavor, cp=report.completely_positive,
                             posdef=report.positive_definite,
@@ -452,7 +455,7 @@ def cp_posdef_suite(trials: int = 1000, tol: float = 1e-9, seed: int = 0,
     return records
 
 
-def norm_interval_suite(trials: int = 100, rel_width: float = 1e-4, seed: int = 0) -> list[dict]:
+def norm_interval_suite(trials: int = 100, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=7)
     records = []
     for i in range(trials):
@@ -464,7 +467,7 @@ def norm_interval_suite(trials: int = 100, rel_width: float = 1e-4, seed: int = 
         target = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
         contains = (bounds.lower <= target * (1 + 1e-12)
                     and bounds.upper >= target * (1 - 1e-12))
-        ok = (contains and bounds.width <= rel_width * target
+        ok = (contains and bounds.width <= NORM_REL_WIDTH * target
               and bounds.iterations <= 500 and _monotone(bounds.upper_trace))
         records.append(_rec("norm-interval", f"single-term-{i:03d}", ok,
                             lower=float(bounds.lower), upper=float(bounds.upper),
@@ -473,8 +476,7 @@ def norm_interval_suite(trials: int = 100, rel_width: float = 1e-4, seed: int = 
     return records
 
 
-def slice_suite(instances: int = 100, functionals: int = 50, tol: float = 1e-9,
-                seed: int = 0) -> list[dict]:
+def slice_suite(instances: int = 100, functionals: int = 50, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=8)
     s3 = from_cayley(s3_cayley())
     records = []
@@ -492,13 +494,13 @@ def slice_suite(instances: int = 100, functionals: int = 50, tol: float = 1e-9,
         for _ in range(functionals):
             w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             worst = max(worst, slice_identity_residual(image, w))
-        records.append(_rec("slice-identity", f"instance-{i:03d}", worst <= tol,
+        records.append(_rec("slice-identity", f"instance-{i:03d}", worst <= TOL,
                             residual=float(worst), group=label, dim=d,
                             functionals=functionals))
     return records
 
 
-def cyclic_vector_suite(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def cyclic_vector_suite(trials: int = 100, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=9)
     records = []
     for i in range(trials):
@@ -515,15 +517,15 @@ def cyclic_vector_suite(trials: int = 100, tol: float = 1e-9, seed: int = 0) -> 
         xi = cyclic_vector([1] * d, vectors)
         orbit = np.stack([m @ xi for m in block_algebra_basis([1] * d)], axis=1)
         target = np.stack(vectors, axis=1)
-        rank_orbit = int(np.linalg.matrix_rank(orbit, tol=tol))
-        rank_joint = int(np.linalg.matrix_rank(np.concatenate([orbit, target], axis=1), tol=tol))
+        rank_orbit = int(np.linalg.matrix_rank(orbit, tol=TOL))
+        rank_joint = int(np.linalg.matrix_rank(np.concatenate([orbit, target], axis=1), tol=TOL))
         records.append(_rec("cyclic-vector", f"instance-{i:03d}", rank_joint == rank_orbit,
                             dim=d, vectors=count, rank_orbit=rank_orbit,
                             rank_joint=rank_joint))
     return records
 
 
-def restriction_suite(trials: int = 50, tol: float = 1e-9, seed: int = 0) -> list[dict]:
+def restriction_suite(trials: int = 50, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=10)
     records = []
     for i in range(trials):
@@ -532,14 +534,14 @@ def restriction_suite(trials: int = 50, tol: float = 1e-9, seed: int = 0) -> lis
         sub = subgroup_and_restriction(group, generators)
         pi = random_character_rep(group, rng, max_dim=8)
         try:
-            report = restriction_spectrum_check(pi, sub, seed=_sub_seed(rng), tol=tol)
+            report = restriction_spectrum_check(pi, sub, seed=_sub_seed(rng))
         except (RestrictionMismatchError, NumericalError) as exc:
             records.append(_rec("restriction-check", f"instance-{i:03d}", False,
                                 group=_shape_label(group.abelian_shape),
                                 subgroup_order=sub.subgroup.order, error=str(exc)))
             continue
         records.append(_rec("restriction-check", f"instance-{i:03d}",
-                            report.match and report.symbol_residual <= tol,
+                            report.match and report.symbol_residual <= TOL,
                             group=_shape_label(group.abelian_shape),
                             subgroup_order=sub.subgroup.order,
                             spectrum_size=len(report.expected_exponents),

@@ -26,7 +26,7 @@ from .elementary import (
     strongly_independent_kraus,
     vec,
 )
-from .errors import EquivalenceViolationError, GroupMismatchError, NumericalError
+from .errors import CUTOFF, TOL, EquivalenceViolationError, GroupMismatchError, NumericalError
 from .gamma import gamma
 from .groups import SpectrumSet
 from .measures import Measure, fourier_symbol
@@ -41,11 +41,6 @@ __all__ = [
     "equivalence_suite",
     "EquivalenceReport",
 ]
-
-PSD_TOL = 1e-9
-GRAM_EIGENVALUE_CUTOFF = 1e-10  # relative to the largest eigenvalue
-KRAUS_DIAGONALITY_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class VFunction:
@@ -65,7 +60,7 @@ class VFunction:
     @property
     def is_hermitian(self) -> bool:
         return bool(np.linalg.norm(self.values - self.values.conj().T)
-                    <= PSD_TOL * max(1.0, float(np.linalg.norm(self.values))))
+                    <= TOL * max(1.0, float(np.linalg.norm(self.values))))
 
     def to_json(self) -> str:
         payload = {
@@ -91,7 +86,7 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
     return VFunction(diag.spectrum, fourier_symbol(mu, diag.spectrum.characters))
 
 
-def is_positive_definite(u: VFunction, tol: float = PSD_TOL) -> bool:
+def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
     """Numerically Hermitian positive semidefinite as a matrix on the
     spectrum: smallest eigenvalue >= -tol * max(1, largest absolute
     eigenvalue), the same threshold convention as
@@ -104,18 +99,18 @@ def is_positive_definite(u: VFunction, tol: float = PSD_TOL) -> bool:
     return bool(evals.min() >= -tol * max(1.0, float(np.abs(evals).max())))
 
 
-def gram_factorize(u: VFunction, tol: float = PSD_TOL) -> list[np.ndarray]:
+def gram_factorize(u: VFunction) -> list[np.ndarray]:
     """Functions ``phi_i`` on the spectrum with ``u(s, t) = sum_i phi_i(s)
-    conj(phi_i(t))``, from the eigendecomposition; eigenvalues below
-    ``1e-10`` times the largest are dropped.  Errors on a kernel that is not
+    conj(phi_i(t))``, from the eigendecomposition; eigenvalues up to
+    ``CUTOFF`` times the largest are dropped.  Errors on a kernel that is not
     positive semidefinite."""
-    if not is_positive_definite(u, tol):
+    if not is_positive_definite(u):
         raise NumericalError("kernel is not positive semidefinite")
     evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
     top = float(evals.max()) if evals.size else 0.0
     if top <= 0.0:
         return []
-    keep = evals > GRAM_EIGENVALUE_CUTOFF * top
+    keep = evals > CUTOFF * top
     return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
 
 
@@ -146,7 +141,7 @@ def equivalence_suite(
     diag: DiagonalizedRep,
     mu: Measure,
     trials: int = 50,
-    tol: float = PSD_TOL,
+    tol: float = TOL,
     seed: int = 0,
 ) -> EquivalenceReport:
     """Run all three positivity criteria on one (representation, measure)
@@ -156,7 +151,9 @@ def equivalence_suite(
     semidefiniteness of the kernel agree, and that positivity on sampled
     states never contradicts them.  On completely positive instances the
     strongly independent Kraus family is extracted and must consist of
-    matrices diagonal in the joint eigenbasis.
+    matrices diagonal in the joint eigenbasis, to ``TOL`` times the largest
+    Kraus norm (an element of a Choi eigenvalue near the cutoff is accurate
+    only to that scale).
 
     Raises :class:`EquivalenceViolationError` on any disagreement; a raise
     here signals a bug, not a property of the input.
@@ -184,15 +181,11 @@ def equivalence_suite(
             stacked = np.stack([vec(k) for k in kraus], axis=1)
             min_singular = float(np.linalg.svd(stacked, compute_uv=False).min())
             vh = diag.basis.conj().T
-            diagonality = 0.0
-            for k in kraus:
-                rot = vh @ k @ diag.basis
-                off = rot - np.diag(np.diag(rot))
-                diagonality = max(
-                    diagonality,
-                    float(np.linalg.norm(off) / max(np.linalg.norm(rot), 1e-300)),
-                )
-            if diagonality > KRAUS_DIAGONALITY_TOL:
+            rots = [vh @ k @ diag.basis for k in kraus]
+            top = max(float(np.linalg.norm(rot)) for rot in rots)
+            off = max(float(np.linalg.norm(rot - np.diag(np.diag(rot)))) for rot in rots)
+            diagonality = off / max(top, 1e-300)
+            if diagonality > TOL:
                 raise EquivalenceViolationError(
                     f"Kraus family is not diagonal in the eigenbasis: residual {diagonality:.3e}"
                 )

@@ -22,7 +22,7 @@ from ehtp.groups import (
     subgroup_and_restriction,
 )
 from ehtp.hnorm import haagerup_norm_bounds
-from ehtp.measures import Measure, convolve, dirac, fourier_stieltjes, fourier_symbol
+from ehtp.measures import Measure, convolve, dirac, fourier_stieltjes, fourier_symbol, in_augmentation_ideal
 from ehtp.representations import character_rep, diagonalize, regular_rep
 from ehtp.suites import random_character_rep, s3_cayley
 
@@ -244,6 +244,26 @@ class TestKernelTests:
             assert kernel_test_transfer(gamma(pi, mu))
             assert kernel_test_difference_set(diag, mu)
             assert kernel_test_tensor_conjugate(pi, mu)
+
+    def test_verdicts_do_not_depend_on_the_measure_scale(self):
+        # TOL is relative to ||mu||_1: shrinking a generic measure by 1e-12
+        # moves it neither into the kernel nor into the augmentation ideal
+        g = make_cyclic_product([60])
+        chars = [Character((60,), (k,)) for k in (0, 7, 19, 23, 40, 52)]
+        pi = character_rep(g, chars)
+        diag = diagonalize(pi)
+        rng = np.random.default_rng(5)
+        mu = Measure(g, rng.standard_normal(60) + 1j * rng.standard_normal(60))
+        tiny = mu * 1e-12
+        assert abs(tiny.total_mass) > 1e-2 * tiny.norm
+        assert not in_augmentation_ideal(mu)
+        assert not in_augmentation_ideal(tiny)
+
+        def verdicts(nu):
+            return (kernel_test_transfer(gamma(pi, nu)), kernel_test_difference_set(diag, nu),
+                    kernel_test_tensor_conjugate(pi, nu))
+
+        assert verdicts(tiny) == verdicts(mu) == (False, False, False)
 
     def test_three_detectors_agree_on_random_measures(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Package layout, checked with ``ast`` in place of a linter: modules use each
 other only through public names, the package starts no threads and reads no
-environment, and no file imports a name it never uses."""
+environment, no file imports a name it never uses, and no module but
+``errors`` defines a threshold constant."""
 
 import ast
 from pathlib import Path
@@ -86,4 +87,28 @@ def test_every_imported_name_is_used():
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert len(files) > 15
     found = {f"{p.parent.name}/{p.name}": _unused_imports(p) for p in files}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _threshold_constants(path):
+    """``(line, name)`` for every module-level name ending in ``_TOL`` or
+    ``_CUTOFF``."""
+    found = []
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found += [(node.lineno, t.id) for t in targets
+                  if isinstance(t, ast.Name) and t.id.endswith(("_TOL", "_CUTOFF"))]
+    return found
+
+
+def test_thresholds_come_from_the_two_package_constants():
+    # every gate reads errors.TOL and every rank decision errors.CUTOFF
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"]
+    assert len(modules) > 5
+    found = {p.name: _threshold_constants(p) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}

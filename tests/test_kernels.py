@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from ehtp.elementary import ElementaryOperator, apply, choi, is_diagonal_bimodule, schur_op, vec
+from ehtp.errors import TOL
 from ehtp.gamma import (
-    TRANSFER_TOL,
     _tensor_conjugate_norm,
     kernel_test_tensor_conjugate,
     schur_form,
@@ -30,8 +30,6 @@ from ehtp.representations import (
     tensor_conjugate,
 )
 from ehtp.suites import kernel_measure, random_character, random_character_rep, s3_cayley
-
-TOL = 1e-9
 
 # (n_terms, d): empty term lists, d == 1, and the sizes in between
 SHAPES = [(0, 1), (0, 4), (1, 1), (3, 1), (1, 2), (4, 3), (7, 5), (2, 8), (12, 8)]
@@ -246,7 +244,7 @@ def test_tensor_conjugate_predicate_matches_integrated_stack():
         assert pi.dim <= 8
         fast, slow = _tensor_conjugate_norm(pi, mu), oracle_tensor_conjugate_norm(pi, mu)
         assert _close(fast, slow, scale=mu.norm), label
-        gate = TRANSFER_TOL * pi.dim**2 * mu.norm
+        gate = TOL * pi.dim**2 * mu.norm
         assert kernel_test_tensor_conjugate(pi, mu) is (slow <= gate) is in_kernel, label
         checked += 1
     assert checked >= 60

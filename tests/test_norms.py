@@ -124,6 +124,19 @@ class TestCertificates:
             gap = np.linalg.norm(transfer_matrix(cert) - transfer_matrix(t))
             assert gap <= 1e-8 * max(1.0, np.linalg.norm(transfer_matrix(t)))
 
+    def test_cp_certificate_is_a_kraus_rewriting_of_the_map(self):
+        rng = np.random.default_rng(9)
+        g = make_cyclic_product([6])
+        pi = regular_rep(g)
+        for _ in range(4):
+            t = gamma(pi, Measure(g, rng.random(6))).op
+            b = haagerup_norm_bounds(t, restarts=1)
+            assert b.iterations == 0 and b.lower == b.upper
+            cert = ElementaryOperator.from_terms(6, b.certificate_terms)
+            assert all(np.array_equal(r, k.conj().T) for k, r in b.certificate_terms)
+            gap = np.abs(transfer_matrix(cert) - transfer_matrix(t)).max()
+            assert gap <= 1e-9 * max(1.0, b.upper)
+
     def test_certificate_value_matches_upper_for_gauged_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(8):

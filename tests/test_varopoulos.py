@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ehtp.errors import GroupMismatchError, NumericalError
+from ehtp.elementary import strongly_independent_kraus
+from ehtp.errors import TOL, GroupMismatchError, NumericalError
+from ehtp.gamma import gamma
 from ehtp.groups import Character, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_stieltjes, fourier_symbol, from_density
 from ehtp.representations import character_rep, diagonalize, regular_rep
@@ -175,6 +177,23 @@ class TestEquivalenceSuite:
         assert not report.sampled_positive
         assert report.consistent
         assert report.kraus_count == 0
+
+    @pytest.mark.parametrize("tiny", [1e-7, 1e-9, 1e-11])
+    def test_tiny_weight_keeps_kraus_and_gram_counts_equal(self, tiny):
+        # a Choi eigenvalue near the cutoff has an eigenvector error of about
+        # eps * top / lambda; diagonality is judged at the family's scale
+        g = make_cyclic_product([8])
+        pi = regular_rep(g)
+        diag = diagonalize(pi)
+        w = np.linspace(1.0, 2.0, 8)
+        w[3] = tiny
+        mu = Measure(g, w)
+        report = equivalence_suite(diag, mu)
+        kraus = strongly_independent_kraus(gamma(pi, mu).op)
+        factors = gram_factorize(from_measure(diag, mu))
+        assert report.completely_positive and report.positive_definite
+        assert report.kraus_count == len(kraus) == len(factors) == 8
+        assert report.kraus_diagonality <= TOL
 
     def test_generic_complex_measures_are_consistent(self):
         g = make_cyclic_product([9])
