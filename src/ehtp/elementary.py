@@ -216,11 +216,17 @@ def choi(t: ElementaryOperator) -> np.ndarray:
     return _vec_outer_sum(t)
 
 
-def _choi_hermitian_part(t: ElementaryOperator, tol: float) -> np.ndarray | None:
-    """Hermitian part of the Choi matrix, or None when the map is not
-    Hermiticity-preserving within tolerance."""
-    c = choi(t)
-    scale = max(1.0, float(np.linalg.norm(c)))
+def _data_scale(t: ElementaryOperator) -> float:
+    """``sum_i ||a_i||_F ||b_i||_F``: a bound on the Frobenius norm of the
+    Choi matrix, so on every Choi eigenvalue and on the rounding noise in
+    them.  The complete-positivity gates and the Kraus cutoff are taken at
+    this scale, so a map and its multiple by 1e-12 get the same verdicts."""
+    return float(np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2))))
+
+
+def _choi_hermitian_part(c: np.ndarray, scale: float, tol: float) -> np.ndarray | None:
+    """Hermitian part of the Choi matrix c, or None when the map is not
+    Hermiticity-preserving to ``tol * scale``."""
     if np.linalg.norm(c - c.conj().T) > tol * scale:
         return None
     return (c + c.conj().T) / 2
@@ -228,51 +234,51 @@ def _choi_hermitian_part(t: ElementaryOperator, tol: float) -> np.ndarray | None
 
 def is_completely_positive(t: ElementaryOperator, tol: float = TOL) -> bool:
     """True iff the Choi matrix is (numerically) positive semidefinite:
-    Hermitian, with smallest eigenvalue >= -tol * max(1, largest absolute
-    eigenvalue).  The unit floor keeps maps that are zero up to cancellation
-    noise on the positive side."""
-    herm = _choi_hermitian_part(t, tol)
-    if herm is None:
-        return False
-    evals = np.linalg.eigvalsh(herm)
-    if evals.size == 0:
-        return True
-    top = float(np.abs(evals).max())
-    return bool(evals.min() >= -tol * max(1.0, top))
+    Hermitian to ``tol * scale``, with smallest eigenvalue ``>= -tol * scale``,
+    at the data scale ``scale = sum_i ||a_i||_F ||b_i||_F``.  A map that is
+    zero up to cancellation noise is completely positive."""
+    scale = _data_scale(t)
+    herm = _choi_hermitian_part(choi(t), scale, tol)
+    return herm is not None and bool(np.linalg.eigvalsh(herm)[0] >= -tol * scale)
 
 
 def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[np.ndarray]:
     """Kraus decomposition ``T(x) = sum_i k_i x k_i*`` with linearly
     independent (strongly independent) Kraus elements.
 
-    Taken from the eigendecomposition of the Choi matrix, pruning the null
-    space; the surviving vectorized elements are orthogonal with norms
-    ``sqrt(lambda_i)``, so the family is automatically strongly independent.
+    Taken from one eigendecomposition of the Choi matrix, which also decides
+    complete positivity as :func:`is_completely_positive` does.  A map whose
+    largest Choi eigenvalue is at most ``CUTOFF`` times the data scale
+    ``sum_i ||a_i||_F ||b_i||_F`` is zero up to rounding and keeps no terms.
+    Otherwise eigenvalues up to ``CUTOFF`` times the largest are dropped, the
+    rule ``varopoulos.gram_factorize`` applies to the symbol, so the Kraus
+    and Gram families of one map have the same size.  The surviving
+    vectorized elements are orthogonal with norms ``sqrt(lambda_i)``, so the
+    family is automatically strongly independent.
     Raises for a map that is not completely positive, and verifies the
-    reconstruction on all matrix units.
+    reconstruction on all matrix units to ``TOL`` times the data scale.
     """
-    if not is_completely_positive(t, tol):
+    scale = _data_scale(t)
+    c = choi(t)
+    herm = _choi_hermitian_part(c, scale, tol)
+    if herm is None:
         raise NotCompletelyPositiveError("Kraus extraction needs a completely positive map")
-    herm = _choi_hermitian_part(t, tol)
-    assert herm is not None
     evals, evecs = np.linalg.eigh(herm)
-    top = float(evals.max()) if evals.size else 0.0
-    if top <= 0.0:
+    if evals[0] < -tol * scale:
+        raise NotCompletelyPositiveError("Kraus extraction needs a completely positive map")
+    top = float(evals[-1])
+    if top <= CUTOFF * scale:
         return []
-    # unit floor: a map that is zero up to cancellation noise keeps no terms
-    keep = evals > CUTOFF * max(1.0, top)
+    keep = evals > CUTOFF * top
     kraus = [unvec(np.sqrt(lam) * evecs[:, i]) for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
 
+    # the Choi and transfer matrices hold the same entries, so the largest
+    # deviation on matrix units is read off the Choi matrices
     recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
-    resid = _unit_residual(t, recon)
-    if resid > TOL * max(1.0, top):
+    resid = float(np.abs(choi(recon) - c).max())
+    if resid > TOL * scale:
         raise NumericalError(f"Kraus reconstruction residual {resid:.3e}")
     return kraus
-
-
-def _unit_residual(s: ElementaryOperator, t: ElementaryOperator) -> float:
-    """Largest Frobenius deviation of the two maps on matrix units."""
-    return float(np.abs(transfer_matrix(s) - transfer_matrix(t)).max())
 
 
 def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
@@ -324,9 +330,7 @@ def positive_implies_cp_check(
     # normalize against input scale times term scale, not just ||y||: when
     # the map is numerically zero the output is pure float noise and would
     # otherwise register as an order-one violation
-    term_scale = float(
-        np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2)))
-    )
+    term_scale = _data_scale(t)
     worst = np.inf
     for trial in range(trials):
         if trial % 2 == 0:

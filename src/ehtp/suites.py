@@ -117,6 +117,7 @@ SQUARE_INDICES = (1, 2, 3, 4, 5, 6)
 SQUARE_KS = (5, 7, 9)
 CP_SAMPLE_TRIALS = 20      # sampled states per cp-posdef triple
 NORM_REL_WIDTH = 1e-4      # widest norm-interval bracket, relative to the exact norm
+CONTRACTIVITY_REL_WIDTH = 1e-6  # widest generic contractivity bracket, relative to its upper end
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -327,11 +328,12 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         mu = random_measure(group, rng)
         bounds = haagerup_norm_bounds(gamma(pi, mu).op, restarts=2, seed=_sub_seed(rng))
         excess = bounds.upper - mu.norm
-        ok = excess <= TOL and bounds.lower <= bounds.upper + 1e-12 and _monotone(bounds.upper_trace)
+        ok = (excess <= TOL and bounds.lower <= bounds.upper + 1e-12
+              and bounds.width <= CONTRACTIVITY_REL_WIDTH * bounds.upper and _monotone(bounds.upper_trace))
         records.append(_rec("contractivity", f"generic-{i:03d}", ok,
                             upper=float(bounds.upper), lower=float(bounds.lower),
-                            tv_norm=float(mu.norm), excess=float(excess),
-                            iters=int(bounds.iterations)))
+                            width=float(bounds.width), tv_norm=float(mu.norm),
+                            excess=float(excess), iters=int(bounds.iterations)))
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)

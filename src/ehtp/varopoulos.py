@@ -44,10 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class VFunction:
-    """A kernel on a spectrum set: one complex value per character pair."""
+    """A kernel on a spectrum set: one complex value per character pair.
+
+    ``scale`` bounds the Frobenius norm of the values, so every eigenvalue
+    and the rounding noise in them; the positivity gates are taken at it.
+    :func:`from_measure` sets it to ``n ||mu||_1`` for n characters, which is
+    the data scale of ``elementary.is_completely_positive`` on the realized
+    map; by default it is the Frobenius norm of the values."""
 
     spectrum: SpectrumSet
     values: np.ndarray
+    scale: float | None = None
 
     def __post_init__(self) -> None:
         n = len(self.spectrum)
@@ -56,11 +63,12 @@ class VFunction:
             raise ValueError(f"values must have shape ({n}, {n}), got {vals.shape}")
         object.__setattr__(self, "values", vals)
         self.values.flags.writeable = False
+        if self.scale is None:
+            object.__setattr__(self, "scale", float(np.linalg.norm(vals)))
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.linalg.norm(self.values - self.values.conj().T)
-                    <= TOL * max(1.0, float(np.linalg.norm(self.values))))
+        return bool(np.linalg.norm(self.values - self.values.conj().T) <= TOL * self.scale)
 
     def to_json(self) -> str:
         payload = {
@@ -83,20 +91,18 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
     """The kernel ``(sigma, tau) -> mu_hat(sigma tau^-1)`` on the spectrum."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
-    return VFunction(diag.spectrum, fourier_symbol(mu, diag.spectrum.characters))
+    return VFunction(diag.spectrum, fourier_symbol(mu, diag.spectrum.characters),
+                     scale=len(diag.spectrum) * mu.norm)
 
 
 def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
     """Numerically Hermitian positive semidefinite as a matrix on the
-    spectrum: smallest eigenvalue >= -tol * max(1, largest absolute
-    eigenvalue), the same threshold convention as
-    :func:`ehtp.elementary.is_completely_positive`."""
+    spectrum: smallest eigenvalue >= -tol * u.scale, the same threshold
+    convention as :func:`ehtp.elementary.is_completely_positive`."""
     if not u.is_hermitian:
         return False
     evals = np.linalg.eigvalsh((u.values + u.values.conj().T) / 2)
-    if evals.size == 0:
-        return True
-    return bool(evals.min() >= -tol * max(1.0, float(np.abs(evals).max())))
+    return bool(evals.size == 0 or evals[0] >= -tol * u.scale)
 
 
 def gram_factorize(u: VFunction) -> list[np.ndarray]:

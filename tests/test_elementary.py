@@ -229,6 +229,16 @@ class TestCompletePositivity:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         t = ElementaryOperator.from_terms(4, [(a, a.conj().T), (-a, a.conj().T)])
         assert is_completely_positive(t)
+        assert strongly_independent_kraus(t) == []
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e8])
+    def test_verdict_does_not_depend_on_the_size_of_the_map(self, factor):
+        # the gates are taken at the data scale sum ||a_i|| ||b_i||, not at 1
+        rng = np.random.default_rng(20)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert is_completely_positive(schur_op(factor * (g @ g.conj().T)))
+        assert not is_completely_positive(schur_op(factor * np.diag([1.0, -1.0, 1.0])))
+        assert not is_completely_positive(schur_op(factor * g))
 
 
 class TestKraus:
@@ -272,6 +282,17 @@ class TestKraus:
             stacked = np.stack([vec(k) for k in ks], axis=1)
             sv = np.linalg.svd(stacked, compute_uv=False)
             assert sv.min() > 1e-9  # strong independence
+
+    @pytest.mark.parametrize("factor", [1e-14, 1e8])
+    def test_family_does_not_depend_on_the_size_of_the_map(self, factor):
+        rng = np.random.default_rng(21)
+        ks_in = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        t = ElementaryOperator.from_terms(3, [(factor * k, k.conj().T) for k in ks_in])
+        ks = strongly_independent_kraus(t)
+        assert len(ks) == 2
+        recon = ElementaryOperator.from_terms(3, [(k, k.conj().T) for k in ks])
+        gap = np.abs(transfer_matrix(recon) - transfer_matrix(t)).max()
+        assert gap <= 1e-9 * factor
 
     def test_non_cp_map_is_rejected(self):
         t = ElementaryOperator.from_terms(2, [(-np.eye(2), np.eye(2))])

@@ -1,7 +1,8 @@
 """Package layout, checked with ``ast`` in place of a linter: modules use each
 other only through public names, the package starts no threads and reads no
-environment, no file imports a name it never uses, and no module but
-``errors`` defines a threshold constant."""
+environment, no file imports a name it never uses, no module but
+``errors`` defines a threshold constant, and the package needs nothing but
+numpy."""
 
 import ast
 from pathlib import Path
@@ -111,4 +112,22 @@ def test_thresholds_come_from_the_two_package_constants():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"]
     assert len(modules) > 5
     found = {p.name: _threshold_constants(p) for p in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _imported_top_level(path):
+    """``(line, package)`` for every absolute import in the file."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, (node.module or "").split(".")[0]))
+    return found
+
+
+def test_package_imports_no_solver_library():
+    # scipy may be present on a machine, but pyproject.toml declares numpy only
+    found = {p.name: [hit for hit in _imported_top_level(p) if hit[1] in {"scipy", "cvxpy"}]
+             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}

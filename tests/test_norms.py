@@ -1,14 +1,25 @@
-"""Completely bounded norm bracketing by gauge descent and probe ascent."""
+"""Completely bounded norm bracketing: the Schur-multiplier SDP, and gauge
+descent with probe ascent for every other map."""
 
 import numpy as np
 import pytest
 
-from ehtp.elementary import ElementaryOperator, apply, conjugation_op, transfer_matrix
+from ehtp import elementary, hnorm
+from ehtp.elementary import (
+    ElementaryOperator,
+    apply,
+    conjugate_by,
+    conjugation_op,
+    schur_op,
+    transfer_matrix,
+)
+from ehtp.errors import NumericalError
 from ehtp.hnorm import haagerup_norm_bounds, prune_terms
-from ehtp.groups import make_cyclic_product
-from ehtp.measures import Measure, dirac
+from ehtp.groups import Character, dual_group, make_cyclic_product
+from ehtp.measures import Measure, dirac, fourier_symbol
 from ehtp.gamma import gamma
-from ehtp.representations import regular_rep
+from ehtp.representations import character_rep, regular_rep
+from ehtp.suites import make_rng
 
 
 # independent oracle: the factorization value of an explicit term list
@@ -172,3 +183,147 @@ class TestPruning:
             mixed = base + [(base[0][0] + base[1][0], base[0][1])]
             t = ElementaryOperator.from_terms(d, mixed)
             assert np.allclose(transfer_matrix(prune_terms(t)), transfer_matrix(t))
+
+
+def _random_symbol(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _is_diagonal(m):
+    return not np.any(m[~np.eye(m.shape[0], dtype=bool)])
+
+
+class TestSchurPath:
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_all_characters_give_the_total_variation_norm(self, n):
+        # over every character of Z_n the symbol is the regular representation
+        # in its eigenbasis, and that realization is an isometry
+        g = make_cyclic_product([n])
+        rng = np.random.default_rng(n)
+        mu = Measure(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        b = haagerup_norm_bounds(schur_op(fourier_symbol(mu, list(dual_group(g)))))
+        assert b.lower <= mu.norm * (1 + 1e-12)
+        assert b.upper >= mu.norm * (1 - 1e-12)
+        assert b.width <= 1e-6 * mu.norm
+
+    def test_agrees_with_the_generic_path_on_the_rotated_map(self):
+        # conjugating by a unitary keeps the cb norm and makes the terms dense
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            d = int(rng.integers(2, 5))
+            t = schur_op(_random_symbol(d, rng))
+            rotated = conjugate_by(t, _random_unitary(d, rng))
+            schur = haagerup_norm_bounds(t)
+            generic = haagerup_norm_bounds(rotated, restarts=4)
+            assert generic.iterations > 0
+            assert generic.lower <= schur.upper * (1 + 1e-9)
+            assert schur.lower <= generic.upper * (1 + 1e-9)
+            assert schur.width <= 1e-9 * schur.upper
+
+    def test_certificate_rebuilds_the_map_and_attains_upper(self):
+        g = make_cyclic_product([7])
+        rng = np.random.default_rng(13)
+        for d in (2, 4, 6):
+            chars = [Character((7,), (int(k),)) for k in rng.choice(7, size=d, replace=False)]
+            mu = Measure(g, rng.standard_normal(7) + 1j * rng.standard_normal(7))
+            t = gamma(character_rep(g, chars), mu).op
+            b = haagerup_norm_bounds(t)
+            cert = ElementaryOperator.from_terms(d, b.certificate_terms)
+            gap = np.abs(transfer_matrix(cert) - transfer_matrix(t)).max()
+            assert gap <= 1e-9 * mu.norm
+            assert _factorization_value(b.certificate_terms) == pytest.approx(b.upper, rel=1e-9)
+            trace = b.upper_trace
+            assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
+            assert trace[-1] == pytest.approx(b.upper, rel=1e-12)
+            assert b.width <= 1e-9 * b.upper
+
+    def test_certificate_terms_are_2d_diagonal_terms(self):
+        rng = np.random.default_rng(14)
+        b = haagerup_norm_bounds(schur_op(_random_symbol(5, rng)))
+        assert len(b.certificate_terms) == 10
+        assert all(_is_diagonal(a) and _is_diagonal(c) for a, c in b.certificate_terms)
+
+    def test_dimension_one_is_the_modulus_of_the_symbol(self):
+        t = ElementaryOperator.from_terms(1, [(np.array([[2.0 - 1.0j]]), np.array([[0.5j]]))])
+        b = haagerup_norm_bounds(t)
+        assert b.lower == pytest.approx(abs((2.0 - 1.0j) * 0.5j), rel=1e-12)
+        assert b.upper == pytest.approx(abs((2.0 - 1.0j) * 0.5j), rel=1e-12)
+
+    def test_rank_one_symbol_has_norm_max_u_times_max_v(self):
+        rng = np.random.default_rng(15)
+        for d in (2, 3, 6):
+            u, v = _random_symbol(d, rng)[:2]
+            target = np.abs(u).max() * np.abs(v).max()
+            b = haagerup_norm_bounds(schur_op(np.outer(u, v.conj())))
+            assert b.lower <= target * (1 + 1e-12) and b.upper >= target * (1 - 1e-12)
+            assert b.width <= 1e-9 * target
+
+    def test_all_ones_symbol_is_the_identity_map(self):
+        b = haagerup_norm_bounds(schur_op(np.ones((5, 5))))
+        assert b.lower <= 1 + 1e-12 and b.upper >= 1 - 1e-12
+        assert b.width <= 1e-9
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e8])
+    def test_bracket_scales_with_the_symbol(self, factor):
+        rng = np.random.default_rng(16)
+        s = _random_symbol(4, rng)
+        base = haagerup_norm_bounds(schur_op(s))
+        scaled = haagerup_norm_bounds(schur_op(factor * s))
+        assert scaled.upper == pytest.approx(factor * base.upper, rel=1e-8)
+        assert scaled.lower == pytest.approx(factor * base.lower, rel=1e-8)
+        assert scaled.width <= 1e-9 * scaled.upper
+
+    def test_repeated_characters(self):
+        g = make_cyclic_product([6])
+        chars = [Character((6,), (k,)) for k in (1, 4, 1, 4, 2)]
+        rng = np.random.default_rng(17)
+        mu = Measure(g, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        b = haagerup_norm_bounds(gamma(character_rep(g, chars), mu).op)
+        distinct = haagerup_norm_bounds(
+            gamma(character_rep(g, [Character((6,), (k,)) for k in (1, 4, 2)]), mu).op)
+        # repeating a character repeats rows and columns of the symbol,
+        # which leaves the Schur multiplier norm unchanged
+        assert b.upper == pytest.approx(distinct.upper, rel=1e-8)
+        assert b.width <= 1e-9 * b.upper
+        assert b.upper <= mu.norm + 1e-9
+
+    def test_regular_representation_takes_the_gauge_descent(self):
+        g = make_cyclic_product([6])
+        rng = np.random.default_rng(18)
+        mu = Measure(g, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        b = haagerup_norm_bounds(gamma(regular_rep(g), mu).op, restarts=1)
+        assert b.iterations > 0
+        assert not all(_is_diagonal(a) and _is_diagonal(c) for a, c in b.certificate_terms)
+
+    def test_certificate_that_misses_the_symbol_raises(self, monkeypatch):
+        solve = hnorm._schur_sdp
+
+        def perturbed(s, cap):
+            chol, witness, iterations, trace = solve(s, cap)
+            return chol * (1 + 1e-6), witness, iterations, trace
+
+        monkeypatch.setattr(hnorm, "_schur_sdp", perturbed)
+        with pytest.raises(NumericalError):
+            haagerup_norm_bounds(schur_op(_random_symbol(3, np.random.default_rng(19))))
+
+    def test_crossed_bracket_raises(self, monkeypatch):
+        # a lower end that overshoots the certified upper end is an error,
+        # not something to clamp away
+        monkeypatch.setattr(hnorm, "apply", lambda t, x: 2 * elementary.apply(t, x))
+        with pytest.raises(NumericalError):
+            haagerup_norm_bounds(schur_op(_random_symbol(3, np.random.default_rng(20))))
+
+
+class TestAscent:
+    def test_ascent_reaches_the_cap_in_one_restart(self):
+        # case 84 of the seed-0 norm-interval suite: an ascent that converges
+        # slowly, which once stopped 1.6e-9 below the exact value
+        rng = make_rng(0, stream=7)
+        for _ in range(85):
+            d = int(rng.integers(1, 7))
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            seed = int(rng.integers(2**63))
+        b = haagerup_norm_bounds(ElementaryOperator.from_terms(d, [(a, c)]), restarts=1, seed=seed)
+        assert b.lower >= b.upper * (1 - 1e-12)
+        assert b.upper == pytest.approx(np.linalg.norm(a, 2) * np.linalg.norm(c, 2), rel=1e-12)

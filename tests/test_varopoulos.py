@@ -195,6 +195,29 @@ class TestEquivalenceSuite:
         assert report.kraus_count == len(kraus) == len(factors) == 8
         assert report.kraus_diagonality <= TOL
 
+    def test_small_mass_keeps_kraus_and_gram_counts_equal(self):
+        # the Kraus cutoff once had a unit floor, CUTOFF * max(1, top), and
+        # kept 7 elements here against 8 Gram factors
+        g = make_cyclic_product([8])
+        pi = regular_rep(g)
+        diag = diagonalize(pi)
+        w = 1e-3 * np.linspace(1.0, 2.0, 8)
+        w[3] = 1e-14
+        mu = Measure(g, w)
+        kraus = strongly_independent_kraus(gamma(pi, mu).op)
+        factors = gram_factorize(from_measure(diag, mu))
+        assert len(kraus) == len(factors) == 8
+        report = equivalence_suite(diag, mu)
+        assert report.kraus_count == 8 and report.consistent
+
+    def test_tiny_signed_measure_is_neither_cp_nor_positive_definite(self):
+        g, diag = _spectrum(7, [1, 2, 4])
+        mu = (dirac(g, 1) - dirac(g, 0)) * 1e-12
+        assert not is_positive_definite(from_measure(diag, mu))
+        report = equivalence_suite(diag, mu)
+        assert report.consistent
+        assert not report.completely_positive and not report.positive_definite
+
     def test_generic_complex_measures_are_consistent(self):
         g = make_cyclic_product([9])
         rng = np.random.default_rng(5)
