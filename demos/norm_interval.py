@@ -1,10 +1,11 @@
 """Bracketing the completely bounded norm from both sides.
 
-The upper bound comes from a gauge optimization over the factorization
-sum a_i x b_i (scale the left factors by P^{1/2} and the right factors by
-P^{-1/2}, minimize over positive P); the lower bound from evaluating the
-amplified map on trial contractions. Single-term maps a . b have cb norm
-exactly ||a|| ||b||, so the interval must pinch that value.
+One small semidefinite program over gauges P of the factorization
+sum a_i x b_i (mix the left factors by P^{1/2} and the right factors by
+P^{-1/2}) gives both ends: the best gauge is a rewriting of the map that
+certifies the upper bound, and the dual's optimal states give a contraction
+on which the amplified map certifies the lower bound. Single-term maps a . b
+have cb norm exactly ||a|| ||b||, so the interval must pinch that value.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 t = ElementaryOperator.from_terms(d, [(a, b)])
 
-bounds = haagerup_norm_bounds(t, seed=0)
+bounds = haagerup_norm_bounds(t)
 target = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
 print("single term  target ||a||||b|| =", target)
 print(f"interval [{bounds.lower:.12f}, {bounds.upper:.12f}]"
@@ -35,16 +36,17 @@ print("upper-bound trace is monotone:",
       all(x >= y - 1e-15 for x, y in zip(bounds.upper_trace, bounds.upper_trace[1:])))
 
 # conjugation by a measure: the cb norm is at most the total variation norm,
-# with equality here, and positive measures ride the fast path exactly
+# with equality for the regular representation, where the bracket closes
+# before any solver step; positive measures ride the fast path exactly
 group = make_cyclic_product([6])
 pi = regular_rep(group)
 
 mu = from_density(group, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-bounds = haagerup_norm_bounds(gamma(pi, mu).op, seed=0)
+bounds = haagerup_norm_bounds(gamma(pi, mu).op)
 print("signed measure  ||mu||_TV =", mu.norm,
-      " upper =", bounds.upper, " excess =", bounds.upper - mu.norm)
+      " bracket =", (bounds.lower, bounds.upper), " iterations =", bounds.iterations)
 
 pos = dirac(group, 1) * 0.25 + dirac(group, 4) * 0.75
-bounds = haagerup_norm_bounds(gamma(pi, pos).op, seed=0)
+bounds = haagerup_norm_bounds(gamma(pi, pos).op)
 print("positive measure  mass =", float(pos.total_mass.real),
       " cb norm =", bounds.upper, " exact:", bounds.lower == bounds.upper)

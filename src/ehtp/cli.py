@@ -52,6 +52,7 @@ from .measures import Measure, dirac, fourier_symbol, from_density, in_augmentat
 from .representations import character_rep, diagonalize, make_representation, regular_rep
 from .suites import (
     IDENTITIES,
+    NORM_REL_WIDTH,
     gamma_report,
     homomorphism_residual,
     kernel_measure,
@@ -244,7 +245,7 @@ def exp_gamma_homomorphism(s: Scenario, quick: bool) -> list[dict]:
     records.append(_rec(s, "unit", resid <= s.tol, residual=float(resid)))
     for i, mu in enumerate(measures):
         records.append(_rec(s, f"measure-{i:02d}/report", True,
-                            **gamma_report(pi, mu, diag=diag, seed=s.seed)))
+                            **gamma_report(pi, mu, diag=diag)))
     pairs = [(i, j) for i in range(len(measures)) for j in range(len(measures)) if i != j]
     if origin == "random":
         pairs = [(i, i + 1) for i in range(0, len(measures) - 1, 2)]
@@ -350,7 +351,6 @@ def exp_restriction_check(s: Scenario, quick: bool) -> list[dict]:
 
 def exp_norm_interval(s: Scenario, quick: bool) -> list[dict]:
     records = []
-    restarts = 4 if quick else int(s.params.get("restarts", 16))
     operators = s.params.get("operators", [])
     _schema(isinstance(operators, list), "'operators' must be a list")
     for i, spec in enumerate(operators):
@@ -358,8 +358,8 @@ def exp_norm_interval(s: Scenario, quick: bool) -> list[dict]:
             t = op_from_json(spec)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad operator spec: {exc}") from exc
-        bounds = haagerup_norm_bounds(t, restarts=restarts, seed=s.seed)
-        ok = bounds.lower <= bounds.upper + 1e-12 and bounds.iterations <= 500
+        bounds = haagerup_norm_bounds(t)
+        ok = bounds.lower <= bounds.upper + 1e-12 and bounds.width <= NORM_REL_WIDTH * bounds.upper
         records.append(_rec(s, f"operator-{i:02d}", ok, **bounds.report(),
                             width=float(bounds.width)))
     if s.group_spec is not None:
@@ -367,8 +367,8 @@ def exp_norm_interval(s: Scenario, quick: bool) -> list[dict]:
         pi = _need_rep(s, group)
         measures, _ = _measures_or_random(s, group, quick)
         for i, mu in enumerate(measures):
-            bounds = haagerup_norm_bounds(gamma(pi, mu).op, restarts=restarts, seed=s.seed)
-            ok = (bounds.lower <= bounds.upper + 1e-12
+            bounds = haagerup_norm_bounds(gamma(pi, mu).op)
+            ok = (bounds.lower <= bounds.upper + 1e-12 and bounds.width <= NORM_REL_WIDTH * bounds.upper
                   and bounds.upper <= mu.norm + s.tol)
             records.append(_rec(s, f"measure-{i:02d}", ok, **bounds.report(),
                                 mu_norm=float(mu.norm),

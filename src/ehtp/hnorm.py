@@ -1,76 +1,68 @@
-"""Two-sided bounds for the completely bounded norm of an elementary operator.
+"""Certified two-sided bounds for the completely bounded norm of an elementary operator.
 
-``haagerup_norm_bounds`` takes one of three paths.
+``haagerup_norm_bounds`` takes one of two paths.
 
 **Completely positive maps.**  Both bounds are the exact value ``||T(I)||``,
 and the certificate is a Kraus rewriting of the map.
 
-**Schur multipliers.**  When every left and right term is diagonal, the map
-multiplies entrywise by the symbol ``S = L^T R`` (``L[i, j] = a_i[j, j]``,
-``R[i, k] = b_i[k, k]``); this covers the realizations of character
-representations and ``schur_op``.  Its cb norm equals its norm, and by
-Haagerup's theorem it is the optimum of a 2d x 2d semidefinite program,
+**Every other map.**  The cb norm of ``T = sum_i a_i (x) b_i`` equals the
+Haagerup tensor norm of its terms (U. Haagerup, 1980): the infimum of
+``||sum v_i v_i*||^(1/2) ||sum w_i* w_i||^(1/2)`` over every way of writing
+the same map as ``x -> sum_i v_i x w_i``.  With linearly independent families
+a_1..a_r and b_1..b_r from ``prune_terms``, every rewriting is a gauge P > 0
+on the index space, and the infimum is the optimum of a semidefinite program
+over r x r matrices,
 
-    min t  s.t.  [[A, S], [S*, B]] >= 0,  diag A <= t,  diag B <= t,
+    min t  s.t.  sum_ij P_ij a_i a_j* <= t I,  sum_ij Q_ij b_i* b_j <= t I,
+                 [[P, I], [I, Q]] >= 0,
 
-whose dual is ``max ||D_xi S D_eta||_1`` over unit vectors xi, eta.  A
-primal-dual interior-point method (HKM direction, Mehrotra predictor-corrector;
-Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the pair on the symbol
-scaled to ``max |S_jk| = 1``.  In standard form the variable is one
-2d x 2d block with m = 2d(d-1) + 1 constraints: the off-diagonal entries of
-both diagonal blocks vanish and the trace is 1.  The m x m Newton matrix is
-formed from the entries of X and Z^-1 directly, never from m dense
-constraint matrices; still, its m^2 floats make d = 32 take about 5 s and
-250 MB, and d = 64 would need 0.5 GB for the matrix alone.  Both ends of the
-bracket are certified:
+whose dual maximizes ``||R(rho)^(1/2) S(sigma)^(1/2)||_1`` over states rho
+and sigma, with ``R(rho)_ji = tr(a_j* rho a_i)`` and
+``S(sigma)_ji = tr(b_j sigma b_i*)``.  The size depends on the term rank r,
+not on d^2: r = 1 for a single term, r <= d for character representations
+and r = |G| for the regular representation.
 
-* upper: the dual slack, with S written back exactly, is
-  ``[[A, -S], [-S*, B]]``; its Cholesky factor gives 2d diagonal terms that
-  rewrite the map, and their factorization value is ``sqrt(max diag A *
-  max diag B)``.  ``upper`` is the smaller of this value and the balanced raw
-  gauge below, and ``certificate_terms`` is the rewriting that attains it;
-* lower: ``||T(X)||`` for the unitary X that is the polar part of
-  ``D_xi S D_eta``, with xi and eta the square roots of the primal block
-  diagonals.
+A primal-dual interior-point method (HKM direction, Mehrotra
+predictor-corrector; Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the
+pair.  In standard form the variable is one block-diagonal Hermitian matrix
+``diag(rho, sigma, W)`` of size 2d + 2r, with m = 2r^2 + 1 constraints
+``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and
+the objective is ``-2 Re tr W_12``.  The multipliers of the last two are P
+and Q.  The families are first balanced, so that the raw gauge of the pruned
+terms is the identity and both of its factors are 1.  The m x m Newton
+matrix is assembled from products of the families with the blocks of X and
+Z^-1, never from m dense constraint matrices, and solved in real
+coordinates.  Both ends are certified:
 
-The loop stops once the certified relative gap, between the better of the
-two upper bounds and the lower bound, is at most 1e-9.  A bracket
-that crosses by more than ``TOL`` relative, or a certificate that does not
-rebuild the symbol to ``TOL``, raises :class:`NumericalError`.
+* upper: the factorization value of the rewriting at the dual iterate's
+  gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
+  on the terms as given, whichever is smaller; ``certificate_terms`` is the
+  rewriting that attains it, and it must rebuild the transfer matrix of the
+  map to ``TOL * upper``;
+* lower: ``||(T (x) id_d)(X)||``, computed from the terms as given, for the
+  contraction X that is the polar part of
+  ``sum_i vec(b_i L_sigma) vec(a_i* L_rho)*``, where ``L L*`` is a state of
+  the iterate.  With ``xi = vec L_rho`` and ``eta = vec L_sigma`` it attains
+  ``<xi, (T (x) id_d)(X) eta> = ||R(rho)^(1/2) S(sigma)^(1/2)||_1``.  The
+  states drop the eigenvalues of the iterate below ``sqrt(mu)``, which on
+  the central path ``X Z = mu I`` are those that vanish at the optimum; a
+  rank-one optimum, as for a single term, is then found in a step or two.
 
-**Every other map** gets a best-effort bracket; only
-``lower <= cb norm <= upper`` is guaranteed.  The cb norm of
-``T = sum_i a_i (x) b_i`` equals the factorization norm
-``inf ||sum v_i v_i*||^(1/2) ||sum w_i* w_i||^(1/2)`` over all ways of
-writing the same map, and the infimum is attained at finite dimension.  With
-the term families stacked as ``A = [a_1 ... a_n]`` and ``B = [b_1; ...; b_n]``,
-every minimal rewriting is a gauge ``P > 0`` on the index space, giving the
-upper-bound objective
+The solve starts from ``rho = sigma = I/2d``; for the regular representation
+of any group these maximally mixed states already attain ``||mu||_1``, the
+value of the raw gauge, so the bracket closes before a Newton system is
+formed.  It stops at a certified relative gap of 1e-12, or when the Cholesky
+factorization or the Newton solve fails, and returns the best certified
+pair.  Schur multipliers (character representations, ``schur_op``) take
+this path like every other map.  A bracket that crosses by more than
+``TOL`` relative, or a certificate that does not rebuild the map, raises
+:class:`NumericalError`.
 
-    f(P) = ||A (P (x) I) A*||^(1/2) * ||B* (P^-1 (x) I) B*||^(1/2).
+``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``.
+On the realignment ``X[(a,b),(i,j)]`` it is a single matrix product with the
+d^2 x d^2 amplification kernel
 
-The upper bound minimizes f by gradient descent on log P (multiplicative
-geodesic steps, backtracking line search, stop when the relative decrease
-drops below 1e-8), reporting the minimum over all visited gauges.  The
-balanced diagonal gauge ``P = diag(||b_i||_F / ||a_i||_F)`` on the raw term
-list is always visited first; for operators assembled from a measure and a
-unitary representation it already achieves the total variation norm of the
-measure.
-
-The lower bound sups ``||(T (x) id_d)(X)||`` over sampled contractions X,
-each refined by an alternating local ascent that is exact in both half-steps
-and therefore monotone.  A restart ends once a step gains less than 1e-15
-relative or the value reaches the upper bound to 1e-12.
-
-The ascent applies ``T (x) id_d`` and the map with the term families swapped
-(``x -> sum_i b_i x a_i``) to d^2 x d^2 matrices in block form
-``X[(a,i),(b,j)]``.  On the realignment ``X[(a,b),(i,j)]`` each is a single
-matrix product with the d^2 x d^2 amplification kernel
-
-    K[(u,v),(a,b)] = sum_n a_n[u,a] b_n[b,v],
-
-built once per call for each of the two maps, so one step costs two d^2 x d^2
-products and two SVDs whatever the number of terms.
+    K[(u,v),(a,b)] = sum_n a_n[u,a] b_n[b,v].
 """
 
 from __future__ import annotations
@@ -79,21 +71,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import ElementaryOperator, apply, is_completely_positive, strongly_independent_kraus
+from .elementary import (
+    ElementaryOperator,
+    apply,
+    is_completely_positive,
+    strongly_independent_kraus,
+    transfer_matrix,
+)
 from .errors import CUTOFF, TOL, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
-# Solver settings, not gates: they decide when the descent, the ascent and
-# the Schur SDP stop, and every bound they return is valid whatever they are.
-RELATIVE_DECREASE = 1e-8   # stop the gauge descent below this relative decrease
-MAX_ITERS = 500            # cap on gauge descent steps
-_ARMIJO_C = 1e-4
-_MIN_STEP = 1e-12
-_ASCENT_ITERS = 100
-_ASCENT_GAIN = 1e-15       # a restart ends below this relative gain per step
-_ASCENT_CAP = 1e-12        # ... or this close below the upper bound
-_SDP_GAP = 1e-9            # the Schur SDP stops at this certified relative gap
+# Solver settings, not gates: they decide when the interior-point solve
+# stops, and both ends it returns are certified whatever they are.
+_SDP_GAP = 1e-12           # stop at this certified relative gap
 _SDP_ITERS = 100           # cap on interior-point iterations
 _SDP_STEP = 0.95           # fraction of the step to the boundary of the cone
 
@@ -103,15 +94,14 @@ class NormInterval:
     """Certified bracket ``lower <= ||T||_cb <= upper``.
 
     ``certificate_terms`` is a rewriting of the map witnessing the upper
-    bound: for gauge-optimized instances and on the Schur path its
-    factorization value equals ``upper``; on the completely positive fast
-    path the Kraus rewriting is returned and ``upper`` is the exact value
-    ``||T(I)||`` (which positivity alone certifies).  ``iterations`` counts
-    gauge descent steps, or interior-point iterations on the Schur path.
-    ``upper_trace`` logs the best upper bound after each optimizer iteration
-    (non-increasing by construction).  On the Schur path both ends are
-    computed independently, so where they agree to rounding ``width`` can be
-    a few ulps below zero.
+    bound: its factorization value is ``upper``, except on the completely
+    positive fast path, where it is a Kraus rewriting and ``upper`` is the
+    exact value ``||T(I)||`` (which positivity alone certifies).
+    ``iterations`` counts interior-point iterations; 0 means the starting
+    point already closed the bracket.  ``upper_trace`` logs the best upper
+    bound after each iterate (non-increasing by construction).  Both ends
+    are computed independently, so where they agree to rounding ``width``
+    can be a few ulps below zero.
     """
 
     lower: float
@@ -168,38 +158,21 @@ def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (u * root) @ u.conj().T, (u / root) @ u.conj().T
 
 
-def _gauge_value(left: np.ndarray, right: np.ndarray, p: np.ndarray):
-    """Objective f(P) plus the top eigenpairs needed for the gradient."""
+def _certificate(left: np.ndarray, right: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rewriting at gauge P: ``v_j = sum_i a_i (P^1/2)_ij`` and
+    ``w_j = sum_i (P^-1/2)_ji b_i``, so that ``sum_j v_j x w_j = T(x)``."""
     phalf, pneghalf = _sqrt_pair(p)
-    aprime = np.einsum("iab,ij->jab", left, phalf)
-    x = np.einsum("jab,jcb->ac", aprime, np.conj(aprime))
-    xw, xu = np.linalg.eigh((x + x.conj().T) / 2)
-    bprime = np.einsum("ji,iab->jab", pneghalf, right)
-    z = np.einsum("jba,jbc->ac", np.conj(bprime), bprime)
-    zw, zu = np.linalg.eigh((z + z.conj().T) / 2)
-    lam_x = max(float(xw[-1]), 0.0)
-    lam_z = max(float(zw[-1]), 0.0)
-    value = float(np.sqrt(lam_x * lam_z))
-    return value, lam_x, lam_z, xu[:, -1], zu[:, -1], phalf
+    return np.einsum("iab,ij->jab", left, phalf), np.einsum("ji,iab->jab", pneghalf, right)
 
 
-def _gauge_gradient(left: np.ndarray, right: np.ndarray, p: np.ndarray,
-                    lam_x: float, lam_z: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient of ``log f`` at P, as the matrix G with dF = sum G_pq dP_pq."""
-    y = np.einsum("iba,b->ia", np.conj(left), u)      # y_i = a_i^* u
-    g_x = np.conj(y) @ y.T
-    z = np.einsum("iab,b->ia", right, v)              # z_i = b_i v
-    g_q = np.conj(z) @ z.T
-    pinv_t = np.conj(np.linalg.inv((p + p.conj().T) / 2))
-    g_z = -pinv_t @ g_q @ pinv_t
-    return g_x / (2 * lam_x) + g_z / (2 * lam_z)
-
-
-def _certificate(left: np.ndarray, right: np.ndarray, p: np.ndarray):
-    phalf, pneghalf = _sqrt_pair(p)
-    cert_left = np.einsum("iab,ij->jab", left, phalf)
-    cert_right = np.einsum("ji,iab->jab", pneghalf, right)
-    return tuple((cert_left[i], cert_right[i]) for i in range(cert_left.shape[0]))
+def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
+    """``||sum a_i a_i*||^(1/2) ||sum b_i* b_i||^(1/2)``."""
+    n, d, _ = left.shape
+    row = left.transpose(1, 0, 2).reshape(d, n * d)
+    col = right.reshape(n * d, d)
+    lam_row = np.linalg.eigvalsh(row @ row.conj().T)[-1]
+    lam_col = np.linalg.eigvalsh(col.conj().T @ col)[-1]
+    return float(np.sqrt(max(lam_row, 0.0) * max(lam_col, 0.0)))
 
 
 def _amplification_kernel(lstack: np.ndarray, rstack: np.ndarray) -> np.ndarray:
@@ -218,214 +191,244 @@ def _amplified_apply(kernel: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
     return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def _lower_bound(left: np.ndarray, right: np.ndarray, d: int, cap: float,
-                 restarts: int, rng: np.random.Generator) -> float:
-    """Best ``||(T (x) id)(X)||`` found by alternating ascent over
-    contractions X: optimize the probing singular pair and the contraction in
-    turn, each step exactly, so the objective never decreases."""
-    d2 = d * d
-    best = 0.0
-    reach = cap * (1 - _ASCENT_CAP)
-    forward = _amplification_kernel(left, right)
-    backward = _amplification_kernel(right, left)
-    for _ in range(restarts):
-        g = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
-        x = g / np.linalg.svd(g, compute_uv=False)[0]
-        prev = 0.0
-        for _ in range(_ASCENT_ITERS):
-            m = _amplified_apply(forward, x, d)
-            mu, ms, mvh = np.linalg.svd(m)
-            val = float(ms[0])
-            if val <= prev * (1 + _ASCENT_GAIN) + 1e-300:
-                break
-            prev = val
-            if prev >= reach:
-                break
-            w = np.outer(mvh[0].conj(), np.conj(mu[:, 0]))
-            k = _amplified_apply(backward, w, d)
-            ku, _, kvh = np.linalg.svd(k)
-            x = kvh.conj().T @ ku.conj().T
-        best = max(best, prev)
-        if best >= reach:
-            break
-    return best
-
-
-def _diagonal_symbol(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """The symbol ``S = L^T R`` when every term is exactly diagonal, else None."""
-    off = ~np.eye(left.shape[1], dtype=bool)
-    if left[:, off].any() or right[:, off].any():
-        return None
-    return np.diagonal(left, axis1=1, axis2=2).T @ np.diagonal(right, axis1=1, axis2=2)
-
-
-# The Schur SDP in standard form on Hermitian 2d x 2d matrices: the primal
-# ``max <C, X>`` with ``C = [[0, S], [S*, 0]]`` is constrained by ``tr X = 1``
-# and ``Re X_pq = Im X_pq = 0`` for every pair p < q inside a diagonal block;
+# The factorization SDP in standard form.  Both sides have the same shape once
+# the right family is replaced by its adjoints, so the families are one stack
+# F of shape (2, r, d, d) with F[0] = (a_i) and F[1] = (b_i*), and pairs of
+# blocks, one per side, are stacked the same way.  Side s maps a state K to
+# ``R_s(K)_ji = tr(F[s, j]* K F[s, i])``, with adjoint
+# ``R_s*(E) = sum_ij E_ij F[s, i] F[s, j]*``.  The primal ``max <C, X>`` over
+# X = diag(rho, sigma, W), with ``C = -[[0, I], [I, 0]]`` on W, is constrained
+# by ``A(X) = (tr rho + tr sigma, W_11 - R_0(rho), W_22 - R_1(sigma)) = (1, 0, 0)``;
 # the dual is ``min y_0`` with slack ``Z = A*(y) - C >= 0``.  A multiplier
-# vector y holds the trace first, then the real parts of the pairs, then the
-# imaginary parts.
+# vector y holds y_0, then P and Q row by row; A and A* are extended
+# complex-linearly, and Hermitian P and Q are the real multipliers.
 
-def _block_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the pairs p < q inside the two diagonal blocks."""
-    rows, cols = np.triu_indices(d, 1)
-    return np.concatenate([rows, rows + d]), np.concatenate([cols, cols + d])
-
-
-def _constraint_values(k: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``A(K)`` for the Hermitian part of K: its trace, then the real and the
-    imaginary parts of its (p, q) entries."""
-    h = (k[p, q] + np.conj(k[q, p])) / 2
-    return np.concatenate([[np.real(np.trace(k))], h.real, h.imag])
+def _states(x: np.ndarray, d: int) -> np.ndarray:
+    """The rho and sigma blocks of X, stacked."""
+    return np.stack([x[:d, :d], x[d:2 * d, d:2 * d]])
 
 
-def _dual_matrix(y: np.ndarray, p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """``A*(y)``: y_0 on the diagonal and the pair multipliers on the (p, q)
-    entries, so that ``<A*(y), X> = <y, A(X)>``."""
-    k = p.size
-    w = (y[1:k + 1] + 1j * y[k + 1:]) / 2
-    z = np.zeros((n, n), dtype=np.complex128)
-    z[p, q] = w
-    z[q, p] = np.conj(w)
-    np.fill_diagonal(z, y[0])
+def _compressed(fam: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``R_s(K_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* K_s F[s, i])``."""
+    r = fam.shape[1]
+    return np.conj(fam.reshape(2, r, -1)) @ (k[:, None] @ fam).reshape(2, r, -1).transpose(0, 2, 1)
+
+
+def _spread(fam: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
+    _, r, d, _ = fam.shape
+    mixed = (e.transpose(0, 2, 1) @ fam.reshape(2, r, d * d)).reshape(2, r, d, d)  # [s, j] = sum_i E_s[i, j] F[s, i]
+    cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
+    return mixed.transpose(0, 2, 1, 3).reshape(2, d, r * d) @ cat.conj().transpose(0, 2, 1)
+
+
+def _transposition(r: int) -> np.ndarray:
+    """The index map t of a multiplier vector with ``y[t]`` holding y_0 and
+    the transposes of P and Q, so that Hermitian P and Q have
+    ``y[t] = conj(y)``."""
+    swap = np.arange(r * r).reshape(r, r).T.ravel()
+    return np.concatenate([[0], 1 + swap, 1 + r * r + swap])
+
+
+def _gauge_value(fam: np.ndarray, p: np.ndarray) -> float:
+    """The factorization value ``||R_0*(P)||^(1/2) ||R_1*(P^-1)||^(1/2)`` of
+    the rewriting at gauge P (see ``_certificate``), read off the spreads
+    without forming the rewriting."""
+    top = np.linalg.eigvalsh(_spread(fam, np.stack([p, np.linalg.inv(p)])))[:, -1]
+    return float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
+
+
+def _constraint_values(k: np.ndarray, fam: np.ndarray, d: int) -> np.ndarray:
+    r = fam.shape[1]
+    states = _states(k, d)
+    w = k[2 * d:, 2 * d:].reshape(2, r, 2, r)[[0, 1], :, [0, 1], :]    # W_11, W_22
+    return np.concatenate([[np.trace(states, axis1=1, axis2=2).sum()],
+                           (w - _compressed(fam, states)).ravel()])
+
+
+def _dual_matrix(y: np.ndarray, fam: np.ndarray, d: int) -> np.ndarray:
+    """``A*(y) = diag(y_0 I - R_0*(P), y_0 I - R_1*(Q), diag(P, Q))``."""
+    r = fam.shape[1]
+    pq = y[1:].reshape(2, r, r)
+    spread = y[0] * np.eye(d) - _spread(fam, pq)
+    z = np.zeros((2 * d + 2 * r, 2 * d + 2 * r), dtype=np.complex128)
+    z[:d, :d], z[d:2 * d, d:2 * d] = spread
+    z[2 * d:2 * d + r, 2 * d:2 * d + r], z[2 * d + r:, 2 * d + r:] = pq
     return z
 
 
-def _newton_matrix(x: np.ndarray, g: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The HKM Newton matrix ``M_ij = Re tr(A_i X A_j G)`` with ``G = Z^-1``.
+def _newton_matrix(x: np.ndarray, g: np.ndarray, fam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
+    assembled block by block on complex multiplier vectors and returned in
+    real coordinates.
 
-    For pairs (p, q) and (r, s) the entry needs only ``X_pr G_sq``,
-    ``X_ps G_rq``, ``X_qr G_sp`` and ``X_qs G_rp``, so the blocks are
-    entrywise products of submatrices of X and G; the trace row and column
-    are ``A(X G)``."""
-    k = p.size
-    a1 = x[np.ix_(p, p)] * g[np.ix_(q, q)].T
-    a4 = x[np.ix_(q, q)] * g[np.ix_(p, p)].T
-    a2 = x[np.ix_(p, q)] * g[np.ix_(p, q)].T
-    a3 = x[np.ix_(q, p)] * g[np.ix_(q, p)].T
-    same, cross = a1 + a4, a2 + a3
-    m = np.empty((2 * k + 1, 2 * k + 1))
-    m[1:k + 1, 1:k + 1] = np.real(same + cross) / 4
-    m[k + 1:, k + 1:] = np.real(same - cross) / 4
-    same, cross = a1 - a4, a2 - a3
-    m[k + 1:, 1:k + 1] = np.imag(same + cross) / 4
-    m[1:k + 1, k + 1:] = -np.imag(same - cross) / 4
-    m[:, 0] = m[0, :] = _constraint_values(x @ g, p, q)
-    return m
+    Without the symmetrization the (l,k),(i,j) entry of side s is
+    ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
+    ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
+    and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
+    each block conjugated with its index pairs transposed.  A real vector k
+    stands for the multiplier ``((1+i) k + (1-i) k[t]) / 2``, whose P and Q
+    are ``sym(K) + i asym(K)``, and an output h is read back as
+    ``Re h + Im h``; composed with these two maps the complex matrix M becomes
+    the real matrix ``Re M + Im M[:, t]`` of the same size."""
+    _, r, d, _ = fam.shape
+    rr = r * r
+    xs, gs = _states(x, d), _states(g, d)
+    cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
+    cath = cat.conj().transpose(0, 2, 1)
+    fx = (cath @ xs @ cat).reshape(2, r, d, r, d)        # [s, l, p, i, q]
+    fg = (cath @ gs @ cat).reshape(2, r, d, r, d)        # [s, j, q, k, p]
+    c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, rr, d * d)
+         @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, rr)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
+    c = c.transpose(0, 1, 4, 2, 3)                       # [s, l, k, i, j]
+    c = ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, rr, rr)
+    h = xs @ gs
+    h = (h + h.conj().transpose(0, 2, 1)) / 2
+    column = -_compressed(fam, h).ravel()
+    m = np.zeros((2 * rr + 1, 2 * rr + 1), dtype=np.complex128)
+    m[0, 0] = np.trace(h, axis1=1, axis2=2).real.sum()
+    m[1:, 0], m[0, 1:] = column, np.conj(column)
+    m[1:rr + 1, 1:rr + 1], m[rr + 1:, rr + 1:] = c
+    # the W blocks: entry [(a,b),(c,e)] is X[a,c] G[e,b], symmetrized as above
+    xw = x[2 * d:, 2 * d:].reshape(2, r, 2, r)
+    gw = g[2 * d:, 2 * d:].T.reshape(2, r, 2, r)
+    w = xw[:, :, None, :, :, None] * gw[:, None, :, :, None, :]     # [s, a, b, s', c, e]
+    m[1:, 1:] += ((w + np.conj(w.transpose(0, 2, 1, 3, 5, 4))) / 2).reshape(2 * rr, 2 * rr)
+    return m.real + m[:, t].imag
 
 
-def _max_step(chol: np.ndarray, step: np.ndarray) -> float:
-    """Largest alpha with ``chol chol* + alpha step >= 0``."""
-    inv = np.linalg.inv(chol)
-    low = float(np.linalg.eigvalsh(inv @ step @ inv.conj().T)[0])
-    return np.inf if low >= 0 else -1.0 / low
+def _max_steps(inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``,
+    given the inverses of the Cholesky factors of X and Z stacked in ``inv``."""
+    low = np.linalg.eigvalsh(inv @ np.stack([dx, dz]) @ inv.conj().transpose(0, 2, 1))[:, 0]
+    return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
 
 
-def _hkm_direction(x: np.ndarray, g: np.ndarray, newton: np.ndarray, rp: np.ndarray,
-                   target: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``."""
-    dy = np.linalg.solve(newton, _constraint_values(target, p, q) - rp)
-    dz = _dual_matrix(dy, p, q, x.shape[0])
+def _hkm_direction(x: np.ndarray, g: np.ndarray, newton: np.ndarray, rhs: np.ndarray,
+                   target: np.ndarray, fam: np.ndarray, t: np.ndarray):
+    """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
+    in the real coordinates of ``_newton_matrix``, given
+    ``rhs = A(target) - rp``."""
+    k = np.linalg.solve(newton, rhs.real + rhs.imag)
+    dy = ((1 + 1j) * k + (1 - 1j) * k[t]) / 2
+    dz = _dual_matrix(dy, fam, fam.shape[2])
     k = x @ dz @ g
     dx = target - (k + k.conj().T) / 2
     return (dx + dx.conj().T) / 2, dy, dz
 
 
-def _polar_witness(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The unitary W with ``sum_jk xi_j S_jk W_jk eta_k = ||D_xi S D_eta||_1``,
-    xi and eta the normalized square roots of the primal block diagonals."""
-    d = s.shape[0]
-    diag = np.maximum(np.real(np.diag(x)), 0.0)
-    xi = np.sqrt(diag[:d] / diag[:d].sum())
-    eta = np.sqrt(diag[d:] / diag[d:].sum())
-    u, _, vh = np.linalg.svd(xi[:, None] * s * eta)
-    return np.conj(u @ vh)
+def _state_roots(x: np.ndarray, d: int, mu: float) -> np.ndarray:
+    """Factors L_s, stacked, with ``L_s L_s*`` the states of X normalized to
+    trace 1, after dropping the eigenvalues below ``sqrt(mu)``; the largest
+    is always kept.  On the central path ``X Z = mu I`` those are the
+    directions where X is smaller than Z, which vanish at the optimum."""
+    w, v = np.linalg.eigh(_states(x, d))
+    w = np.where(w >= np.minimum(np.sqrt(mu), w[:, -1:]), w, 0.0)
+    return v * np.sqrt(w / w.sum(axis=1, keepdims=True))[:, None, :]
 
 
-def _schur_sdp(s: np.ndarray, cap: float):
-    """Primal-dual interior-point solve of the Schur SDP for a symbol with
-    ``max |S_jk| = 1``, stopping once the certified gap, with ``cap`` as a
-    second certified upper bound, is small.  Returns the Cholesky factor of
-    the best dual slack, the best polar witness, the iteration count and the
-    best dual value after each iterate."""
-    d = s.shape[0]
-    n = 2 * d
-    p, q = _block_pairs(d)
+def _polar_core(fam: np.ndarray, roots: np.ndarray):
+    """QR factors of the d^2 x r families ``vec(a_i* L_0)`` and
+    ``vec(b_i L_1)``, and the r x r core ``C = R_b R_a*``, so that
+    ``G = sum_i vec(b_i L_1) vec(a_i* L_0)* = Q_b C Q_a*``.  The trace norm
+    of C is ``||R_0(rho)^1/2 R_1(sigma)^1/2||_1`` for ``rho = L_0 L_0*`` and
+    ``sigma = L_1 L_1*``, computed from the factors and never from their
+    squares, so small eigenvalues of the states lose no accuracy."""
+    _, r, d, _ = fam.shape
+    vecs = (fam.conj().transpose(0, 1, 3, 2) @ roots[:, None]).reshape(2, r, d * d).transpose(0, 2, 1)
+    q, tri = np.linalg.qr(vecs)
+    return q[0], q[1], tri[1] @ tri[0].conj().T
+
+
+def _polar_contraction(fam: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The partial isometry X, in block form, with ``tr(X G) = ||G||_1``."""
+    qa, qb, core = _polar_core(fam, roots)
+    u, _, vh = np.linalg.svd(core)
+    return (qa @ vh.conj().T) @ (qb @ u).conj().T
+
+
+def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float):
+    """Primal-dual interior-point solve of the factorization SDP for
+    independent families, stopping once the certified gap, with ``cap`` as a
+    second certified upper bound, is small.  Returns the rewriting at the best
+    gauge, the polar contraction of the best states, the iteration count and
+    the best upper value after each iterate."""
+    r, d, _ = left.shape
+    balance = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
+    left = left * balance[:, None, None]
+    right = right / balance[:, None, None]
+    row = np.linalg.norm(left.transpose(1, 0, 2).reshape(d, r * d), 2)
+    col = np.linalg.norm(right.reshape(r * d, d), 2)
+    left, right = left / row, right / col
+    fam = np.stack([left, right.conj().transpose(0, 2, 1)])
+    scale = row * col
+    cap = cap / scale
+    n = 2 * d + 2 * r
     c = np.zeros((n, n), dtype=np.complex128)
-    c[:d, d:] = s
-    c[d:, :d] = s.conj().T
-    x = np.eye(n, dtype=np.complex128) / n
-    y = np.zeros(2 * p.size + 1)
-    y[0] = np.linalg.norm(s, 2) + 1.0
+    c[2 * d:2 * d + r, 2 * d + r:] = c[2 * d + r:, 2 * d:2 * d + r] = -np.eye(r)
+    # Z starts at diag(3I - 2 R_0*(I), 3I - 2 R_1*(I), [[2I, I], [I, 2I]]),
+    # positive definite because ||R_0*(I)|| = ||R_1*(I)|| = 1 after scaling
+    x = np.eye(n, dtype=np.complex128) / (2 * d)
+    y = np.concatenate([[3.0], 2 * np.eye(r).ravel(), 2 * np.eye(r).ravel()]).astype(np.complex128)
+    z = _dual_matrix(y, fam, d) - c
     b = np.zeros_like(y)
     b[0] = 1.0
+    t = _transposition(r)
     upper, lower = np.inf, 0.0
-    chol_best = witness_best = None
+    p_best = roots_best = None
     trace: list[float] = []
     iterations = 0
     for _ in range(_SDP_ITERS):
-        z = _dual_matrix(y, p, q, n) - c
         try:
-            lz = np.linalg.cholesky(z)
-            lx = np.linalg.cholesky(x)
+            chol = np.linalg.cholesky(np.stack([x, z]))
         except np.linalg.LinAlgError:
             break
-        if y[0] < upper:
-            upper, chol_best = float(y[0]), lz
+        mu = np.vdot(x, z).real / n
+        p = y[1:r * r + 1].reshape(r, r)
+        value = _gauge_value(fam, p)
+        if value < upper:
+            upper, p_best = value, p
         trace.append(upper)
-        w = _polar_witness(s, x)
-        value = float(np.linalg.norm(s * w, 2))
+        roots = _state_roots(x, d, mu)
+        value = float(np.linalg.svd(_polar_core(fam, roots)[2], compute_uv=False).sum())
         if value > lower:
-            lower, witness_best = value, w
+            lower, roots_best = value, roots
         if min(upper, cap) - lower <= _SDP_GAP * min(upper, cap):
             break
         iterations += 1
-        mu = float(np.real(np.trace(x @ z))) / n
-        lzinv = np.linalg.inv(lz)
-        g = lzinv.conj().T @ lzinv
-        newton = _newton_matrix(x, g, p, q)
-        rp = b - _constraint_values(x, p, q)
-        # predictor, then the Mehrotra corrector with centering (mu_aff / mu)^3
-        dx, _, dz = _hkm_direction(x, g, newton, rp, -x, p, q)
-        ap = min(1.0, _max_step(lx, dx))
-        ad = min(1.0, _max_step(lz, dz))
-        mu_aff = float(np.real(np.trace((x + ap * dx) @ (z + ad * dz)))) / n
-        sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
-        second = dx @ dz @ g
-        target = sigma * mu * g - x - (second + second.conj().T) / 2
-        dx, dy, dz = _hkm_direction(x, g, newton, rp, target, p, q)
-        x = x + min(1.0, _SDP_STEP * _max_step(lx, dx)) * dx
+        inv = np.linalg.inv(chol)
+        g = inv[1].conj().T @ inv[1]
+        try:
+            newton = _newton_matrix(x, g, fam, t)
+            rp = b - _constraint_values(x, fam, d)
+            # predictor (target -X, so A(target) - rp = -b), then the
+            # Mehrotra corrector with centering (mu_aff / mu)^3
+            dx, _, dz = _hkm_direction(x, g, newton, -b, -x, fam, t)
+            ap, ad = np.minimum(1.0, _max_steps(inv, dx, dz))
+            mu_aff = np.vdot(x + ap * dx, z + ad * dz).real / n
+            sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
+            second = dx @ dz @ g
+            target = sigma * mu * g - x - (second + second.conj().T) / 2
+            dx, dy, dz = _hkm_direction(x, g, newton, _constraint_values(target, fam, d) - rp,
+                                        target, fam, t)
+        except np.linalg.LinAlgError:
+            break
+        ap, ad = np.minimum(1.0, _SDP_STEP * _max_steps(inv, dx, dz))
+        x = x + ap * dx
         x = (x + x.conj().T) / 2
-        y = y + min(1.0, _SDP_STEP * _max_step(lz, dz)) * dy
-    return chol_best, witness_best, iterations, trace
+        y = y + ad * dy
+        z = z + ad * dz
+    cert_left, cert_right = _certificate(left * row, right * col, p_best)
+    witness = _polar_contraction(fam, roots_best)
+    return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
-def _schur_interval(t: ElementaryOperator, symbol: np.ndarray, raw: float, raw_state) -> NormInterval:
-    """The certified bracket of a Schur multiplier; see the module docstring."""
-    d = t.dim
-    scale = float(np.abs(symbol).max())
-    if scale == 0.0:
-        return NormInterval(0.0, 0.0, (), 0, (0.0,))
-    chol, witness, iterations, trace = _schur_sdp(symbol / scale, raw / scale)
-    # [[A, S], [S*, B]] = V V* with V = diag(I, -I) chol, so S = V_1 V_2*
-    root = np.sqrt(scale)
-    v1, v2 = root * chol[:d], -root * chol[d:]
-    miss = float(np.abs(v1 @ v2.conj().T - symbol).max())
-    if miss > TOL * scale:
-        raise NumericalError(f"Schur certificate misses the symbol by {miss:.3e}")
-    upper = float(np.sqrt(np.max(np.sum(np.abs(v1) ** 2, axis=1))
-                          * np.max(np.sum(np.abs(v2) ** 2, axis=1))))
-    cert = tuple((np.diag(v1[:, i]), np.diag(np.conj(v2[:, i]))) for i in range(2 * d))
-    if raw < upper:
-        upper, cert = raw, _certificate(*raw_state)
-    lower = float(np.linalg.norm(apply(t, witness), 2) / np.linalg.norm(witness, 2))
-    if lower > upper * (1 + TOL):
-        raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
-    return NormInterval(lower, upper, cert, iterations, tuple(min(raw, scale * v) for v in trace))
+def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0) -> NormInterval:
+    """Bracket the cb norm of an elementary operator; see the module docstring.
 
-
-def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 200, seed: int = 0) -> NormInterval:
-    """Bracket the cb norm of an elementary operator; see the module docstring."""
+    ``restarts`` and ``seed`` are ignored: the bracket is deterministic.  They
+    stay so that callers written for a randomized lower bound keep working.
+    """
     if t.n_terms == 0:
         raise ValueError("the term list is empty")
     d = t.dim
@@ -438,64 +441,24 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 200, seed: int =
         return NormInterval(value, value, cert, 0, (value,))
 
     left, right = _drop_zero_terms(t.left, t.right)
-    if left.shape[0] == 0:
+    pruned = prune_terms(t)
+    if pruned.n_terms == 0:
         return NormInterval(0.0, 0.0, (), 0, (0.0,))
 
-    # visited gauge 1: balanced diagonal on the raw terms
-    scales = np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2))
-    p_raw = np.diag(scales).astype(np.complex128)
-    best, *_ = _gauge_value(left, right, p_raw)
-    best_state = (left, right, p_raw)
-
-    symbol = _diagonal_symbol(left, right)
-    if symbol is not None:
-        return _schur_interval(t, symbol, best, best_state)
-
-    pruned = prune_terms(t)
-    pl, pr = pruned.left, pruned.right
-    p = np.diag(np.linalg.norm(pr, axis=(1, 2)) / np.linalg.norm(pl, axis=(1, 2))).astype(np.complex128)
-    f_cur, lam_x, lam_z, u, v, phalf = _gauge_value(pl, pr, p)
-    if f_cur < best:
-        best, best_state = f_cur, (pl, pr, p)
-
-    trace = [best]
-    iterations = 0
-    for _ in range(MAX_ITERS):
-        grad = _gauge_gradient(pl, pr, p, max(lam_x, 1e-300), max(lam_z, 1e-300), u, v)
-        direction = -(p @ np.conj(grad) @ p)
-        slope = float(np.real(np.sum(grad * direction)))
-        step_core = phalf @ np.conj(grad) @ phalf
-        scale = float(np.linalg.norm(step_core))
-        if scale < 1e-14 or slope >= 0:
-            break
-        iterations += 1
-        eta = 1.0 / max(scale, 1.0)
-        accepted = False
-        log_f_cur = np.log(max(f_cur, 1e-300))
-        sw, su = np.linalg.eigh((step_core + step_core.conj().T) / 2)
-        while eta >= _MIN_STEP:
-            expo = (su * np.exp(-eta * sw)) @ su.conj().T
-            p_new = phalf @ expo @ phalf
-            p_new = (p_new + p_new.conj().T) / 2
-            p_new *= pl.shape[0] / max(float(np.real(np.trace(p_new))), 1e-300)
-            f_new, lx_new, lz_new, u_new, v_new, phalf_new = _gauge_value(pl, pr, p_new)
-            if np.log(max(f_new, 1e-300)) <= log_f_cur + _ARMIJO_C * eta * slope:
-                accepted = True
-                break
-            eta /= 2
-        if not accepted:
-            trace.append(best)
-            break
-        f_prev = f_cur
-        p, f_cur, lam_x, lam_z, u, v, phalf = p_new, f_new, lx_new, lz_new, u_new, v_new, phalf_new
-        if f_cur < best:
-            best, best_state = f_cur, (pl, pr, p)
-        trace.append(best)
-        if f_prev - f_cur < RELATIVE_DECREASE * max(f_prev, 1e-300):
-            break
-
-    cert = _certificate(*best_state)
-    rng = np.random.default_rng(seed)
-    lower = _lower_bound(t.left, t.right, d, best, restarts, rng)
-    lower = min(lower, best)
-    return NormInterval(lower, best, cert, iterations, tuple(trace))
+    raw = _certificate(left, right, np.diag(np.linalg.norm(right, axis=(1, 2))
+                                            / np.linalg.norm(left, axis=(1, 2))))
+    raw_value = _factorization_value(*raw)
+    cert_left, cert_right, witness, iterations, trace = _factorization_sdp(
+        pruned.left, pruned.right, raw_value)
+    cert = (cert_left, cert_right)
+    upper = _factorization_value(*cert)
+    if raw_value < upper:
+        upper, cert = raw_value, raw
+    miss = float(np.abs(transfer_matrix(ElementaryOperator(d, *cert)) - transfer_matrix(t)).max())
+    if miss > TOL * upper:
+        raise NumericalError(f"certificate misses the map by {miss:.3e}")
+    lower = float(np.linalg.norm(_amplified_apply(_amplification_kernel(t.left, t.right), witness, d), 2))
+    if lower > upper * (1 + TOL):
+        raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
+    return NormInterval(lower, upper, tuple(zip(*cert)), iterations,
+                        tuple(min(raw_value, v) for v in trace))

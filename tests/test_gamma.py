@@ -101,7 +101,7 @@ class TestHomomorphism:
         pi = regular_rep(g)
         for _ in range(10):
             mu = _random_measure(g, rng)
-            b = haagerup_norm_bounds(gamma(pi, mu).op, restarts=2)
+            b = haagerup_norm_bounds(gamma(pi, mu).op)
             assert b.upper <= mu.norm + 1e-9
 
 

@@ -1,8 +1,8 @@
 """Package layout, checked with ``ast`` in place of a linter: modules use each
 other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
-``errors`` defines a threshold constant, and the package needs nothing but
-numpy."""
+``errors`` defines a threshold constant, the package needs nothing but
+numpy, and no caller passes the ignored knobs of ``haagerup_norm_bounds``."""
 
 import ast
 from pathlib import Path
@@ -130,4 +130,32 @@ def test_package_imports_no_solver_library():
     # scipy may be present on a machine, but pyproject.toml declares numpy only
     found = {p.name: [hit for hit in _imported_top_level(p) if hit[1] in {"scipy", "cvxpy"}]
              for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _norm_bound_knobs(path):
+    """``(line, what)`` for every call of ``haagerup_norm_bounds`` that passes
+    ``restarts`` or ``seed``, by keyword or by position."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "haagerup_norm_bounds":
+            continue
+        found += [(node.lineno, k.arg) for k in node.keywords if k.arg in {"restarts", "seed"}]
+        if len(node.args) > 1:
+            found.append((node.lineno, "positional"))
+    return found
+
+
+def test_no_caller_passes_the_ignored_norm_knobs():
+    # the bracket is deterministic; the two parameters stay only for old callers
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    assert len(files) > 20
+    found = {f"{p.parent.name}/{p.name}": _norm_bound_knobs(p) for p in files}
     assert {name: hits for name, hits in found.items() if hits} == {}
