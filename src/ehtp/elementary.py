@@ -51,6 +51,7 @@ __all__ = [
     "strongly_independent_kraus",
     "is_diagonal_bimodule",
     "positive_implies_cp_check",
+    "sampled_positivity",
     "conjugate_by",
     "PositivityReport",
     "op_to_json",
@@ -281,19 +282,26 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     return kraus
 
 
-def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
-    """True iff the map is a bimodule map over the diagonal MASA, i.e. it
-    commutes with left/right multiplication by diagonal matrices.  Concretely
-    every matrix unit must map to a multiple of itself: column ``k d + j`` of
-    the transfer matrix is ``vec(T(E_jk))``, and its part off the diagonal
-    entry must have norm at most ``tol * max(1, norm of the column)``."""
+def _bimodule_transfer(t: ElementaryOperator, tol: float) -> np.ndarray | None:
+    """The transfer matrix if the map is a bimodule map over the diagonal
+    MASA, else None.  Column ``k d + j`` is ``vec(T(E_jk))``; its part off the
+    diagonal entry must have norm at most ``tol`` times the data scale
+    ``sum_i ||a_i||_F ||b_i||_F``, which bounds the column and its noise."""
     images = transfer_matrix(t)
-    norms = np.linalg.norm(images, axis=0)
-    # the off-diagonal norm is taken from a zeroed copy, not as
-    # sqrt(|col|^2 - |diag|^2), which cancels far above tol
+    # the off-diagonal norm is taken with the diagonal zeroed in place (then
+    # restored), not as sqrt(|col|^2 - |diag|^2), which cancels far above tol
+    diagonal = images.diagonal().copy()
     np.fill_diagonal(images, 0.0)
     off = np.linalg.norm(images, axis=0)
-    return bool(np.all(off <= tol * np.maximum(1.0, norms)))
+    np.fill_diagonal(images, diagonal)
+    return images if bool(np.all(off <= tol * _data_scale(t))) else None
+
+
+def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
+    """True iff the map commutes with left and right multiplication by
+    diagonal matrices: each matrix unit maps to a multiple of itself, to
+    ``tol`` times the data scale ``sum_i ||a_i||_F ||b_i||_F``."""
+    return _bimodule_transfer(t, tol) is not None
 
 
 @dataclass(frozen=True)
@@ -310,49 +318,64 @@ class PositivityReport:
         return self.sampled_positive == self.completely_positive
 
 
+def _positive_samples(rng: np.random.Generator, d: int, trials: int) -> np.ndarray:
+    """``(trials, d, d)`` stack: ``ceil(trials / 2)`` rank-one ``w w*``, then
+    ``floor(trials / 2)`` full-rank ``g g*``.  One draw gives the normals a
+    loop alternating the two kinds would draw: per pair, Re w, Im w, Re g,
+    Im g."""
+    pairs, per = trials // 2, 2 * d + 2 * d * d
+    z = rng.standard_normal(pairs * per + trials % 2 * 2 * d)
+    paired = z[:pairs * per].reshape(pairs, per)
+    wz = np.concatenate([paired[:, :2 * d], z[pairs * per:].reshape(-1, 2 * d)]).reshape(-1, 2, d)
+    gz = paired[:, 2 * d:].reshape(pairs, 2, d, d)
+    w, g = wz[:, 0] + 1j * wz[:, 1], gz[:, 0] + 1j * gz[:, 1]
+    return np.concatenate([w[:, :, None] * w.conj()[:, None, :], g @ g.conj().transpose(0, 2, 1)])
+
+
+def sampled_positivity(t: ElementaryOperator, trials: int = 50, tol: float = TOL,
+                       seed: int = 0) -> tuple[bool, float]:
+    """Positivity on sampled states of a bimodule map over the diagonal MASA
+    (precondition, checked): the verdict, and the worst ratio of an image's
+    smallest eigenvalue to its scale (``-inf`` for a non-Hermitian image).
+    Half the samples are rank-one ``w w*`` (which detect any failure of
+    positivity for a diagonal bimodule map), half are full-rank ``g g*``;
+    all images come from one product with the transfer matrix."""
+    transfer = _bimodule_transfer(t, tol)
+    if transfer is None:
+        raise BimoduleError("map is not a bimodule map over the diagonal MASA")
+    d = t.dim
+    x = _positive_samples(np.random.default_rng(seed), d, trials)
+    # column-stacked vec: row t of x.mT reshaped is vec(x_t), and likewise back
+    vecs = x.transpose(0, 2, 1).reshape(trials, d * d)
+    y = (vecs @ transfer.T).reshape(trials, d, d).transpose(0, 2, 1)
+    yh = y.conj().transpose(0, 2, 1)
+    # normalize against input scale times term scale, not just ||y||: when
+    # the map is numerically zero the output is pure float noise and would
+    # otherwise register as an order-one violation
+    scale = np.maximum(np.maximum(np.linalg.norm(y, axis=(1, 2)),
+                                  np.linalg.norm(x, axis=(1, 2)) * _data_scale(t)), 1e-300)
+    ratios = np.linalg.eigvalsh((y + yh) / 2)[:, 0] / scale
+    # a non-Hermitian image: not even positivity-preserving
+    ratios[np.linalg.norm(y - yh, axis=(1, 2)) > tol * scale] = -np.inf
+    worst = float(ratios.min(initial=np.inf))
+    return bool(worst >= -tol), worst
+
+
 def positive_implies_cp_check(
     t: ElementaryOperator,
     trials: int = 50,
     tol: float = TOL,
     seed: int = 0,
 ) -> PositivityReport:
-    """Compare sampled positivity with complete positivity for a map that is
-    a bimodule map over the diagonal MASA (precondition, checked; for such
-    maps the two must agree).
-
-    Half the samples are rank-one ``w w*`` (which detect any failure of
-    positivity for a diagonal bimodule map), half are full-rank ``g g*``.
-    """
-    if not is_diagonal_bimodule(t, tol):
-        raise BimoduleError("map is not a bimodule map over the diagonal MASA")
-    rng = np.random.default_rng(seed)
-    d = t.dim
-    # normalize against input scale times term scale, not just ||y||: when
-    # the map is numerically zero the output is pure float noise and would
-    # otherwise register as an order-one violation
-    term_scale = _data_scale(t)
-    worst = np.inf
-    for trial in range(trials):
-        if trial % 2 == 0:
-            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            x = np.outer(w, np.conj(w))
-        else:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            x = g @ g.conj().T
-        y = apply(t, x)
-        scale = max(float(np.linalg.norm(y)),
-                    float(np.linalg.norm(x)) * term_scale, 1e-300)
-        if np.linalg.norm(y - y.conj().T) > tol * scale:
-            worst = -np.inf  # non-Hermitian output: not even positivity-preserving
-            continue
-        evals = np.linalg.eigvalsh((y + y.conj().T) / 2)
-        worst = min(worst, float(evals.min()) / scale)
-    sampled_positive = bool(worst >= -tol)
+    """Compare sampled positivity (:func:`sampled_positivity`) with complete
+    positivity for a map that is a bimodule map over the diagonal MASA
+    (precondition, checked; for such maps the two must agree)."""
+    sampled_positive, worst = sampled_positivity(t, trials, tol, seed)
     return PositivityReport(
         sampled_positive=sampled_positive,
         completely_positive=is_completely_positive(t, tol),
         trials=trials,
-        worst_eigenvalue_ratio=float(worst),
+        worst_eigenvalue_ratio=worst,
     )
 
 
@@ -361,8 +384,7 @@ def conjugate_by(t: ElementaryOperator, v: np.ndarray) -> ElementaryOperator:
     v = np.asarray(v, dtype=np.complex128)
     _check_dim(t, v)
     vh = v.conj().T
-    return ElementaryOperator(t.dim, np.einsum("ij,njk,kl->nil", vh, t.left, v),
-                              np.einsum("ij,njk,kl->nil", vh, t.right, v))
+    return ElementaryOperator(t.dim, vh @ t.left @ v, vh @ t.right @ v)
 
 
 def _matrix_to_lists(m: np.ndarray) -> list[list[list[float]]]:

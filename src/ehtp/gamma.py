@@ -119,12 +119,12 @@ def schur_form(diag: DiagonalizedRep, mu: Measure) -> np.ndarray:
 
 def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
     """The symbol and its residual; raises when the residual exceeds
-    ``tol * max(1, ||mu||_1)``."""
+    ``tol * ||mu||_1``."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
     symbol = fourier_symbol(mu, diag.char_of_index)
     resid = symbol_residual(diag, mu, symbol)
-    if resid > tol * max(1.0, mu.norm):
+    if resid > tol * mu.norm:
         raise NumericalError(f"symbol verification failed: residual {resid:.3e}")
     return symbol, resid
 

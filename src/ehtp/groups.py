@@ -32,6 +32,7 @@ __all__ = [
     "from_cayley",
     "dual_group",
     "spectrum",
+    "character_table",
     "difference_set",
     "subgroup_and_restriction",
 ]
@@ -233,13 +234,7 @@ class Character:
 
     def values(self, group: FiniteGroup) -> np.ndarray:
         """Value at every element of the group, index-aligned."""
-        if group.abelian_shape != self.shape:
-            raise NonAbelianError("character shape does not match the group")
-        coords = group.coordinate_table().astype(float)
-        k = np.array(self.exponents, dtype=float)
-        n = np.array(self.shape, dtype=float)
-        phases = (k / n) @ coords
-        return np.exp(2j * np.pi * phases)
+        return character_table(group, [self])[0]
 
     @property
     def is_trivial(self) -> bool:
@@ -284,10 +279,22 @@ class SpectrumSet:
 
     def table(self) -> np.ndarray:
         """``(len, order)`` matrix of character values, rows index-aligned."""
-        return np.array([c.values(self.group) for c in self.characters])
+        return character_table(self.group, self.characters)
 
     def __repr__(self) -> str:
         return f"SpectrumSet({[c.exponents for c in self.characters]})"
+
+
+def character_table(group: FiniteGroup, chars: Sequence[Character]) -> np.ndarray:
+    """``(len(chars), order)`` matrix of character values, rows in the given
+    order, columns index-aligned: one ``(k / n) @ coords`` product, stacked
+    by row so a row's rounding does not depend on the other rows, then exp."""
+    shape = group._shape_or_raise()
+    if any(c.shape != shape for c in chars):
+        raise NonAbelianError("character shape does not match the group")
+    k = np.array([c.exponents for c in chars], dtype=float).reshape(len(chars), 1, len(shape))
+    phases = (k / np.array(shape, dtype=float)) @ group.coordinate_table().astype(float)
+    return np.exp(2j * np.pi * phases[:, 0])
 
 
 def spectrum(group: FiniteGroup, characters: Iterable[Character], sort: bool = False) -> SpectrumSet:

@@ -74,11 +74,10 @@ import numpy as np
 from .elementary import (
     ElementaryOperator,
     apply,
-    is_completely_positive,
     strongly_independent_kraus,
     transfer_matrix,
 )
-from .errors import CUTOFF, TOL, NumericalError
+from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
@@ -433,11 +432,15 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         raise ValueError("the term list is empty")
     d = t.dim
 
-    if is_completely_positive(t):
+    try:
+        kraus = strongly_independent_kraus(t)
+    except NotCompletelyPositiveError:
+        kraus = None
+    if kraus is not None:
         t_of_one = apply(t, np.eye(d, dtype=np.complex128))
         value = float(np.linalg.eigvalsh((t_of_one + t_of_one.conj().T) / 2).max())
         value = max(value, 0.0)
-        cert = tuple((k, k.conj().T) for k in strongly_independent_kraus(t))
+        cert = tuple((k, k.conj().T) for k in kraus)
         return NormInterval(value, value, cert, 0, (value,))
 
     left, right = _drop_zero_terms(t.left, t.right)

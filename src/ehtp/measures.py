@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TOL, GroupMismatchError
-from .groups import Character, FiniteGroup, SpectrumSet, dual_group
+from .groups import Character, FiniteGroup, SpectrumSet, character_table, dual_group
 
 __all__ = [
     "Measure",
@@ -144,7 +144,7 @@ def fourier_on(mu: Measure, e: SpectrumSet) -> np.ndarray:
 def fourier_symbol(mu: Measure, characters: Sequence[Character]) -> np.ndarray:
     """The matrix ``mu_hat(chi_j * chi_k^-1)`` over a list of characters,
     repeats allowed, computed as ``X diag(mu) X*`` with ``X[j, s] = chi_j(s)``."""
-    x = np.array([c.values(mu.group) for c in characters])
+    x = character_table(mu.group, characters)
     return (x * mu.weights) @ x.conj().T
 
 

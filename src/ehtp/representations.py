@@ -24,7 +24,7 @@ from .errors import (
     NonAbelianError,
     NumericalError,
 )
-from .groups import Character, FiniteGroup, SpectrumSet, SubgroupRestriction, spectrum
+from .groups import Character, FiniteGroup, SpectrumSet, SubgroupRestriction, character_table, spectrum
 from .measures import Measure, fourier_on
 
 __all__ = [
@@ -128,7 +128,7 @@ def regular_rep(group: FiniteGroup) -> Representation:
 def character_rep(group: FiniteGroup, chars: Sequence[Character]) -> Representation:
     """Diagonal representation with the given characters on the diagonal,
     with multiplicity as listed."""
-    table = np.array([c.values(group) for c in chars])  # (d, order)
+    table = character_table(group, chars)  # (d, order)
     d = len(chars)
     mats = np.zeros((group.order, d, d), dtype=np.complex128)
     idx = np.arange(d)
@@ -266,13 +266,13 @@ def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
         herm = np.einsum("s,sij->ij", c1, mats + adj) + 1j * np.einsum("s,sij->ij", c2, mats - adj)
         herm = (herm + herm.conj().T) / 2
         _, cand = np.linalg.eigh(herm)
-        rotated = np.einsum("ij,sjk,kl->sil", cand.conj().T, mats, cand)
+        rotated = cand.conj().T @ mats @ cand
         if _offdiag_max(rotated) <= TOL:
             v = cand
             break
     if v is None:
         v = _refine_sequentially(pi)
-        rotated = np.einsum("ij,sjk,kl->sil", v.conj().T, mats, v)
+        rotated = v.conj().T @ mats @ v
         if _offdiag_max(rotated) > TOL:
             raise NumericalError(
                 "joint diagonalization failed; matrices do not commute within tolerance"
@@ -281,8 +281,8 @@ def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
     chars = _read_characters(pi, v, shape)
 
     # global reconstruction check against the exact character values
-    table = np.array([c.values(pi.group) for c in chars])  # (d, order)
-    recon = np.einsum("ij,sj,kj->sik", v, table.T, np.conj(v))
+    table = character_table(pi.group, chars)  # (d, order)
+    recon = (v * table.T[:, None, :]) @ v.conj().T
     resid = float(np.linalg.norm(recon - mats, axis=(1, 2)).max())
     if resid > TOL * pi.dim:
         raise NumericalError(f"eigenbasis reconstruction residual {resid:.3e} exceeds {TOL * pi.dim:.3e}")
@@ -318,12 +318,12 @@ def _read_characters(pi: Representation, v: np.ndarray, shape: tuple[int, ...]) 
 def gelfand(diag: DiagonalizedRep, mu: Measure) -> dict[Character, complex]:
     """Evaluate ``sigma -> mu_hat(sigma)`` on the spectrum and verify that the
     integrated measure is diagonal in the joint eigenbasis with exactly those
-    entries, to ``TOL * max(1, ||mu||_1)``."""
+    entries, to ``TOL * ||mu||_1``."""
     rotated = diag.basis.conj().T @ integrate(diag.rep, mu) @ diag.basis
     values = dict(zip(diag.spectrum, fourier_on(mu, diag.spectrum)))
     expected = np.diag(np.array([values[c] for c in diag.char_of_index]))
     resid = float(np.abs(rotated - expected).max())
-    if resid > TOL * max(1.0, mu.norm):
+    if resid > TOL * mu.norm:
         raise NumericalError(f"integrated measure is not diagonal with transform values: residual {resid:.3e}")
     return values
 
@@ -357,7 +357,7 @@ def cyclic_vector(diag_dims: Sequence[int], vectors: Sequence[np.ndarray]) -> np
         scale = np.linalg.norm(vec)
         for k in range(len(dims)):
             blk = slice(starts[k], starts[k + 1])
-            if covered[k] or np.linalg.norm(vec[blk]) <= CUTOFF * max(1.0, scale):
+            if covered[k] or np.linalg.norm(vec[blk]) <= CUTOFF * scale:
                 continue
             xi[blk] = vec[blk]
             covered[k] = True

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import (
-    conjugate_by,
-    is_completely_positive,
-    positive_implies_cp_check,
-    strongly_independent_kraus,
-    vec,
-)
+from .elementary import conjugate_by, sampled_positivity, strongly_independent_kraus, vec
 from .errors import CUTOFF, TOL, EquivalenceViolationError, GroupMismatchError, NumericalError
+from .errors import NotCompletelyPositiveError
 from .gamma import gamma
 from .groups import SpectrumSet
 from .measures import Measure, fourier_symbol
@@ -155,8 +150,9 @@ def equivalence_suite(
 
     Asserts that complete positivity of the realized operator and positive
     semidefiniteness of the kernel agree, and that positivity on sampled
-    states never contradicts them.  On completely positive instances the
-    strongly independent Kraus family is extracted and must consist of
+    states never contradicts them.  One Choi decomposition of the operator
+    gives its complete positivity and, on completely positive instances, the
+    strongly independent Kraus family, which must consist of
     matrices diagonal in the joint eigenbasis, to ``TOL`` times the largest
     Kraus norm (an element of a Choi eigenvalue near the cutoff is accurate
     only to that scale).
@@ -165,41 +161,41 @@ def equivalence_suite(
     here signals a bug, not a property of the input.
     """
     op = gamma(diag.rep, mu).op
-    cp = is_completely_positive(op, tol)
+    try:
+        kraus = strongly_independent_kraus(op, tol)
+        cp = True
+    except NotCompletelyPositiveError:
+        kraus, cp = [], False
     pd = is_positive_definite(from_measure(diag, mu), tol)
-    rotated = conjugate_by(op, diag.basis)
-    sampled = positive_implies_cp_check(rotated, trials=trials, tol=tol, seed=seed)
+    # the rotation is unitary, so the rotated map is completely positive iff op is
+    sampled, _ = sampled_positivity(conjugate_by(op, diag.basis), trials=trials, tol=tol, seed=seed)
 
     if cp != pd:
         raise EquivalenceViolationError(
             f"complete positivity ({cp}) disagrees with kernel positivity ({pd})"
         )
-    if cp and not sampled.sampled_positive:
+    if cp and not sampled:
         raise EquivalenceViolationError("sampled positivity contradicts complete positivity")
 
-    kraus_count = 0
     min_singular = float("nan")
     diagonality = float("nan")
-    if cp:
-        kraus = strongly_independent_kraus(op, tol)
-        kraus_count = len(kraus)
-        if kraus:
-            stacked = np.stack([vec(k) for k in kraus], axis=1)
-            min_singular = float(np.linalg.svd(stacked, compute_uv=False).min())
-            vh = diag.basis.conj().T
-            rots = [vh @ k @ diag.basis for k in kraus]
-            top = max(float(np.linalg.norm(rot)) for rot in rots)
-            off = max(float(np.linalg.norm(rot - np.diag(np.diag(rot)))) for rot in rots)
-            diagonality = off / max(top, 1e-300)
-            if diagonality > TOL:
-                raise EquivalenceViolationError(
-                    f"Kraus family is not diagonal in the eigenbasis: residual {diagonality:.3e}"
-                )
+    if kraus:
+        stacked = np.stack([vec(k) for k in kraus], axis=1)
+        min_singular = float(np.linalg.svd(stacked, compute_uv=False).min())
+        vh = diag.basis.conj().T
+        rots = [vh @ k @ diag.basis for k in kraus]
+        top = max(float(np.linalg.norm(rot)) for rot in rots)
+        off = max(float(np.linalg.norm(rot - np.diag(np.diag(rot)))) for rot in rots)
+        diagonality = off / max(top, 1e-300)
+        if diagonality > TOL:
+            raise EquivalenceViolationError(
+                f"Kraus family is not diagonal in the eigenbasis: residual {diagonality:.3e}"
+            )
     return EquivalenceReport(
         completely_positive=cp,
         positive_definite=pd,
-        sampled_positive=sampled.sampled_positive,
-        kraus_count=kraus_count,
+        sampled_positive=sampled,
+        kraus_count=len(kraus),
         kraus_min_singular=min_singular,
         kraus_diagonality=diagonality,
     )

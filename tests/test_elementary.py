@@ -16,6 +16,7 @@ from ehtp.elementary import (
     op_from_json,
     op_to_json,
     positive_implies_cp_check,
+    sampled_positivity,
     schur_op,
     slice_left,
     slice_right,
@@ -24,6 +25,7 @@ from ehtp.elementary import (
     unvec,
     vec,
 )
+from ehtp.elementary import _positive_samples
 from ehtp.errors import (
     BimoduleError,
     DimensionMismatchError,
@@ -331,6 +333,80 @@ class TestBimoduleSampling:
         t = ElementaryOperator.from_terms(3, [(a, a.conj().T), (-a, a.conj().T)])
         report = positive_implies_cp_check(t, trials=20)
         assert report.sampled_positive and report.completely_positive
+
+
+    def test_tiny_non_bimodule_map_is_rejected(self):
+        # a unit floor in the gate, tol * max(1, column norm), would pass
+        # every map at 1e-12 scale as a bimodule map
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        t = ElementaryOperator.from_terms(3, [(1e-12 * a, a.conj().T)])
+        assert not is_diagonal_bimodule(t)
+        assert not is_diagonal_bimodule(ElementaryOperator.from_terms(3, [(a, a.conj().T)]))
+        with pytest.raises(BimoduleError):
+            positive_implies_cp_check(t)
+
+    def test_tiny_schur_map_is_a_bimodule_map(self):
+        rng = np.random.default_rng(24)
+        u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert is_diagonal_bimodule(schur_op(1e-12 * u))
+
+
+def _loop_samples(seed, d, trials):
+    """The samples as a loop draws them, alternating ``w w*`` and ``g g*``."""
+    rng = np.random.default_rng(seed)
+    rank_one, full = [], []
+    for trial in range(trials):
+        if trial % 2 == 0:
+            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            rank_one.append(np.outer(w, np.conj(w)))
+        else:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            full.append(g @ g.conj().T)
+    return np.array(rank_one + full).reshape(trials, d, d)
+
+
+def _loop_positivity(t, samples, tol=1e-9):
+    """Oracle for the batched probe: one ``apply`` and one ``eigvalsh`` per
+    sample, each output normalized by ``max(||y||, ||x|| * scale)``."""
+    term_scale = sum(np.linalg.norm(a) * np.linalg.norm(b) for a, b in t.terms)
+    worst = np.inf
+    for x in samples:
+        y = apply(t, x)
+        scale = max(float(np.linalg.norm(y)), float(np.linalg.norm(x)) * term_scale, 1e-300)
+        if np.linalg.norm(y - y.conj().T) > tol * scale:
+            worst = -np.inf
+            continue
+        worst = min(worst, float(np.linalg.eigvalsh((y + y.conj().T) / 2).min()) / scale)
+    return bool(worst >= -tol), worst
+
+
+class TestBatchedPositivityProbe:
+    @pytest.mark.parametrize("d, trials", [(1, 3), (3, 20), (4, 7), (2, 0)])
+    def test_one_draw_gives_the_samples_of_the_loop(self, d, trials):
+        stack = _positive_samples(np.random.default_rng(5), d, trials)
+        assert np.array_equal(stack, _loop_samples(5, d, trials))
+
+    def _maps(self):
+        rng = np.random.default_rng(25)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = np.diag(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        return {
+            "psd": schur_op(g @ g.conj().T),
+            "not psd": schur_op(np.diag([1.0, -1.0, 1.0])),
+            "zero": ElementaryOperator.from_terms(3, [(a, a.conj().T), (-a, a.conj().T)]),
+        }
+
+    @pytest.mark.parametrize("case, positive", [("psd", True), ("not psd", False), ("zero", True)])
+    def test_matches_the_per_sample_loop(self, case, positive):
+        t = self._maps()[case]
+        for seed, trials in ((0, 20), (3, 9)):
+            verdict, worst = sampled_positivity(t, trials=trials, seed=seed)
+            expect, expect_worst = _loop_positivity(t, _loop_samples(seed, t.dim, trials))
+            assert verdict == expect == positive
+            assert abs(worst - expect_worst) <= 1e-12
+            report = positive_implies_cp_check(t, trials=trials, seed=seed)
+            assert report.sampled_positive == verdict and report.worst_eigenvalue_ratio == worst
 
 
 class TestConjugateBy:

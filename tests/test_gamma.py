@@ -1,10 +1,12 @@
 """Measures realized as elementary operators: homomorphism, symbols, kernels."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from ehtp.elementary import apply
-from ehtp.errors import GroupMismatchError
+from ehtp.errors import GroupMismatchError, NumericalError
 from ehtp.gamma import (
     gamma,
     kernel_test_difference_set,
@@ -25,6 +27,9 @@ from ehtp.hnorm import haagerup_norm_bounds
 from ehtp.measures import Measure, convolve, dirac, fourier_stieltjes, fourier_symbol, in_augmentation_ideal
 from ehtp.representations import character_rep, diagonalize, regular_rep
 from ehtp.suites import random_character_rep, s3_cayley
+
+# the package namespace binds ``gamma`` to the function, not the module
+gamma_module = importlib.import_module("ehtp.gamma")
 
 
 # independent oracle: accumulate the conjugation average entry by entry
@@ -178,6 +183,21 @@ class TestSchurForm:
         mu, nu = _random_measure(g, rng), _random_measure(g, rng)
         lhs = schur_form(diag, convolve(mu, nu))
         assert np.allclose(lhs, schur_form(diag, mu) * schur_form(diag, nu))
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_symbol_error_is_caught_at_every_measure_scale(self, scale, monkeypatch):
+        # a unit floor in the gate, TOL * max(1, ||mu||_1), would pass a
+        # symbol 1e-3 off at measure scale 1e-12
+        g = make_cyclic_product([6])
+        rng = np.random.default_rng(10)
+        diag = diagonalize(random_character_rep(g, rng, max_dim=4))
+        mu = _random_measure(g, rng) * scale
+        assert np.array_equal(schur_form(diag, mu), fourier_symbol(mu, diag.char_of_index))
+        monkeypatch.setattr(gamma_module, "fourier_symbol",
+                            lambda m, chars: fourier_symbol(m, chars) * (1 + 1e-3))
+        with pytest.raises(NumericalError):
+            schur_form(diag, mu)
 
 
 class TestKernelTests:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ehtp.errors import NonAbelianError
 from ehtp.groups import (
     Character,
+    character_table,
     difference_set,
     dual_group,
     from_cayley,
@@ -167,6 +168,30 @@ class TestCharacters:
         vals = chi.values(g)
         for a, b in rng.integers(g.order, size=(20, 2)):
             assert abs(vals[g.mul(a, b)] - vals[a] * vals[b]) < 1e-12
+
+
+    @given(SHAPES)
+    def test_table_matches_exact_evaluation(self, shape):
+        g = make_cyclic_product(shape)
+        duals = list(dual_group(g))
+        table = character_table(g, duals)
+        exact = np.array([[c.evaluate(g, s) for s in g.elements()] for c in duals])
+        assert table.shape == (len(duals), g.order)
+        assert np.abs(table - exact).max() < 1e-12
+
+    def test_rows_do_not_depend_on_the_other_rows(self):
+        # bit-for-bit: a row of a large table equals the one-row table
+        g = make_cyclic_product([12, 30])
+        duals = list(dual_group(g))
+        table = character_table(g, duals)
+        for i in (0, 7, 101, 359):
+            assert np.array_equal(table[i], character_table(g, [duals[i]])[0])
+            assert np.array_equal(table[i], duals[i].values(g))
+        assert character_table(g, []).shape == (0, g.order)
+
+    def test_shape_mismatch_is_rejected(self):
+        with pytest.raises(NonAbelianError):
+            character_table(make_cyclic_product([4]), [Character((2, 2), (1, 0))])
 
 
 class TestSpectrumSets:

@@ -2,7 +2,8 @@
 other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
-numpy, and no caller passes the ignored knobs of ``haagerup_norm_bounds``."""
+numpy, no ``einsum`` takes three or more operands, and no caller passes the
+ignored knobs of ``haagerup_norm_bounds``."""
 
 import ast
 from pathlib import Path
@@ -158,4 +159,24 @@ def test_no_caller_passes_the_ignored_norm_knobs():
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     assert len(files) > 20
     found = {f"{p.parent.name}/{p.name}": _norm_bound_knobs(p) for p in files}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _long_einsums(path):
+    """``(line, operands)`` for every ``einsum`` call with three or more
+    operands after the subscripts; such a call runs without a contraction
+    path, and a chain of matmuls is the fast form."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "einsum" and len(node.args) - 1 >= 3:
+            found.append((node.lineno, len(node.args) - 1))
+    return found
+
+
+def test_no_einsum_takes_three_operands():
+    found = {p.name: _long_einsums(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}

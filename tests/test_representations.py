@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ehtp import representations
 from ehtp.errors import GroupMismatchError, NonAbelianError, NumericalError
 from ehtp.groups import Character, make_cyclic_product, subgroup_and_restriction
 from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes
@@ -201,6 +202,21 @@ class TestGelfand:
         left, right = gelfand(diag, mu), gelfand(diag, nu)
         for chi in prod:
             assert abs(prod[chi] - left[chi] * right[chi]) < 1e-9
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_transform_error_is_caught_at_every_measure_scale(self, scale, monkeypatch):
+        # a unit floor in the gate, TOL * max(1, ||mu||_1), would pass
+        # transform values 1e-3 off at measure scale 1e-12
+        g = make_cyclic_product([3, 4])
+        rng = np.random.default_rng(5)
+        diag = diagonalize(random_character_rep(g, rng, max_dim=6))
+        mu = _random_measure(g, rng) * scale
+        gelfand(diag, mu)
+        monkeypatch.setattr(representations, "fourier_on",
+                            lambda m, e: fourier_on(m, e) * (1 + 1e-3))
+        with pytest.raises(NumericalError):
+            gelfand(diag, mu)
 
 
 class TestTensorConjugate:

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from ehtp import elementary
 from ehtp.elementary import strongly_independent_kraus
 from ehtp.errors import TOL, GroupMismatchError, NumericalError
 from ehtp.gamma import gamma
+from ehtp.hnorm import haagerup_norm_bounds
 from ehtp.groups import Character, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_stieltjes, fourier_symbol, from_density
 from ehtp.representations import character_rep, diagonalize, regular_rep
@@ -226,6 +228,43 @@ class TestEquivalenceSuite:
             mu = Measure(g, rng.standard_normal(9) + 1j * rng.standard_normal(9))
             report = equivalence_suite(diag, mu, trials=10)
             assert report.consistent
+
+
+class TestChoiBuilds:
+    """One Choi decomposition per map: the CP verdict and the Kraus family
+    come from the same ``eigh``.  Every Choi or transfer matrix is built by
+    ``elementary._vec_outer_sum``, so wrapping it counts the builds."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        outer_sum = elementary._vec_outer_sum
+
+        def counted(t):
+            calls.append(t.dim)
+            return outer_sum(t)
+        monkeypatch.setattr(elementary, "_vec_outer_sum", counted)
+        return calls
+
+    def _regular_z8(self):
+        g = make_cyclic_product([8])
+        pi = regular_rep(g)
+        return pi, diagonalize(pi), Measure(g, np.linspace(1.0, 2.0, 8))
+
+    def test_equivalence_suite_builds_at_most_three(self, builds):
+        # the Choi matrix, the Kraus reconstruction, and the transfer matrix
+        # of the rotated map that the positivity probe shares with its gate
+        _, diag, mu = self._regular_z8()
+        report = equivalence_suite(diag, mu, trials=20)
+        assert report.completely_positive and report.kraus_count == 8
+        assert len(builds) <= 3
+
+    def test_cp_norm_path_builds_at_most_two(self, builds):
+        # the Choi matrix and the Kraus reconstruction
+        pi, _, mu = self._regular_z8()
+        interval = haagerup_norm_bounds(gamma(pi, mu).op)
+        assert interval.lower == interval.upper == pytest.approx(mu.norm)
+        assert len(builds) <= 2
 
 
 class TestVFunctionContainer:
