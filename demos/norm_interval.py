@@ -4,7 +4,8 @@ One small semidefinite program over gauges P of the factorization
 sum a_i x b_i (mix the left factors by P^{1/2} and the right factors by
 P^{-1/2}) gives both ends: the best gauge is a rewriting of the map that
 certifies the upper bound, and the dual's optimal states give a contraction
-on which the amplified map certifies the lower bound. Single-term maps a . b
+X and a unit vector eta, and ||(T (x) id)(X) eta|| certifies the lower
+bound. Single-term maps a . b
 have cb norm exactly ||a|| ||b||, so the interval must pinch that value.
 """
 

@@ -225,58 +225,81 @@ def _data_scale(t: ElementaryOperator) -> float:
     return float(np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2))))
 
 
-def _choi_hermitian_part(c: np.ndarray, scale: float, tol: float) -> np.ndarray | None:
-    """Hermitian part of the Choi matrix c, or None when the map is not
-    Hermiticity-preserving to ``tol * scale``."""
-    if np.linalg.norm(c - c.conj().T) > tol * scale:
-        return None
-    return (c + c.conj().T) / 2
+def _choi_spectrum(t: ElementaryOperator) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The spectrum of the Choi matrix ``C = V_L V_R`` from its factors, where
+    ``V_L`` has columns ``vec(left_i)`` and ``V_R`` rows ``right_i.ravel()``.
+
+    A thin QR of ``[V_L, V_R*]`` gives orthonormal columns Q, k = min(d^2, 2n)
+    of them, whose span holds the ranges of C and C*, so ``C = Q core Q*``
+    with the k x k ``core = Q* V_L V_R Q``.  Returns the Hermiticity
+    residual ``||core - core*||_F = ||C - C*||_F``, then the eigenvalues
+    (ascending) and eigenvectors w of the core's Hermitian part, and Q: the
+    eigenvectors of the Hermitian part of C are ``Q w``, and its other
+    d^2 - k eigenvalues are exact zeros.  Nothing larger than d^2 x k is
+    formed, and only the k x k core is decomposed."""
+    n, d = t.n_terms, t.dim
+    vl = t.left.transpose(0, 2, 1).reshape(n, d * d).T
+    vr = t.right.reshape(n, d * d)
+    # when 2n >= d^2 any unitary Q will do, and the QR of the first d^2
+    # columns gives one without running Householder steps over all 2n
+    q, _ = np.linalg.qr(np.concatenate([vl, vr.conj().T], axis=1)[:, :d * d])
+    core = (q.conj().T @ vl) @ (vr @ q)
+    evals, w = np.linalg.eigh((core + core.conj().T) / 2)
+    return float(np.linalg.norm(core - core.conj().T)), evals, w, q
+
+
+def _is_cp_spectrum(asym: float, evals: np.ndarray, scale: float, tol: float) -> bool:
+    """The CP verdict on a factored Choi spectrum: Hermitian to ``tol * scale``
+    and no eigenvalue below ``-tol * scale`` (the exact zeros never are)."""
+    return asym <= tol * scale and bool(evals.min(initial=0.0) >= -tol * scale)
 
 
 def is_completely_positive(t: ElementaryOperator, tol: float = TOL) -> bool:
     """True iff the Choi matrix is (numerically) positive semidefinite:
     Hermitian to ``tol * scale``, with smallest eigenvalue ``>= -tol * scale``,
     at the data scale ``scale = sum_i ||a_i||_F ||b_i||_F``.  A map that is
-    zero up to cancellation noise is completely positive."""
-    scale = _data_scale(t)
-    herm = _choi_hermitian_part(choi(t), scale, tol)
-    return herm is not None and bool(np.linalg.eigvalsh(herm)[0] >= -tol * scale)
+    zero up to cancellation noise is completely positive.  The spectrum is
+    taken from the factors of the Choi matrix, on a core of size at most
+    2n x 2n for n terms (Choi: the Kraus rank is the rank of the Choi
+    matrix), so no d^2 x d^2 matrix is built or decomposed."""
+    asym, evals, _, _ = _choi_spectrum(t)
+    return _is_cp_spectrum(asym, evals, _data_scale(t), tol)
 
 
 def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[np.ndarray]:
     """Kraus decomposition ``T(x) = sum_i k_i x k_i*`` with linearly
     independent (strongly independent) Kraus elements.
 
-    Taken from one eigendecomposition of the Choi matrix, which also decides
-    complete positivity as :func:`is_completely_positive` does.  A map whose
-    largest Choi eigenvalue is at most ``CUTOFF`` times the data scale
+    Taken from one eigendecomposition of the factored Choi spectrum, on a
+    core of size at most 2n x 2n for n terms, which also decides complete
+    positivity as :func:`is_completely_positive` does.  A map whose largest
+    Choi eigenvalue is at most ``CUTOFF`` times the data scale
     ``sum_i ||a_i||_F ||b_i||_F`` is zero up to rounding and keeps no terms.
     Otherwise eigenvalues up to ``CUTOFF`` times the largest are dropped, the
     rule ``varopoulos.gram_factorize`` applies to the symbol, so the Kraus
     and Gram families of one map have the same size.  The surviving
     vectorized elements are orthogonal with norms ``sqrt(lambda_i)``, so the
     family is automatically strongly independent.
-    Raises for a map that is not completely positive, and verifies the
-    reconstruction on all matrix units to ``TOL`` times the data scale.
+    Raises for a map that is not completely positive, before any d^2 x d^2
+    matrix is built; otherwise verifies the reconstruction on all matrix
+    units, as the largest entry of the difference of the dense Choi
+    matrices, to ``TOL`` times the data scale.
     """
     scale = _data_scale(t)
-    c = choi(t)
-    herm = _choi_hermitian_part(c, scale, tol)
-    if herm is None:
+    asym, evals, w, q = _choi_spectrum(t)
+    if not _is_cp_spectrum(asym, evals, scale, tol):
         raise NotCompletelyPositiveError("Kraus extraction needs a completely positive map")
-    evals, evecs = np.linalg.eigh(herm)
-    if evals[0] < -tol * scale:
-        raise NotCompletelyPositiveError("Kraus extraction needs a completely positive map")
-    top = float(evals[-1])
+    top = float(evals.max(initial=0.0))
     if top <= CUTOFF * scale:
         return []
     keep = evals > CUTOFF * top
-    kraus = [unvec(np.sqrt(lam) * evecs[:, i]) for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
+    vecs = q @ (w[:, keep] * np.sqrt(evals[keep]))
+    kraus = [unvec(v) for v in vecs.T]
 
     # the Choi and transfer matrices hold the same entries, so the largest
     # deviation on matrix units is read off the Choi matrices
     recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
-    resid = float(np.abs(choi(recon) - c).max())
+    resid = float(np.abs(choi(recon) - choi(t)).max())
     if resid > TOL * scale:
         raise NumericalError(f"Kraus reconstruction residual {resid:.3e}")
     return kraus

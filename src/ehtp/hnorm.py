@@ -39,14 +39,19 @@ coordinates.  Both ends are certified:
   on the terms as given, whichever is smaller; ``certificate_terms`` is the
   rewriting that attains it, and it must rebuild the transfer matrix of the
   map to ``TOL * upper``;
-* lower: ``||(T (x) id_d)(X)||``, computed from the terms as given, for the
-  contraction X that is the polar part of
-  ``sum_i vec(b_i L_sigma) vec(a_i* L_rho)*``, where ``L L*`` is a state of
-  the iterate.  With ``xi = vec L_rho`` and ``eta = vec L_sigma`` it attains
-  ``<xi, (T (x) id_d)(X) eta> = ||R(rho)^(1/2) S(sigma)^(1/2)||_1``.  The
-  states drop the eigenvalues of the iterate below ``sqrt(mu)``, which on
-  the central path ``X Z = mu I`` are those that vanish at the optimum; a
-  rank-one optimum, as for a single term, is then found in a step or two.
+* lower: ``||(T (x) id_d)(X) eta||``, computed from the terms as given, for
+  the partial isometry X that is the polar part of
+  ``G = sum_i vec(b_i L_sigma) vec(a_i* L_rho)*`` and the unit vector
+  ``eta = vec L_sigma``, where ``L L*`` is a state of the iterate and
+  ``vec m = m.ravel()`` indexes the pairs ``(a, i)`` of the block form below.
+  X is kept as its two d^2 x r factors and never multiplied out, so for n
+  terms the value costs O(n d^2 r + n d^3).  As ``||X|| <= 1`` it is at most
+  ``||T||_cb``; by Cauchy-Schwarz, with ``xi = vec L_rho``, it is at least
+  ``<xi, (T (x) id_d)(X) eta> = ||R(rho)^(1/2) S(sigma)^(1/2)||_1``, the
+  dual value of the states.  The states drop the eigenvalues of the iterate
+  below ``sqrt(mu)``, which on the central path ``X Z = mu I`` are those
+  that vanish at the optimum; a rank-one optimum, as for a single term, is
+  then found in a step or two.
 
 The solve starts from ``rho = sigma = I/2d``; for the regular representation
 of any group these maximally mixed states already attain ``||mu||_1``, the
@@ -58,11 +63,8 @@ this path like every other map.  A bracket that crosses by more than
 ``TOL`` relative, or a certificate that does not rebuild the map, raises
 :class:`NumericalError`.
 
-``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``.
-On the realignment ``X[(a,b),(i,j)]`` it is a single matrix product with the
-d^2 x d^2 amplification kernel
-
-    K[(u,v),(a,b)] = sum_n a_n[u,a] b_n[b,v].
+``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
+with T on the indices a and b.
 """
 
 from __future__ import annotations
@@ -172,22 +174,6 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
     lam_row = np.linalg.eigvalsh(row @ row.conj().T)[-1]
     lam_col = np.linalg.eigvalsh(col.conj().T @ col)[-1]
     return float(np.sqrt(max(lam_row, 0.0) * max(lam_col, 0.0)))
-
-
-def _amplification_kernel(lstack: np.ndarray, rstack: np.ndarray) -> np.ndarray:
-    """The d^2 x d^2 matrix ``K[(u,v),(a,b)] = sum_n L_n[u,a] R_n[b,v]`` of
-    ``T (x) id_d``: one ``(d^2, n) @ (n, d^2)`` product, then a realignment."""
-    n, d, _ = lstack.shape
-    k = lstack.transpose(1, 2, 0).reshape(d * d, n) @ rstack.reshape(n, d * d)  # [(u,a),(b,v)]
-    return k.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
-
-
-def _amplified_apply(kernel: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
-    """``(T (x) id_d)(X)`` for X in block form ``X[(a,i),(b,j)]``: one product
-    of the kernel with the realignment ``X[(a,b),(i,j)]``."""
-    xr = x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    out = (kernel @ xr).reshape(d, d, d, d)        # [u, v, i, j]
-    return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 # The factorization SDP in standard form.  Both sides have the same shape once
@@ -339,19 +325,34 @@ def _polar_core(fam: np.ndarray, roots: np.ndarray):
     return q[0], q[1], tri[1] @ tri[0].conj().T
 
 
-def _polar_contraction(fam: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The partial isometry X, in block form, with ``tr(X G) = ||G||_1``."""
+def _polar_contraction(fam: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 x r factors xa and xb of the partial isometry ``X = xa xb*``
+    with ``tr(X G) = ||G||_1``; X itself is never formed."""
     qa, qb, core = _polar_core(fam, roots)
     u, _, vh = np.linalg.svd(core)
-    return (qa @ vh.conj().T) @ (qb @ u).conj().T
+    return qa @ vh.conj().T, qb @ u
+
+
+def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.ndarray) -> float:
+    """``||(T (x) id_d)(X) eta||`` for ``X = xa xb*`` in block form
+    ``X[(a,i),(b,j)]`` and the unit vector ``eta = root.ravel()``, from the
+    terms as given.  A vector indexed by the pairs (a, i) is the d x d matrix
+    of its reshape, on which ``L_n (x) I`` acts as ``M -> L_n M``; so the
+    image is ``sum_n L_n unravel(X ravel(R_n root))``, and with X applied
+    through its factors it costs O(n d^2 r + n d^3)."""
+    n, d = t.n_terms, t.dim
+    coeffs = (t.right @ root).reshape(n, d * d) @ xb.conj()      # xb* ravel(R_n root)
+    images = (coeffs @ xa.T).reshape(n * d, d)                  # stacked unravel(xa c_n)
+    return float(np.linalg.norm(t.left.transpose(1, 0, 2).reshape(d, n * d) @ images))
 
 
 def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float):
     """Primal-dual interior-point solve of the factorization SDP for
     independent families, stopping once the certified gap, with ``cap`` as a
     second certified upper bound, is small.  Returns the rewriting at the best
-    gauge, the polar contraction of the best states, the iteration count and
-    the best upper value after each iterate."""
+    gauge, the lower-end witness ``(xa, xb, root)`` of the best states (the
+    factors of the polar contraction ``xa xb*`` and the root ``L_sigma``), the
+    iteration count and the best upper value after each iterate."""
     r, d, _ = left.shape
     balance = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
     left = left * balance[:, None, None]
@@ -418,7 +419,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float):
         y = y + ad * dy
         z = z + ad * dz
     cert_left, cert_right = _certificate(left * row, right * col, p_best)
-    witness = _polar_contraction(fam, roots_best)
+    witness = (*_polar_contraction(fam, roots_best), roots_best[1])
     return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
@@ -460,7 +461,7 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
     miss = float(np.abs(transfer_matrix(ElementaryOperator(d, *cert)) - transfer_matrix(t)).max())
     if miss > TOL * upper:
         raise NumericalError(f"certificate misses the map by {miss:.3e}")
-    lower = float(np.linalg.norm(_amplified_apply(_amplification_kernel(t.left, t.right), witness, d), 2))
+    lower = _lower_end(t, *witness)
     if lower > upper * (1 + TOL):
         raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
     return NormInterval(lower, upper, tuple(zip(*cert)), iterations,

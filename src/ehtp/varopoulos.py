@@ -104,11 +104,12 @@ def gram_factorize(u: VFunction) -> list[np.ndarray]:
     """Functions ``phi_i`` on the spectrum with ``u(s, t) = sum_i phi_i(s)
     conj(phi_i(t))``, from the eigendecomposition; eigenvalues up to
     ``CUTOFF`` times the largest are dropped.  Errors on a kernel that is not
-    positive semidefinite."""
-    if not is_positive_definite(u):
-        raise NumericalError("kernel is not positive semidefinite")
+    positive semidefinite, decided as :func:`is_positive_definite` does, from
+    the same decomposition."""
     evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
-    top = float(evals.max()) if evals.size else 0.0
+    if not u.is_hermitian or evals.min(initial=0.0) < -TOL * u.scale:
+        raise NumericalError("kernel is not positive semidefinite")
+    top = float(evals.max(initial=0.0))
     if top <= 0.0:
         return []
     keep = evals > CUTOFF * top

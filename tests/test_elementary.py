@@ -25,12 +25,18 @@ from ehtp.elementary import (
     unvec,
     vec,
 )
-from ehtp.elementary import _positive_samples
+from ehtp.elementary import _choi_spectrum, _data_scale, _positive_samples
 from ehtp.errors import (
+    CUTOFF,
+    TOL,
     BimoduleError,
     DimensionMismatchError,
     NotCompletelyPositiveError,
 )
+from ehtp.gamma import gamma
+from ehtp.groups import Character, make_cyclic_product
+from ehtp.measures import Measure
+from ehtp.representations import character_rep, regular_rep
 
 
 # independent oracle: vec(a x b) = (b^T (x) a) vec(x) in column-major stacking
@@ -300,6 +306,85 @@ class TestKraus:
         t = ElementaryOperator.from_terms(2, [(-np.eye(2), np.eye(2))])
         with pytest.raises(NotCompletelyPositiveError):
             strongly_independent_kraus(t)
+
+
+def _kraus_op(ks):
+    return ElementaryOperator(ks.shape[1], ks, ks.conj().transpose(0, 2, 1))
+
+
+def _spectrum_cases():
+    """Maps at d <= 8 for the factored Choi spectrum: (name, map)."""
+    rng = np.random.default_rng(26)
+
+    def rc(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    deficient = rc(3, 4, 4)
+    deficient[2] = deficient[0] - 2j * deficient[1]      # three terms, Kraus rank two
+    indefinite = rc(2, 3, 3)
+    z8, z7 = make_cyclic_product([8]), make_cyclic_product([7])
+    chars = character_rep(z7, [Character((7,), (k,)) for k in (0, 2, 3, 5)])
+    yield "no terms", ElementaryOperator.from_terms(3, [])
+    yield "d = 1, CP", _kraus_op(rc(2, 1, 1))
+    yield "d = 1, not CP", ElementaryOperator(1, -np.ones((1, 1, 1)), np.ones((1, 1, 1)))
+    yield "one term", _kraus_op(rc(1, 5, 5))
+    yield "2n < d^2", _kraus_op(rc(3, 5, 5))
+    yield "2n = d^2 + 1", _kraus_op(rc(5, 3, 3))
+    yield "2n > d^2", _kraus_op(rc(4, 2, 2))
+    yield "not Hermiticity-preserving", ElementaryOperator(4, rc(2, 4, 4), rc(2, 4, 4))
+    yield "Hermiticity-preserving, not CP", ElementaryOperator(
+        3, indefinite, np.array([1.0, -1.0])[:, None, None] * indefinite.conj().transpose(0, 2, 1))
+    yield "rank-deficient CP", _kraus_op(deficient)
+    for label, pi, g in (("regular", regular_rep(z8), z8), ("character", chars, z7)):
+        yield f"{label}, generic", gamma(pi, Measure(g, rc(g.order))).op
+        yield f"{label}, positive", gamma(pi, Measure(g, rng.random(g.order) + 0.05)).op
+
+
+class TestFactoredChoiSpectrum:
+    """The spectrum from the Choi factors against dense ``eigvalsh`` and
+    ``eigh`` of ``choi(t)``, which share nothing with it."""
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-12])
+    def test_matches_the_dense_spectrum(self, factor):
+        kinds = set()
+        for name, t in _spectrum_cases():
+            t = ElementaryOperator(t.dim, factor * t.left, t.right)
+            d2, scale = t.dim**2, _data_scale(t)
+            c = choi(t)
+            dense = np.linalg.eigvalsh((c + c.conj().T) / 2)
+            asym, evals, w, q = _choi_spectrum(t)
+            k = min(d2, 2 * t.n_terms)
+            assert evals.shape == (k,) and q.shape == (d2, k) and w.shape == (k, k), name
+            # the core eigenvalues, then d^2 - k exact zeros
+            full = np.sort(np.concatenate([evals, np.zeros(d2 - k)]))
+            assert np.abs(full - dense).max(initial=0.0) <= 1e-12 * scale, name
+            assert abs(asym - np.linalg.norm(c - c.conj().T)) <= 1e-12 * scale, name
+
+            cp = bool(np.linalg.norm(c - c.conj().T) <= TOL * scale
+                      and dense.min(initial=0.0) >= -TOL * scale)
+            assert is_completely_positive(t) is cp, name
+            if not cp:
+                with pytest.raises(NotCompletelyPositiveError):
+                    strongly_independent_kraus(t)
+                kinds.add("not CP")
+                continue
+            top = dense.max(initial=0.0)
+            count = 0 if top <= CUTOFF * scale else int(np.sum(dense > CUTOFF * top))
+            ks = strongly_independent_kraus(t)
+            assert len(ks) == count, name
+            # the kept part of the dense eigh rebuilds the same Kraus span
+            dense_vals, dense_vecs = np.linalg.eigh((c + c.conj().T) / 2)
+            kept = dense_vecs[:, dense_vals > CUTOFF * top] * np.sqrt(dense_vals[dense_vals > CUTOFF * top])
+            fast = np.stack([vec(m) for m in ks], axis=1) if ks else np.zeros((d2, 0))
+            assert np.abs(fast @ fast.conj().T - kept @ kept.conj().T).max(initial=0.0) <= 1e-12 * scale, name
+            kinds.add("no Kraus terms" if count == 0 else "CP")
+        assert kinds == {"not CP", "no Kraus terms", "CP"}
+
+    def test_rank_deficient_map_keeps_its_kraus_rank(self):
+        cases = dict(_spectrum_cases())
+        assert len(strongly_independent_kraus(cases["rank-deficient CP"])) == 2
+        assert len(strongly_independent_kraus(cases["regular, positive"])) == 8
+        assert strongly_independent_kraus(cases["no terms"]) == []
 
 
 class TestBimoduleSampling:

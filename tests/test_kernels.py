@@ -10,16 +10,26 @@ nothing from the fast paths they check.
 import numpy as np
 import pytest
 
-from ehtp.elementary import ElementaryOperator, apply, choi, is_diagonal_bimodule, schur_op, vec
-from ehtp.errors import TOL
+from ehtp.elementary import (
+    ElementaryOperator,
+    apply,
+    choi,
+    is_completely_positive,
+    is_diagonal_bimodule,
+    schur_op,
+    strongly_independent_kraus,
+    vec,
+)
+from ehtp.errors import TOL, NotCompletelyPositiveError
 from ehtp.gamma import (
     _tensor_conjugate_norm,
+    gamma,
     kernel_test_tensor_conjugate,
     schur_form,
     symbol_residual,
 )
 from ehtp.groups import from_cayley, make_cyclic_product
-from ehtp.hnorm import _amplification_kernel, _amplified_apply
+from ehtp.hnorm import _lower_end, haagerup_norm_bounds
 from ehtp.measures import Measure
 from ehtp.representations import (
     character_rep,
@@ -30,6 +40,7 @@ from ehtp.representations import (
     tensor_conjugate,
 )
 from ehtp.suites import kernel_measure, random_character, random_character_rep, s3_cayley
+from ehtp.varopoulos import equivalence_suite
 
 # (n_terms, d): empty term lists, d == 1, and the sizes in between
 SHAPES = [(0, 1), (0, 4), (1, 1), (3, 1), (1, 2), (4, 3), (7, 5), (2, 8), (12, 8)]
@@ -101,6 +112,22 @@ def oracle_tensor_conjugate_norm(pi, mu):
 def oracle_amplified_apply(lstack, rstack, x, d):
     out = np.einsum("nua,aibj,nbv->uivj", lstack, x.reshape(d, d, d, d), rstack, optimize=True)
     return out.reshape(d * d, d * d)
+
+
+def _amplification_kernel(lstack, rstack):
+    """The d^2 x d^2 matrix ``K[(u,v),(a,b)] = sum_n L_n[u,a] R_n[b,v]`` of
+    ``T (x) id_d``: one ``(d^2, n) @ (n, d^2)`` product, then a realignment."""
+    n, d, _ = lstack.shape
+    k = lstack.transpose(1, 2, 0).reshape(d * d, n) @ rstack.reshape(n, d * d)  # [(u,a),(b,v)]
+    return k.reshape(d, d, d, d).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+
+
+def _amplified_apply(kernel, x, d):
+    """``(T (x) id_d)(X)`` for X in block form ``X[(a,i),(b,j)]``: one product
+    of the kernel with the realignment ``X[(a,b),(i,j)]``."""
+    xr = x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    out = (kernel @ xr).reshape(d, d, d, d)        # [u, v, i, j]
+    return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 # -- apply and choi ------------------------------------------------------------
@@ -190,8 +217,16 @@ def test_symbol_residual_matches_unit_loop(case):
 # -- the amplified map in the cb-norm lower bound ----------------------------------
 
 
+def _isometry(rng, rows, cols):
+    q, _ = np.linalg.qr(_rc(rng, rows, cols))
+    return q
+
+
 @pytest.mark.parametrize("n,d", SHAPES)
 def test_amplified_apply_matches_einsum(n, d):
+    # the dense kernel form against the einsum, then the factored lower end
+    # ||(T (x) id)(X) eta|| of hnorm against both, for a partial isometry
+    # X = xa xb* of rank r and a unit eta = ravel(root)
     rng = np.random.default_rng([n, d, 5])
     left, right = _rc(rng, n, d, d), _rc(rng, n, d, d)
     forward = _amplification_kernel(left, right)
@@ -200,6 +235,62 @@ def test_amplified_apply_matches_einsum(n, d):
         x = _rc(rng, d * d, d * d)
         assert _close(_amplified_apply(forward, x, d), oracle_amplified_apply(left, right, x, d))
         assert _close(_amplified_apply(backward, x, d), oracle_amplified_apply(right, left, x, d))
+    t = ElementaryOperator(d, left, right)
+    for r in sorted({1, min(d, 3), d}):
+        xa, xb = _isometry(rng, d * d, r), _isometry(rng, d * d, r)
+        root = _rc(rng, d, d)
+        root /= np.linalg.norm(root)
+        x = xa @ xb.conj().T
+        image = oracle_amplified_apply(left, right, x, d)
+        dense = float(np.linalg.norm(image @ root.ravel()))
+        assert np.linalg.norm(_amplified_apply(forward, x, d) @ root.ravel()) == pytest.approx(dense, rel=1e-12)
+        fast = _lower_end(t, xa, xb, root)
+        assert abs(fast - dense) <= 1e-12 * dense
+        assert fast <= float(np.linalg.norm(image, 2)) * (1 + 1e-12)
+
+
+# -- a size guard on the CP, Kraus and norm paths ----------------------------------
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The shapes of the arrays handed to ``numpy.linalg`` ``eigh``,
+    ``eigvalsh``, ``svd`` and ``norm(., 2)``."""
+    shapes = []
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        def recorded(a, *args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            if _name != "norm" or (args[0] if args else kwargs.get("ord")) == 2:
+                shapes.append(np.shape(a))
+            return _inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes
+
+
+def test_no_spectral_decision_decomposes_a_large_matrix(decomposed):
+    # the regular rep of Z_16 has n = d = 16 terms: every Choi matrix and
+    # amplified image is 256 x 256 of rank at most 2n, and no matrix with
+    # both sides above 2n = 32 may be decomposed
+    g = make_cyclic_product([16])
+    pi = regular_rep(g)
+    diag = diagonalize(pi)
+    rng = np.random.default_rng(8)
+    verdicts = []
+    for mu in (Measure(g, _rc(rng, 16)), Measure(g, rng.random(16) + 0.05)):
+        op = gamma(pi, mu).op
+        verdicts.append(is_completely_positive(op))
+        if verdicts[-1]:
+            assert len(strongly_independent_kraus(op)) == 16
+        else:
+            with pytest.raises(NotCompletelyPositiveError):
+                strongly_independent_kraus(op)
+        assert equivalence_suite(diag, mu, trials=20).completely_positive is verdicts[-1]
+        interval = haagerup_norm_bounds(op)
+        assert interval.lower == pytest.approx(mu.norm, rel=1e-12)
+        assert interval.upper == pytest.approx(mu.norm, rel=1e-12)
+    assert verdicts == [False, True]
+    matrices = [shape for shape in decomposed if len(shape) >= 2]
+    assert matrices
+    assert max(min(shape[-2:]) for shape in matrices) <= 32
 
 
 # -- the tensor-conjugate kernel predicate -----------------------------------------

@@ -322,8 +322,8 @@ class TestSchurPath:
         solve = hnorm._factorization_sdp
 
         def inflated(left, right, cap):
-            cert_left, cert_right, witness, iterations, trace = solve(left, right, cap)
-            return cert_left, cert_right, 2 * witness, iterations, trace
+            cert_left, cert_right, (xa, xb, root), iterations, trace = solve(left, right, cap)
+            return cert_left, cert_right, (2 * xa, xb, root), iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", inflated)
         with pytest.raises(NumericalError):

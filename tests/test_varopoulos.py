@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ehtp import elementary
-from ehtp.elementary import strongly_independent_kraus
-from ehtp.errors import TOL, GroupMismatchError, NumericalError
+from ehtp.elementary import is_completely_positive, strongly_independent_kraus
+from ehtp.errors import TOL, GroupMismatchError, NotCompletelyPositiveError, NumericalError
 from ehtp.gamma import gamma
 from ehtp.hnorm import haagerup_norm_bounds
 from ehtp.groups import Character, make_cyclic_product
@@ -144,6 +144,27 @@ class TestGramFactorization:
         with pytest.raises(NumericalError):
             gram_factorize(VFunction(diag.spectrum, np.diag([1.0, -1.0])))
 
+    @pytest.mark.parametrize("psd", [True, False])
+    def test_one_decomposition_per_call(self, monkeypatch, psd):
+        # the PSD verdict comes from the same eigh that gives the factors;
+        # delta_0 - delta_1 - delta_6 gives a Hermitian kernel that is not PSD
+        g, diag = _spectrum(7, [0, 2, 3, 5])
+        weights = np.linspace(1.0, 2.0, 7) if psd else np.array([1.0, -1, 0, 0, 0, 0, -1])
+        u = from_measure(diag, Measure(g, weights))
+        assert u.is_hermitian
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "cholesky"):
+            def counted(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        if psd:
+            assert len(gram_factorize(u)) == 4
+        else:
+            with pytest.raises(NumericalError):
+                gram_factorize(u)
+        assert calls == ["eigh"]
+
     def test_empty_factorization_for_the_zero_kernel(self):
         _, diag = _spectrum(5, [0, 1])
         assert gram_factorize(VFunction(diag.spectrum, np.zeros((2, 2)))) == []
@@ -265,6 +286,17 @@ class TestChoiBuilds:
         interval = haagerup_norm_bounds(gamma(pi, mu).op)
         assert interval.lower == interval.upper == pytest.approx(mu.norm)
         assert len(builds) <= 2
+
+
+    def test_not_cp_verdict_builds_none(self, builds):
+        # the verdict comes from the factored Choi spectrum; a dense Choi
+        # matrix is built only for the reconstruction gate of a CP map
+        pi, _, _ = self._regular_z8()
+        op = gamma(pi, Measure(pi.group, np.linspace(-1.0, 2.0, 8))).op
+        assert not is_completely_positive(op)
+        with pytest.raises(NotCompletelyPositiveError):
+            strongly_independent_kraus(op)
+        assert builds == []
 
 
 class TestVFunctionContainer:
