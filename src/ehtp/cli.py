@@ -396,7 +396,7 @@ EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
 
 
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=True)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _summary(records: list[dict]) -> dict:

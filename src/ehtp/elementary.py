@@ -229,21 +229,24 @@ def _choi_spectrum(t: ElementaryOperator) -> tuple[float, np.ndarray, np.ndarray
     """The spectrum of the Choi matrix ``C = V_L V_R`` from its factors, where
     ``V_L`` has columns ``vec(left_i)`` and ``V_R`` rows ``right_i.ravel()``.
 
-    A thin QR of ``[V_L, V_R*]`` gives orthonormal columns Q, k = min(d^2, 2n)
-    of them, whose span holds the ranges of C and C*, so ``C = Q core Q*``
-    with the k x k ``core = Q* V_L V_R Q``.  Returns the Hermiticity
-    residual ``||core - core*||_F = ||C - C*||_F``, then the eigenvalues
-    (ascending) and eigenvectors w of the core's Hermitian part, and Q: the
-    eigenvectors of the Hermitian part of C are ``Q w``, and its other
-    d^2 - k eigenvalues are exact zeros.  Nothing larger than d^2 x k is
-    formed, and only the k x k core is decomposed."""
+    When 2n < d^2, a thin QR of ``[V_L, V_R*]`` gives orthonormal columns Q,
+    k = 2n of them, whose span holds the ranges of C and C*, so
+    ``C = Q core Q*`` with the k x k ``core = Q* V_L V_R Q``; otherwise
+    Q = I, k = d^2 and the core is C itself, one product of the factors.
+    Returns the Hermiticity residual ``||core - core*||_F = ||C - C*||_F``,
+    then the eigenvalues (ascending) and eigenvectors w of the core's
+    Hermitian part, and Q: the eigenvectors of the Hermitian part of C are
+    ``Q w``, and its other d^2 - k eigenvalues are exact zeros.  Nothing
+    larger than d^2 x max(k, n) is formed, and only the k x k core is
+    decomposed."""
     n, d = t.n_terms, t.dim
     vl = t.left.transpose(0, 2, 1).reshape(n, d * d).T
     vr = t.right.reshape(n, d * d)
-    # when 2n >= d^2 any unitary Q will do, and the QR of the first d^2
-    # columns gives one without running Householder steps over all 2n
-    q, _ = np.linalg.qr(np.concatenate([vl, vr.conj().T], axis=1)[:, :d * d])
-    core = (q.conj().T @ vl) @ (vr @ q)
+    if 2 * n >= d * d:
+        q, core = np.eye(d * d), vl @ vr
+    else:
+        q, _ = np.linalg.qr(np.concatenate([vl, vr.conj().T], axis=1))
+        core = (q.conj().T @ vl) @ (vr @ q)
     evals, w = np.linalg.eigh((core + core.conj().T) / 2)
     return float(np.linalg.norm(core - core.conj().T)), evals, w, q
 
@@ -259,9 +262,9 @@ def is_completely_positive(t: ElementaryOperator, tol: float = TOL) -> bool:
     Hermitian to ``tol * scale``, with smallest eigenvalue ``>= -tol * scale``,
     at the data scale ``scale = sum_i ||a_i||_F ||b_i||_F``.  A map that is
     zero up to cancellation noise is completely positive.  The spectrum is
-    taken from the factors of the Choi matrix, on a core of size at most
-    2n x 2n for n terms (Choi: the Kraus rank is the rank of the Choi
-    matrix), so no d^2 x d^2 matrix is built or decomposed."""
+    taken from the factors of the Choi matrix, on a core of size
+    min(d^2, 2n) for n terms (Choi: the Kraus rank is the rank of the Choi
+    matrix), so no matrix larger than 2n x 2n is decomposed."""
     asym, evals, _, _ = _choi_spectrum(t)
     return _is_cp_spectrum(asym, evals, _data_scale(t), tol)
 
@@ -271,7 +274,7 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     independent (strongly independent) Kraus elements.
 
     Taken from one eigendecomposition of the factored Choi spectrum, on a
-    core of size at most 2n x 2n for n terms, which also decides complete
+    core of size min(d^2, 2n) for n terms, which also decides complete
     positivity as :func:`is_completely_positive` does.  A map whose largest
     Choi eigenvalue is at most ``CUTOFF`` times the data scale
     ``sum_i ||a_i||_F ||b_i||_F`` is zero up to rounding and keeps no terms.
@@ -280,10 +283,10 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     and Gram families of one map have the same size.  The surviving
     vectorized elements are orthogonal with norms ``sqrt(lambda_i)``, so the
     family is automatically strongly independent.
-    Raises for a map that is not completely positive, before any d^2 x d^2
-    matrix is built; otherwise verifies the reconstruction on all matrix
-    units, as the largest entry of the difference of the dense Choi
-    matrices, to ``TOL`` times the data scale.
+    Raises for a map that is not completely positive before the dense Choi
+    matrices of the reconstruction gate are built; otherwise verifies the
+    reconstruction on all matrix units, as the largest entry of the
+    difference of the dense Choi matrices, to ``TOL`` times the data scale.
     """
     scale = _data_scale(t)
     asym, evals, w, q = _choi_spectrum(t)

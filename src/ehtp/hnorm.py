@@ -24,15 +24,23 @@ and r = |G| for the regular representation.
 
 A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector; Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the
-pair.  In standard form the variable is one block-diagonal Hermitian matrix
-``diag(rho, sigma, W)`` of size 2d + 2r, with m = 2r^2 + 1 constraints
-``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and
-the objective is ``-2 Re tr W_12``.  The multipliers of the last two are P
-and Q.  The families are first balanced, so that the raw gauge of the pruned
-terms is the identity and both of its factors are 1.  The m x m Newton
-matrix is assembled from products of the families with the blocks of X and
-Z^-1, never from m dense constraint matrices, and solved in real
-coordinates.  Both ends are certified:
+pair.  In standard form the variable is ``diag(rho, sigma, W)`` of size
+2d + 2r, with m = 2r^2 + 1 constraints ``tr rho + tr sigma = 1``,
+``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and the objective is
+``-2 Re tr W_12``.  The multipliers of the last two are P and Q.  The
+families are first balanced, so that the raw gauge of the pruned terms is
+the identity and both of its factors are 1.  The m x m Newton matrix is
+assembled from products of the families with the blocks of X and Z^-1.
+One iteration serves two forms, chosen from the terms as given.  Maps whose
+terms are all exactly zero off the diagonal (Γ images of character
+representations, ``schur_op``) are pruned on their diagonals and take the
+**diagonal form**: their optimal states are diagonal, the dual being
+Haagerup's ``max_{p,q} ||D_p^(1/2) S D_q^(1/2)||_1`` (V. Paulsen,
+*Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8), so rho
+and sigma are LP blocks beside the SDP block W (as in SDPT3: Toh, Todd and
+Tütüncü, Optim. Methods Softw. 11, 1999), and the Newton assembly costs
+r^4 d, not r^4 d^2.  Every other map takes the **factorization form**, one
+Hermitian block.  Both ends are certified:
 
 * upper: the factorization value of the rewriting at the dual iterate's
   gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
@@ -56,12 +64,10 @@ coordinates.  Both ends are certified:
 The solve starts from ``rho = sigma = I/2d``; for the regular representation
 of any group these maximally mixed states already attain ``||mu||_1``, the
 value of the raw gauge, so the bracket closes before a Newton system is
-formed.  It stops at a certified relative gap of 1e-12, or when the Cholesky
+formed.  It stops at a certified relative gap of 1e-12, or when a Cholesky
 factorization or the Newton solve fails, and returns the best certified
-pair.  Schur multipliers (character representations, ``schur_op``) take
-this path like every other map.  A bracket that crosses by more than
-``TOL`` relative, or a certificate that does not rebuild the map, raises
-:class:`NumericalError`.
+pair.  A crossed bracket (by more than ``TOL`` relative) or a certificate
+that does not rebuild the map raises :class:`NumericalError`.
 
 ``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
 with T on the indices a and b.
@@ -126,13 +132,25 @@ def prune_terms(t: ElementaryOperator) -> ElementaryOperator:
     A dependent left family is compressed through its SVD (folding the
     coefficients into the right family), then the same on the right.  The
     second pass keeps the left family independent because it mixes it through
-    a matrix of orthonormal columns.
+    a matrix of orthonormal columns.  When every term is exactly diagonal only
+    the diagonals are compressed, so the pruned terms are exactly diagonal.
     """
     left, right = _drop_zero_terms(t.left, t.right)
-    if left.shape[0]:
-        left, right = _compress(left, right)
-        right, left = _compress(right, left)
-    return ElementaryOperator(t.dim, left, right)
+    n, d = left.shape[0], t.dim
+    cols = slice(None, None, d + 1) if _is_diagonal(t) else slice(None)
+    flat_l, flat_r = left.reshape(n, d * d)[:, cols], right.reshape(n, d * d)[:, cols]
+    if n:
+        flat_l, flat_r = _compress(flat_l, flat_r)
+        flat_r, flat_l = _compress(flat_r, flat_l)
+    out = np.zeros((2, flat_l.shape[0], d * d), dtype=np.complex128)
+    out[:, :, cols] = flat_l, flat_r
+    return ElementaryOperator(d, *out.reshape(2, -1, d, d))
+
+
+def _is_diagonal(t: ElementaryOperator) -> bool:
+    """True iff every left and right term has exact zeros off the diagonal."""
+    off = ~np.eye(t.dim, dtype=bool)
+    return not (t.left[:, off].any() or t.right[:, off].any())
 
 
 def _drop_zero_terms(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +161,10 @@ def _drop_zero_terms(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _compress(primary: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, d, _ = primary.shape
-    mat = primary.reshape(n, d * d).T  # columns are the flattened terms
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    """Independent rows for the flattened terms ``primary``, folding the coefficients into ``partner``."""
+    u, s, vh = np.linalg.svd(primary.T, full_matrices=False)
     rank = int(np.sum(s > CUTOFF * s[0])) if s.size else 0
-    new_primary = (u[:, :rank] * s[:rank]).T.reshape(rank, d, d)
-    new_partner = np.einsum("ki,iab->kab", vh[:rank], partner)
-    return new_primary, new_partner
+    return (u[:, :rank] * s[:rank]).T, vh[:rank] @ partner
 
 
 def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +177,10 @@ def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _certificate(left: np.ndarray, right: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rewriting at gauge P: ``v_j = sum_i a_i (P^1/2)_ij`` and
     ``w_j = sum_i (P^-1/2)_ji b_i``, so that ``sum_j v_j x w_j = T(x)``."""
+    r, d, _ = left.shape
     phalf, pneghalf = _sqrt_pair(p)
-    return np.einsum("iab,ij->jab", left, phalf), np.einsum("ji,iab->jab", pneghalf, right)
+    return ((phalf.T @ left.reshape(r, d * d)).reshape(r, d, d),
+            (pneghalf @ right.reshape(r, d * d)).reshape(r, d, d))
 
 
 def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
@@ -187,150 +204,214 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
 # the dual is ``min y_0`` with slack ``Z = A*(y) - C >= 0``.  A multiplier
 # vector y holds y_0, then P and Q row by row; A and A* are extended
 # complex-linearly, and Hermitian P and Q are the real multipliers.
+#
+# X, Z and their steps are lists of SDP blocks (Hermitian matrices) and LP blocks
+# (real vectors: diagonal blocks).  A form supplies the blocks, A, A*, the state
+# part of the Newton matrix, the spreads and the states; the iteration is shared.
 
-def _states(x: np.ndarray, d: int) -> np.ndarray:
-    """The rho and sigma blocks of X, stacked."""
-    return np.stack([x[:d, :d], x[d:2 * d, d:2 * d]])
-
-
-def _compressed(fam: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``R_s(K_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* K_s F[s, i])``."""
-    r = fam.shape[1]
-    return np.conj(fam.reshape(2, r, -1)) @ (k[:, None] @ fam).reshape(2, r, -1).transpose(0, 2, 1)
+def _sym(block: np.ndarray) -> np.ndarray:
+    return block if block.ndim == 1 else (block + block.conj().T) / 2
 
 
-def _spread(fam: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
-    _, r, d, _ = fam.shape
-    mixed = (e.transpose(0, 2, 1) @ fam.reshape(2, r, d * d)).reshape(2, r, d, d)  # [s, j] = sum_i E_s[i, j] F[s, i]
-    cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
-    return mixed.transpose(0, 2, 1, 3).reshape(2, d, r * d) @ cat.conj().transpose(0, 2, 1)
+def _sym_product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return a * b * c if a.ndim == 1 else _sym(a @ b @ c)
+
+
+def _step(x: list, alpha: float, dx: list) -> list:
+    return [a + alpha * b for a, b in zip(x, dx)]
+
+
+def _barrier(x: list, z: list) -> tuple[list, list]:
+    """Per block, X and Z stacked (LP) or the inverses of their Cholesky factors
+    (SDP), and ``G = Z^-1``; raises ``LinAlgError`` unless both are positive."""
+    frames = [np.stack([a, b]) if a.ndim == 1 else np.linalg.inv(np.linalg.cholesky(np.stack([a, b])))
+              for a, b in zip(x, z)]
+    if not all(np.all(f > 0) for f in frames if f.ndim == 2):
+        raise np.linalg.LinAlgError("an LP block left the positive orthant")
+    return frames, [1 / f[1] if f.ndim == 2 else f[1].conj().T @ f[1] for f in frames]
+
+
+def _max_steps(frames: list, dx: list, dz: list) -> np.ndarray:
+    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``: a ratio
+    test on LP blocks, the lowest eigenvalue of the step in its frame on SDP blocks."""
+    low = np.min([(np.stack([a, b]) / f).min(axis=1) if a.ndim == 1 else
+                  np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().transpose(0, 2, 1))[:, 0]
+                  for f, a, b in zip(frames, dx, dz)], axis=0)
+    return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
 
 
 def _transposition(r: int) -> np.ndarray:
-    """The index map t of a multiplier vector with ``y[t]`` holding y_0 and
-    the transposes of P and Q, so that Hermitian P and Q have
-    ``y[t] = conj(y)``."""
+    """The index map t with ``y[t]`` holding y_0 and the transposes of P and
+    Q, so that Hermitian P and Q have ``y[t] = conj(y)``."""
     swap = np.arange(r * r).reshape(r, r).T.ravel()
     return np.concatenate([[0], 1 + swap, 1 + r * r + swap])
 
 
-def _gauge_value(fam: np.ndarray, p: np.ndarray) -> float:
-    """The factorization value ``||R_0*(P)||^(1/2) ||R_1*(P^-1)||^(1/2)`` of
-    the rewriting at gauge P (see ``_certificate``), read off the spreads
-    without forming the rewriting."""
-    top = np.linalg.eigvalsh(_spread(fam, np.stack([p, np.linalg.inv(p)])))[:, -1]
-    return float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
+def _w_dual(pq: np.ndarray) -> np.ndarray:
+    """The W block of ``A*(y)``, ``diag(P, Q)``."""
+    r = pq.shape[1]
+    w = np.zeros((2 * r, 2 * r), dtype=np.complex128)
+    w[:r, :r], w[r:, r:] = pq
+    return w
 
 
-def _constraint_values(k: np.ndarray, fam: np.ndarray, d: int) -> np.ndarray:
-    r = fam.shape[1]
-    states = _states(k, d)
-    w = k[2 * d:, 2 * d:].reshape(2, r, 2, r)[[0, 1], :, [0, 1], :]    # W_11, W_22
-    return np.concatenate([[np.trace(states, axis1=1, axis2=2).sum()],
-                           (w - _compressed(fam, states)).ravel()])
-
-
-def _dual_matrix(y: np.ndarray, fam: np.ndarray, d: int) -> np.ndarray:
-    """``A*(y) = diag(y_0 I - R_0*(P), y_0 I - R_1*(Q), diag(P, Q))``."""
-    r = fam.shape[1]
-    pq = y[1:].reshape(2, r, r)
-    spread = y[0] * np.eye(d) - _spread(fam, pq)
-    z = np.zeros((2 * d + 2 * r, 2 * d + 2 * r), dtype=np.complex128)
-    z[:d, :d], z[d:2 * d, d:2 * d] = spread
-    z[2 * d:2 * d + r, 2 * d:2 * d + r], z[2 * d + r:, 2 * d + r:] = pq
-    return z
-
-
-def _newton_matrix(x: np.ndarray, g: np.ndarray, fam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
-    assembled block by block on complex multiplier vectors and returned in
-    real coordinates.
-
-    Without the symmetrization the (l,k),(i,j) entry of side s is
-    ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
-    ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
-    and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
-    each block conjugated with its index pairs transposed.  A real vector k
-    stands for the multiplier ``((1+i) k + (1-i) k[t]) / 2``, whose P and Q
-    are ``sym(K) + i asym(K)``, and an output h is read back as
-    ``Re h + Im h``; composed with these two maps the complex matrix M becomes
-    the real matrix ``Re M + Im M[:, t]`` of the same size."""
-    _, r, d, _ = fam.shape
-    rr = r * r
-    xs, gs = _states(x, d), _states(g, d)
-    cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
-    cath = cat.conj().transpose(0, 2, 1)
-    fx = (cath @ xs @ cat).reshape(2, r, d, r, d)        # [s, l, p, i, q]
-    fg = (cath @ gs @ cat).reshape(2, r, d, r, d)        # [s, j, q, k, p]
-    c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, rr, d * d)
-         @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, rr)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
-    c = c.transpose(0, 1, 4, 2, 3)                       # [s, l, k, i, j]
-    c = ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, rr, rr)
-    h = xs @ gs
-    h = (h + h.conj().transpose(0, 2, 1)) / 2
-    column = -_compressed(fam, h).ravel()
+def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -> np.ndarray:
+    """The complex Newton matrix from the forms' state part (corner, first
+    column, r^2 x r^2 diagonal blocks c) and the W blocks of X and G."""
+    rr, r = c.shape[1], xw.shape[0] // 2
     m = np.zeros((2 * rr + 1, 2 * rr + 1), dtype=np.complex128)
-    m[0, 0] = np.trace(h, axis1=1, axis2=2).real.sum()
+    m[0, 0] = corner
     m[1:, 0], m[0, 1:] = column, np.conj(column)
     m[1:rr + 1, 1:rr + 1], m[rr + 1:, rr + 1:] = c
-    # the W blocks: entry [(a,b),(c,e)] is X[a,c] G[e,b], symmetrized as above
-    xw = x[2 * d:, 2 * d:].reshape(2, r, 2, r)
-    gw = g[2 * d:, 2 * d:].T.reshape(2, r, 2, r)
-    w = xw[:, :, None, :, :, None] * gw[:, None, :, :, None, :]     # [s, a, b, s', c, e]
+    # the W blocks: entry [(a,b),(c,e)] is X[a,c] G[e,b], symmetrized
+    w = xw.reshape(2, r, 2, r)[:, :, None, :, :, None] * gw.T.reshape(2, r, 2, r)[:, None, :, :, None, :]
     m[1:, 1:] += ((w + np.conj(w.transpose(0, 2, 1, 3, 5, 4))) / 2).reshape(2 * rr, 2 * rr)
-    return m.real + m[:, t].imag
+    return m
 
 
-def _max_steps(inv: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``,
-    given the inverses of the Cholesky factors of X and Z stacked in ``inv``."""
-    low = np.linalg.eigvalsh(inv @ np.stack([dx, dz]) @ inv.conj().transpose(0, 2, 1))[:, 0]
-    return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
+def _kept_roots(w: np.ndarray, mu: float) -> np.ndarray:
+    """Roots of the state weights w (a row per side) normalized to sum 1, without
+    those below ``sqrt(mu)``, except the largest: on the central path
+    ``X Z = mu I`` they are where X is smaller than Z, and vanish at the optimum."""
+    w = np.where(w >= np.minimum(np.sqrt(mu), w.max(axis=1, keepdims=True)), w, 0.0)
+    return np.sqrt(w / w.sum(axis=1, keepdims=True))
 
 
-def _hkm_direction(x: np.ndarray, g: np.ndarray, newton: np.ndarray, rhs: np.ndarray,
-                   target: np.ndarray, fam: np.ndarray, t: np.ndarray):
-    """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
-    in the real coordinates of ``_newton_matrix``, given
-    ``rhs = A(target) - rp``."""
-    k = np.linalg.solve(newton, rhs.real + rhs.imag)
-    dy = ((1 + 1j) * k + (1 - 1j) * k[t]) / 2
-    dz = _dual_matrix(dy, fam, fam.shape[2])
-    k = x @ dz @ g
-    dx = target - (k + k.conj().T) / 2
-    return (dx + dx.conj().T) / 2, dy, dz
-
-
-def _state_roots(x: np.ndarray, d: int, mu: float) -> np.ndarray:
-    """Factors L_s, stacked, with ``L_s L_s*`` the states of X normalized to
-    trace 1, after dropping the eigenvalues below ``sqrt(mu)``; the largest
-    is always kept.  On the central path ``X Z = mu I`` those are the
-    directions where X is smaller than Z, which vanish at the optimum."""
-    w, v = np.linalg.eigh(_states(x, d))
-    w = np.where(w >= np.minimum(np.sqrt(mu), w[:, -1:]), w, 0.0)
-    return v * np.sqrt(w / w.sum(axis=1, keepdims=True))[:, None, :]
-
-
-def _polar_core(fam: np.ndarray, roots: np.ndarray):
-    """QR factors of the d^2 x r families ``vec(a_i* L_0)`` and
-    ``vec(b_i L_1)``, and the r x r core ``C = R_b R_a*``, so that
-    ``G = sum_i vec(b_i L_1) vec(a_i* L_0)* = Q_b C Q_a*``.  The trace norm
-    of C is ``||R_0(rho)^1/2 R_1(sigma)^1/2||_1`` for ``rho = L_0 L_0*`` and
-    ``sigma = L_1 L_1*``, computed from the factors and never from their
-    squares, so small eigenvalues of the states lose no accuracy."""
-    _, r, d, _ = fam.shape
-    vecs = (fam.conj().transpose(0, 1, 3, 2) @ roots[:, None]).reshape(2, r, d * d).transpose(0, 2, 1)
+def _polar_core(vecs: np.ndarray):
+    """QR factors of the families ``vec(a_i* L_0)`` and ``vec(b_i L_1)`` (the
+    columns of ``vecs``) and the core ``C = R_b R_a*``, so that ``G = Q_b C Q_a*``.
+    The trace norm of C is ``||R_0(rho)^1/2 R_1(sigma)^1/2||_1`` for
+    ``rho = L_0 L_0*``, ``sigma = L_1 L_1*``, and never squares a state root."""
     q, tri = np.linalg.qr(vecs)
     return q[0], q[1], tri[1] @ tri[0].conj().T
 
 
-def _polar_contraction(fam: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The d^2 x r factors xa and xb of the partial isometry ``X = xa xb*``
-    with ``tr(X G) = ||G||_1``; X itself is never formed."""
-    qa, qb, core = _polar_core(fam, roots)
-    u, _, vh = np.linalg.svd(core)
-    return qa @ vh.conj().T, qb @ u
+class _FactorizationForm:
+    """X = diag(rho, sigma, W) as one SDP block of size 2d + 2r."""
+
+    def __init__(self, fam: np.ndarray):
+        self.fam, (_, self.r, self.d, _) = fam, fam.shape
+        self.c = [np.zeros((2 * self.d + 2 * self.r,) * 2, dtype=np.complex128)]
+        self.c[0][2 * self.d:, 2 * self.d:] = np.kron([[0, -1], [-1, 0]], np.eye(self.r))
+
+    def _states(self, k: np.ndarray) -> np.ndarray:
+        """The rho and sigma blocks of K, stacked."""
+        return np.stack([k[:self.d, :self.d], k[self.d:2 * self.d, self.d:2 * self.d]])
+
+    def _compressed(self, k: np.ndarray) -> np.ndarray:
+        """``R_s(K_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* K_s F[s, i])``."""
+        fam, r = self.fam, self.r
+        return np.conj(fam.reshape(2, r, -1)) @ (k[:, None] @ fam).reshape(2, r, -1).transpose(0, 2, 1)
+
+    def _spread(self, e: np.ndarray) -> np.ndarray:
+        """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
+        fam, r, d = self.fam, self.r, self.d
+        mixed = (e.transpose(0, 2, 1) @ fam.reshape(2, r, d * d)).reshape(2, r, d, d)  # [s, j] = sum_i E_s[i, j] F[s, i]
+        cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
+        return mixed.transpose(0, 2, 1, 3).reshape(2, d, r * d) @ cat.conj().transpose(0, 2, 1)
+
+    def values(self, x: list) -> np.ndarray:
+        """``A(X)``."""
+        states = self._states(x[0])
+        w = x[0][2 * self.d:, 2 * self.d:].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :]  # W_11, W_22
+        return np.concatenate([[np.trace(states, axis1=1, axis2=2).sum()],
+                               (w - self._compressed(states)).ravel()])
+
+    def adjoint(self, y: np.ndarray) -> list:
+        """``A*(y) = diag(y_0 I - R_0*(P), y_0 I - R_1*(Q), diag(P, Q))``."""
+        d, r = self.d, self.r
+        pq = y[1:].reshape(2, r, r)
+        z = np.zeros((2 * d + 2 * r, 2 * d + 2 * r), dtype=np.complex128)
+        z[:d, :d], z[d:2 * d, d:2 * d] = y[0] * np.eye(d) - self._spread(pq)
+        z[2 * d:, 2 * d:] = _w_dual(pq)
+        return [z]
+
+    def newton(self, x: list, g: list) -> np.ndarray:
+        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``.
+        Without the symmetrization the (l,k),(i,j) entry of side s is
+        ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
+        ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
+        and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
+        each block conjugated with its index pairs transposed."""
+        fam, r, d = self.fam, self.r, self.d
+        rr = r * r
+        xs, gs = self._states(x[0]), self._states(g[0])
+        cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
+        cath = cat.conj().transpose(0, 2, 1)
+        fx = (cath @ xs @ cat).reshape(2, r, d, r, d)        # [s, l, p, i, q]
+        fg = (cath @ gs @ cat).reshape(2, r, d, r, d)        # [s, j, q, k, p]
+        c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, rr, d * d)
+             @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, rr)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
+        c = c.transpose(0, 1, 4, 2, 3)                       # [s, l, k, i, j]
+        c = ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, rr, rr)
+        h = xs @ gs
+        h = (h + h.conj().transpose(0, 2, 1)) / 2
+        return _newton_assembly(np.trace(h, axis1=1, axis2=2).real.sum(), -self._compressed(h).ravel(),
+                                c, x[0][2 * d:, 2 * d:], g[0][2 * d:, 2 * d:])
+
+    def spread_tops(self, e: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self._spread(e))[:, -1]
+
+    def state_roots(self, x: list, mu: float) -> np.ndarray:
+        """Factors L_s, stacked, with ``L_s L_s*`` the kept states of X."""
+        w, v = np.linalg.eigh(self._states(x[0]))
+        return v * _kept_roots(w, mu)[:, None, :]
+
+    def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
+        """The d^2 x r families ``vec(a_i* L_0)`` and ``vec(b_i L_1)``, stacked."""
+        fam, r, d = self.fam, self.r, self.d
+        return (fam.conj().transpose(0, 1, 3, 2) @ roots[:, None]).reshape(2, r, d * d).transpose(0, 2, 1)
+
+    def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
+        return xa, xb, roots[1]
+
+
+class _DiagonalForm:
+    """X = (diag(rho), diag(sigma) as one LP block of length 2d; W) for families
+    ``F[s, i] = diag(f_si)``.  With ``K_s[(l, k), p] = conj(f_sl(p)) f_sk(p)``,
+    ``R_s(p)`` raveled is ``K_s p``, the diagonal of ``R_s*(E)`` is ``K_s* vec(E)``
+    and the state part of the Newton matrix is ``K_s diag(x_s / z_s) K_s*``."""
+
+    def __init__(self, fam: np.ndarray):
+        _, self.r, self.d, _ = fam.shape
+        self.vecs = np.diagonal(fam, axis1=2, axis2=3)     # [s, i, p] = f_si(p)
+        self.k = (self.vecs.conj()[:, :, None, :] * self.vecs[:, None, :, :]).reshape(2, self.r ** 2, self.d)
+        self.kh = self.k.conj().transpose(0, 2, 1)
+        self.c = [np.zeros(2 * self.d), np.kron([[0, -1], [-1, 0]], np.eye(self.r))]
+
+    def _spread(self, e: np.ndarray) -> np.ndarray:
+        """The diagonals of ``R_s*(E_s)``, one row per side."""
+        return (self.kh @ e.reshape(2, -1, 1))[..., 0].real
+
+    def values(self, x: list) -> np.ndarray:
+        w = x[1].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :].reshape(2, -1, 1)  # W_11, W_22
+        return np.concatenate([[x[0].sum()], (w - self.k @ x[0].reshape(2, self.d, 1)).ravel()])
+
+    def adjoint(self, y: np.ndarray) -> list:
+        pq = y[1:].reshape(2, self.r, self.r)
+        return [(y[0].real - self._spread(pq)).ravel(), _w_dual(pq)]
+
+    def newton(self, x: list, g: list) -> np.ndarray:
+        h = (x[0] * g[0]).reshape(2, self.d, 1)
+        return _newton_assembly(h.sum(), -(self.k @ h).ravel(), (self.k * h.transpose(0, 2, 1)) @ self.kh,
+                                x[1], g[1])
+
+    def spread_tops(self, e: np.ndarray) -> np.ndarray:
+        return self._spread(e).max(axis=1)
+
+    def state_roots(self, x: list, mu: float) -> np.ndarray:
+        """The diagonals of the factors L_s, one row per side."""
+        return _kept_roots(x[0].reshape(2, self.d), mu)
+
+    def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
+        """The d nonzero rows (p, p) of ``vec(a_i* L_0)`` and ``vec(b_i L_1)``."""
+        return (self.vecs.conj() * roots[:, None, :]).transpose(0, 2, 1)
+
+    def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
+        """The witness in d^2 coordinates: row p of a factor is row (p, p)."""
+        full = np.zeros((2, self.d ** 2, self.r), dtype=np.complex128)
+        full[:, ::self.d + 1] = xa, xb
+        return full[0], full[1], np.diag(roots[1])
 
 
 def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.ndarray) -> float:
@@ -346,33 +427,45 @@ def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.n
     return float(np.linalg.norm(t.left.transpose(1, 0, 2).reshape(d, n * d) @ images))
 
 
-def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float):
+def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, target: list, t):
+    """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
+    in the real coordinates of the Newton matrix, given
+    ``rhs = A(target) - rp``."""
+    k = np.linalg.solve(newton, rhs.real + rhs.imag)
+    dy = ((1 + 1j) * k + (1 - 1j) * k[t]) / 2
+    dz = form.adjoint(dy)
+    dx = [_sym(a - _sym_product(b, c, e)) for a, b, c, e in zip(target, x, dz, g)]
+    return dx, dy, dz
+
+
+def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
     """Primal-dual interior-point solve of the factorization SDP for
-    independent families, stopping once the certified gap, with ``cap`` as a
-    second certified upper bound, is small.  Returns the rewriting at the best
-    gauge, the lower-end witness ``(xa, xb, root)`` of the best states (the
-    factors of the polar contraction ``xa xb*`` and the root ``L_sigma``), the
-    iteration count and the best upper value after each iterate."""
+    independent families in ``form`` (a form class), stopping once the
+    certified gap, with ``cap`` as a second certified upper bound, is small.
+    Returns the rewriting at the best gauge, the lower-end witness
+    ``(xa, xb, root)`` of the best states (the factors of the polar
+    contraction ``xa xb*`` and the root ``L_sigma``), the iteration count and
+    the best upper value after each iterate.
+
+    A real vector k stands for the multiplier ``((1+i) k + (1-i) k[t]) / 2``,
+    and an output h of A is read back as ``Re h + Im h``; so the complex
+    Newton matrix M becomes the real matrix ``Re M + Im M[:, t]``."""
     r, d, _ = left.shape
     balance = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
-    left = left * balance[:, None, None]
-    right = right / balance[:, None, None]
+    left, right = left * balance[:, None, None], right / balance[:, None, None]
     row = np.linalg.norm(left.transpose(1, 0, 2).reshape(d, r * d), 2)
     col = np.linalg.norm(right.reshape(r * d, d), 2)
     left, right = left / row, right / col
-    fam = np.stack([left, right.conj().transpose(0, 2, 1)])
-    scale = row * col
-    cap = cap / scale
-    n = 2 * d + 2 * r
-    c = np.zeros((n, n), dtype=np.complex128)
-    c[2 * d:2 * d + r, 2 * d + r:] = c[2 * d + r:, 2 * d:2 * d + r] = -np.eye(r)
+    form = form(np.stack([left, right.conj().transpose(0, 2, 1)]))
+    scale, cap = row * col, cap / (row * col)
     # Z starts at diag(3I - 2 R_0*(I), 3I - 2 R_1*(I), [[2I, I], [I, 2I]]),
     # positive definite because ||R_0*(I)|| = ||R_1*(I)|| = 1 after scaling
-    x = np.eye(n, dtype=np.complex128) / (2 * d)
+    x = [np.full(len(c), 1 / (2 * d)) if c.ndim == 1 else np.eye(len(c), dtype=np.complex128) / (2 * d)
+         for c in form.c]
     y = np.concatenate([[3.0], 2 * np.eye(r).ravel(), 2 * np.eye(r).ravel()]).astype(np.complex128)
-    z = _dual_matrix(y, fam, d) - c
-    b = np.zeros_like(y)
-    b[0] = 1.0
+    z = _step(form.adjoint(y), -1.0, form.c)
+    n = sum(block.shape[0] for block in x)
+    b = np.eye(1, len(y), dtype=np.complex128)[0]
     t = _transposition(r)
     upper, lower = np.inf, 0.0
     p_best = roots_best = None
@@ -380,46 +473,47 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float):
     iterations = 0
     for _ in range(_SDP_ITERS):
         try:
-            chol = np.linalg.cholesky(np.stack([x, z]))
+            frames, g = _barrier(x, z)
         except np.linalg.LinAlgError:
             break
-        mu = np.vdot(x, z).real / n
+        mu = sum(np.vdot(u, v).real for u, v in zip(x, z)) / n
         p = y[1:r * r + 1].reshape(r, r)
-        value = _gauge_value(fam, p)
+        # the factorization value ||R_0*(P)||^(1/2) ||R_1*(P^-1)||^(1/2) of the
+        # rewriting at gauge P (see ``_certificate``), without forming it
+        top = form.spread_tops(np.stack([p, np.linalg.inv(p)]))
+        value = float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
         if value < upper:
             upper, p_best = value, p
         trace.append(upper)
-        roots = _state_roots(x, d, mu)
-        value = float(np.linalg.svd(_polar_core(fam, roots)[2], compute_uv=False).sum())
+        roots = form.state_roots(x, mu)
+        value = float(np.linalg.svd(_polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
         if value > lower:
             lower, roots_best = value, roots
         if min(upper, cap) - lower <= _SDP_GAP * min(upper, cap):
             break
         iterations += 1
-        inv = np.linalg.inv(chol)
-        g = inv[1].conj().T @ inv[1]
         try:
-            newton = _newton_matrix(x, g, fam, t)
-            rp = b - _constraint_values(x, fam, d)
+            newton = form.newton(x, g)
+            newton = newton.real + newton[:, t].imag
+            rp = b - form.values(x)
             # predictor (target -X, so A(target) - rp = -b), then the
             # Mehrotra corrector with centering (mu_aff / mu)^3
-            dx, _, dz = _hkm_direction(x, g, newton, -b, -x, fam, t)
-            ap, ad = np.minimum(1.0, _max_steps(inv, dx, dz))
-            mu_aff = np.vdot(x + ap * dx, z + ad * dz).real / n
+            dx, _, dz = _hkm_direction(form, x, g, newton, -b, [-a for a in x], t)
+            ap, ad = np.minimum(1.0, _max_steps(frames, dx, dz))
+            mu_aff = sum(np.vdot(u, v).real for u, v in zip(_step(x, ap, dx), _step(z, ad, dz))) / n
             sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
-            second = dx @ dz @ g
-            target = sigma * mu * g - x - (second + second.conj().T) / 2
-            dx, dy, dz = _hkm_direction(x, g, newton, _constraint_values(target, fam, d) - rp,
-                                        target, fam, t)
+            target = [sigma * mu * e - a - _sym_product(da, dc, e) for a, da, dc, e in zip(x, dx, dz, g)]
+            dx, dy, dz = _hkm_direction(form, x, g, newton, form.values(target) - rp, target, t)
         except np.linalg.LinAlgError:
             break
-        ap, ad = np.minimum(1.0, _SDP_STEP * _max_steps(inv, dx, dz))
-        x = x + ap * dx
-        x = (x + x.conj().T) / 2
+        ap, ad = np.minimum(1.0, _SDP_STEP * _max_steps(frames, dx, dz))
+        x = [_sym(a) for a in _step(x, ap, dx)]
         y = y + ad * dy
-        z = z + ad * dz
+        z = _step(z, ad, dz)
     cert_left, cert_right = _certificate(left * row, right * col, p_best)
-    witness = (*_polar_contraction(fam, roots_best), roots_best[1])
+    qa, qb, core = _polar_core(form.polar_vectors(roots_best))
+    u, _, vh = np.linalg.svd(core)
+    witness = form.witness(qa @ vh.conj().T, qb @ u, roots_best)
     return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
@@ -449,12 +543,13 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
     if pruned.n_terms == 0:
         return NormInterval(0.0, 0.0, (), 0, (0.0,))
 
-    raw = _certificate(left, right, np.diag(np.linalg.norm(right, axis=(1, 2))
-                                            / np.linalg.norm(left, axis=(1, 2))))
+    # the raw gauge P = diag(||b_i||_F / ||a_i||_F) is diagonal: its rewriting scales the terms
+    gauge = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
+    raw = (left * gauge[:, None, None], right / gauge[:, None, None])
     raw_value = _factorization_value(*raw)
-    cert_left, cert_right, witness, iterations, trace = _factorization_sdp(
-        pruned.left, pruned.right, raw_value)
-    cert = (cert_left, cert_right)
+    # diagonal terms were pruned on their diagonals, so they stay exactly diagonal
+    *cert, witness, iterations, trace = _factorization_sdp(
+        pruned.left, pruned.right, raw_value, _DiagonalForm if _is_diagonal(pruned) else _FactorizationForm)
     upper = _factorization_value(*cert)
     if raw_value < upper:
         upper, cert = raw_value, raw

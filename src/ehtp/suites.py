@@ -452,8 +452,8 @@ def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
                             posdef=report.positive_definite,
                             sampled=report.sampled_positive,
                             kraus_count=int(report.kraus_count),
-                            kraus_min_singular=float(report.kraus_min_singular),
-                            kraus_diagonality=float(report.kraus_diagonality)))
+                            kraus_min_singular=report.kraus_min_singular,
+                            kraus_diagonality=report.kraus_diagonality))
     return records
 
 

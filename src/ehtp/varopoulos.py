@@ -125,14 +125,15 @@ def gram_sup(factors: list[np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Verdicts of the three positivity criteria plus Kraus structure data."""
+    """Verdicts of the three positivity criteria plus Kraus structure data;
+    the two Kraus measurements are None for a map with no Kraus element."""
 
     completely_positive: bool
     positive_definite: bool
     sampled_positive: bool
     kraus_count: int
-    kraus_min_singular: float
-    kraus_diagonality: float
+    kraus_min_singular: float | None
+    kraus_diagonality: float | None
 
     @property
     def consistent(self) -> bool:
@@ -178,8 +179,7 @@ def equivalence_suite(
     if cp and not sampled:
         raise EquivalenceViolationError("sampled positivity contradicts complete positivity")
 
-    min_singular = float("nan")
-    diagonality = float("nan")
+    min_singular = diagonality = None
     if kraus:
         stacked = np.stack([vec(k) for k in kraus], axis=1)
         min_singular = float(np.linalg.svd(stacked, compute_uv=False).min())

@@ -199,6 +199,24 @@ class TestReports:
         out = capsys.readouterr().out
         assert "suite" in out and "failed 0" in out
 
+    def test_reports_are_strict_json(self, tmp_path, capsys):
+        # RFC 8259 has no NaN or Infinity: a field without a value is null
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cp = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [6]},
+              "representation": {"kind": "characters", "chars": [[1], [2], [5]]},
+              "measures": [{"dirac": 2}, {"density": [1, -1, 0, 0, 0, 0]}]}
+        out = tmp_path / "report.json"
+        assert main(["selftest", "--quick", "--out", str(out)]) == 0
+        capsys.readouterr()                   # the summary table
+        texts = [out.read_text()]
+        for payload in (BATCH, SQUARE, cp):
+            assert main(["run", "--scenario", scenario_file(tmp_path, payload)]) == 0
+            texts.append(capsys.readouterr().out)
+        records = [json.loads(line, parse_constant=reject) for text in texts for line in text.splitlines()]
+        assert any(r.get("kraus_count") == 0 and r["kraus_min_singular"] is None for r in records)
+
     def test_selftest_has_no_tolerance_flag(self, capsys):
         # the suites carry their own tolerances; --tol belongs to `run`
         with pytest.raises(SystemExit) as exc:

@@ -330,6 +330,8 @@ def _spectrum_cases():
     yield "one term", _kraus_op(rc(1, 5, 5))
     yield "2n < d^2", _kraus_op(rc(3, 5, 5))
     yield "2n = d^2 + 1", _kraus_op(rc(5, 3, 3))
+    yield "2n = d^2", _kraus_op(rc(8, 4, 4))
+    yield "2n = d^2, not CP", ElementaryOperator(2, rc(2, 2, 2), rc(2, 2, 2))
     yield "2n > d^2", _kraus_op(rc(4, 2, 2))
     yield "not Hermiticity-preserving", ElementaryOperator(4, rc(2, 4, 4), rc(2, 4, 4))
     yield "Hermiticity-preserving, not CP", ElementaryOperator(
@@ -342,7 +344,8 @@ def _spectrum_cases():
 
 class TestFactoredChoiSpectrum:
     """The spectrum from the Choi factors against dense ``eigvalsh`` and
-    ``eigh`` of ``choi(t)``, which share nothing with it."""
+    ``eigh`` of ``choi(t)``, which share nothing with it, below, at and
+    above 2n = d^2, where the factored core gives way to the dense one."""
 
     @pytest.mark.parametrize("factor", [1.0, 1e-12])
     def test_matches_the_dense_spectrum(self, factor):

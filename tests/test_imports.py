@@ -2,8 +2,9 @@
 other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
-numpy, no ``einsum`` takes three or more operands, and no caller passes the
-ignored knobs of ``haagerup_norm_bounds``."""
+numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
+``einsum``, and no caller passes the ignored knobs of
+``haagerup_norm_bounds``."""
 
 import ast
 from pathlib import Path
@@ -162,21 +163,27 @@ def test_no_caller_passes_the_ignored_norm_knobs():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def _long_einsums(path):
-    """``(line, operands)`` for every ``einsum`` call with three or more
-    operands after the subscripts; such a call runs without a contraction
-    path, and a chain of matmuls is the fast form."""
+def _einsums(path):
+    """``(line, operands)`` for every ``einsum`` call, with the number of
+    operands after the subscripts."""
     found = []
     for node in ast.walk(_tree(path)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "einsum" and len(node.args) - 1 >= 3:
+        if name == "einsum":
             found.append((node.lineno, len(node.args) - 1))
     return found
 
 
 def test_no_einsum_takes_three_operands():
-    found = {p.name: _long_einsums(p) for p in sorted(PACKAGE.glob("*.py"))}
+    # such a call runs without a contraction path; a chain of matmuls is the fast form
+    found = {p.name: [hit for hit in _einsums(p) if hit[1] >= 3] for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_norm_solver_calls_no_einsum():
+    # an unoptimized two-operand contraction of n terms, n^2 d^2 work in the
+    # certificate, once cost 3 ms a call; matmul is the form used there
+    assert _einsums(PACKAGE / "hnorm.py") == []

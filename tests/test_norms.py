@@ -20,7 +20,7 @@ from ehtp.groups import Character, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_symbol
 from ehtp.gamma import gamma
 from ehtp.representations import character_rep, regular_rep
-from ehtp.suites import make_rng, s3_cayley
+from ehtp.suites import SHAPE_POOL_12, _pick_group, make_rng, random_character_rep, random_measure, s3_cayley
 
 
 # independent oracle: the factorization value of an explicit term list
@@ -308,26 +308,120 @@ class TestSchurPath:
     def test_certificate_that_misses_the_symbol_raises(self, monkeypatch):
         solve = hnorm._factorization_sdp
 
-        def perturbed(left, right, cap):
-            cert_left, cert_right, witness, iterations, trace = solve(left, right, cap)
+        def perturbed(left, right, cap, form):
+            cert_left, cert_right, witness, iterations, trace = solve(left, right, cap, form)
             return cert_left * (1 + 1e-6), cert_right, witness, iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", perturbed)
-        with pytest.raises(NumericalError):
-            haagerup_norm_bounds(schur_op(_random_symbol(3, np.random.default_rng(19))))
+        for t in _one_map_per_form(np.random.default_rng(19)):
+            with pytest.raises(NumericalError):
+                haagerup_norm_bounds(t)
 
     def test_crossed_bracket_raises(self, monkeypatch):
         # a lower end that overshoots the certified upper end is an error,
         # not something to clamp away
         solve = hnorm._factorization_sdp
 
-        def inflated(left, right, cap):
-            cert_left, cert_right, (xa, xb, root), iterations, trace = solve(left, right, cap)
+        def inflated(left, right, cap, form):
+            cert_left, cert_right, (xa, xb, root), iterations, trace = solve(left, right, cap, form)
             return cert_left, cert_right, (2 * xa, xb, root), iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", inflated)
-        with pytest.raises(NumericalError):
-            haagerup_norm_bounds(schur_op(_random_symbol(3, np.random.default_rng(20))))
+        for t in _one_map_per_form(np.random.default_rng(20)):
+            with pytest.raises(NumericalError):
+                haagerup_norm_bounds(t)
+
+
+def _one_map_per_form(rng):
+    """A Schur multiplier, which takes the diagonal form, and the same map
+    conjugated by a unitary, which takes the factorization form."""
+    t = schur_op(_random_symbol(3, rng))
+    return [t, conjugate_by(t, _random_unitary(3, rng))]
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """The names of the forms whose Newton assembly ran, one per iteration."""
+    calls = []
+    for form in (hnorm._DiagonalForm, hnorm._FactorizationForm):
+        def recorded(self, x, g, _inner=form.newton, _name=form.__name__):
+            calls.append(_name)
+            return _inner(self, x, g)
+        monkeypatch.setattr(form, "newton", recorded)
+    return calls
+
+
+def _in_factorization_form(t, monkeypatch):
+    """The bracket of t with the factorization form forced on the pruned terms."""
+    solve = hnorm._factorization_sdp
+    with monkeypatch.context() as m:
+        m.setattr(hnorm, "_factorization_sdp",
+                  lambda left, right, cap, form: solve(left, right, cap, hnorm._FactorizationForm))
+        return haagerup_norm_bounds(t)
+
+
+def _contractivity_generic_ops(count):
+    """The maps of the first generic draws of the seed-0 contractivity suite."""
+    rng = make_rng(0, stream=2)
+    for _ in range(count):
+        group = _pick_group(rng, SHAPE_POOL_12)
+        pi = random_character_rep(group, rng, max_dim=6)
+        yield gamma(pi, random_measure(group, rng)).op
+        rng.integers(2**63)  # the suite's per-case seed draw
+
+
+def _character_image(rng, n, d):
+    g = make_cyclic_product([n])
+    chars = [Character((n,), (int(k),)) for k in rng.choice(n, size=d, replace=False)]
+    return gamma(character_rep(g, chars), Measure(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))).op
+
+
+class TestDiagonalForm:
+    def test_both_forms_give_the_same_bracket(self, monkeypatch, newton_calls):
+        rng = np.random.default_rng(23)
+        ops = list(_contractivity_generic_ops(25))
+        ops += [schur_op(_random_symbol(d, rng)) for d in range(1, 9)]
+        g = make_cyclic_product([6])
+        mu = Measure(g, rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        ops.append(gamma(character_rep(g, [Character((6,), (k,)) for k in (1, 4, 1, 4, 2)]), mu).op)
+        for d in (2, 3, 6):
+            u, v = _random_symbol(d, rng)[:2]
+            ops.append(schur_op(np.outer(u, v.conj())))
+        iterated = 0
+        for t in ops:
+            assert hnorm._is_diagonal(t)
+            diagonal = haagerup_norm_bounds(t)
+            factorization = _in_factorization_form(t, monkeypatch)
+            scale = max(diagonal.upper, factorization.upper)
+            assert abs(diagonal.upper - factorization.upper) <= 1e-10 * scale
+            assert abs(diagonal.lower - factorization.lower) <= 1e-10 * scale
+            iterated += diagonal.iterations > 0 and factorization.iterations > 0
+        assert iterated >= 25
+        assert {"_DiagonalForm", "_FactorizationForm"} <= set(newton_calls)
+
+    def test_pruned_character_images_are_exactly_diagonal(self):
+        rng = np.random.default_rng(24)
+        off = ~np.eye(6, dtype=bool)
+        for _ in range(10):
+            pruned = prune_terms(_character_image(rng, 12, 6))
+            assert 0 < pruned.n_terms <= 6
+            assert not pruned.left[:, off].any() and not pruned.right[:, off].any()
+
+    def test_schur_multipliers_take_the_diagonal_form(self, newton_calls):
+        rng = np.random.default_rng(25)
+        for t in (_character_image(rng, 12, 5), schur_op(_random_symbol(4, rng))):
+            newton_calls.clear()
+            assert haagerup_norm_bounds(t).iterations > 0
+            assert set(newton_calls) == {"_DiagonalForm"}
+
+    def test_one_off_diagonal_entry_takes_the_factorization_form(self, newton_calls):
+        rng = np.random.default_rng(26)
+        for t in (_character_image(rng, 12, 5), schur_op(_random_symbol(4, rng))):
+            left = t.left.copy()
+            left[0, 0, 1] = 0.5
+            newton_calls.clear()
+            assert haagerup_norm_bounds(ElementaryOperator(t.dim, left, t.right)).iterations > 0
+            assert set(newton_calls) == {"_FactorizationForm"}
 
 
 def _ascent_oracle(t, rng, restarts=4, steps=200):
