@@ -359,7 +359,7 @@ def exp_norm_interval(s: Scenario, quick: bool) -> list[dict]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad operator spec: {exc}") from exc
         bounds = haagerup_norm_bounds(t)
-        ok = bounds.lower <= bounds.upper + 1e-12 and bounds.width <= NORM_REL_WIDTH * bounds.upper
+        ok = bounds.lower <= bounds.upper * (1 + 1e-12) and bounds.width <= NORM_REL_WIDTH * bounds.upper
         records.append(_rec(s, f"operator-{i:02d}", ok, **bounds.report(),
                             width=float(bounds.width)))
     if s.group_spec is not None:
@@ -368,8 +368,8 @@ def exp_norm_interval(s: Scenario, quick: bool) -> list[dict]:
         measures, _ = _measures_or_random(s, group, quick)
         for i, mu in enumerate(measures):
             bounds = haagerup_norm_bounds(gamma(pi, mu).op)
-            ok = (bounds.lower <= bounds.upper + 1e-12 and bounds.width <= NORM_REL_WIDTH * bounds.upper
-                  and bounds.upper <= mu.norm + s.tol)
+            ok = (bounds.lower <= bounds.upper * (1 + 1e-12) and bounds.width <= NORM_REL_WIDTH * bounds.upper
+                  and bounds.upper <= mu.norm * (1 + s.tol))
             records.append(_rec(s, f"measure-{i:02d}", ok, **bounds.report(),
                                 mu_norm=float(mu.norm),
                                 in_augmentation_ideal=bool(in_augmentation_ideal(mu))))

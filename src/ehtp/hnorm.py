@@ -24,13 +24,18 @@ and r = |G| for the regular representation.
 
 A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector; Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the
-pair.  In standard form the variable is ``diag(rho, sigma, W)`` of size
-2d + 2r, with m = 2r^2 + 1 constraints ``tr rho + tr sigma = 1``,
-``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and the objective is
-``-2 Re tr W_12``.  The multipliers of the last two are P and Q.  The
-families are first balanced, so that the raw gauge of the pruned terms is
+pair.  The corrector centers with ``sigma = min(1, mu_aff / mu)``
+(Mehrotra, SIAM J. Optim. 2, 1992), and each step goes the fraction
+``0.9 + 0.09 min(1, a_p, a_d)`` of the way to the boundary of the cones,
+where a_p and a_d are the corrector's largest primal and dual steps (the
+adaptive fraction of SDPT3, below).  In standard form the variable is
+``diag(rho, sigma, W)`` of size 2d + 2r, with m = 2r^2 + 1 constraints
+``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and
+the objective is ``-2 Re tr W_12``.  The multipliers of the last two are P
+and Q.  The families are first balanced, so that the raw gauge of the pruned terms is
 the identity and both of its factors are 1.  The m x m Newton matrix is
-assembled from products of the families with the blocks of X and Z^-1.
+assembled from products of the families with the blocks of X and Z^-1, its
+W part from Kronecker products of the blocks of W and its Z^-1 block.
 One iteration serves two forms, chosen from the terms as given.  Maps whose
 terms are all exactly zero off the diagonal (Γ images of character
 representations, ``schur_op``) are pruned on their diagonals and take the
@@ -65,9 +70,11 @@ The solve starts from ``rho = sigma = I/2d``; for the regular representation
 of any group these maximally mixed states already attain ``||mu||_1``, the
 value of the raw gauge, so the bracket closes before a Newton system is
 formed.  It stops at a certified relative gap of 1e-12, or when a Cholesky
-factorization or the Newton solve fails, and returns the best certified
-pair.  A crossed bracket (by more than ``TOL`` relative) or a certificate
-that does not rebuild the map raises :class:`NumericalError`.
+factorization fails, and returns the best certified pair; a Newton matrix
+that is singular to working precision, as it can be near the optimum, gives
+its least-squares direction.  A crossed bracket (by more than ``TOL``
+relative) or a certificate that does not rebuild the map raises
+:class:`NumericalError`.
 
 ``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
 with T on the indices a and b.
@@ -93,7 +100,6 @@ __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 # stops, and both ends it returns are certified whatever they are.
 _SDP_GAP = 1e-12           # stop at this certified relative gap
 _SDP_ITERS = 100           # cap on interior-point iterations
-_SDP_STEP = 0.95           # fraction of the step to the boundary of the cone
 
 
 @dataclass(frozen=True)
@@ -256,16 +262,24 @@ def _w_dual(pq: np.ndarray) -> np.ndarray:
 
 
 def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -> np.ndarray:
-    """The complex Newton matrix from the forms' state part (corner, first
-    column, r^2 x r^2 diagonal blocks c) and the W blocks of X and G."""
+    """The real Newton matrix ``Re M + Im M[:, t]`` (see ``_factorization_sdp``) of
+    the complex matrix M with the forms' state part (corner, first column, r^2 x r^2
+    diagonal blocks c) and the W part.  As the W blocks of X and G are Hermitian,
+    the W part on the pair of blocks (s, u) is
+    ``(X_su (x) conj(G_su) + G_su (x) conj(X_su)) / 2``; t swaps the pair of a
+    column index (u, c, e) to (u, e, c)."""
     rr, r = c.shape[1], xw.shape[0] // 2
-    m = np.zeros((2 * rr + 1, 2 * rr + 1), dtype=np.complex128)
+    m = np.empty((2 * rr + 1, 2 * rr + 1))
     m[0, 0] = corner
-    m[1:, 0], m[0, 1:] = column, np.conj(column)
-    m[1:rr + 1, 1:rr + 1], m[rr + 1:, rr + 1:] = c
-    # the W blocks: entry [(a,b),(c,e)] is X[a,c] G[e,b], symmetrized
-    w = xw.reshape(2, r, 2, r)[:, :, None, :, :, None] * gw.T.reshape(2, r, 2, r)[:, None, :, :, None, :]
-    m[1:, 1:] += ((w + np.conj(w.transpose(0, 2, 1, 3, 5, 4))) / 2).reshape(2 * rr, 2 * rr)
+    m[1:, 0] = column.real + column.imag
+    m[0, 1:] = column.real - column.imag.reshape(2, r, r).transpose(0, 2, 1).ravel()
+    x4, g4 = xw.reshape(2, r, 2, r) / 2, gw.reshape(2, r, 2, r)
+    w = x4[:, :, None, :, :, None] * g4.conj()[:, None, :, :, None, :]   # [s, a, b, u, c, e]
+    w += g4[:, :, None, :, :, None] * x4.conj()[:, None, :, :, None, :]
+    body = m[1:, 1:].reshape(2, r, r, 2, r, r)                          # a view of m
+    np.add(w.real, w.imag.transpose(0, 1, 2, 3, 5, 4), out=body)
+    for s in range(2):
+        body[s, :, :, s] += c[s].real.reshape(r, r, r, r) + c[s].imag.reshape(r, r, r, r).transpose(0, 1, 3, 2)
     return m
 
 
@@ -327,8 +341,9 @@ class _FactorizationForm:
         return [z]
 
     def newton(self, x: list, g: list) -> np.ndarray:
-        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``.
-        Without the symmetrization the (l,k),(i,j) entry of side s is
+        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
+        in real coordinates (see ``_newton_assembly``).  Without the
+        symmetrization the (l,k),(i,j) entry of side s is
         ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
         ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
         and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
@@ -430,8 +445,13 @@ def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.n
 def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, target: list, t):
     """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
     in the real coordinates of the Newton matrix, given
-    ``rhs = A(target) - rp``."""
-    k = np.linalg.solve(newton, rhs.real + rhs.imag)
+    ``rhs = A(target) - rp``.  Near the optimum the Newton matrix can be
+    singular to working precision, and its LU factorization can meet an exactly
+    zero pivot; the direction is then the least-squares solution."""
+    try:
+        k = np.linalg.solve(newton, rhs.real + rhs.imag)
+    except np.linalg.LinAlgError:
+        k = np.linalg.lstsq(newton, rhs.real + rhs.imag)[0]
     dy = ((1 + 1j) * k + (1 - 1j) * k[t]) / 2
     dz = form.adjoint(dy)
     dx = [_sym(a - _sym_product(b, c, e)) for a, b, c, e in zip(target, x, dz, g)]
@@ -494,19 +514,20 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
         iterations += 1
         try:
             newton = form.newton(x, g)
-            newton = newton.real + newton[:, t].imag
             rp = b - form.values(x)
             # predictor (target -X, so A(target) - rp = -b), then the
-            # Mehrotra corrector with centering (mu_aff / mu)^3
+            # Mehrotra corrector with centering mu_aff / mu
             dx, _, dz = _hkm_direction(form, x, g, newton, -b, [-a for a in x], t)
             ap, ad = np.minimum(1.0, _max_steps(frames, dx, dz))
             mu_aff = sum(np.vdot(u, v).real for u, v in zip(_step(x, ap, dx), _step(z, ad, dz))) / n
-            sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
+            sigma = min(1.0, max(mu_aff / mu, 0.0))
             target = [sigma * mu * e - a - _sym_product(da, dc, e) for a, da, dc, e in zip(x, dx, dz, g)]
             dx, dy, dz = _hkm_direction(form, x, g, newton, form.values(target) - rp, target, t)
         except np.linalg.LinAlgError:
             break
-        ap, ad = np.minimum(1.0, _SDP_STEP * _max_steps(frames, dx, dz))
+        # step a fraction 0.9 + 0.09 min(1, a_p, a_d) of the way to the boundary
+        steps = _max_steps(frames, dx, dz)
+        ap, ad = np.minimum(1.0, (0.9 + 0.09 * min(1.0, *steps)) * steps)
         x = [_sym(a) for a in _step(x, ap, dx)]
         y = y + ad * dy
         z = _step(z, ad, dz)

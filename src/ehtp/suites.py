@@ -327,7 +327,7 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         bounds = haagerup_norm_bounds(gamma(pi, mu).op)
         _sub_seed(rng)  # one draw per case, so each seed keeps selecting the same cases
         excess = bounds.upper - mu.norm
-        ok = (excess <= TOL and bounds.lower <= bounds.upper + 1e-12
+        ok = (excess <= TOL * mu.norm and bounds.lower <= bounds.upper * (1 + 1e-12)
               and bounds.width <= NORM_REL_WIDTH * bounds.upper and _monotone(bounds.upper_trace))
         records.append(_rec("contractivity", f"generic-{i:03d}", ok,
                             upper=float(bounds.upper), lower=float(bounds.lower),
@@ -341,7 +341,7 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         _sub_seed(rng)
         mass = float(mu.total_mass.real)
         resid = abs(bounds.upper - mass)
-        ok = resid <= 1e-12 and bounds.lower == bounds.upper
+        ok = resid <= 1e-12 * mass and bounds.lower == bounds.upper
         records.append(_rec("contractivity", f"positive-{i:03d}", ok,
                             upper=float(bounds.upper), mass=mass, residual=float(resid)))
     return records

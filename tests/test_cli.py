@@ -81,6 +81,21 @@ class TestExitCodes:
         assert code == 1
         assert summary["failed"] > 0
 
+    def test_contractivity_gate_scales_with_the_measure(self, tmp_path, capsys):
+        # a positive measure of mass 5.7e8: the bracket is ||T(I)||, which lands
+        # one ulp (1.2e-7) above ||mu||_1, more than an absolute TOL allows
+        payload = {
+            "experiment": "norm-interval",
+            "group": {"kind": "cyclic_product", "shape": [11]},
+            "representation": {"kind": "characters", "chars": [[3], [4], [1], [5]]},
+            "measures": [{"density": (np.random.default_rng(0).random(11) * 1e9).tolist()}],
+        }
+        code = main(["run", "--scenario", scenario_file(tmp_path, payload)])
+        records, summary = parse_report(capsys.readouterr().out)
+        assert records[0]["mu_norm"] > 1e8
+        assert summary["failed"] == 0
+        assert code == 0
+
     def test_unknown_experiment_exits_two(self, tmp_path, capsys):
         code = main(["run", "--scenario",
                      scenario_file(tmp_path, {"experiment": "frobnicate"})])

@@ -424,6 +424,106 @@ class TestDiagonalForm:
             assert set(newton_calls) == {"_FactorizationForm"}
 
 
+def _w_part_oracle(xw, gw):
+    """The W part of the complex Newton matrix as one 6-D broadcast: entry
+    ``[(s,a,b),(u,c,e)]`` is ``X[(s,a),(u,c)] G[(u,e),(s,b)]``, symmetrized."""
+    r = xw.shape[0] // 2
+    w = xw.reshape(2, r, 2, r)[:, :, None, :, :, None] * gw.T.reshape(2, r, 2, r)[:, None, :, :, None, :]
+    return ((w + np.conj(w.transpose(0, 2, 1, 3, 5, 4))) / 2).reshape(2 * r * r, 2 * r * r)
+
+
+def _random_hermitian_pd(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a @ a.conj().T + np.eye(n)
+
+
+def _random_iterate(form, rng):
+    """Block-diagonal X (or G) for the form: states and W, as the iteration keeps them."""
+    d, r = form.d, form.r
+    w = _random_hermitian_pd(2 * r, rng)
+    if isinstance(form, hnorm._DiagonalForm):
+        return [rng.random(2 * d) + 0.5, w]
+    x = np.zeros((2 * d + 2 * r,) * 2, dtype=np.complex128)
+    x[:d, :d], x[d:2 * d, d:2 * d] = _random_hermitian_pd(d, rng), _random_hermitian_pd(d, rng)
+    x[2 * d:, 2 * d:] = w
+    return [x]
+
+
+def _w_block(form, x):
+    return x[1] if isinstance(form, hnorm._DiagonalForm) else x[0][2 * form.d:, 2 * form.d:]
+
+
+def _newton_oracle(form, x, g):
+    """The real Newton matrix ``Re M + Im M[:, t]``: the state part column by
+    column from ``E -> A(sym(X A*(E) G))`` with the W blocks of X and G set to
+    zero, plus the W part from ``_w_part_oracle``."""
+    r = form.r
+    t = hnorm._transposition(r)
+    states = [[b.copy() for b in blocks] for blocks in (x, g)]
+    for blocks in states:
+        _w_block(form, blocks)[...] = 0
+    m = np.zeros((len(t), len(t)))
+    for j in range(len(t)):
+        k = np.eye(len(t))[j]
+        z = form.adjoint(((1 + 1j) * k + (1 - 1j) * k[t]) / 2)
+        h = form.values([hnorm._sym_product(*blocks) for blocks in zip(states[0], z, states[1])])
+        m[:, j] = h.real + h.imag
+    w = np.zeros((len(t), len(t)), dtype=np.complex128)
+    w[1:, 1:] = _w_part_oracle(_w_block(form, x), _w_block(form, g))
+    return m + w.real + w[:, t].imag
+
+
+class TestNewtonAssembly:
+    @pytest.mark.parametrize("form", [hnorm._DiagonalForm, hnorm._FactorizationForm])
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_real_newton_matrix_matches_the_broadcast_oracle(self, form, r):
+        rng = np.random.default_rng(30 + r)
+        d = 4
+        fam = rng.standard_normal((2, r, d, d)) + 1j * rng.standard_normal((2, r, d, d))
+        if form is hnorm._DiagonalForm:
+            fam = fam * np.eye(d)
+        form = form(fam)
+        x, g = _random_iterate(form, rng), _random_iterate(form, rng)
+        expected = _newton_oracle(form, x, g)
+        assert np.abs(form.newton(x, g) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestIterationCounts:
+    def test_generic_contractivity_draws_close_in_few_iterations(self):
+        # 276 iterations with cubic centering and a fixed step fraction 0.95
+        total = 0
+        for t in _contractivity_generic_ops(25):
+            b = haagerup_norm_bounds(t)
+            total += b.iterations
+            # the certified gap, not a failed factorization, stopped the solve
+            assert b.width <= 1e-12 * b.upper
+        assert total <= 230
+
+    def test_character_image_at_d16_closes_within_16_iterations(self):
+        # 20 to 23 iterations with cubic centering and a fixed step fraction 0.95
+        b = haagerup_norm_bounds(_character_image(np.random.default_rng(3), 97, 16))
+        assert b.width <= 1e-12 * b.upper
+        assert b.iterations <= 16
+
+    def test_a_singular_newton_matrix_does_not_stop_the_solve(self, monkeypatch):
+        # near the optimum LU can meet an exactly zero pivot; here every Newton
+        # solve after the third iteration does, and the bracket must still close
+        solve, calls = np.linalg.solve, []
+
+        def singular_late(a, b):
+            calls.append(None)
+            if len(calls) > 6:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_late)
+        for t in _one_map_per_form(np.random.default_rng(27)):
+            calls.clear()
+            b = haagerup_norm_bounds(t)
+            assert len(calls) > 6
+            assert b.width <= 1e-12 * b.upper
+
+
 def _ascent_oracle(t, rng, restarts=4, steps=200):
     """Alternating ascent of ``||(T (x) id_d)(X)||`` over unitaries X: the
     probing singular pair and the contraction are optimized in turn, each
