@@ -47,6 +47,7 @@ __all__ = [
     "slice_left",
     "slice_right",
     "choi",
+    "choi_distance",
     "is_completely_positive",
     "strongly_independent_kraus",
     "is_diagonal_bimodule",
@@ -217,6 +218,28 @@ def choi(t: ElementaryOperator) -> np.ndarray:
     return _vec_outer_sum(t)
 
 
+def choi_distance(s: ElementaryOperator, t: ElementaryOperator) -> float:
+    """``||Choi(s) - Choi(t)||_F`` from the factors, which is also the
+    Frobenius distance of the transfer matrices (the same entries).
+
+    The difference is ``[V_Ls, -V_Lt] [V_Rs; V_Rt]``, with ``V_L`` the
+    columns ``vec(left_i)`` and ``V_R`` the rows ``right_i.ravel()`` as in
+    :func:`choi`.  For k = n_s + n_t terms, when 2k < d^2 a thin QR of the
+    d^2 x k left factor leaves its norm to the k x d^2 product ``R V_R``;
+    otherwise the norm is taken of the one d^2 x d^2 product.  Nothing
+    larger than d^2 x k is formed below that size, and the difference is
+    summed term by term, not from Gram sums, which cancel at about
+    ``sqrt(eps)`` relative."""
+    if s.dim != t.dim:
+        raise DimensionMismatchError("operators act on different dimensions")
+    k, d = s.n_terms + t.n_terms, s.dim
+    vl = np.concatenate([s.left, -t.left]).transpose(0, 2, 1).reshape(k, d * d).T
+    vr = np.concatenate([s.right, t.right]).reshape(k, d * d)
+    if 2 * k < d * d:
+        vl = np.linalg.qr(vl, mode="r")
+    return float(np.linalg.norm(vl @ vr))
+
+
 def _data_scale(t: ElementaryOperator) -> float:
     """``sum_i ||a_i||_F ||b_i||_F``: a bound on the Frobenius norm of the
     Choi matrix, so on every Choi eigenvalue and on the rounding noise in
@@ -283,10 +306,12 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     and Gram families of one map have the same size.  The surviving
     vectorized elements are orthogonal with norms ``sqrt(lambda_i)``, so the
     family is automatically strongly independent.
-    Raises for a map that is not completely positive before the dense Choi
-    matrices of the reconstruction gate are built; otherwise verifies the
-    reconstruction on all matrix units, as the largest entry of the
-    difference of the dense Choi matrices, to ``TOL`` times the data scale.
+    Raises for a map that is not completely positive before the
+    reconstruction gate runs.  The gate is the Frobenius distance of the
+    Choi matrices of the map and of the Kraus rewriting, taken from their
+    factors by :func:`choi_distance` (no d^2 x d^2 matrix below 2(n + k) <
+    d^2 for k elements), to ``TOL`` times the data scale; it bounds the
+    deviation on every matrix unit.
     """
     scale = _data_scale(t)
     asym, evals, w, q = _choi_spectrum(t)
@@ -298,11 +323,8 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     keep = evals > CUTOFF * top
     vecs = q @ (w[:, keep] * np.sqrt(evals[keep]))
     kraus = [unvec(v) for v in vecs.T]
-
-    # the Choi and transfer matrices hold the same entries, so the largest
-    # deviation on matrix units is read off the Choi matrices
     recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
-    resid = float(np.abs(choi(recon) - choi(t)).max())
+    resid = choi_distance(recon, t)
     if resid > TOL * scale:
         raise NumericalError(f"Kraus reconstruction residual {resid:.3e}")
     return kraus

@@ -50,8 +50,10 @@ Hermitian block.  Both ends are certified:
 * upper: the factorization value of the rewriting at the dual iterate's
   gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
   on the terms as given, whichever is smaller; ``certificate_terms`` is the
-  rewriting that attains it, and it must rebuild the transfer matrix of the
-  map to ``TOL * upper``;
+  rewriting that attains it, and it must rebuild the map: the Frobenius
+  distance of the two Choi matrices, taken from their factors by
+  ``elementary.choi_distance`` (no d^2 x d^2 array for few terms), is at
+  most ``TOL * upper``;
 * lower: ``||(T (x) id_d)(X) eta||``, computed from the terms as given, for
   the partial isometry X that is the polar part of
   ``G = sum_i vec(b_i L_sigma) vec(a_i* L_rho)*`` and the unit vector
@@ -66,15 +68,20 @@ Hermitian block.  Both ends are certified:
   that vanish at the optimum; a rank-one optimum, as for a single term, is
   then found in a step or two.
 
-The solve starts from ``rho = sigma = I/2d``; for the regular representation
-of any group these maximally mixed states already attain ``||mu||_1``, the
-value of the raw gauge, so the bracket closes before a Newton system is
-formed.  It stops at a certified relative gap of 1e-12, or when a Cholesky
-factorization fails, and returns the best certified pair; a Newton matrix
-that is singular to working precision, as it can be near the optimum, gives
-its least-squares direction.  A crossed bracket (by more than ``TOL``
-relative) or a certificate that does not rebuild the map raises
-:class:`NumericalError`.
+Before the terms are pruned, the lower end is taken at the maximally mixed
+states ``rho = sigma = I/d`` from the terms as given (one thin QR and one
+singular-value sum).  When it meets the raw gauge's value to the stopping
+gap the bracket closes there, with the raw certificate and 0 iterations, and
+neither pruning nor the solve runs: for the regular representation of any
+group both are ``||mu||_1`` (the representation is an isometry: Ghahramani,
+Glasgow Math. J. 23, 1982; Neufang, Ruan and Spronk, Trans. AMS 360, 2008).
+Otherwise the solve starts from those states, ``rho = sigma = I/2d`` before
+normalization, with that lower end as its first.  It stops at a certified
+relative gap of 1e-12, or when a Cholesky factorization fails, and returns
+the best certified pair; a Newton matrix that is singular to working
+precision, as it can be near the optimum, gives its least-squares direction.
+A crossed bracket (by more than ``TOL`` relative) or a certificate that does
+not rebuild the map raises :class:`NumericalError`.
 
 ``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
 with T on the indices a and b.
@@ -86,12 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import (
-    ElementaryOperator,
-    apply,
-    strongly_independent_kraus,
-    transfer_matrix,
-)
+from .elementary import ElementaryOperator, apply, choi_distance, strongly_independent_kraus
 from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
@@ -300,6 +302,29 @@ def _polar_core(vecs: np.ndarray):
     return q[0], q[1], tri[1] @ tri[0].conj().T
 
 
+def _polar_contraction(vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The trace norm of the core of ``vecs`` (see ``_polar_core``) and the
+    factors ``(xa, xb)`` of the polar contraction ``X = xa xb*`` of G."""
+    qa, qb, core = _polar_core(vecs)
+    u, s, vh = np.linalg.svd(core)
+    return float(s.sum()), qa @ vh.conj().T, qb @ u
+
+
+def _start_lower_end(left: np.ndarray, right: np.ndarray, diagonal: bool) -> tuple[float, tuple]:
+    """The dual value at the maximally mixed states ``rho = sigma = I/d``,
+    from the terms as given, and its witness ``(xa, xb, root)``: with
+    ``L = I / sqrt(d)`` the families ``vec(a_i* L)`` and ``vec(b_i L)`` are
+    the raveled terms over sqrt(d).  For exactly diagonal terms only their d
+    rows (p, p) are nonzero, and only those are factored."""
+    n, d, _ = left.shape
+    vecs = np.stack([left.conj().transpose(0, 2, 1), right]).reshape(2, n, d * d).transpose(0, 2, 1)
+    rows = slice(None, None, d + 1) if diagonal else slice(None)
+    value, xa, xb = _polar_contraction(vecs[:, rows] / np.sqrt(d))
+    factors = np.zeros((2, d * d, xa.shape[1]), dtype=np.complex128)
+    factors[:, rows] = xa, xb
+    return value, (factors[0], factors[1], np.eye(d) / np.sqrt(d))
+
+
 class _FactorizationForm:
     """X = diag(rho, sigma, W) as one SDP block of size 2d + 2r."""
 
@@ -458,10 +483,13 @@ def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, 
     return dx, dy, dz
 
 
-def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
+def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, start: tuple):
     """Primal-dual interior-point solve of the factorization SDP for
     independent families in ``form`` (a form class), stopping once the
     certified gap, with ``cap`` as a second certified upper bound, is small.
+    ``start`` is the dual value and witness at the maximally mixed states
+    (``_start_lower_end``), which are the states of the first iterate, so
+    that iterate's lower end is not computed again.
     Returns the rewriting at the best gauge, the lower-end witness
     ``(xa, xb, root)`` of the best states (the factors of the polar
     contraction ``xa xb*`` and the root ``L_sigma``), the iteration count and
@@ -487,7 +515,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
     n = sum(block.shape[0] for block in x)
     b = np.eye(1, len(y), dtype=np.complex128)[0]
     t = _transposition(r)
-    upper, lower = np.inf, 0.0
+    upper, lower = np.inf, start[0] / scale
     p_best = roots_best = None
     trace: list[float] = []
     iterations = 0
@@ -505,10 +533,11 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
         if value < upper:
             upper, p_best = value, p
         trace.append(upper)
-        roots = form.state_roots(x, mu)
-        value = float(np.linalg.svd(_polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
-        if value > lower:
-            lower, roots_best = value, roots
+        if iterations:
+            roots = form.state_roots(x, mu)
+            value = float(np.linalg.svd(_polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
+            if value > lower:
+                lower, roots_best = value, roots
         if min(upper, cap) - lower <= _SDP_GAP * min(upper, cap):
             break
         iterations += 1
@@ -532,9 +561,10 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form):
         y = y + ad * dy
         z = _step(z, ad, dz)
     cert_left, cert_right = _certificate(left * row, right * col, p_best)
-    qa, qb, core = _polar_core(form.polar_vectors(roots_best))
-    u, _, vh = np.linalg.svd(core)
-    witness = form.witness(qa @ vh.conj().T, qb @ u, roots_best)
+    witness = start[1]
+    if roots_best is not None:
+        _, xa, xb = _polar_contraction(form.polar_vectors(roots_best))
+        witness = form.witness(xa, xb, roots_best)
     return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
@@ -560,25 +590,30 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         return NormInterval(value, value, cert, 0, (value,))
 
     left, right = _drop_zero_terms(t.left, t.right)
-    pruned = prune_terms(t)
-    if pruned.n_terms == 0:
-        return NormInterval(0.0, 0.0, (), 0, (0.0,))
-
     # the raw gauge P = diag(||b_i||_F / ||a_i||_F) is diagonal: its rewriting scales the terms
     gauge = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
-    raw = (left * gauge[:, None, None], right / gauge[:, None, None])
-    raw_value = _factorization_value(*raw)
-    # diagonal terms were pruned on their diagonals, so they stay exactly diagonal
-    *cert, witness, iterations, trace = _factorization_sdp(
-        pruned.left, pruned.right, raw_value, _DiagonalForm if _is_diagonal(pruned) else _FactorizationForm)
+    cert = (left * gauge[:, None, None], right / gauge[:, None, None])
     upper = _factorization_value(*cert)
-    if raw_value < upper:
-        upper, cert = raw_value, raw
-    miss = float(np.abs(transfer_matrix(ElementaryOperator(d, *cert)) - transfer_matrix(t)).max())
+    start = _start_lower_end(left, right, _is_diagonal(t))
+    witness, iterations, trace = start[1], 0, [upper]
+    # the maximally mixed states close the bracket for every regular
+    # representation (and the zero map); otherwise prune and solve
+    if upper - start[0] > _SDP_GAP * upper:
+        pruned = prune_terms(t)
+        if pruned.n_terms == 0:
+            return NormInterval(0.0, 0.0, (), 0, (0.0,))
+        # diagonal terms were pruned on their diagonals, so they stay exactly diagonal
+        *solved, witness, iterations, trace = _factorization_sdp(
+            pruned.left, pruned.right, upper, _DiagonalForm if _is_diagonal(pruned) else _FactorizationForm,
+            start)
+        trace = [min(upper, v) for v in trace]
+        value = _factorization_value(*solved)
+        if value <= upper:
+            upper, cert = value, solved
+    miss = choi_distance(ElementaryOperator(d, *cert), t)
     if miss > TOL * upper:
         raise NumericalError(f"certificate misses the map by {miss:.3e}")
     lower = _lower_end(t, *witness)
     if lower > upper * (1 + TOL):
         raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
-    return NormInterval(lower, upper, tuple(zip(*cert)), iterations,
-                        tuple(min(raw_value, v) for v in trace))
+    return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(trace))

@@ -3,8 +3,8 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum``, and no caller passes the ignored knobs of
-``haagerup_norm_bounds``."""
+``einsum``, no caller passes the ignored knobs of ``haagerup_norm_bounds``,
+and neither rewriting gate builds a dense Choi or transfer matrix."""
 
 import ast
 from pathlib import Path
@@ -187,3 +187,21 @@ def test_norm_solver_calls_no_einsum():
     # an unoptimized two-operand contraction of n terms, n^2 d^2 work in the
     # certificate, once cost 3 ms a call; matmul is the form used there
     assert _einsums(PACKAGE / "hnorm.py") == []
+
+
+def _called_names(node):
+    """The names of the functions called anywhere under ``node``."""
+    return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_rewriting_gates_build_no_dense_choi_matrix():
+    # the certificate-miss and Kraus reconstruction gates read the factors
+    # through choi_distance; their d^2 x d^2 forms peaked at 913 MB at Z_64
+    hnorm = _tree(PACKAGE / "hnorm.py")
+    imported = {a.name for node in ast.walk(hnorm) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    assert imported & {"transfer_matrix", "choi"} == set()
+    kraus = next(node for node in ast.walk(_tree(PACKAGE / "elementary.py"))
+                 if isinstance(node, ast.FunctionDef) and node.name == "strongly_independent_kraus")
+    assert "choi" not in _called_names(kraus)

@@ -2,25 +2,30 @@
 
 Each fast path in ``elementary``, ``gamma`` and ``hnorm`` is checked here
 against the direct computation it replaced, kept as an oracle at small size
-(d <= 8): einsum contractions, loops over matrix units and the integrated
-``tensor_conjugate`` stack.  The oracles use
-nothing from the fast paths they check.
+(d <= 8): einsum contractions, loops over matrix units, the integrated
+``tensor_conjugate`` stack and the dense forms of the two rewriting gates.
+The oracles use nothing from the fast paths they check.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ehtp import elementary
 from ehtp.elementary import (
     ElementaryOperator,
     apply,
     choi,
+    choi_distance,
     is_completely_positive,
     is_diagonal_bimodule,
     schur_op,
     strongly_independent_kraus,
+    transfer_matrix,
     vec,
 )
-from ehtp.errors import TOL, NotCompletelyPositiveError
+from ehtp.errors import TOL, NotCompletelyPositiveError, NumericalError
 from ehtp.gamma import (
     _tensor_conjugate_norm,
     gamma,
@@ -107,6 +112,18 @@ def oracle_symbol_residual(diag, mu, symbol):
 
 def oracle_tensor_conjugate_norm(pi, mu):
     return float(np.linalg.norm(integrate(tensor_conjugate(pi), mu)))
+
+
+def oracle_kraus_gate(t, kraus):
+    """The dense max-entry form of the Kraus reconstruction gate."""
+    recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
+    return float(np.abs(oracle_choi(recon) - oracle_choi(t)).max(initial=0.0))
+
+
+def oracle_certificate_miss(t, terms):
+    """The dense max-entry form of the certificate-miss check of the cb-norm bracket."""
+    cert = ElementaryOperator.from_terms(t.dim, terms)
+    return float(np.abs(transfer_matrix(cert) - transfer_matrix(t)).max(initial=0.0))
 
 
 def oracle_amplified_apply(lstack, rstack, x, d):
@@ -249,6 +266,85 @@ def test_amplified_apply_matches_einsum(n, d):
         assert fast <= float(np.linalg.norm(image, 2)) * (1 + 1e-12)
 
 
+# -- the factored rewriting gate ----------------------------------------------------
+
+# (n_s, n_t, d): both sides of the size selection 2(n_s + n_t) < d^2, an empty
+# rewriting on each side of it, two maps without terms, and d == 1
+GATE_SHAPES = [(1, 1, 4), (3, 2, 4), (4, 4, 4), (6, 2, 4), (3, 0, 5), (10, 0, 4), (0, 0, 3),
+               (2, 3, 8), (20, 15, 8), (1, 1, 1), (2, 0, 1)]
+
+
+@pytest.mark.parametrize("n_s,n_t,d", GATE_SHAPES)
+@pytest.mark.parametrize("factor", [1.0, 1e-12, 1e8])
+def test_choi_distance_matches_the_dense_difference(n_s, n_t, d, factor):
+    rng = np.random.default_rng([n_s, n_t, d, 9])
+    t = _random_op(rng, n_t, d)
+    s = _random_op(rng, n_s, d)
+    # a rewriting of t (its terms split in two) lies at distance zero
+    halves = ElementaryOperator(d, np.concatenate([t.left, t.left]) / 2, np.concatenate([t.right, t.right]))
+    for other in (s, halves):
+        scaled_s, scaled_t = (ElementaryOperator(d, factor * m.left, m.right) for m in (other, t))
+        dense = float(np.linalg.norm(choi(scaled_s) - choi(scaled_t)))
+        scale = float(np.linalg.norm(choi(scaled_s)) + np.linalg.norm(choi(scaled_t)))
+        assert abs(choi_distance(scaled_s, scaled_t) - dense) <= 1e-12 * scale
+
+
+def _gate_cases(rng):
+    """Maps at d <= 8 with a Kraus family or a cb-norm certificate: positive
+    and generic measures under regular and character representations, Schur
+    multipliers and random maps, the last two also scaled by 1e-12 and 1e8."""
+    for n in (2, 5, 8):
+        g = make_cyclic_product([n])
+        for pi in (regular_rep(g), random_character_rep(g, rng, max_dim=6)):
+            yield gamma(pi, Measure(g, rng.random(n) + 0.05)).op
+            yield gamma(pi, Measure(g, _rc(rng, n))).op
+    for d in (1, 3, 6):
+        for factor in (1.0, 1e-12, 1e8):
+            yield schur_op(factor * _rc(rng, d, d))
+            t = _random_op(rng, 3, d)
+            yield ElementaryOperator(d, factor * t.left, t.right)
+
+
+def test_factored_gates_bound_their_dense_max_entry_forms():
+    # the Frobenius distance bounds the largest entry the dense gates read (up
+    # to the rounding of either, far below the gate), so every map the gates
+    # pass also passes the dense max-entry forms
+    rng = np.random.default_rng(10)
+    kraus_checked = 0
+    for t in _gate_cases(rng):
+        assert t.dim <= 8
+        if is_completely_positive(t):
+            kraus = strongly_independent_kraus(t)
+            recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
+            scale = float(np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2))))
+            fast = choi_distance(recon, t)
+            assert oracle_kraus_gate(t, kraus) <= fast + 1e-12 * scale
+            assert fast <= TOL * scale
+            kraus_checked += 1
+        b = haagerup_norm_bounds(t)
+        cert = ElementaryOperator.from_terms(t.dim, b.certificate_terms)
+        fast = choi_distance(cert, t)
+        assert oracle_certificate_miss(t, b.certificate_terms) <= fast + 1e-12 * b.upper
+        assert fast <= TOL * b.upper
+    assert kraus_checked >= 6
+
+
+def test_a_skewed_kraus_element_fails_the_reconstruction_gate(monkeypatch):
+    g = make_cyclic_product([6])
+    op = gamma(regular_rep(g), Measure(g, np.linspace(1.0, 2.0, 6))).op
+    assert len(strongly_independent_kraus(op)) == 6
+    unvec, calls = elementary.unvec, []
+
+    def skewed(v):
+        # the first Kraus element, times 1 + 1e-6
+        calls.append(v)
+        return unvec(v) * (1 + 1e-6) if len(calls) == 1 else unvec(v)
+
+    monkeypatch.setattr(elementary, "unvec", skewed)
+    with pytest.raises(NumericalError):
+        strongly_independent_kraus(op)
+
+
 # -- a size guard on the CP, Kraus and norm paths ----------------------------------
 
 
@@ -291,6 +387,24 @@ def test_no_spectral_decision_decomposes_a_large_matrix(decomposed):
     matrices = [shape for shape in decomposed if len(shape) >= 2]
     assert matrices
     assert max(min(shape[-2:]) for shape in matrices) <= 32
+
+
+def test_regular_z32_bracket_and_kraus_family_stay_below_one_dense_choi_matrix():
+    # a d^4 complex array is 16.8 MB at d = 32: neither the bracket of a
+    # generic measure nor the Kraus family of a positive one may allocate one
+    g = make_cyclic_product([32])
+    pi = regular_rep(g)
+    rng = np.random.default_rng(11)
+    generic = gamma(pi, Measure(g, _rc(rng, 32))).op
+    positive = gamma(pi, Measure(g, rng.random(32) + 0.05)).op
+    for run in (lambda: haagerup_norm_bounds(generic), lambda: strongly_independent_kraus(positive)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32**4 * 16
 
 
 # -- the tensor-conjugate kernel predicate -----------------------------------------

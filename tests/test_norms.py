@@ -5,7 +5,7 @@ and random maps against independent oracles."""
 import numpy as np
 import pytest
 
-from ehtp import hnorm
+from ehtp import elementary, hnorm
 from ehtp.elementary import (
     ElementaryOperator,
     apply,
@@ -292,15 +292,26 @@ class TestSchurPath:
         assert b.width <= 1e-9 * b.upper
         assert b.upper <= mu.norm + 1e-9
 
-    def test_regular_representations_close_at_the_starting_point(self):
+    def test_regular_representations_close_at_the_starting_point(self, monkeypatch):
         # the maximally mixed states attain ||mu||_1, which the raw gauge
-        # already gives, so no Newton step is taken
+        # already gives, so the terms are not pruned, no solve is set up and
+        # no d^2 x d^2 Choi or transfer matrix is built
+        calls = []
+        for module, name in ((hnorm, "prune_terms"), (hnorm, "_factorization_sdp"),
+                             (elementary, "_vec_outer_sum")):
+            def recorded(*args, _inner=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(module, name, recorded)
         rng = np.random.default_rng(18)
-        groups = [make_cyclic_product([n]) for n in (4, 5, 8, 12, 16)]
-        groups += [make_cyclic_product([2, 6]), from_cayley(s3_cayley())]
+        groups = [make_cyclic_product([n]) for n in range(4, 17)]
+        groups += [make_cyclic_product([2, 6]), make_cyclic_product([8, 8]), from_cayley(s3_cayley())]
         for g in groups:
             mu = Measure(g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order))
-            b = haagerup_norm_bounds(gamma(regular_rep(g), mu).op)
+            op = gamma(regular_rep(g), mu).op
+            calls.clear()
+            b = haagerup_norm_bounds(op)
+            assert calls == []
             assert b.iterations == 0
             assert b.lower == pytest.approx(mu.norm, rel=1e-12)
             assert b.upper == pytest.approx(mu.norm, rel=1e-12)
@@ -308,8 +319,8 @@ class TestSchurPath:
     def test_certificate_that_misses_the_symbol_raises(self, monkeypatch):
         solve = hnorm._factorization_sdp
 
-        def perturbed(left, right, cap, form):
-            cert_left, cert_right, witness, iterations, trace = solve(left, right, cap, form)
+        def perturbed(*args):
+            cert_left, cert_right, witness, iterations, trace = solve(*args)
             return cert_left * (1 + 1e-6), cert_right, witness, iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", perturbed)
@@ -322,8 +333,8 @@ class TestSchurPath:
         # not something to clamp away
         solve = hnorm._factorization_sdp
 
-        def inflated(left, right, cap, form):
-            cert_left, cert_right, (xa, xb, root), iterations, trace = solve(left, right, cap, form)
+        def inflated(*args):
+            cert_left, cert_right, (xa, xb, root), iterations, trace = solve(*args)
             return cert_left, cert_right, (2 * xa, xb, root), iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", inflated)
@@ -356,7 +367,8 @@ def _in_factorization_form(t, monkeypatch):
     solve = hnorm._factorization_sdp
     with monkeypatch.context() as m:
         m.setattr(hnorm, "_factorization_sdp",
-                  lambda left, right, cap, form: solve(left, right, cap, hnorm._FactorizationForm))
+                  lambda left, right, cap, form, start:
+                  solve(left, right, cap, hnorm._FactorizationForm, start))
         return haagerup_norm_bounds(t)
 
 

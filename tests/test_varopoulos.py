@@ -272,21 +272,21 @@ class TestChoiBuilds:
         pi = regular_rep(g)
         return pi, diagonalize(pi), Measure(g, np.linspace(1.0, 2.0, 8))
 
-    def test_equivalence_suite_builds_at_most_three(self, builds):
-        # the Choi matrix, the Kraus reconstruction, and the transfer matrix
-        # of the rotated map that the positivity probe shares with its gate
+    def test_equivalence_suite_builds_one(self, builds):
+        # the transfer matrix of the rotated map, which the positivity probe
+        # shares with its gate; the Kraus reconstruction gate reads factors
         _, diag, mu = self._regular_z8()
         report = equivalence_suite(diag, mu, trials=20)
         assert report.completely_positive and report.kraus_count == 8
-        assert len(builds) <= 3
+        assert len(builds) == 1
 
-    def test_cp_norm_path_builds_at_most_two(self, builds):
-        # the Choi matrix and the Kraus reconstruction
+    def test_cp_norm_path_builds_none(self, builds):
+        # the CP verdict, the Kraus family and its reconstruction gate all
+        # come from the factors
         pi, _, mu = self._regular_z8()
         interval = haagerup_norm_bounds(gamma(pi, mu).op)
         assert interval.lower == interval.upper == pytest.approx(mu.norm)
-        assert len(builds) <= 2
-
+        assert builds == []
 
     def test_not_cp_verdict_builds_none(self, builds):
         # the verdict comes from the factored Choi spectrum; a dense Choi
