@@ -27,7 +27,7 @@ from ehtp import (
 group = make_cyclic_product([101])
 squares = [(n * n) % 101 for n in range(1, 7)]
 pi = character_rep(group, [Character((101,), (q,)) for q in squares])
-diag = diagonalize(pi, seed=0)
+diag = diagonalize(pi)
 
 rng = np.random.default_rng(1)
 mu = from_density(group, rng.standard_normal(101) + 1j * rng.standard_normal(101))

@@ -26,7 +26,7 @@ from ehtp.measures import Measure
 
 group = make_cyclic_product([7])
 pi = character_rep(group, [Character((7,), (e,)) for e in (1, 3)])
-diag = diagonalize(pi, seed=0)
+diag = diagonalize(pi)
 
 diff = difference_set(diag.spectrum).exponent_set()
 print("spectrum exponents:", sorted(diag.spectrum.exponent_set()))

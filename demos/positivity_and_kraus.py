@@ -28,7 +28,7 @@ from ehtp import (
 
 group = make_cyclic_product([8])
 pi = character_rep(group, [Character((8,), (e,)) for e in (0, 1, 3, 6)])
-diag = diagonalize(pi, seed=0)
+diag = diagonalize(pi)
 
 # a positive combination of point masses is completely positive
 mu = dirac(group, 1) * 0.7 + dirac(group, 5) * 0.3

@@ -28,7 +28,7 @@ print("subgroup order:", sub.subgroup.order,
 
 pi = character_rep(group, [Character((12,), (e,)) for e in (2, 3, 7, 10)])
 rho = restrict_representation(pi, sub)
-spec = diagonalize(rho, seed=0).spectrum
+spec = diagonalize(rho).spectrum
 print("restricted spectrum exponents:", sorted(spec.exponent_set()))
 print("expected (original exponents taken mod 3):",
       sorted({(e % 3,) for e in (2, 3, 7, 10)}))

@@ -43,8 +43,7 @@ from .errors import (
     RestrictionMismatchError,
     ScenarioError,
 )
-from .gamma import gamma, kernel_test_difference_set, kernel_test_tensor_conjugate, \
-    kernel_test_transfer, restriction_spectrum_check, symbol_residual
+from .gamma import gamma, restriction_spectrum_check, symbol_residual
 from .groups import Character, FiniteGroup, from_cayley, make_cyclic_product, \
     subgroup_and_restriction
 from .hnorm import haagerup_norm_bounds
@@ -56,6 +55,7 @@ from .suites import (
     gamma_report,
     homomorphism_residual,
     kernel_measure,
+    kernel_verdicts,
     make_rng,
     random_measure,
     run_all,
@@ -239,7 +239,7 @@ def exp_gamma_homomorphism(s: Scenario, quick: bool) -> list[dict]:
     group = _need_group(s)
     pi = _need_rep(s, group)
     measures, origin = _measures_or_random(s, group, quick, minimum=2)
-    diag = diagonalize(pi, seed=s.seed) if group.abelian_shape is not None else None
+    diag = diagonalize(pi) if group.abelian_shape is not None else None
     records = []
     resid = unitality_residual(pi)
     records.append(_rec(s, "unit", resid <= s.tol, residual=float(resid)))
@@ -259,7 +259,7 @@ def exp_schur_identity(s: Scenario, quick: bool) -> list[dict]:
     group = _need_group(s)
     pi = _need_rep(s, group)
     _schema(group.abelian_shape is not None, "schur-identity needs a cyclic-product group")
-    diag = diagonalize(pi, seed=s.seed)
+    diag = diagonalize(pi)
     measures, _ = _measures_or_random(s, group, quick)
     records = []
     for i, mu in enumerate(measures):
@@ -273,16 +273,14 @@ def exp_kernel_equivalence(s: Scenario, quick: bool) -> list[dict]:
     group = _need_group(s)
     pi = _need_rep(s, group)
     _schema(group.abelian_shape is not None, "kernel-equivalence needs a cyclic-product group")
-    diag = diagonalize(pi, seed=s.seed)
+    diag = diagonalize(pi)
     measures, origin = _measures_or_random(s, group, quick)
     if origin == "random":
         # make sure at least one instance lands in the kernel
         measures = measures + [kernel_measure(diag, make_rng(s.seed, stream=1))]
     records = []
     for i, mu in enumerate(measures):
-        t1 = kernel_test_transfer(gamma(pi, mu))
-        t2 = kernel_test_difference_set(diag, mu)
-        t3 = kernel_test_tensor_conjugate(pi, mu)
+        t1, t2, t3 = kernel_verdicts(pi, diag, mu)
         records.append(_rec(s, f"measure-{i:02d}", t1 == t2 == t3,
                             transfer=t1, diffset=t2, tensorconj=t3))
     return records
@@ -292,7 +290,7 @@ def exp_cp_posdef(s: Scenario, quick: bool) -> list[dict]:
     group = _need_group(s)
     pi = _need_rep(s, group)
     _schema(group.abelian_shape is not None, "cp-posdef-equivalence needs a cyclic-product group")
-    diag = diagonalize(pi, seed=s.seed)
+    diag = diagonalize(pi)
     measures, _ = _measures_or_random(s, group, quick)
     trials = 10 if quick else int(s.params.get("sample_trials", 50))
     records = []
@@ -319,7 +317,7 @@ def exp_square_example(s: Scenario, quick: bool) -> list[dict]:
     for k in ks:
         try:
             k = int(k)
-            scan = square_scan(modulus, indices, k, tol=s.tol, diag_seed=s.seed)
+            scan = square_scan(modulus, indices, k, tol=s.tol)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad square-example parameters: {exc}") from exc
         passed = scan.pop("passed")

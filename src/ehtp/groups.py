@@ -115,7 +115,7 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def make_cyclic_product(shape: Sequence[int], max_order: int = MAX_ORDER) -> FiniteGroup:
+def make_cyclic_product(shape: Sequence[int]) -> FiniteGroup:
     """Build ``Z_{n_1} x ... x Z_{n_r}`` for ``shape = [n_1, ..., n_r]``."""
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0:
@@ -125,8 +125,8 @@ def make_cyclic_product(shape: Sequence[int], max_order: int = MAX_ORDER) -> Fin
     order = 1
     for n in shape:
         order *= n
-    if order > max_order:
-        raise ValueError(f"group order {order} exceeds the bound {max_order}")
+    if order > MAX_ORDER:
+        raise ValueError(f"group order {order} exceeds the bound {MAX_ORDER}")
 
     coords = np.array(np.unravel_index(np.arange(order), shape))  # (r, order)
     shape_col = np.array(shape).reshape(-1, 1, 1)
@@ -488,7 +488,7 @@ def subgroup_and_restriction(group: FiniteGroup, generators: Sequence[int]) -> S
         h_shape = [1]
         gen_coords = ((0,) * r,)
 
-    sub = make_cyclic_product(h_shape, max_order=group.order)
+    sub = make_cyclic_product(h_shape)
     h_coords = sub.coordinate_table()  # (s, |H|)
     gen_mat = np.array(gen_coords).T  # (r, s)
     g_coords = gen_mat @ h_coords % np.array(shape).reshape(-1, 1)

@@ -2,11 +2,10 @@
 
 Abelian representations are simultaneously diagonalizable; ``diagonalize``
 recovers a joint eigenbasis together with the exact character (exponent
-tuple) attached to every basis vector.  The basis is found by
-eigendecomposing a random Hermitian combination of the representation
-matrices, verified, retried with fresh coefficients, and, if randomness
-keeps failing, rebuilt deterministically by refining degenerate eigenspaces
-one group element at a time.
+tuple) attached to every basis vector.  The basis comes from the isotypic
+projections ``P_chi = |G|^-1 sum_s conj(chi(s)) pi(s)``, all of them from one
+FFT over the group, and one ``eigh`` of a combination of them; every
+rotated element is then checked against its characters.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
 
 _EXHAUSTIVE_ORDER = 64
 _PAIR_SAMPLES = 200
-_MAX_RETRIES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +61,6 @@ class Representation:
             )
         object.__setattr__(self, "matrices", m)
         self.matrices.flags.writeable = False
-
-    def matrix(self, element: int) -> np.ndarray:
-        return self.matrices[element]
 
     def __repr__(self) -> str:
         return f"Representation(dim={self.dim}, group={self.group!r})"
@@ -182,137 +177,45 @@ class DiagonalizedRep:
         self.basis.flags.writeable = False
 
 
-def _offdiag_max(mats: np.ndarray) -> float:
-    off = mats.copy()
-    idx = np.arange(mats.shape[1])
-    off[:, idx, idx] = 0.0
-    return float(np.abs(off).max()) if off.size else 0.0
-
-
-def _cluster(values: np.ndarray, tol: float = 1e-8) -> list[list[int]]:
-    """Group indices whose (possibly complex) values coincide within tol.
-    A refinement setting, not a gate: ``diagonalize`` checks the basis."""
-    clusters: list[list[int]] = []
-    reps: list[complex] = []
-    for idx, val in enumerate(values):
-        for ci, rep in enumerate(reps):
-            if abs(val - rep) <= tol:
-                clusters[ci].append(idx)
-                break
-        else:
-            clusters.append([idx])
-            reps.append(complex(val))
-    return clusters
-
-
-def _diagonalize_normal(sub: np.ndarray) -> np.ndarray:
-    """Unitary diagonalizing a normal matrix: eigendecompose the Hermitian
-    part, then the anti-Hermitian part inside each degenerate cluster (the
-    two parts commute for normal input)."""
-    herm = (sub + sub.conj().T) / 2
-    anti = (sub - sub.conj().T) / 2j
-    evals, w = np.linalg.eigh(herm)
-    for cl in _cluster(evals):
-        if len(cl) > 1:
-            comp = w[:, cl].conj().T @ anti @ w[:, cl]
-            _, w2 = np.linalg.eigh((comp + comp.conj().T) / 2)
-            w[:, cl] = w[:, cl] @ w2
-    return w
-
-
-def _refine_sequentially(pi: Representation) -> np.ndarray:
-    """Deterministic fallback: walk the elements, refining the basis inside
-    each joint eigenspace found so far.  Those eigenspaces are invariant for
-    the remaining matrices, whose compressions stay normal."""
-    d = pi.dim
-    v = np.eye(d, dtype=np.complex128)
-    blocks: list[np.ndarray] = [np.arange(d)]
-    for s in range(pi.group.order):
-        next_blocks: list[np.ndarray] = []
-        for blk in blocks:
-            if len(blk) == 1:
-                next_blocks.append(blk)
-                continue
-            basis = v[:, blk]
-            sub = basis.conj().T @ pi.matrices[s] @ basis
-            w = _diagonalize_normal(sub)
-            v[:, blk] = basis @ w
-            diag_vals = np.diag(w.conj().T @ sub @ w)
-            for cl in _cluster(diag_vals):
-                next_blocks.append(blk[cl])
-        blocks = next_blocks
-    return v
-
-
 def diagonalize(pi: Representation, seed: int = 0) -> DiagonalizedRep:
     """Joint eigenbasis of an abelian representation with exact characters.
 
+    One ``fftn`` over the group axes gives ``|G| P_chi`` for every character,
+    ``P_chi = |G|^-1 sum_s conj(chi(s)) pi(s)`` the chi-isotypic projection;
+    the multiplicities are the rounded traces.  One ``eigh`` of
+    ``sum_j j P_{chi_j}``, over the characters present in exponent order,
+    gives the basis, and each rounded eigenvalue names its vector's
+    character.  ``seed`` is accepted and ignored: the path is deterministic.
+
     Raises :class:`NonAbelianError` without a cyclic-product presentation and
     :class:`NumericalError` when the input is not (numerically) a
-    representation: non-commuting matrices, eigenvalues farther than ``TOL``
-    from a root of unity, or a reconstruction residual above ``TOL * d``.
+    representation: some rotated element ``V* pi(s) V`` misses
+    ``diag chi(s)`` by more than ``TOL`` in some entry.
     """
     shape = pi.group.abelian_shape
     if shape is None:
         raise NonAbelianError("diagonalization needs a cyclic-product group")
 
-    rng = np.random.default_rng(seed)
-    mats = pi.matrices
-    v = None
-    for _ in range(_MAX_RETRIES):
-        c1 = rng.standard_normal(pi.group.order)
-        c2 = rng.standard_normal(pi.group.order)
-        adj = mats.conj().transpose(0, 2, 1)
-        herm = np.einsum("s,sij->ij", c1, mats + adj) + 1j * np.einsum("s,sij->ij", c2, mats - adj)
-        herm = (herm + herm.conj().T) / 2
-        _, cand = np.linalg.eigh(herm)
-        rotated = cand.conj().T @ mats @ cand
-        if _offdiag_max(rotated) <= TOL:
-            v = cand
-            break
-    if v is None:
-        v = _refine_sequentially(pi)
-        rotated = v.conj().T @ mats @ v
-        if _offdiag_max(rotated) > TOL:
-            raise NumericalError(
-                "joint diagonalization failed; matrices do not commute within tolerance"
-            )
+    d, mats = pi.dim, pi.matrices
+    # numpy's exp(-2 pi i k.s / n) is conj(chi_k(s)), and k runs in dual_group order
+    proj = np.fft.fftn(mats.reshape(*shape, d, d), axes=tuple(range(len(shape))))
+    proj = proj.reshape(pi.group.order, d, d) / pi.group.order
+    present = np.flatnonzero(np.rint(np.einsum("kii->k", proj).real))
+    evals, v = np.linalg.eigh(np.einsum("j,jik->ik", np.arange(len(present), dtype=float), proj[present]))
+    pos = np.rint(evals).astype(int)
+    if np.any((pos < 0) | (pos >= len(present))):
+        raise NumericalError("isotypic projections do not resolve a joint eigenbasis")
+    exps = np.array(np.unravel_index(present, shape)).T
+    chars = [Character(shape, tuple(exps[j])) for j in pos]
 
-    chars = _read_characters(pi, v, shape)
-
-    # global reconstruction check against the exact character values
-    table = character_table(pi.group, chars)  # (d, order)
-    recon = (v * table.T[:, None, :]) @ v.conj().T
-    resid = float(np.linalg.norm(recon - mats, axis=(1, 2)).max())
-    if resid > TOL * pi.dim:
-        raise NumericalError(f"eigenbasis reconstruction residual {resid:.3e} exceeds {TOL * pi.dim:.3e}")
+    rotated = v.conj().T @ mats @ v
+    idx = np.arange(d)
+    rotated[:, idx, idx] -= character_table(pi.group, chars).T
+    resid = float(np.abs(rotated).max(initial=0.0))
+    if resid > TOL:
+        raise NumericalError(f"rotated representation misses its characters by {resid:.3e} > {TOL:.1e}")
 
     return DiagonalizedRep(pi, v, tuple(chars), spectrum(pi.group, chars, sort=True))
-
-
-def _read_characters(pi: Representation, v: np.ndarray, shape: tuple[int, ...]) -> list[Character]:
-    """Exact exponents from the eigenvalue phases at the factor generators."""
-    gens = []
-    for axis in range(len(shape)):
-        coords = [0] * len(shape)
-        coords[axis] = 1 if shape[axis] > 1 else 0
-        gens.append(pi.group.element_index(coords))
-
-    chars = []
-    diags = [np.diag(v.conj().T @ pi.matrices[g] @ v) for g in gens]
-    for j in range(pi.dim):
-        exps = []
-        for axis, n in enumerate(shape):
-            lam = diags[axis][j]
-            k = int(np.round(np.angle(lam) * n / (2 * np.pi))) % n
-            root = np.exp(2j * np.pi * k / n)
-            if abs(lam - root) > TOL:
-                raise NumericalError(
-                    f"eigenvalue {lam:.6f} is not a {n}-th root of unity within {TOL}"
-                )
-            exps.append(k)
-        chars.append(Character(shape, tuple(exps)))
-    return chars
 
 
 def gelfand(diag: DiagonalizedRep, mu: Measure) -> dict[Character, complex]:

@@ -68,6 +68,7 @@ __all__ = [
     "homomorphism_residual",
     "unitality_residual",
     "gamma_report",
+    "kernel_verdicts",
     "kernel_measure",
     "square_scan",
     "homomorphism_suite",
@@ -229,6 +230,14 @@ def gamma_report(pi, mu: Measure, diag=None) -> dict:
     }
 
 
+def kernel_verdicts(pi, diag, mu: Measure) -> tuple[bool, bool, bool]:
+    """The three kernel predicates for one measure: zero transfer matrix,
+    transform vanishing on the difference set, zero tensor-conjugate
+    integral."""
+    return (kernel_test_transfer(gamma(pi, mu)), kernel_test_difference_set(diag, mu),
+            kernel_test_tensor_conjugate(pi, mu))
+
+
 def kernel_measure(diag, rng: np.random.Generator) -> Measure:
     """A measure the realization sends to zero: its transform is drawn at
     random off the difference set of the spectrum, one ``(re, im)`` pair per
@@ -240,7 +249,7 @@ def kernel_measure(diag, rng: np.random.Generator) -> Measure:
     return from_transform(group, coeffs)
 
 
-def square_scan(modulus: int, indices, k: int, tol: float = TOL, diag_seed: int = 0) -> dict:
+def square_scan(modulus: int, indices, k: int, tol: float = TOL) -> dict:
     """Exhaustive-oracle comparison for the quadratic-exponent symbol.
 
     The oracle scans all index pairs with exact integer arithmetic first;
@@ -260,7 +269,7 @@ def square_scan(modulus: int, indices, k: int, tol: float = TOL, diag_seed: int 
 
     group = make_cyclic_product([modulus])
     pi = character_rep(group, [Character((modulus,), (sq,)) for sq in squares])
-    diag = diagonalize(pi, seed=diag_seed)
+    diag = diagonalize(pi)
     mu = from_density(group, Character((modulus,), (int(k),)).values(group))
     symbol = fourier_symbol(mu, diag.char_of_index)
     verify = symbol_residual(diag, mu, symbol)
@@ -354,7 +363,8 @@ def schur_suite(trials: int = 200, seed: int = 0) -> list[dict]:
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=8)
         mu = random_measure(group, rng)
-        diag = diagonalize(pi, seed=_sub_seed(rng))
+        _sub_seed(rng)
+        diag = diagonalize(pi)
         resid = symbol_residual(diag, mu, fourier_symbol(mu, diag.char_of_index))
         records.append(_rec("schur-identity", f"triple-{i:03d}", resid <= TOL,
                             residual=float(resid), group=_shape_label(group.abelian_shape),
@@ -365,7 +375,7 @@ def schur_suite(trials: int = 200, seed: int = 0) -> list[dict]:
 def square_suite(seed: int = 0) -> list[dict]:
     records = []
     for k in SQUARE_KS:
-        scan = square_scan(SQUARE_MODULUS, SQUARE_INDICES, k, diag_seed=seed)
+        scan = square_scan(SQUARE_MODULUS, SQUARE_INDICES, k)
         passed = scan.pop("passed")
         records.append(_rec("square-example", f"N{SQUARE_MODULUS}-k{k}", passed, **scan))
     return records
@@ -374,22 +384,16 @@ def square_suite(seed: int = 0) -> list[dict]:
 def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
     rng = make_rng(seed, stream=5)
     records = []
-
-    def verdicts(pi, diag, mu):
-        t_transfer = kernel_test_transfer(gamma(pi, mu))
-        t_diffset = kernel_test_difference_set(diag, mu)
-        t_tensor = kernel_test_tensor_conjugate(pi, mu)
-        return t_transfer, t_diffset, t_tensor
-
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
-        diag = diagonalize(pi, seed=_sub_seed(rng))
+        _sub_seed(rng)
+        diag = diagonalize(pi)
         if i % 2 == 0:
             flavor, mu = "generic", random_measure(group, rng)
         else:
             flavor, mu = "constructed-kernel", kernel_measure(diag, rng)
-        t1, t2, t3 = verdicts(pi, diag, mu)
+        t1, t2, t3 = kernel_verdicts(pi, diag, mu)
         records.append(_rec("kernel-equivalence", f"random-{i:03d}", t1 == t2 == t3,
                             flavor=flavor, transfer=t1, diffset=t2, tensorconj=t3,
                             group=_shape_label(group.abelian_shape)))
@@ -401,7 +405,8 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
     for shape in adversarial_shapes:
         group = make_cyclic_product(shape)
         pi = character_rep(group, [random_character(group, rng) for _ in range(2)])
-        diag = diagonalize(pi, seed=_sub_seed(rng))
+        _sub_seed(rng)
+        diag = diagonalize(pi)
         diff = difference_set(diag.spectrum).exponent_set()
         off = [c for c in dual_group(group) if c.exponents not in diff]
         on = [c for c in dual_group(group) if c.exponents in diff]
@@ -409,7 +414,7 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
         for side, c in picks:
             scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
             mu = from_transform(group, {c.exponents: scale})
-            t1, t2, t3 = verdicts(pi, diag, mu)
+            t1, t2, t3 = kernel_verdicts(pi, diag, mu)
             records.append(_rec("kernel-equivalence", f"adversarial-{case:03d}", t1 == t2 == t3,
                                 flavor=side, transfer=t1, diffset=t2, tensorconj=t3,
                                 group=_shape_label(shape)))
@@ -423,7 +428,8 @@ def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=8)
-        diag = diagonalize(pi, seed=_sub_seed(rng))
+        _sub_seed(rng)
+        diag = diagonalize(pi)
         flavor = ("generic", "positive", "symmetric", "unit", "difference")[i % 5]
         if flavor == "generic":
             mu = random_measure(group, rng)

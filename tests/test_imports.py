@@ -3,10 +3,12 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum``, no caller passes the ignored knobs of ``haagerup_norm_bounds``,
-and neither rewriting gate builds a dense Choi or transfer matrix."""
+``einsum``, no caller in the package, the tests, the demos or the README
+passes an ignored parameter, and neither rewriting gate builds a dense Choi
+or transfer matrix."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ehtp"
@@ -136,30 +138,44 @@ def test_package_imports_no_solver_library():
 
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = PACKAGE.parent.parent / "README.md"
+
+# Parameters a function accepts and ignores, kept so that old callers work.
+IGNORED_KNOBS = {"haagerup_norm_bounds": {"restarts", "seed"}, "diagonalize": {"seed"}}
 
 
-def _norm_bound_knobs(path):
-    """``(line, what)`` for every call of ``haagerup_norm_bounds`` that passes
-    ``restarts`` or ``seed``, by keyword or by position."""
+def _ignored_knobs(tree):
+    """``(line, what)`` for every call under ``tree`` that passes an ignored
+    parameter of a function in ``IGNORED_KNOBS``, by keyword or by position
+    (each function has one parameter before its knobs)."""
     found = []
-    for node in ast.walk(_tree(path)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name != "haagerup_norm_bounds":
+        if name not in IGNORED_KNOBS:
             continue
-        found += [(node.lineno, k.arg) for k in node.keywords if k.arg in {"restarts", "seed"}]
+        found += [(node.lineno, k.arg) for k in node.keywords if k.arg in IGNORED_KNOBS[name]]
         if len(node.args) > 1:
             found.append((node.lineno, "positional"))
     return found
 
 
-def test_no_caller_passes_the_ignored_norm_knobs():
-    # the bracket is deterministic; the two parameters stay only for old callers
+def test_no_caller_passes_an_ignored_knob():
     files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     assert len(files) > 20
-    found = {f"{p.parent.name}/{p.name}": _norm_bound_knobs(p) for p in files}
+    trees = {f"{p.parent.name}/{p.name}": _tree(p) for p in files}
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    trees.update({f"README.md python block {i}": ast.parse(b) for i, b in enumerate(blocks)})
+    found = {name: _ignored_knobs(tree) for name, tree in trees.items()}
+    # the one test that passes a knob, to show that it is ignored
+    shown = next(node for node in ast.walk(trees["tests/test_representations.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "test_seed_is_ignored")
+    assert _ignored_knobs(shown)
+    found["tests/test_representations.py"] = [
+        hit for hit in found["tests/test_representations.py"] if hit not in _ignored_knobs(shown)]
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from ehtp import representations
 from ehtp.errors import GroupMismatchError, NonAbelianError, NumericalError
-from ehtp.groups import Character, make_cyclic_product, subgroup_and_restriction
+from ehtp.groups import Character, dual_group, make_cyclic_product, subgroup_and_restriction
 from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes
 from ehtp.representations import (
+    Representation,
     block_algebra_basis,
     character_rep,
     cyclic_vector,
@@ -118,6 +119,24 @@ class TestIntegrate:
             integrate(pi, dirac(make_cyclic_product([4]), 0))
 
 
+def _oracle_multiplicities(pi):
+    """``m_chi = round(|G|^-1 sum_s conj(chi(s)) tr pi(s))`` over the dual
+    group, from the exact phases of ``Character.evaluate``."""
+    g = pi.group
+    traces = np.trace(pi.matrices, axis1=1, axis2=2)
+    mults = {}
+    for chi in dual_group(g):
+        m = round((sum(np.conj(chi.evaluate(g, s)) * traces[s] for s in g.elements()) / g.order).real)
+        if m:
+            mults[chi.exponents] = m
+    return mults
+
+
+def _z12_characters(exponents):
+    g = make_cyclic_product([12])
+    return g, character_rep(g, [Character((12,), (k,)) for k in exponents])
+
+
 class TestDiagonalize:
     def test_trivial_rep_has_trivial_spectrum(self):
         g = make_cyclic_product([6])
@@ -158,6 +177,72 @@ class TestDiagonalize:
         pi = regular_rep(from_cayley(s3_cayley()))
         with pytest.raises(NonAbelianError):
             diagonalize(pi)
+
+    @pytest.mark.parametrize("pi", [
+        regular_rep(make_cyclic_product([64])),
+        regular_rep(make_cyclic_product([8, 8])),
+        regular_rep(make_cyclic_product([2, 2, 3])),
+        regular_rep(make_cyclic_product([1, 4])),
+        tensor_conjugate(regular_rep(make_cyclic_product([6]))),
+        _z12_characters((0, 3, 3, 7, 7, 7, 11))[1],
+        trivial_rep(make_cyclic_product([1]), 3),
+    ], ids=["Z64", "Z8xZ8", "Z2xZ2xZ3", "Z1xZ4", "tensorconj-Z6", "Z12-repeated", "Z1-trivial3"])
+    def test_labels_match_the_character_oracle(self, pi):
+        g = pi.group
+        diag = diagonalize(pi)
+        labels = [c.exponents for c in diag.char_of_index]
+        assert {e: labels.count(e) for e in set(labels)} == _oracle_multiplicities(pi)
+        values = np.array([[c.evaluate(g, s) for c in diag.char_of_index] for s in g.elements()])
+        v = diag.basis
+        assert np.abs(pi.matrices @ v - v * values[:, None, :]).max() <= 1e-12
+
+    def test_seed_is_ignored(self, monkeypatch):
+        # one deterministic path: no generator, no legacy draw, one eigh
+        def no_generator(*args, **kwargs):
+            raise AssertionError("diagonalize drew random numbers")
+
+        eigh_calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_calls.append(a) or eigh(a))
+        pi = regular_rep(make_cyclic_product([4, 6]))
+        state = np.random.get_state()[1].copy()
+        first, second = diagonalize(pi, seed=1), diagonalize(pi, seed=2)
+        assert np.array_equal(np.random.get_state()[1], state)
+        assert len(eigh_calls) == 2
+        assert first.basis.tobytes() == second.basis.tobytes()
+        assert first.char_of_index == second.char_of_index
+
+    @staticmethod
+    def _corrupted(kind):
+        g = make_cyclic_product([6])
+        mats = regular_rep(g).matrices.copy()
+        if kind == "swapped":
+            mats[[1, 2]] = mats[[2, 1]]
+        elif kind == "non-commuting":
+            # still unitary: a Hadamard turn of the first two rows of pi(1)
+            mats[1, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2) @ mats[1, :2]
+        else:
+            mats[3, 0, 0] += {"perturbed-1e-6": 1e-6, "perturbed-1e-12": 1e-12}[kind]
+        return Representation(g, g.order, mats)
+
+    @pytest.mark.parametrize("kind", ["swapped", "perturbed-1e-6", "non-commuting"])
+    def test_corrupted_stack_raises(self, kind):
+        with pytest.raises(NumericalError):
+            diagonalize(self._corrupted(kind))
+
+    def test_rounding_level_perturbation_is_accepted(self):
+        diag = diagonalize(self._corrupted("perturbed-1e-12"))
+        assert diag.spectrum.exponent_set() == {(k,) for k in range(6)}
+
+    def test_one_entry_off_its_character_raises(self):
+        # one entry of a non-generator element 5e-9 off: above TOL entrywise,
+        # below TOL * d = 8e-9 as a Frobenius reconstruction residual
+        g, pi = _z12_characters((0, 1, 2, 3, 5, 7, 8, 11))
+        mats = pi.matrices.copy()
+        mats[5, 3, 3] *= np.exp(5e-9j)
+        with pytest.raises(NumericalError):
+            diagonalize(Representation(g, pi.dim, mats))
 
 
 class TestGelfand:
