@@ -244,8 +244,13 @@ def _data_scale(t: ElementaryOperator) -> float:
     """``sum_i ||a_i||_F ||b_i||_F``: a bound on the Frobenius norm of the
     Choi matrix, so on every Choi eigenvalue and on the rounding noise in
     them.  The complete-positivity gates and the Kraus cutoff are taken at
-    this scale, so a map and its multiple by 1e-12 get the same verdicts."""
-    return float(np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2))))
+    this scale, so a map and its multiple by 1e-12 get the same verdicts.
+    Raises :class:`NumericalError` when the scale overflows (entries past
+    about 1e154), since ``x <= tol * inf`` would pass every gate."""
+    scale = float(np.sum(np.linalg.norm(t.left, axis=(1, 2)) * np.linalg.norm(t.right, axis=(1, 2))))
+    if not np.isfinite(scale):
+        raise NumericalError(f"the data scale of the map is {scale}")
+    return scale
 
 
 def _choi_spectrum(t: ElementaryOperator) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

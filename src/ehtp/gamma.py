@@ -37,6 +37,7 @@ __all__ = [
     "slice_identity_residual",
     "symbol_residual",
     "schur_form",
+    "checked_symbol",
     "kernel_test_difference_set",
     "kernel_test_tensor_conjugate",
     "kernel_test_transfer",
@@ -117,14 +118,20 @@ def schur_form(diag: DiagonalizedRep, mu: Measure) -> np.ndarray:
     return _verified_symbol(diag, mu, TOL)[0]
 
 
-def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
-    """The symbol and its residual; raises when the residual exceeds
-    ``tol * ||mu||_1``."""
+def checked_symbol(diag: DiagonalizedRep, mu: Measure, tol: float = TOL) -> tuple[np.ndarray, float, bool]:
+    """The symbol, its residual (:func:`symbol_residual`) and the verdict
+    of the symbol gate: the residual is at most ``tol * ||mu||_1``."""
     if not diag.rep.group.is_same(mu.group):
         raise GroupMismatchError("representation and measure live on different groups")
     symbol = fourier_symbol(mu, diag.char_of_index)
     resid = symbol_residual(diag, mu, symbol)
-    if resid > tol * mu.norm:
+    return symbol, resid, resid <= tol * mu.norm
+
+
+def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
+    """The symbol and its residual; raises when the symbol gate fails."""
+    symbol, resid, ok = checked_symbol(diag, mu, tol)
+    if not ok:
         raise NumericalError(f"symbol verification failed: residual {resid:.3e}")
     return symbol, resid
 

@@ -88,6 +88,8 @@ class FiniteGroup:
 
     def element_index(self, coords: Sequence[int]) -> int:
         shape = self._shape_or_raise()
+        if len(coords) != len(shape):
+            raise ValueError(f"expected {len(shape)} coordinates, got {len(coords)}")
         coords = tuple(int(c) % n for c, n in zip(coords, shape))
         return int(np.ravel_multi_index(coords, shape))
 

@@ -12,12 +12,13 @@ matrix ``X diag(mu) X*`` with ``X[j, s] = chi_j(s)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import TOL, GroupMismatchError
+from .errors import TOL, GroupMismatchError, NumericalError
 from .groups import Character, FiniteGroup, SpectrumSet, character_table, dual_group
 
 __all__ = [
@@ -46,13 +47,19 @@ class Measure:
         w = np.ascontiguousarray(self.weights, dtype=np.complex128)
         if w.shape != (self.group.order,):
             raise ValueError(f"weights must have shape ({self.group.order},), got {w.shape}")
+        norm = float(np.abs(w).sum())
+        if not math.isfinite(norm):
+            # NaN or infinite weights, or a norm that overflows: every gate
+            # scaled by it would pass
+            raise NumericalError(f"the total variation norm of the weights is {norm}")
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_norm", norm)
         self.weights.flags.writeable = False
 
     @property
     def norm(self) -> float:
         """Total variation norm, the l1 norm of the weights."""
-        return float(np.sum(np.abs(self.weights)))
+        return self._norm
 
     @property
     def total_mass(self) -> complex:

@@ -83,6 +83,9 @@ def make_representation(group: FiniteGroup, matrices: np.ndarray) -> Representat
 
 def _validate(pi: Representation) -> None:
     d, n = pi.dim, pi.group.order
+    # every guard below reads ``resid > bound``, which is False for NaN
+    if not np.isfinite(pi.matrices).all():
+        raise NumericalError("matrices have non-finite entries")
     eye = np.eye(d)
     gram = np.einsum("sji,sjk->sik", np.conj(pi.matrices), pi.matrices)
     resid = np.linalg.norm(gram - eye, axis=(1, 2)).max()

@@ -1,8 +1,11 @@
-"""Randomized invariant suites shared by the command line and the tests.
+"""Randomized invariant suites, and the checks they share with the command
+line.
 
-Each suite function returns a list of plain-dict records, one per assertion,
-with a fixed key layout (``suite``, ``case``, ``identity``, ``passed`` plus
-numeric detail), so reports serialize to stable JSON lines.
+Each check gates one identity and returns a record body: ``passed`` plus the
+measurements its gate read.  The suites and the ``ehtp run`` experiments call
+the same checks, so each gate is written once; :func:`record` adds the fixed
+keys (``suite``, ``case``, ``identity``) and the caller's context fields, so
+reports serialize to stable JSON lines.
 
 Randomness policy: everything flows from a single 64-bit seed through
 numpy's PCG64.  Each suite owns a fixed stream number, spawned off the seed
@@ -22,13 +25,13 @@ from .errors import (
     RestrictionMismatchError,
 )
 from .gamma import (
+    checked_symbol,
     gamma,
     kernel_test_difference_set,
     kernel_test_tensor_conjugate,
     kernel_test_transfer,
     restriction_spectrum_check,
     slice_identity_residual,
-    symbol_residual,
 )
 from .groups import (
     Character,
@@ -44,7 +47,6 @@ from .measures import (
     Measure,
     convolve,
     dirac,
-    fourier_symbol,
     from_density,
     from_transform,
     in_augmentation_ideal,
@@ -65,10 +67,16 @@ __all__ = [
     "random_measure",
     "random_positive_measure",
     "random_character_rep",
+    "record",
     "homomorphism_residual",
-    "unitality_residual",
+    "unit_check",
+    "homomorphism_check",
+    "symbol_check",
+    "kernel_check",
+    "cp_posdef_check",
+    "restriction_check",
+    "norm_check",
     "gamma_report",
-    "kernel_verdicts",
     "kernel_measure",
     "square_scan",
     "homomorphism_suite",
@@ -185,18 +193,18 @@ def _sub_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(_MAX_SEED))
 
 
-def _rec(suite: str, case: str, passed, **metrics) -> dict:
-    rec = {"suite": suite, "case": case, "identity": IDENTITIES[suite], "passed": bool(passed)}
-    rec.update(metrics)
+def record(suite: str, case: str, body: dict, **context) -> dict:
+    """One report record: the suite, the case and its identity, then a
+    check's body (``passed`` plus its measurements) and the caller's
+    context fields."""
+    rec = {"suite": suite, "case": case, "identity": IDENTITIES[suite], **body, **context}
+    rec["passed"] = bool(rec["passed"])
     return rec
 
 
-def _monotone(trace) -> bool:
-    return all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
-
-
 # ---------------------------------------------------------------------------
-# Check primitives, shared with the CLI experiments
+# Checks, shared with the CLI experiments: each returns a record body,
+# ``passed`` plus the measurements its gate read
 # ---------------------------------------------------------------------------
 
 
@@ -208,34 +216,104 @@ def homomorphism_residual(pi, mu: Measure, nu: Measure) -> float:
     return float(np.linalg.norm(lhs - rhs))
 
 
-def unitality_residual(pi) -> float:
-    """Distance of the realized unit point mass from the identity map."""
+def unit_check(pi, tol: float = TOL) -> dict:
+    """The realized unit point mass is the identity map."""
     d = pi.dim
     lhs = gamma(pi, dirac(pi.group, pi.group.identity)).transfer()
-    return float(np.linalg.norm(lhs - np.eye(d * d)))
+    resid = float(np.linalg.norm(lhs - np.eye(d * d)))
+    return {"passed": resid <= tol, "residual": resid}
 
 
-def gamma_report(pi, mu: Measure, diag=None) -> dict:
-    """The standard wire report for one realized measure."""
-    image = gamma(pi, mu)
-    bounds = haagerup_norm_bounds(image.op)
+def homomorphism_check(pi, mu: Measure, nu: Measure, tol: float = TOL) -> dict:
+    """Convolution maps to composition, to ``tol * d * ||mu||_1 * ||nu||_1``:
+    each d^2 x d^2 transfer matrix has operator norm at most its measure's
+    l1 norm, so Frobenius norm at most d times that."""
+    resid = homomorphism_residual(pi, mu, nu)
+    return {"passed": resid <= tol * pi.dim * mu.norm * nu.norm, "residual": resid}
+
+
+def symbol_check(diag, mu: Measure, tol: float = TOL) -> dict:
+    """The map acts as its Fourier symbol, to ``tol * ||mu||_1``: the gate
+    :func:`ehtp.gamma.schur_form` raises at."""
+    _, resid, ok = checked_symbol(diag, mu, tol)
+    return {"passed": ok, "residual": float(resid)}
+
+
+def kernel_check(pi, diag, mu: Measure) -> dict:
+    """The three kernel predicates agree: zero transfer matrix, transform
+    vanishing on the difference set, zero tensor-conjugate integral.  Each
+    reads ``TOL`` at its own scale."""
+    t1 = kernel_test_transfer(gamma(pi, mu))
+    t2 = kernel_test_difference_set(diag, mu)
+    t3 = kernel_test_tensor_conjugate(pi, mu)
+    return {"passed": t1 == t2 == t3, "transfer": t1, "diffset": t2, "tensorconj": t3}
+
+
+def cp_posdef_check(diag, mu: Measure, trials: int, seed: int, tol: float = TOL) -> dict:
+    """Complete positivity equals positive semidefiniteness of the symbol,
+    and a completely positive map's Kraus family is independent: its
+    smallest singular value exceeds ``TOL`` times its largest.  That gate
+    does not read ``tol``: the family is built with a condition number of at
+    most ``CUTOFF ** -0.5``, so it fails only on a broken extraction, at
+    any scale of ``mu``."""
+    try:
+        report = equivalence_suite(diag, mu, trials=trials, tol=tol, seed=seed)
+    except EquivalenceViolationError as exc:
+        return {"passed": False, "error": str(exc)}
+    ok = report.consistent
+    if report.completely_positive and report.kraus_count:
+        ok = ok and report.kraus_min_singular > TOL * report.kraus_max_singular
+    return {"passed": ok, "cp": report.completely_positive,
+            "posdef": report.positive_definite, "sampled": report.sampled_positive,
+            "kraus_count": int(report.kraus_count),
+            "kraus_min_singular": report.kraus_min_singular,
+            "kraus_diagonality": report.kraus_diagonality}
+
+
+def restriction_check(pi, sub, seed: int, tol: float = TOL) -> dict:
+    """Restricting the representation restricts its spectrum, and the
+    restricted symbol identity holds to ``tol`` on a random measure."""
+    try:
+        report = restriction_spectrum_check(pi, sub, seed=seed, tol=tol)
+    except RestrictionMismatchError as exc:
+        return {"passed": False, "subgroup_order": sub.subgroup.order, "error": str(exc)}
+    return {"passed": report.match and report.symbol_residual <= tol,
+            "subgroup_order": sub.subgroup.order,
+            "spectrum_size": len(report.expected_exponents),
+            "symbol_residual": float(report.symbol_residual)}
+
+
+def norm_check(op: ElementaryOperator, mu: Measure | None = None, tol: float = TOL) -> dict:
+    """The cb-norm bracket of ``op`` is not crossed, is at most
+    ``NORM_REL_WIDTH`` wide relative to its upper end, and its upper trace
+    never rises; given the measure ``op`` realizes, its upper end is at
+    most ``||mu||_1``, to ``tol`` relative (contractivity)."""
+    bounds = haagerup_norm_bounds(op)
+    trace = bounds.upper_trace
+    ok = (bounds.lower <= bounds.upper * (1 + 1e-12) and bounds.width <= NORM_REL_WIDTH * bounds.upper
+          and all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])))
+    body = {**bounds.report(), "width": float(bounds.width)}
+    if mu is not None:
+        body["excess"] = float(bounds.upper - mu.norm)
+        ok = ok and body["excess"] <= tol * mu.norm
+    return {"passed": ok, **body}
+
+
+def gamma_report(pi, mu: Measure, diag=None, tol: float = TOL) -> dict:
+    """The standard wire report for one realized measure, passed when the
+    homomorphism law holds for ``mu * mu`` and the map is contractive."""
+    pair = homomorphism_check(pi, mu, mu, tol)
+    norm = norm_check(gamma(pi, mu).op, mu, tol)
     kernel = {"tensorconj": bool(kernel_test_tensor_conjugate(pi, mu))}
     kernel["diffset"] = bool(kernel_test_difference_set(diag, mu)) if diag is not None else None
     return {
-        "homomorphism_resid": homomorphism_residual(pi, mu, mu),
-        "cb_upper": float(bounds.upper),
+        "passed": pair["passed"] and norm["passed"],
+        "homomorphism_resid": pair["residual"],
+        "cb_upper": norm["upper"],
         "mu_norm": float(mu.norm),
         "in_augmentation_ideal": bool(in_augmentation_ideal(mu)),
         "kernel": kernel,
     }
-
-
-def kernel_verdicts(pi, diag, mu: Measure) -> tuple[bool, bool, bool]:
-    """The three kernel predicates for one measure: zero transfer matrix,
-    transform vanishing on the difference set, zero tensor-conjugate
-    integral."""
-    return (kernel_test_transfer(gamma(pi, mu)), kernel_test_difference_set(diag, mu),
-            kernel_test_tensor_conjugate(pi, mu))
 
 
 def kernel_measure(diag, rng: np.random.Generator) -> Measure:
@@ -271,8 +349,7 @@ def square_scan(modulus: int, indices, k: int, tol: float = TOL) -> dict:
     pi = character_rep(group, [Character((modulus,), (sq,)) for sq in squares])
     diag = diagonalize(pi)
     mu = from_density(group, Character((modulus,), (int(k),)).values(group))
-    symbol = fourier_symbol(mu, diag.char_of_index)
-    verify = symbol_residual(diag, mu, symbol)
+    symbol, verify, _ = checked_symbol(diag, mu, tol)
 
     index_of_square = {sq: n for sq, n in zip(squares, indices)}
     labels = [index_of_square[c.exponents[0]] for c in diag.char_of_index]
@@ -314,15 +391,13 @@ def homomorphism_suite(pairs_per_group: int = 100, seed: int = 0) -> list[dict]:
             pi = regular_rep(group)
         else:
             pi = random_character_rep(group, rng, max_dim=8)
-        resid = unitality_residual(pi)
-        records.append(_rec("gamma-homomorphism", f"{label}/unit", resid <= TOL,
-                            residual=resid, group=label, dim=pi.dim))
+        records.append(record("gamma-homomorphism", f"{label}/unit", unit_check(pi),
+                              group=label, dim=pi.dim))
         for i in range(pairs_per_group):
             mu = random_measure(group, rng)
             nu = random_measure(group, rng)
-            resid = homomorphism_residual(pi, mu, nu)
-            records.append(_rec("gamma-homomorphism", f"{label}/pair-{i:03d}", resid <= TOL,
-                                residual=resid, group=label, dim=pi.dim))
+            records.append(record("gamma-homomorphism", f"{label}/pair-{i:03d}",
+                                  homomorphism_check(pi, mu, nu), group=label, dim=pi.dim))
     return records
 
 
@@ -333,15 +408,9 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
         mu = random_measure(group, rng)
-        bounds = haagerup_norm_bounds(gamma(pi, mu).op)
+        body = norm_check(gamma(pi, mu).op, mu)
         _sub_seed(rng)  # one draw per case, so each seed keeps selecting the same cases
-        excess = bounds.upper - mu.norm
-        ok = (excess <= TOL * mu.norm and bounds.lower <= bounds.upper * (1 + 1e-12)
-              and bounds.width <= NORM_REL_WIDTH * bounds.upper and _monotone(bounds.upper_trace))
-        records.append(_rec("contractivity", f"generic-{i:03d}", ok,
-                            upper=float(bounds.upper), lower=float(bounds.lower),
-                            width=float(bounds.width), tv_norm=float(mu.norm),
-                            excess=float(excess), iters=int(bounds.iterations)))
+        records.append(record("contractivity", f"generic-{i:03d}", body, tv_norm=float(mu.norm)))
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
@@ -351,8 +420,9 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         mass = float(mu.total_mass.real)
         resid = abs(bounds.upper - mass)
         ok = resid <= 1e-12 * mass and bounds.lower == bounds.upper
-        records.append(_rec("contractivity", f"positive-{i:03d}", ok,
-                            upper=float(bounds.upper), mass=mass, residual=float(resid)))
+        records.append(record("contractivity", f"positive-{i:03d}",
+                              {"passed": ok, "upper": float(bounds.upper), "mass": mass,
+                               "residual": float(resid)}))
     return records
 
 
@@ -364,21 +434,14 @@ def schur_suite(trials: int = 200, seed: int = 0) -> list[dict]:
         pi = random_character_rep(group, rng, max_dim=8)
         mu = random_measure(group, rng)
         _sub_seed(rng)
-        diag = diagonalize(pi)
-        resid = symbol_residual(diag, mu, fourier_symbol(mu, diag.char_of_index))
-        records.append(_rec("schur-identity", f"triple-{i:03d}", resid <= TOL,
-                            residual=float(resid), group=_shape_label(group.abelian_shape),
-                            dim=pi.dim))
+        records.append(record("schur-identity", f"triple-{i:03d}", symbol_check(diagonalize(pi), mu),
+                              group=_shape_label(group.abelian_shape), dim=pi.dim))
     return records
 
 
 def square_suite(seed: int = 0) -> list[dict]:
-    records = []
-    for k in SQUARE_KS:
-        scan = square_scan(SQUARE_MODULUS, SQUARE_INDICES, k)
-        passed = scan.pop("passed")
-        records.append(_rec("square-example", f"N{SQUARE_MODULUS}-k{k}", passed, **scan))
-    return records
+    return [record("square-example", f"N{SQUARE_MODULUS}-k{k}",
+                   square_scan(SQUARE_MODULUS, SQUARE_INDICES, k)) for k in SQUARE_KS]
 
 
 def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
@@ -393,10 +456,8 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
             flavor, mu = "generic", random_measure(group, rng)
         else:
             flavor, mu = "constructed-kernel", kernel_measure(diag, rng)
-        t1, t2, t3 = kernel_verdicts(pi, diag, mu)
-        records.append(_rec("kernel-equivalence", f"random-{i:03d}", t1 == t2 == t3,
-                            flavor=flavor, transfer=t1, diffset=t2, tensorconj=t3,
-                            group=_shape_label(group.abelian_shape)))
+        records.append(record("kernel-equivalence", f"random-{i:03d}", kernel_check(pi, diag, mu),
+                              flavor=flavor, group=_shape_label(group.abelian_shape)))
 
     # adversarial block: single-character transforms straddling the boundary
     # of the difference set
@@ -414,10 +475,8 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
         for side, c in picks:
             scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
             mu = from_transform(group, {c.exponents: scale})
-            t1, t2, t3 = kernel_verdicts(pi, diag, mu)
-            records.append(_rec("kernel-equivalence", f"adversarial-{case:03d}", t1 == t2 == t3,
-                                flavor=side, transfer=t1, diffset=t2, tensorconj=t3,
-                                group=_shape_label(shape)))
+            records.append(record("kernel-equivalence", f"adversarial-{case:03d}",
+                                  kernel_check(pi, diag, mu), flavor=side, group=_shape_label(shape)))
             case += 1
     return records
 
@@ -445,21 +504,10 @@ def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
             s = int(rng.integers(group.order))
             mu = (dirac(group, s) - dirac(group, group.identity)) * float(rng.random() + 0.5)
         try:
-            report = equivalence_suite(diag, mu, trials=CP_SAMPLE_TRIALS, seed=_sub_seed(rng))
-        except (EquivalenceViolationError, NumericalError) as exc:
-            records.append(_rec("cp-posdef-equivalence", f"triple-{i:04d}", False,
-                                flavor=flavor, error=str(exc)))
-            continue
-        ok = report.consistent
-        if report.completely_positive and report.kraus_count:
-            ok = ok and report.kraus_min_singular > TOL
-        records.append(_rec("cp-posdef-equivalence", f"triple-{i:04d}", ok,
-                            flavor=flavor, cp=report.completely_positive,
-                            posdef=report.positive_definite,
-                            sampled=report.sampled_positive,
-                            kraus_count=int(report.kraus_count),
-                            kraus_min_singular=report.kraus_min_singular,
-                            kraus_diagonality=report.kraus_diagonality))
+            body = cp_posdef_check(diag, mu, CP_SAMPLE_TRIALS, _sub_seed(rng))
+        except NumericalError as exc:
+            body = {"passed": False, "error": str(exc)}
+        records.append(record("cp-posdef-equivalence", f"triple-{i:04d}", body, flavor=flavor))
     return records
 
 
@@ -470,18 +518,12 @@ def norm_interval_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         d = int(rng.integers(1, 7))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        t = ElementaryOperator.from_terms(d, [(a, b)])
-        bounds = haagerup_norm_bounds(t)
+        body = norm_check(ElementaryOperator.from_terms(d, [(a, b)]))
         _sub_seed(rng)
         target = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
-        contains = (bounds.lower <= target * (1 + 1e-12)
-                    and bounds.upper >= target * (1 - 1e-12))
-        ok = (contains and bounds.width <= NORM_REL_WIDTH * bounds.upper
-              and _monotone(bounds.upper_trace))
-        records.append(_rec("norm-interval", f"single-term-{i:03d}", ok,
-                            lower=float(bounds.lower), upper=float(bounds.upper),
-                            width=float(bounds.width), target=target, dim=d,
-                            iters=int(bounds.iterations)))
+        body["passed"] = (body["passed"] and body["lower"] <= target * (1 + 1e-12)
+                          and body["upper"] >= target * (1 - 1e-12))
+        records.append(record("norm-interval", f"single-term-{i:03d}", body, target=target, dim=d))
     return records
 
 
@@ -503,9 +545,9 @@ def slice_suite(instances: int = 100, functionals: int = 50, seed: int = 0) -> l
         for _ in range(functionals):
             w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             worst = max(worst, slice_identity_residual(image, w))
-        records.append(_rec("slice-identity", f"instance-{i:03d}", worst <= TOL,
-                            residual=float(worst), group=label, dim=d,
-                            functionals=functionals))
+        records.append(record("slice-identity", f"instance-{i:03d}",
+                              {"passed": worst <= TOL, "residual": float(worst)},
+                              group=label, dim=d, functionals=functionals))
     return records
 
 
@@ -528,9 +570,9 @@ def cyclic_vector_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         target = np.stack(vectors, axis=1)
         rank_orbit = int(np.linalg.matrix_rank(orbit, tol=TOL))
         rank_joint = int(np.linalg.matrix_rank(np.concatenate([orbit, target], axis=1), tol=TOL))
-        records.append(_rec("cyclic-vector", f"instance-{i:03d}", rank_joint == rank_orbit,
-                            dim=d, vectors=count, rank_orbit=rank_orbit,
-                            rank_joint=rank_joint))
+        records.append(record("cyclic-vector", f"instance-{i:03d}",
+                              {"passed": rank_joint == rank_orbit, "rank_orbit": rank_orbit,
+                               "rank_joint": rank_joint}, dim=d, vectors=count))
     return records
 
 
@@ -543,18 +585,11 @@ def restriction_suite(trials: int = 50, seed: int = 0) -> list[dict]:
         sub = subgroup_and_restriction(group, generators)
         pi = random_character_rep(group, rng, max_dim=8)
         try:
-            report = restriction_spectrum_check(pi, sub, seed=_sub_seed(rng))
-        except (RestrictionMismatchError, NumericalError) as exc:
-            records.append(_rec("restriction-check", f"instance-{i:03d}", False,
-                                group=_shape_label(group.abelian_shape),
-                                subgroup_order=sub.subgroup.order, error=str(exc)))
-            continue
-        records.append(_rec("restriction-check", f"instance-{i:03d}",
-                            report.match and report.symbol_residual <= TOL,
-                            group=_shape_label(group.abelian_shape),
-                            subgroup_order=sub.subgroup.order,
-                            spectrum_size=len(report.expected_exponents),
-                            symbol_residual=float(report.symbol_residual)))
+            body = restriction_check(pi, sub, _sub_seed(rng))
+        except NumericalError as exc:
+            body = {"passed": False, "subgroup_order": sub.subgroup.order, "error": str(exc)}
+        records.append(record("restriction-check", f"instance-{i:03d}", body,
+                              group=_shape_label(group.abelian_shape)))
     return records
 
 

@@ -126,13 +126,15 @@ def gram_sup(factors: list[np.ndarray]) -> float:
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Verdicts of the three positivity criteria plus Kraus structure data;
-    the two Kraus measurements are None for a map with no Kraus element."""
+    the three Kraus measurements are None for a map with no Kraus element.
+    The singular values are those of the stacked vectorized Kraus elements."""
 
     completely_positive: bool
     positive_definite: bool
     sampled_positive: bool
     kraus_count: int
     kraus_min_singular: float | None
+    kraus_max_singular: float | None
     kraus_diagonality: float | None
 
     @property
@@ -179,10 +181,11 @@ def equivalence_suite(
     if cp and not sampled:
         raise EquivalenceViolationError("sampled positivity contradicts complete positivity")
 
-    min_singular = diagonality = None
+    min_singular = max_singular = diagonality = None
     if kraus:
         stacked = np.stack([vec(k) for k in kraus], axis=1)
-        min_singular = float(np.linalg.svd(stacked, compute_uv=False).min())
+        singular = np.linalg.svd(stacked, compute_uv=False)
+        min_singular, max_singular = float(singular.min()), float(singular.max())
         vh = diag.basis.conj().T
         rots = [vh @ k @ diag.basis for k in kraus]
         top = max(float(np.linalg.norm(rot)) for rot in rots)
@@ -198,5 +201,6 @@ def equivalence_suite(
         sampled_positive=sampled,
         kraus_count=len(kraus),
         kraus_min_singular=min_singular,
+        kraus_max_singular=max_singular,
         kraus_diagonality=diagonality,
     )

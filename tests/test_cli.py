@@ -1,14 +1,23 @@
-"""Command line interface: exit codes, report determinism, scenario loaders."""
+"""Command line interface: exit codes, report determinism, scenario loaders,
+the gates `ehtp run` shares with the suites, and a fuzz over malformed input."""
 
+import contextlib
+import copy
+import dataclasses
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ehtp import suites
 from ehtp.cli import (
     load_group,
     load_measure,
@@ -105,6 +114,11 @@ class TestExitCodes:
     def test_invalid_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
+        assert main(["run", "--scenario", str(path)]) == 2
+
+    def test_json_nested_too_deep_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
         assert main(["run", "--scenario", str(path)]) == 2
 
     def test_missing_file_exits_two(self, capsys):
@@ -302,3 +316,262 @@ class TestLoaders:
         g = cyclic_product([4])
         with pytest.raises(ScenarioError):
             load_measure({"dirac": 9}, g)
+
+
+# ---------------------------------------------------------------------------
+# Gates that scale with the data, shared with the suites
+# ---------------------------------------------------------------------------
+
+GENERIC = np.random.default_rng(12).standard_normal((2, 12, 2))
+
+
+def z12_scenario(experiment, scale):
+    """Z_12 with characters 1, 4, 7, 9 and two generic measures times ``scale``."""
+    return {"experiment": experiment, "group": {"kind": "cyclic_product", "shape": [12]},
+            "representation": {"kind": "characters", "chars": [[1], [4], [7], [9]]},
+            "measures": [{"weights": [{"elem": s, "re": scale * re, "im": scale * im}
+                                      for s, (re, im) in enumerate(w)]} for w in GENERIC]}
+
+
+def run_records(tmp_path, capsys, payload, *flags):
+    code = main(["run", "--scenario", scenario_file(tmp_path, payload), *flags])
+    records, _ = parse_report(capsys.readouterr().out)
+    return code, records
+
+
+class TestScaledGates:
+    def test_homomorphism_holds_at_scale_1e6(self, tmp_path, capsys):
+        # the residuals are 0.15-0.25, 1.8e-16 of d * ||mu||_1 * ||nu||_1
+        code, records = run_records(tmp_path, capsys, z12_scenario("gamma-homomorphism", 1e6))
+        pairs = [r for r in records if r["case"].startswith("pair")]
+        assert [r["case"] for r in pairs] == ["pair-00-01", "pair-01-00"]
+        assert max(r["residual"] for r in pairs) > 1e-2
+        assert code == 0 and all(r["passed"] for r in records)
+
+    def test_symbol_holds_at_scale_1e8(self, tmp_path, capsys):
+        code, records = run_records(tmp_path, capsys, z12_scenario("schur-identity", 1e8))
+        assert max(r["residual"] for r in records) > 1e-9
+        assert code == 0 and all(r["passed"] for r in records)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_a_faulty_convolution_fails_at_every_scale(self, tmp_path, capsys, monkeypatch, scale):
+        real = suites.convolve
+        monkeypatch.setattr(suites, "convolve", lambda mu, nu: real(mu, nu) * (1 + 1e-6))
+        code, records = run_records(tmp_path, capsys, z12_scenario("gamma-homomorphism", scale))
+        assert code == 1
+        assert not any(r["passed"] for r in records if r["case"].startswith("pair"))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+    def test_a_faulty_symbol_fails_at_every_scale(self, tmp_path, capsys, monkeypatch, scale):
+        gamma_module = importlib.import_module("ehtp.gamma")     # the package's `gamma` is the function
+        real = gamma_module.fourier_symbol
+        monkeypatch.setattr(gamma_module, "fourier_symbol", lambda mu, chars: real(mu, chars) * (1 + 1e-6))
+        code, records = run_records(tmp_path, capsys, z12_scenario("schur-identity", scale))
+        assert code == 1 and not any(r["passed"] for r in records)
+
+
+NORM_OPERATOR = {"experiment": "norm-interval", "params": {"operators": [
+    {"dim": 2, "terms": [{"a": [[[1, 0], [0, 1]], [[2, 0], [0, 0]]],
+                          "b": [[[0, 0], [1, 0]], [[0, 1], [3, 0]]]}]}]}}
+NORM_MEASURE = {"experiment": "norm-interval", "group": {"kind": "cyclic_product", "shape": [4]},
+                "representation": {"kind": "characters", "chars": [[1], [2]]},
+                "measures": [{"density": [1, 2, 3, [4, 1]]}]}
+POINT_MASS = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [6]},
+              "representation": {"kind": "regular"}, "measures": [{"dirac": 2}]}
+
+
+class TestSharedGates:
+    """`ehtp run` records read the gates the suites read."""
+
+    @pytest.mark.parametrize("payload", [NORM_OPERATOR, NORM_MEASURE], ids=["operator", "measure"])
+    def test_a_rising_upper_trace_fails_the_norm_record(self, tmp_path, capsys, monkeypatch, payload):
+        real = suites.haagerup_norm_bounds
+
+        def rising(op):
+            bounds = real(op)
+            return dataclasses.replace(bounds, upper_trace=(bounds.upper, 2 * bounds.upper + 1))
+
+        assert run_records(tmp_path, capsys, payload)[0] == 0
+        monkeypatch.setattr(suites, "haagerup_norm_bounds", rising)
+        code, records = run_records(tmp_path, capsys, payload)
+        assert code == 1 and not records[0]["passed"]
+
+    def test_norm_measure_records_carry_width_and_excess(self, tmp_path, capsys):
+        code, records = run_records(tmp_path, capsys, NORM_MEASURE)
+        rec = records[0]
+        assert code == 0
+        assert rec["width"] == pytest.approx(rec["upper"] - rec["lower"])
+        assert rec["excess"] == pytest.approx(rec["upper"] - rec["mu_norm"])
+
+    def test_a_dependent_kraus_family_fails_the_cp_record(self, tmp_path, capsys, monkeypatch):
+        real = suites.equivalence_suite
+        code, records = run_records(tmp_path, capsys, POINT_MASS)
+        assert code == 0 and records[0]["kraus_count"] == 1 and records[0]["kraus_min_singular"] > 1e-9
+        monkeypatch.setattr(suites, "equivalence_suite", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), kraus_min_singular=1e-12))
+        code, records = run_records(tmp_path, capsys, POINT_MASS)
+        assert code == 1 and not records[0]["passed"]
+        assert records[0]["kraus_min_singular"] == 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-8, 1e8])
+    @pytest.mark.parametrize("flags", [(), ("--tol", "1e-3")], ids=["default-tol", "loose-tol"])
+    def test_the_kraus_gate_reads_the_family_scale(self, tmp_path, capsys, scale, flags):
+        # one Kraus element of norm sqrt(6 * scale): an absolute gate at tol
+        # failed it below scale 1.7e-19 (1.7e-7 at tol 1e-3)
+        payload = changed(POINT_MASS, "measures", 0, {"weights": [{"elem": 2, "re": scale}]})
+        code, records = run_records(tmp_path, capsys, payload, *flags)
+        assert records[0]["kraus_count"] == 1
+        assert records[0]["kraus_min_singular"] == pytest.approx((6 * scale) ** 0.5)
+        assert code == 0 and records[0]["passed"]
+
+    def test_report_records_read_the_contractivity_gate(self, tmp_path, capsys):
+        payload = z12_scenario("gamma-homomorphism", 1.0)
+        code, records = run_records(tmp_path, capsys, payload)
+        reports = [r for r in records if r["case"].endswith("/report")]
+        assert code == 0 and len(reports) == 2 and all(r["passed"] for r in reports)
+        # a tolerance no residual can meet fails the reports too
+        code, records = run_records(tmp_path, capsys, payload, "--tol", "-1")
+        assert code == 1 and not any(r["passed"] for r in records if r["case"].endswith("/report"))
+
+
+# ---------------------------------------------------------------------------
+# Malformed and non-finite input
+# ---------------------------------------------------------------------------
+
+CP_RANDOM = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [5]},
+             "representation": {"kind": "characters", "chars": [[1], [2]]},
+             "params": {"trials": 2, "sample_trials": 5}}
+CHARACTER_DENSITY = {"experiment": "schur-identity", "group": {"kind": "cyclic_product", "shape": [6]},
+                     "representation": {"kind": "characters", "chars": [[0], [1]]},
+                     "measures": [{"character_density": [1]}]}
+MATRICES = {"experiment": "kernel-equivalence", "group": {"kind": "cyclic_product", "shape": [2]},
+            "representation": {"kind": "matrices", "data": [[[[1.0, 0.0]]], [[[-1.0, 0.0]]]]},
+            "measures": [{"dirac": 0}]}
+RESTRICTION = {"experiment": "restriction-check", "group": {"kind": "cyclic_product", "shape": [12]},
+               "representation": {"kind": "characters", "chars": [[1], [5]]},
+               "params": {"subgroup_generators": [[4]]}}
+
+
+def changed(payload, *path_and_value):
+    """A deep copy of ``payload`` with the value at ``path`` replaced."""
+    *path, value = path_and_value
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+# inputs that escaped the loaders as tracebacks, or were read as numbers they are not
+MALFORMED_INPUTS = {
+    "experiment-object": changed(SQUARE, "experiment", {}),
+    "experiment-list": changed(SQUARE, "experiment", []),
+    "trials-list": changed(CP_RANDOM, "params", "trials", [0]),
+    "trials-nan": changed(CP_RANDOM, "params", "trials", float("nan")),
+    "trials-negative": changed(CP_RANDOM, "params", "trials", -1),
+    "sample-trials-negative": changed(CP_RANDOM, "params", "sample_trials", -1),
+    "sample-trials-list": changed(CP_RANDOM, "params", "sample_trials", [4]),
+    "ks-not-a-list": changed(SQUARE, "params", "ks", 1),
+    "character-density-bool": changed(CHARACTER_DENSITY, "measures", 0, "character_density", True),
+    "character-density-string": changed(CHARACTER_DENSITY, "measures", 0, "character_density", ["x"]),
+    "operator-terms-object": changed(NORM_OPERATOR, "params", "operators", 0, "terms", {}),
+    "matrix-data-ragged": changed(MATRICES, "representation", "data", [[[[1.0, 0.0]]], [[1.0, 0.0]]]),
+    "matrix-data-object": changed(MATRICES, "representation", "data", [[[{}]], [[[-1.0, 0.0]]]]),
+    "matrix-data-null": changed(MATRICES, "representation", "data", [[[[1.0, None]]], [[[-1.0, 0.0]]]]),
+    "cayley-entry-huge": {"experiment": "gamma-homomorphism",
+                          "group": {"kind": "cayley", "table": [[0, 1], [1, 10**30]]},
+                          "representation": {"kind": "regular"}, "measures": [{"dirac": 0}]},
+    "density-null": changed(NORM_MEASURE, "measures", 0, "density", [1, None, 3, 4]),
+    "density-nan": changed(NORM_MEASURE, "measures", 0, "density", [1, float("nan"), 3, 4]),
+    "weight-infinite": changed(z12_scenario("schur-identity", 1.0), "measures", 0, "weights", 0, "re",
+                               float("inf")),
+    "element-coordinates-too-many": changed(POINT_MASS, "measures", 0, "dirac", [2, 1]),
+    "seed-fraction": changed(SQUARE, "seed", 0.5),
+    "seed-negative": changed(CP_RANDOM, "seed", -1),
+    "seed-beyond-64-bits": changed(CP_RANDOM, "seed", 2**64),
+    "tol-bool": changed(SQUARE, "tol", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, name):
+    code = main(["run", "--scenario", scenario_file(tmp_path, MALFORMED_INPUTS[name])])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("scenario error:")
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_flag_out_of_range_exits_two(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", scenario_file(tmp_path, CP_RANDOM), "--seed", seed])
+    assert exc.value.code == 2
+    assert "seed" in capsys.readouterr().err
+
+
+OVERFLOWS = {
+    # the data scale of this map overflows, and `x <= tol * inf` passed
+    # every positivity gate: the map was declared completely positive
+    "data-scale": {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [3]},
+                   "representation": {"kind": "characters", "chars": [[0], [1]]},
+                   "measures": [{"weights": [{"elem": 1, "re": 1e200, "im": 1e200}]}]},
+    # finite weights whose l1 norm overflows
+    "measure-norm": {"experiment": "schur-identity", "group": {"kind": "cyclic_product", "shape": [4]},
+                     "representation": {"kind": "characters", "chars": [[1], [3]]},
+                     "measures": [{"weights": [{"elem": s, "re": 1.5e308} for s in range(4)]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflowing_scales_are_a_numerical_failure(tmp_path, capsys, name):
+    payload = OVERFLOWS[name]
+    with np.errstate(over="ignore"):
+        code = main(["run", "--scenario", scenario_file(tmp_path, payload)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+FUZZ_SCENARIOS = [SQUARE, *BATCH, *MALFORMED.values(), *MALFORMED_INPUTS.values(),
+                  z12_scenario("gamma-homomorphism", 1.0), NORM_OPERATOR, NORM_MEASURE, POINT_MASS, CP_RANDOM, CHARACTER_DENSITY, MATRICES,
+                  RESTRICTION]
+FUZZ_VALUES = [None, True, -1, 1e300, "x", [], {}]
+
+
+def _paths(node, path=()):
+    """The path of every value under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_scenarios_exit_with_a_code(data):
+    # one value replaced, deleted or wrapped in a list: the run ends with an
+    # exit code, never an exception
+    scenario = copy.deepcopy(data.draw(st.sampled_from(FUZZ_SCENARIOS)))
+    path = data.draw(st.sampled_from(list(_paths(scenario))))
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    how = data.draw(st.sampled_from(["delete", "wrap", *FUZZ_VALUES]))
+    if how == "delete":
+        del node[path[-1]]
+    elif how == "wrap":
+        node[path[-1]] = [node[path[-1]]]
+    else:
+        node[path[-1]] = copy.deepcopy(how)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "scenario.json"
+        src.write_text(json.dumps(scenario))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = main(["run", "--scenario", str(src)])
+    assert code in (0, 1, 2, 3)

@@ -32,9 +32,11 @@ from ehtp.errors import (
     BimoduleError,
     DimensionMismatchError,
     NotCompletelyPositiveError,
+    NumericalError,
 )
 from ehtp.gamma import gamma
 from ehtp.groups import Character, make_cyclic_product
+from ehtp.hnorm import haagerup_norm_bounds
 from ehtp.measures import Measure
 from ehtp.representations import character_rep, regular_rep
 
@@ -247,6 +249,17 @@ class TestCompletePositivity:
         assert is_completely_positive(schur_op(factor * (g @ g.conj().T)))
         assert not is_completely_positive(schur_op(factor * np.diag([1.0, -1.0, 1.0])))
         assert not is_completely_positive(schur_op(factor * g))
+
+    def test_an_overflowing_data_scale_raises(self):
+        # Z_3 with characters 0 and 1, weight (1 + 1j) 1e200 at element 1: the
+        # Frobenius norms overflow, and `x <= tol * inf` passed every gate
+        g = make_cyclic_product([3])
+        pi = character_rep(g, [Character((3,), (0,)), Character((3,), (1,))])
+        op = gamma(pi, Measure(g, [0, (1 + 1j) * 1e200, 0])).op
+        with np.errstate(over="ignore"):
+            for check in (is_completely_positive, strongly_independent_kraus, haagerup_norm_bounds):
+                with pytest.raises(NumericalError):
+                    check(op)
 
 
 class TestKraus:

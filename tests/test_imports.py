@@ -4,8 +4,8 @@ environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum``, no caller in the package, the tests, the demos or the README
-passes an ignored parameter, and neither rewriting gate builds a dense Choi
-or transfer matrix."""
+passes an ignored parameter, neither rewriting gate builds a dense Choi
+or transfer matrix, and no comparison in ``cli`` reads a tolerance."""
 
 import ast
 import re
@@ -117,6 +117,28 @@ def test_thresholds_come_from_the_two_package_constants():
     assert len(modules) > 5
     found = {p.name: _threshold_constants(p) for p in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _tolerance_comparisons(path):
+    """``(line, name)`` for every comparison that reads a tolerance (``tol``,
+    ``TOL``, ``NORM_REL_WIDTH`` or an attribute ``.tol``) in an operand."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for sub in (s for operand in [node.left, *node.comparators] for s in ast.walk(operand)):
+            if isinstance(sub, ast.Name) and sub.id in {"tol", "TOL", "NORM_REL_WIDTH"}:
+                found.append((node.lineno, sub.id))
+            elif isinstance(sub, ast.Attribute) and sub.attr == "tol":
+                found.append((node.lineno, ".tol"))
+    return found
+
+
+def test_the_command_line_writes_no_gate():
+    # `ehtp run` records the checks of ehtp.suites, the ones selftest runs,
+    # so each gate is written once
+    assert _tolerance_comparisons(PACKAGE / "suites.py")
+    assert _tolerance_comparisons(PACKAGE / "cli.py") == []
 
 
 def _imported_top_level(path):

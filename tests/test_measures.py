@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehtp.errors import GroupMismatchError
+from ehtp.errors import GroupMismatchError, NumericalError
 from ehtp.groups import Character, dual_group, make_cyclic_product, spectrum
 from ehtp.measures import (
     Measure,
@@ -49,6 +49,13 @@ class TestBasics:
         assert mu.weights[1] == -2j
         assert mu.norm == pytest.approx(3.0)
         assert (-mu).weights[0] == -1.0
+
+    @pytest.mark.parametrize("weights", [[1.0, np.nan, 0.0], [1.0, np.inf, 0.0], [0.0, 1j * np.nan, 0.0],
+                                         [1.5e308, 1.5e308, 0.0]])
+    def test_non_finite_weights_and_norms_rejected(self, weights):
+        # the last norm overflows: every gate scaled by it would pass
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            Measure(make_cyclic_product([3]), weights)
 
     def test_group_mismatch_rejected(self):
         mu = dirac(make_cyclic_product([3]), 0)

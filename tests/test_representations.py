@@ -73,6 +73,15 @@ class TestConstruction:
         with pytest.raises(NumericalError):
             make_representation(g, np.stack([swap, np.eye(2, dtype=np.complex128)]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, bad):
+        # every residual guard reads `resid > bound`, which NaN never is
+        g = make_cyclic_product([2])
+        mats = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(np.complex128)
+        mats[1, 0, 1] = bad
+        with pytest.raises(NumericalError):
+            make_representation(g, mats)
+
 
 class TestIntegrate:
     def test_identity_point_mass_integrates_to_identity(self):
