@@ -38,7 +38,6 @@ from .groups import (
 )
 from .measures import (
     Measure,
-    conjugate,
     convolve,
     dirac,
     fourier_on,
@@ -63,7 +62,6 @@ from .representations import (
     regular_rep,
     restrict_representation,
     tensor_conjugate,
-    trivial_rep,
 )
 from .elementary import (
     ElementaryOperator,
@@ -72,20 +70,14 @@ from .elementary import (
     choi,
     compose,
     conjugate_by,
-    conjugation_op,
-    identity_op,
     is_completely_positive,
     is_diagonal_bimodule,
-    op_from_json,
-    op_to_json,
     positive_implies_cp_check,
     sampled_positivity,
     schur_op,
     slice_left,
-    slice_right,
     strongly_independent_kraus,
     transfer_matrix,
-    unvec,
     vec,
 )
 from .hnorm import NormInterval, haagerup_norm_bounds
@@ -107,7 +99,6 @@ from .varopoulos import (
     equivalence_suite,
     from_measure,
     gram_factorize,
-    gram_sup,
     is_positive_definite,
 )
 
@@ -144,7 +135,6 @@ __all__ = [
     "from_density",
     "convolve",
     "reverse",
-    "conjugate",
     "reverse_conj",
     "fourier_stieltjes",
     "fourier_on",
@@ -155,7 +145,6 @@ __all__ = [
     "Representation",
     "DiagonalizedRep",
     "make_representation",
-    "trivial_rep",
     "regular_rep",
     "character_rep",
     "integrate",
@@ -169,15 +158,11 @@ __all__ = [
     "ElementaryOperator",
     "PositivityReport",
     "vec",
-    "unvec",
-    "identity_op",
-    "conjugation_op",
     "schur_op",
     "apply",
     "compose",
     "transfer_matrix",
     "slice_left",
-    "slice_right",
     "choi",
     "is_completely_positive",
     "strongly_independent_kraus",
@@ -185,8 +170,6 @@ __all__ = [
     "positive_implies_cp_check",
     "sampled_positivity",
     "conjugate_by",
-    "op_to_json",
-    "op_from_json",
     # norms
     "NormInterval",
     "haagerup_norm_bounds",
@@ -207,6 +190,5 @@ __all__ = [
     "from_measure",
     "is_positive_definite",
     "gram_factorize",
-    "gram_sup",
     "equivalence_suite",
 ]

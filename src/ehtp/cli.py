@@ -236,9 +236,10 @@ def load_measure(spec, group: FiniteGroup) -> Measure:
 
 
 def load_operator(spec) -> ElementaryOperator:
-    """An operator in the form :func:`ehtp.elementary.op_to_json` writes,
-    ``{"dim": d, "terms": [{"a": M, "b": M}, ...]}`` with each matrix a
-    d x d grid of ``[re, im]`` pairs, with at least one term."""
+    """The operator ``x -> sum_i a_i x b_i`` from the object
+    ``{"dim": d, "terms": [{"a": A, "b": B}, ...]}``: ``d`` an integer of at
+    least 1, and at least one term, whose ``A`` and ``B`` are d x d grids,
+    row by row, of ``[re, im]`` pairs, so ``A[j][k] = [Re a_jk, Im a_jk]``."""
     _schema(isinstance(spec, dict), "operator spec must be an object")
     dim = _number(spec.get("dim"), "operator 'dim'", integer=True, low=1)
     terms = spec.get("terms")

@@ -1,8 +1,8 @@
 """Elementary operators on M_d: finite sums x -> sum_i a_i x b_i.
 
 This is the concrete form every map in this package takes.  The module
-provides application, composition (term-wise product lists), slice maps
-against trace functionals, the Choi matrix, complete-positivity tests,
+provides application, composition (term-wise product lists), the left
+slice against a trace functional, the Choi matrix, complete-positivity tests,
 Kraus extraction with strong (linear) independence, and the
 positivity-implies-complete-positivity check for bimodule maps over the
 diagonal MASA.
@@ -19,7 +19,6 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,15 +36,11 @@ from .errors import (
 __all__ = [
     "ElementaryOperator",
     "vec",
-    "unvec",
-    "identity_op",
-    "conjugation_op",
     "schur_op",
     "apply",
     "compose",
     "transfer_matrix",
     "slice_left",
-    "slice_right",
     "choi",
     "choi_distance",
     "is_completely_positive",
@@ -55,8 +50,6 @@ __all__ = [
     "sampled_positivity",
     "conjugate_by",
     "PositivityReport",
-    "op_to_json",
-    "op_from_json",
 ]
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -118,17 +111,6 @@ class ElementaryOperator:
 
     def __repr__(self) -> str:
         return f"ElementaryOperator(dim={self.dim}, n_terms={self.n_terms})"
-
-
-def identity_op(dim: int) -> ElementaryOperator:
-    eye = np.eye(dim, dtype=np.complex128)
-    return ElementaryOperator.from_terms(dim, [(eye, eye)])
-
-
-def conjugation_op(u: np.ndarray) -> ElementaryOperator:
-    """``x -> u x u*`` as a single-term operator."""
-    u = np.asarray(u, dtype=np.complex128)
-    return ElementaryOperator.from_terms(u.shape[0], [(u, u.conj().T)])
 
 
 def schur_op(symbol: np.ndarray) -> ElementaryOperator:
@@ -200,16 +182,6 @@ def slice_left(t: ElementaryOperator, w: np.ndarray) -> np.ndarray:
         return np.zeros((t.dim, t.dim), dtype=np.complex128)
     coeffs = np.einsum("nij,ij->n", t.left, np.conj(w))
     return np.einsum("n,nij->ij", coeffs, t.right)
-
-
-def slice_right(t: ElementaryOperator, w: np.ndarray) -> np.ndarray:
-    """Right slice: ``sum_i omega(right_i) left_i``."""
-    w = np.asarray(w, dtype=np.complex128)
-    _check_dim(t, w)
-    if t.n_terms == 0:
-        return np.zeros((t.dim, t.dim), dtype=np.complex128)
-    coeffs = np.einsum("nij,ij->n", t.right, np.conj(w))
-    return np.einsum("n,nij->ij", coeffs, t.left)
 
 
 def choi(t: ElementaryOperator) -> np.ndarray:
@@ -438,35 +410,3 @@ def conjugate_by(t: ElementaryOperator, v: np.ndarray) -> ElementaryOperator:
     _check_dim(t, v)
     vh = v.conj().T
     return ElementaryOperator(t.dim, vh @ t.left @ v, vh @ t.right @ v)
-
-
-def _matrix_to_lists(m: np.ndarray) -> list[list[list[float]]]:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _matrix_from_lists(data, dim: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.shape != (dim, dim, 2):
-        raise ValueError(f"matrix entries must be [re, im] pairs in a {dim}x{dim} grid")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def op_to_json(t: ElementaryOperator) -> str:
-    """Serialize as ``{"dim": d, "terms": [{"a": [[..]], "b": [[..]]}]}``
-    with each entry an ``[re, im]`` pair."""
-    payload = {
-        "dim": t.dim,
-        "terms": [{"a": _matrix_to_lists(a), "b": _matrix_to_lists(b)} for a, b in t.terms],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def op_from_json(text: str | bytes | dict) -> ElementaryOperator:
-    """Inverse of :func:`op_to_json`; also accepts an already-parsed dict."""
-    payload = json.loads(text) if not isinstance(text, dict) else text
-    dim = int(payload["dim"])
-    terms = [
-        (_matrix_from_lists(entry["a"], dim), _matrix_from_lists(entry["b"], dim))
-        for entry in payload["terms"]
-    ]
-    return ElementaryOperator.from_terms(dim, terms)

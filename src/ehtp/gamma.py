@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import ElementaryOperator, apply, slice_left, transfer_matrix
+from .elementary import ElementaryOperator, apply, choi_distance, slice_left, transfer_matrix
 from .errors import TOL, GroupMismatchError, NumericalError, RestrictionMismatchError
 from .groups import SubgroupRestriction, difference_set
 from .measures import Measure, fourier_on, fourier_symbol, reverse
@@ -113,9 +113,14 @@ def schur_form(diag: DiagonalizedRep, mu: Measure) -> np.ndarray:
     """Symbol matrix of the map in the joint eigenbasis.
 
     Entry ``(j, k)`` is ``mu_hat(chi_j * chi_k^-1)``; verified against a
-    direct application of the operator to every rotated matrix unit.
+    direct application of the operator to every rotated matrix unit, and
+    raises :class:`NumericalError` when the gate of :func:`checked_symbol`
+    fails.
     """
-    return _verified_symbol(diag, mu, TOL)[0]
+    symbol, resid, ok = checked_symbol(diag, mu)
+    if not ok:
+        raise NumericalError(f"symbol verification failed: residual {resid:.3e}")
+    return symbol
 
 
 def checked_symbol(diag: DiagonalizedRep, mu: Measure, tol: float = TOL) -> tuple[np.ndarray, float, bool]:
@@ -128,14 +133,6 @@ def checked_symbol(diag: DiagonalizedRep, mu: Measure, tol: float = TOL) -> tupl
     return symbol, resid, resid <= tol * mu.norm
 
 
-def _verified_symbol(diag: DiagonalizedRep, mu: Measure, tol: float) -> tuple[np.ndarray, float]:
-    """The symbol and its residual; raises when the symbol gate fails."""
-    symbol, resid, ok = checked_symbol(diag, mu, tol)
-    if not ok:
-        raise NumericalError(f"symbol verification failed: residual {resid:.3e}")
-    return symbol, resid
-
-
 def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure) -> bool:
     """True iff the Fourier-Stieltjes transform vanishes on every quotient
     ``sigma * tau^-1`` of spectrum characters, to ``TOL`` times the total
@@ -146,34 +143,26 @@ def kernel_test_difference_set(diag: DiagonalizedRep, mu: Measure) -> bool:
     return bool(np.abs(values).max() <= TOL * mu.norm)
 
 
+def kernel_test_transfer(image: GammaImage) -> bool:
+    """True iff the transfer matrix of the realized operator vanishes, to
+    ``TOL * d^2`` times the total variation norm of the measure.  Its
+    Frobenius norm is the distance to the empty map, taken from the terms
+    by :func:`ehtp.elementary.choi_distance` (no d^2 x d^2 matrix when
+    2n < d^2 for n terms)."""
+    empty = ElementaryOperator.from_terms(image.op.dim, [])
+    return bool(choi_distance(image.op, empty) <= TOL * image.rep.dim**2 * image.source.norm)
+
+
 def kernel_test_tensor_conjugate(pi: Representation, mu: Measure) -> bool:
     """True iff ``mu`` integrates to zero under ``pi (x) conj(pi)``, to
     ``TOL * d^2`` times the total variation norm of ``mu``.
 
     Since ``vec(pi(s) x pi(s)*) = (conj pi(s) (x) pi(s)) vec x``, this
-    integral and the transfer matrix read by :func:`kernel_test_transfer`
-    are the same d^2 x d^2 matrix up to a permutation of its indices, so the
-    two predicates agree by construction; :func:`kernel_test_difference_set`
-    is the independent one."""
-    return bool(_tensor_conjugate_norm(pi, mu) <= TOL * pi.dim**2 * mu.norm)
-
-
-def _tensor_conjugate_norm(pi: Representation, mu: Measure) -> float:
-    """``||(pi (x) conj pi)(mu)||_F`` without the |G| x d^2 x d^2 stack of
-    ``tensor_conjugate(pi)``: with ``m[s, (i, j)] = pi(s)[i, j]``, entry
-    ``[(i, j), (k, l)]`` of ``(m^T diag(w)) conj(m)`` is
-    ``sum_s w_s pi(s)[i, j] conj(pi(s)[k, l])``, an entry of the integral
-    at ``[(i, k), (j, l)]``."""
-    if not pi.group.is_same(mu.group):
-        raise GroupMismatchError("representation and measure live on different groups")
-    m = pi.matrices.reshape(pi.group.order, pi.dim**2)
-    return float(np.linalg.norm((m.T * mu.weights) @ m.conj()))
-
-
-def kernel_test_transfer(image: GammaImage) -> bool:
-    """True iff the transfer matrix of the realized operator vanishes, to
-    ``TOL * d^2`` times the total variation norm of the measure."""
-    return bool(np.linalg.norm(image.transfer()) <= TOL * image.rep.dim**2 * image.source.norm)
+    integral is the transfer matrix of ``gamma(pi, mu)`` up to a permutation
+    of its entries, so the predicate is :func:`kernel_test_transfer` of that
+    image, one number for both; :func:`kernel_test_difference_set` is the
+    independent one."""
+    return kernel_test_transfer(gamma(pi, mu))
 
 
 @dataclass(frozen=True)
@@ -183,6 +172,7 @@ class RestrictionReport:
     expected_exponents: tuple[tuple[int, ...], ...]
     actual_exponents: tuple[tuple[int, ...], ...]
     symbol_residual: float
+    symbol_ok: bool
 
     @property
     def match(self) -> bool:
@@ -197,8 +187,10 @@ def restriction_spectrum_check(
 ) -> RestrictionReport:
     """Check that restricting the representation to a subgroup restricts its
     spectrum: the character set of ``pi`` restricted to H equals the
-    restriction of the character set of ``pi``.  Also verifies the symbol
-    identity for the restricted data on a random measure.
+    restriction of the character set of ``pi``.  Also checks the symbol
+    identity for the restricted data on a random measure ``kappa``: the
+    report carries the residual and the verdict of the symbol gate of
+    :func:`checked_symbol`, ``residual <= tol * ||kappa||_1``.
 
     Raises :class:`RestrictionMismatchError` when the sets differ.
     """
@@ -218,5 +210,5 @@ def restriction_spectrum_check(
     rng = np.random.default_rng(seed)
     h = sub.subgroup
     kappa = Measure(h, rng.standard_normal(h.order) + 1j * rng.standard_normal(h.order))
-    _, resid = _verified_symbol(diag_h, kappa, tol)
-    return RestrictionReport(expected_exps, actual_exps, resid)
+    _, resid, ok = checked_symbol(diag_h, kappa, tol)
+    return RestrictionReport(expected_exps, actual_exps, resid, ok)

@@ -315,9 +315,14 @@ def dual_group(group: FiniteGroup) -> SpectrumSet:
 
 
 def difference_set(e: SpectrumSet) -> SpectrumSet:
-    """The set of quotients ``sigma * tau^-1`` over all pairs in ``e``."""
-    quotients = (s.quotient(t) for s in e.characters for t in e.characters)
-    return spectrum(e.group, quotients, sort=True)
+    """The set of quotients ``sigma * tau^-1`` over all pairs in ``e``, sorted
+    by exponents: the pairwise exponent differences modulo the shape, one
+    integer array, with its distinct rows in lexicographic order."""
+    shape = e.group.abelian_shape
+    exps = np.array([c.exponents for c in e.characters], dtype=np.int64).reshape(len(e), len(shape))
+    diffs = (exps[:, None, :] - exps[None, :, :]) % np.array(shape)
+    rows = np.unique(diffs.reshape(-1, len(shape)), axis=0)
+    return SpectrumSet(e.group, tuple(Character(shape, tuple(row)) for row in rows.tolist()))
 
 
 # ---------------------------------------------------------------------------

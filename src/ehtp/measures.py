@@ -27,7 +27,6 @@ __all__ = [
     "from_density",
     "convolve",
     "reverse",
-    "conjugate",
     "reverse_conj",
     "fourier_stieltjes",
     "fourier_on",

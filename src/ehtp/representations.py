@@ -30,7 +30,6 @@ __all__ = [
     "Representation",
     "DiagonalizedRep",
     "make_representation",
-    "trivial_rep",
     "regular_rep",
     "character_rep",
     "integrate",
@@ -108,10 +107,6 @@ def _validate(pi: Representation) -> None:
             resid = np.linalg.norm(pi.matrices[a] @ pi.matrices[b] - pi.matrices[pi.group.cayley[a, b]])
             if resid > TOL * d:
                 raise NumericalError(f"homomorphism law fails at pair ({a},{b}): residual {resid:.3e}")
-
-
-def trivial_rep(group: FiniteGroup, dim: int = 1) -> Representation:
-    return Representation(group, dim, np.tile(np.eye(dim, dtype=np.complex128), (group.order, 1, 1)))
 
 
 def regular_rep(group: FiniteGroup) -> Representation:

@@ -50,6 +50,7 @@ from .measures import (
     from_density,
     from_transform,
     in_augmentation_ideal,
+    reverse_conj,
 )
 from .representations import (
     block_algebra_basis,
@@ -240,13 +241,15 @@ def symbol_check(diag, mu: Measure, tol: float = TOL) -> dict:
 
 
 def kernel_check(pi, diag, mu: Measure) -> dict:
-    """The three kernel predicates agree: zero transfer matrix, transform
-    vanishing on the difference set, zero tensor-conjugate integral.  Each
-    reads ``TOL`` at its own scale."""
-    t1 = kernel_test_transfer(gamma(pi, mu))
-    t2 = kernel_test_difference_set(diag, mu)
-    t3 = kernel_test_tensor_conjugate(pi, mu)
-    return {"passed": t1 == t2 == t3, "transfer": t1, "diffset": t2, "tensorconj": t3}
+    """The kernel criterion: the realized map vanishes exactly when the
+    transform vanishes on the difference set, each to ``TOL`` at its own
+    scale.  The zero transfer matrix and the zero tensor-conjugate integral
+    are one Frobenius norm (see :func:`ehtp.gamma.kernel_test_tensor_conjugate`),
+    read once and reported under both names."""
+    zero_map = kernel_test_transfer(gamma(pi, mu))
+    diffset = kernel_test_difference_set(diag, mu)
+    return {"passed": zero_map == diffset, "transfer": zero_map, "diffset": diffset,
+            "tensorconj": zero_map}
 
 
 def cp_posdef_check(diag, mu: Measure, trials: int, seed: int, tol: float = TOL) -> dict:
@@ -272,12 +275,13 @@ def cp_posdef_check(diag, mu: Measure, trials: int, seed: int, tol: float = TOL)
 
 def restriction_check(pi, sub, seed: int, tol: float = TOL) -> dict:
     """Restricting the representation restricts its spectrum, and the
-    restricted symbol identity holds to ``tol`` on a random measure."""
+    restricted symbol identity holds on a random measure ``kappa``, to
+    ``tol * ||kappa||_1``: the gate :func:`symbol_check` reads."""
     try:
         report = restriction_spectrum_check(pi, sub, seed=seed, tol=tol)
     except RestrictionMismatchError as exc:
         return {"passed": False, "subgroup_order": sub.subgroup.order, "error": str(exc)}
-    return {"passed": report.match and report.symbol_residual <= tol,
+    return {"passed": report.match and report.symbol_ok,
             "subgroup_order": sub.subgroup.order,
             "spectrum_size": len(report.expected_exponents),
             "symbol_residual": float(report.symbol_residual)}
@@ -495,9 +499,9 @@ def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
         elif flavor == "positive":
             mu = random_positive_measure(group, rng)
         elif flavor == "symmetric":
-            # weights satisfying w(s) = conj(w(s^-1)), so the symbol is Hermitian
-            v = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-            mu = Measure(group, v + np.conj(v[group.inverse]))
+            # fixed by the involution, w(s) = conj(w(s^-1)), so the symbol is Hermitian
+            nu = random_measure(group, rng)
+            mu = nu + reverse_conj(nu)
         elif flavor == "unit":
             mu = dirac(group, group.identity) * float(rng.random() + 0.5)
         else:

@@ -12,9 +12,6 @@ eigenbasis).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +29,6 @@ __all__ = [
     "from_measure",
     "is_positive_definite",
     "gram_factorize",
-    "gram_sup",
     "equivalence_suite",
     "EquivalenceReport",
 ]
@@ -64,22 +60,6 @@ class VFunction:
     @property
     def is_hermitian(self) -> bool:
         return bool(np.linalg.norm(self.values - self.values.conj().T) <= TOL * self.scale)
-
-    def to_json(self) -> str:
-        payload = {
-            "characters": [{"exponents": list(c.exponents)} for c in self.spectrum],
-            "values": [[[float(v.real), float(v.imag)] for v in row] for row in self.values],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        labels = [":".join(str(e) for e in c.exponents) for c in self.spectrum]
-        writer.writerow([""] + labels)
-        for label, row in zip(labels, self.values):
-            writer.writerow([label] + [repr(complex(v)) for v in row])
-        return out.getvalue()
 
 
 def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
@@ -114,13 +94,6 @@ def gram_factorize(u: VFunction) -> list[np.ndarray]:
         return []
     keep = evals > CUTOFF * top
     return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
-
-
-def gram_sup(factors: list[np.ndarray]) -> float:
-    """``sup_sigma sum_i |phi_i(sigma)|^2``, the diagonal supremum of the kernel."""
-    if not factors:
-        return 0.0
-    return float(np.max(np.sum(np.abs(np.array(factors)) ** 2, axis=0)))
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,12 @@ from ehtp import suites
 from ehtp.cli import (
     load_group,
     load_measure,
+    load_operator,
     load_representation,
     load_scenario,
     main,
 )
-from ehtp.errors import ScenarioError
+from ehtp.errors import TOL, ScenarioError
 from ehtp.groups import Character, make_cyclic_product as cyclic_product
 from ehtp.measures import from_density
 
@@ -317,6 +318,10 @@ class TestLoaders:
         with pytest.raises(ScenarioError):
             load_measure({"dirac": 9}, g)
 
+    def test_operator_of_the_wrong_size_rejected(self):
+        with pytest.raises(ScenarioError):
+            load_operator({"dim": 2, "terms": [{"a": [[[1, 0]]], "b": [[[1, 0]]]}]})
+
 
 # ---------------------------------------------------------------------------
 # Gates that scale with the data, shared with the suites
@@ -423,6 +428,25 @@ class TestSharedGates:
         assert records[0]["kraus_count"] == 1
         assert records[0]["kraus_min_singular"] == pytest.approx((6 * scale) ** 0.5)
         assert code == 0 and records[0]["passed"]
+
+    @pytest.mark.parametrize("between", [True, False], ids=["between-old-bounds", "above-both"])
+    def test_the_restriction_record_reads_the_symbol_gate(self, tmp_path, capsys, monkeypatch, between):
+        # the gate is tol * ||kappa||_1, about 1.25 |H| tol; it was tol in the
+        # record and raised NumericalError above tol * ||kappa||_1
+        gamma_module = importlib.import_module("ehtp.gamma")
+        norms = []
+
+        def residual(diag, mu, symbol):
+            norms.append(mu.norm)
+            return (1 + mu.norm) / 2 * TOL if between else 2 * max(1.0, mu.norm) * TOL
+
+        monkeypatch.setattr(gamma_module, "symbol_residual", residual)
+        code, records = run_records(tmp_path, capsys, RESTRICTION)
+        assert len(norms) == 1 and norms[0] > 1.0
+        rec = records[0]
+        assert TOL < rec["symbol_residual"]
+        assert (rec["symbol_residual"] <= TOL * norms[0]) is between
+        assert rec["passed"] is between and code == (0 if between else 1)
 
     def test_report_records_read_the_contractivity_gate(self, tmp_path, capsys):
         payload = z12_scenario("gamma-homomorphism", 1.0)

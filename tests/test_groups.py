@@ -16,7 +16,8 @@ from ehtp.groups import (
     spectrum,
     subgroup_and_restriction,
 )
-from ehtp.suites import s3_cayley
+from ehtp.representations import character_rep, diagonalize
+from ehtp.suites import SHAPE_POOL_12, s3_cayley
 
 SHAPES = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
@@ -218,6 +219,41 @@ class TestSpectrumSets:
         g = make_cyclic_product([7])
         e = spectrum(g, [Character((7,), (1,)), Character((7,), (3,))])
         assert difference_set(e).exponent_set() == {(0,), (2,), (5,)}
+
+    @staticmethod
+    def _quotient_oracle(e):
+        """The difference set from ``Character.quotient`` over all k^2 pairs."""
+        return spectrum(e.group, (s.quotient(t) for s in e for t in e), sort=True)
+
+    def _spectra(self):
+        rng = np.random.default_rng(7)
+        for shape in SHAPE_POOL_12:
+            g = make_cyclic_product(shape)
+            duals = list(dual_group(g))
+            yield dual_group(g)
+            yield spectrum(g, [])
+            for size in (1, 2, 3, 5):
+                picks = rng.choice(len(duals), size=min(size, len(duals)), replace=False)
+                yield spectrum(g, [duals[i] for i in picks])
+        g = make_cyclic_product([4, 60])
+        duals = list(dual_group(g))
+        for size in (7, 40):
+            yield spectrum(g, [duals[i] for i in rng.choice(len(duals), size=size, replace=False)])
+        # repeated characters, as a representation lists them
+        z12 = make_cyclic_product([12])
+        chars = [Character((12,), (k,)) for k in (0, 3, 3, 7, 7, 7, 11)]
+        yield spectrum(z12, chars)
+        yield diagonalize(character_rep(z12, chars)).spectrum
+
+    def test_difference_set_matches_the_quotient_oracle(self):
+        checked = 0
+        for e in self._spectra():
+            fast, slow = difference_set(e), self._quotient_oracle(e)
+            assert fast.group is e.group
+            assert [c.exponents for c in fast] == [c.exponents for c in slow], e
+            assert all(c.shape == e.group.abelian_shape for c in fast)
+            checked += 1
+        assert checked == 6 * len(SHAPE_POOL_12) + 4
 
     def test_containment_uses_exponents(self):
         g = make_cyclic_product([3])

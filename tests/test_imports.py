@@ -5,7 +5,9 @@ environment, no file imports a name it never uses, no module but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum``, no caller in the package, the tests, the demos or the README
 passes an ignored parameter, neither rewriting gate builds a dense Choi
-or transfer matrix, and no comparison in ``cli`` reads a tolerance."""
+or transfer matrix, no comparison in ``cli`` reads a tolerance, and every
+name in ``ehtp.__all__`` has a caller outside its module and the tests, or
+a stated reason to be public."""
 
 import ast
 import re
@@ -243,3 +245,63 @@ def test_rewriting_gates_build_no_dense_choi_matrix():
     kraus = next(node for node in ast.walk(_tree(PACKAGE / "elementary.py"))
                  if isinstance(node, ast.FunctionDef) and node.name == "strongly_independent_kraus")
     assert "choi" not in _called_names(kraus)
+
+
+# Public names that no other package module, demo, benchmark or README
+# example calls, and the one-word reason each is public all the same: a type
+# that a public function returns, an exception a caller may catch, or an
+# object of the paper.
+PUBLIC_BY_REASON = {
+    "EhtpError": "exception",
+    "NormInterval": "returned",
+    "PositivityReport": "returned",
+    "GammaImage": "returned",
+    "RestrictionReport": "returned",
+    "VFunction": "returned",
+    "EquivalenceReport": "returned",
+    "compose": "paper",     # the homomorphism law: convolution becomes composition
+    "gelfand": "paper",     # the Gelfand transform of the measure algebra
+    "schur_op": "paper",    # the Schur multipliers the Varopoulos algebra acts as
+}
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def _referenced_names(tree):
+    """Every name the tree reads: a bare name, an attribute, an import, or a
+    string that spells a dotted name (``bench/tracing.py`` finds the
+    functions it times with ``getattr`` on such strings)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found |= {a.name for a in node.names}
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            found |= set(node.value.split("."))
+    return found
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    import ehtp
+
+    outside = set()
+    for path in sorted(DEMOS.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        outside |= _referenced_names(_tree(path))
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        outside |= _referenced_names(ast.parse(block))
+    by_module = {p.stem: _referenced_names(_tree(p)) for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name != "__init__.py"}
+    assert set(PUBLIC_BY_REASON.values()) <= {"returned", "exception", "paper"}
+
+    uncalled = []
+    for name in ehtp.__all__:
+        if name.startswith("__"):           # the version string: metadata, not a call
+            continue
+        home = getattr(ehtp, name).__module__.rsplit(".", 1)[-1]
+        callers = [m for m, names in by_module.items() if m != home and name in names]
+        if not callers and name not in outside:
+            uncalled.append(name)
+    assert sorted(uncalled) == sorted(PUBLIC_BY_REASON)

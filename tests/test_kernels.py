@@ -27,13 +27,13 @@ from ehtp.elementary import (
 )
 from ehtp.errors import TOL, NotCompletelyPositiveError, NumericalError
 from ehtp.gamma import (
-    _tensor_conjugate_norm,
     gamma,
     kernel_test_tensor_conjugate,
+    kernel_test_transfer,
     schur_form,
     symbol_residual,
 )
-from ehtp.groups import from_cayley, make_cyclic_product
+from ehtp.groups import Character, from_cayley, make_cyclic_product
 from ehtp.hnorm import _lower_end, haagerup_norm_bounds
 from ehtp.measures import Measure
 from ehtp.representations import (
@@ -407,7 +407,7 @@ def test_regular_z32_bracket_and_kraus_family_stay_below_one_dense_choi_matrix()
         assert peak < 32**4 * 16
 
 
-# -- the tensor-conjugate kernel predicate -----------------------------------------
+# -- the transfer and tensor-conjugate kernel predicates: one Frobenius norm -----
 
 
 def _abelian_tensor_cases(rng):
@@ -442,14 +442,52 @@ def _cayley_tensor_cases(rng):
         yield f"S3 {label} coset-balanced", pi, Measure(g, on_cosets), label != "regular"
 
 
+def _realized_norm(pi, mu):
+    """The number both predicates read: the Frobenius norm of the transfer
+    matrix of ``gamma(pi, mu)``, from its terms."""
+    op = gamma(pi, mu).op
+    return choi_distance(op, ElementaryOperator.from_terms(op.dim, []))
+
+
+def _check_both_predicates(label, pi, mu, in_kernel):
+    fast, slow = _realized_norm(pi, mu), oracle_tensor_conjugate_norm(pi, mu)
+    assert _close(fast, slow, scale=mu.norm), label
+    gate = TOL * pi.dim**2 * mu.norm
+    assert kernel_test_tensor_conjugate(pi, mu) is (slow <= gate) is in_kernel, label
+    assert kernel_test_transfer(gamma(pi, mu)) is in_kernel, label
+
+
 def test_tensor_conjugate_predicate_matches_integrated_stack():
     rng = np.random.default_rng(6)
     checked = 0
     for label, pi, mu, in_kernel in [*_abelian_tensor_cases(rng), *_cayley_tensor_cases(rng)]:
         assert pi.dim <= 8
-        fast, slow = _tensor_conjugate_norm(pi, mu), oracle_tensor_conjugate_norm(pi, mu)
-        assert _close(fast, slow, scale=mu.norm), label
-        gate = TOL * pi.dim**2 * mu.norm
-        assert kernel_test_tensor_conjugate(pi, mu) is (slow <= gate) is in_kernel, label
+        _check_both_predicates(label, pi, mu, in_kernel)
         checked += 1
     assert checked >= 60
+
+
+def _switch_cases():
+    """(label, rep, thin): choi_distance takes a thin QR of the n terms when
+    2n < d^2 and the dense d^2 x d^2 product otherwise.  The regular
+    representation of Z_16 (n <= 16, d^2 = 256) is faithful, so its kernel
+    is zero; characters 0, 1, 2 of Z_16, each twice (n <= 16, d^2 = 36),
+    have a nonzero kernel; three characters of Z_12 have more than d^2 / 2
+    terms."""
+    z16, z12 = make_cyclic_product([16]), make_cyclic_product([12])
+    yield "regular-Z16", regular_rep(z16), True
+    yield "characters-Z16", character_rep(z16, [Character((16,), (k,)) for k in (0, 0, 1, 1, 2, 2)]), True
+    yield "characters-Z12", character_rep(z12, [Character((12,), (k,)) for k in (0, 3, 4)]), False
+
+
+@pytest.mark.parametrize("label, pi, thin", [pytest.param(*c, id=c[0]) for c in _switch_cases()])
+def test_kernel_predicates_read_one_norm_on_both_sides_of_the_switch(label, pi, thin):
+    rng = np.random.default_rng(16)
+    g = pi.group
+    generic = Measure(g, _rc(rng, g.order))
+    kernel = kernel_measure(diagonalize(pi), rng)
+    assert (kernel.norm > 0) is (label != "regular-Z16")
+    for case, mu, in_kernel in [("generic", generic, False), ("generic 1e-12", generic * 1e-12, False),
+                                ("kernel", kernel, True)]:
+        assert (2 * mu.support().size < pi.dim**2) is thin, case
+        _check_both_predicates(f"{label} {case}", pi, mu, in_kernel)

@@ -10,7 +10,6 @@ from ehtp.elementary import (
     ElementaryOperator,
     apply,
     conjugate_by,
-    conjugation_op,
     schur_op,
     transfer_matrix,
 )
@@ -45,7 +44,8 @@ def _random_op(d, n, rng):
 class TestExactCases:
     def test_unitary_conjugation_is_exactly_one(self):
         rng = np.random.default_rng(0)
-        b = haagerup_norm_bounds(conjugation_op(_random_unitary(4, rng)))
+        u = _random_unitary(4, rng)
+        b = haagerup_norm_bounds(ElementaryOperator.from_terms(4, [(u, u.conj().T)]))
         assert b.lower == b.upper == pytest.approx(1.0, abs=1e-12)
 
     def test_single_term_degenerates_to_operator_norm_product(self):
@@ -115,7 +115,7 @@ class TestIntervalShape:
         assert b.upper == pytest.approx(2.0, abs=1e-9)
 
     def test_report_wire_form(self):
-        b = haagerup_norm_bounds(conjugation_op(np.eye(2, dtype=np.complex128)))
+        b = haagerup_norm_bounds(ElementaryOperator.from_terms(2, [(np.eye(2), np.eye(2))]))
         rep = b.report()
         assert set(rep) == {"lower", "upper", "iters"}
         assert isinstance(rep["iters"], int)

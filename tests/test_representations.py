@@ -19,7 +19,6 @@ from ehtp.representations import (
     regular_rep,
     restrict_representation,
     tensor_conjugate,
-    trivial_rep,
 )
 from ehtp.suites import random_character_rep, s3_cayley
 from ehtp.groups import from_cayley
@@ -48,11 +47,6 @@ class TestConstruction:
         for s in range(4):
             expect = np.diag([c.evaluate(g, s) for c in chars])
             assert np.allclose(pi.matrices[s], expect)
-
-    def test_trivial_rep_is_identity(self):
-        g = make_cyclic_product([5])
-        pi = trivial_rep(g, 3)
-        assert np.allclose(pi.matrices, np.eye(3))
 
     def test_non_unitary_matrices_rejected(self):
         g = make_cyclic_product([2])
@@ -149,7 +143,7 @@ def _z12_characters(exponents):
 class TestDiagonalize:
     def test_trivial_rep_has_trivial_spectrum(self):
         g = make_cyclic_product([6])
-        diag = diagonalize(trivial_rep(g, 2))
+        diag = diagonalize(character_rep(g, [Character.trivial((6,))] * 2))
         assert diag.spectrum.exponent_set() == {(0,)}
 
     def test_regular_rep_spectrum_is_the_full_dual(self):
@@ -194,7 +188,7 @@ class TestDiagonalize:
         regular_rep(make_cyclic_product([1, 4])),
         tensor_conjugate(regular_rep(make_cyclic_product([6]))),
         _z12_characters((0, 3, 3, 7, 7, 7, 11))[1],
-        trivial_rep(make_cyclic_product([1]), 3),
+        character_rep(make_cyclic_product([1]), [Character.trivial((1,))] * 3),
     ], ids=["Z64", "Z8xZ8", "Z2xZ2xZ3", "Z1xZ4", "tensorconj-Z6", "Z12-repeated", "Z1-trivial3"])
     def test_labels_match_the_character_oracle(self, pi):
         g = pi.group

@@ -1,7 +1,5 @@
 """Kernels on spectra, positive definiteness, and the positivity equivalences."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from ehtp.varopoulos import (
     equivalence_suite,
     from_measure,
     gram_factorize,
-    gram_sup,
     is_positive_definite,
 )
 
@@ -131,14 +128,6 @@ class TestGramFactorization:
             recon = sum(np.outer(phi, np.conj(phi)) for phi in factors)
             assert np.linalg.norm(recon - u.values) < 1e-9
 
-    def test_sup_is_the_largest_diagonal_entry(self):
-        rng = np.random.default_rng(3)
-        _, diag = _spectrum(8, [1, 3, 6])
-        gmat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        u = VFunction(diag.spectrum, gmat @ gmat.conj().T)
-        factors = gram_factorize(u)
-        assert gram_sup(factors) == pytest.approx(float(np.real(u.values.diagonal().max())), rel=1e-9)
-
     def test_indefinite_kernel_rejected(self):
         _, diag = _spectrum(5, [0, 1])
         with pytest.raises(NumericalError):
@@ -168,7 +157,6 @@ class TestGramFactorization:
     def test_empty_factorization_for_the_zero_kernel(self):
         _, diag = _spectrum(5, [0, 1])
         assert gram_factorize(VFunction(diag.spectrum, np.zeros((2, 2)))) == []
-        assert gram_sup([]) == 0.0
 
 
 class TestEquivalenceSuite:
@@ -310,19 +298,3 @@ class TestVFunctionContainer:
         u = VFunction(diag.spectrum, np.eye(2))
         with pytest.raises(ValueError):
             u.values[0, 0] = 2.0
-
-    def test_json_form_lists_characters_and_value_pairs(self):
-        _, diag = _spectrum(4, [1, 3])
-        u = VFunction(diag.spectrum, np.array([[1.0, 2j], [-2j, 1.0]]))
-        payload = json.loads(u.to_json())
-        assert payload["characters"] == [{"exponents": [1]}, {"exponents": [3]}]
-        assert payload["values"][0][1] == [0.0, 2.0]
-
-    def test_csv_form_has_exponent_labels(self):
-        g = make_cyclic_product([2, 2])
-        chars = [Character((2, 2), (0, 1)), Character((2, 2), (1, 0))]
-        diag = diagonalize(character_rep(g, chars))
-        u = from_measure(diag, dirac(g, g.identity))
-        lines = u.to_csv().splitlines()
-        assert lines[0].split(",")[1:] == ["0:1", "1:0"]
-        assert len(lines) == 3
