@@ -120,12 +120,8 @@ def schur_op(symbol: np.ndarray) -> ElementaryOperator:
     d = symbol.shape[0]
     if symbol.shape != (d, d):
         raise DimensionMismatchError("symbol must be square")
-    terms = []
-    for j in range(d):
-        e_jj = np.zeros((d, d), dtype=np.complex128)
-        e_jj[j, j] = 1.0
-        terms.append((e_jj, np.diag(symbol[j])))
-    return ElementaryOperator.from_terms(d, terms)
+    eye = np.eye(d)
+    return ElementaryOperator(d, eye[:, :, None] * eye[:, None, :], symbol[:, None, :] * eye)
 
 
 def _check_dim(t: ElementaryOperator, x: np.ndarray) -> None:
@@ -159,8 +155,8 @@ def compose(s: ElementaryOperator, t: ElementaryOperator) -> ElementaryOperator:
 
 def _vec_outer_sum(t: ElementaryOperator) -> np.ndarray:
     """``sum_i vec(left_i) right_i.ravel()^T`` as one ``(d^2, n) @ (n, d^2)``
-    product.  Entry ``[(e, c), (b, a)]`` is ``sum_i left_i[c, e] right_i[b, a]``;
-    the Choi and transfer matrices are realignments of it."""
+    product.  Entry ``[(e, c), (b, a)]`` is ``sum_i left_i[c, e] right_i[b, a]``:
+    the Choi matrix, and a realignment of the transfer matrix."""
     n, d = t.n_terms, t.dim
     vec_left = t.left.transpose(0, 2, 1).reshape(n, d * d)
     return vec_left.T @ t.right.reshape(n, d * d)
@@ -168,9 +164,14 @@ def _vec_outer_sum(t: ElementaryOperator) -> np.ndarray:
 
 def transfer_matrix(t: ElementaryOperator) -> np.ndarray:
     """Matrix of the map on column-stacked vectors: ``sum_i right_i^T (x) left_i``,
-    whose entry ``[(a, c), (b, e)]`` is ``sum_i right_i[b, a] left_i[c, e]``."""
+    whose entry ``[(a, c), (b, e)]`` is ``sum_i right_i[b, a] left_i[c, e]``:
+    the ``(d, n) @ (n, d)`` products ``right[:, :, a].T @ left[:, c, :]``,
+    broadcast over ``(a, c)`` and written in place, so the result is the
+    only d^4 array."""
     d = t.dim
-    return _vec_outer_sum(t).reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    out = np.empty((d, d, d, d), dtype=np.complex128)        # [a, c, b, e]
+    np.matmul(t.right.transpose(2, 1, 0)[:, None], t.left.transpose(1, 0, 2)[None], out=out)
+    return out.reshape(d * d, d * d)
 
 
 def slice_left(t: ElementaryOperator, w: np.ndarray) -> np.ndarray:
@@ -307,26 +308,20 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     return kraus
 
 
-def _bimodule_transfer(t: ElementaryOperator, tol: float) -> np.ndarray | None:
-    """The transfer matrix if the map is a bimodule map over the diagonal
-    MASA, else None.  Column ``k d + j`` is ``vec(T(E_jk))``; its part off the
-    diagonal entry must have norm at most ``tol`` times the data scale
-    ``sum_i ||a_i||_F ||b_i||_F``, which bounds the column and its noise."""
-    images = transfer_matrix(t)
-    # the off-diagonal norm is taken with the diagonal zeroed in place (then
-    # restored), not as sqrt(|col|^2 - |diag|^2), which cancels far above tol
-    diagonal = images.diagonal().copy()
-    np.fill_diagonal(images, 0.0)
-    off = np.linalg.norm(images, axis=0)
-    np.fill_diagonal(images, diagonal)
-    return images if bool(np.all(off <= tol * _data_scale(t))) else None
+def _schur_symbol(t: ElementaryOperator) -> np.ndarray:
+    """The symbol the map would have as a Schur multiplier: entry ``(j, k)``
+    is the ``(j, k)`` entry of ``T(E_jk)``, ``sum_i a_i[j, j] b_i[k, k]``,
+    one ``(d, n) @ (n, d)`` product of the term diagonals."""
+    return np.diagonal(t.left, axis1=1, axis2=2).T @ np.diagonal(t.right, axis1=1, axis2=2)
 
 
 def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
     """True iff the map commutes with left and right multiplication by
-    diagonal matrices: each matrix unit maps to a multiple of itself, to
-    ``tol`` times the data scale ``sum_i ||a_i||_F ||b_i||_F``."""
-    return _bimodule_transfer(t, tol) is not None
+    diagonal matrices, that is, it is the Schur multiplier of its symbol S:
+    the distance ``sqrt(sum_jk ||T(E_jk) - S_jk E_jk||_F^2)``, taken from the
+    terms by :func:`choi_distance`, is at most ``tol`` times the data scale
+    ``sum_i ||a_i||_F ||b_i||_F``."""
+    return choi_distance(t, schur_op(_schur_symbol(t))) <= tol * _data_scale(t)
 
 
 @dataclass(frozen=True)
@@ -360,19 +355,16 @@ def _positive_samples(rng: np.random.Generator, d: int, trials: int) -> np.ndarr
 def sampled_positivity(t: ElementaryOperator, trials: int = 50, tol: float = TOL,
                        seed: int = 0) -> tuple[bool, float]:
     """Positivity on sampled states of a bimodule map over the diagonal MASA
-    (precondition, checked): the verdict, and the worst ratio of an image's
-    smallest eigenvalue to its scale (``-inf`` for a non-Hermitian image).
-    Half the samples are rank-one ``w w*`` (which detect any failure of
-    positivity for a diagonal bimodule map), half are full-rank ``g g*``;
-    all images come from one product with the transfer matrix."""
-    transfer = _bimodule_transfer(t, tol)
-    if transfer is None:
+    (precondition, checked by the gate of :func:`is_diagonal_bimodule`): the
+    verdict, and the worst ratio of an image's smallest eigenvalue to its
+    scale (``-inf`` for a non-Hermitian image).  Half the samples are
+    rank-one ``w w*`` (which detect any failure of positivity for a diagonal
+    bimodule map), half are full-rank ``g g*``; the images are the Schur
+    products ``S * x``, which that gate makes equal to ``T(x)``."""
+    if not is_diagonal_bimodule(t, tol):
         raise BimoduleError("map is not a bimodule map over the diagonal MASA")
-    d = t.dim
-    x = _positive_samples(np.random.default_rng(seed), d, trials)
-    # column-stacked vec: row t of x.mT reshaped is vec(x_t), and likewise back
-    vecs = x.transpose(0, 2, 1).reshape(trials, d * d)
-    y = (vecs @ transfer.T).reshape(trials, d, d).transpose(0, 2, 1)
+    x = _positive_samples(np.random.default_rng(seed), t.dim, trials)
+    y = _schur_symbol(t) * x
     yh = y.conj().transpose(0, 2, 1)
     # normalize against input scale times term scale, not just ||y||: when
     # the map is numerically zero the output is pure float noise and would

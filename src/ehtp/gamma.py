@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import ElementaryOperator, apply, choi_distance, slice_left, transfer_matrix
+from .elementary import ElementaryOperator, apply, choi_distance, conjugate_by, schur_op
+from .elementary import slice_left, transfer_matrix
 from .errors import TOL, GroupMismatchError, NumericalError, RestrictionMismatchError
 from .groups import SubgroupRestriction, difference_set
 from .measures import Measure, fourier_on, fourier_symbol, reverse
@@ -85,37 +86,21 @@ def slice_identity_residual(image: GammaImage, w: np.ndarray) -> float:
 
 
 def symbol_residual(diag: DiagonalizedRep, mu: Measure, symbol: np.ndarray) -> float:
-    """Worst entrywise deviation of the operator from acting as the symbol
-    on the rotated matrix units, ``max |T(v_j v_k*) - S_jk v_j v_k*|``.
-
-    All d^2 images come from one product: with ``A_s = L_s V`` and
-    ``B_s = V* R_s``, entry ``(a, b)`` of ``T(v_j v_k*)`` is
-    ``sum_s A_s[a, j] B_s[k, b]``, a ``(d^2, n) @ (n, d^2)`` product.  The
-    symbol term is then subtracted one column j at a time, in place, so the
-    images are the only d^4 array.  The operator is read directly, so the
-    residual does not depend on how ``symbol`` was computed."""
-    op = gamma(diag.rep, mu).op
-    n, d = op.n_terms, op.dim
-    v = diag.basis
-    vh = v.conj().T
-    cols = (op.left @ v).reshape(n, d * d).T          # row a*d + j
-    rows = (vh @ op.right).reshape(n, d * d)          # column k*d + b
-    images = (cols @ rows).reshape(d, d, d, d)        # [a, j, k, b]
-    resid = 0.0
-    for j in range(d):
-        block = images[:, j]                          # [a, k, b]
-        block -= v[:, j, None, None] * (symbol[j, :, None] * vh)
-        resid = max(resid, float(np.abs(block).max()))
-    return resid
+    """Deviation of the operator from acting as the symbol on the rotated
+    matrix units, ``sqrt(sum_jk ||T(v_j v_k*) - S_jk v_j v_k*||_F^2)``: the
+    distance of the rotated map from ``schur_op(symbol)``, taken from the
+    terms by :func:`ehtp.elementary.choi_distance`.  The operator is read
+    directly, so the residual does not depend on how ``symbol`` was computed."""
+    rotated = conjugate_by(gamma(diag.rep, mu).op, diag.basis)
+    return choi_distance(rotated, schur_op(symbol))
 
 
 def schur_form(diag: DiagonalizedRep, mu: Measure) -> np.ndarray:
     """Symbol matrix of the map in the joint eigenbasis.
 
-    Entry ``(j, k)`` is ``mu_hat(chi_j * chi_k^-1)``; verified against a
-    direct application of the operator to every rotated matrix unit, and
-    raises :class:`NumericalError` when the gate of :func:`checked_symbol`
-    fails.
+    Entry ``(j, k)`` is ``mu_hat(chi_j * chi_k^-1)``; verified against the
+    operator by :func:`symbol_residual`, and raises :class:`NumericalError`
+    when the gate of :func:`checked_symbol` fails.
     """
     symbol, resid, ok = checked_symbol(diag, mu)
     if not ok:

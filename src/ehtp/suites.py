@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elementary import ElementaryOperator
+from .elementary import ElementaryOperator, choi_distance
 from .errors import (
     TOL,
     EquivalenceViolationError,
@@ -28,7 +28,6 @@ from .gamma import (
     checked_symbol,
     gamma,
     kernel_test_difference_set,
-    kernel_test_tensor_conjugate,
     kernel_test_transfer,
     restriction_spectrum_check,
     slice_identity_residual,
@@ -218,10 +217,11 @@ def homomorphism_residual(pi, mu: Measure, nu: Measure) -> float:
 
 
 def unit_check(pi, tol: float = TOL) -> dict:
-    """The realized unit point mass is the identity map."""
-    d = pi.dim
-    lhs = gamma(pi, dirac(pi.group, pi.group.identity)).transfer()
-    resid = float(np.linalg.norm(lhs - np.eye(d * d)))
+    """The realized unit point mass is the identity map: the Frobenius
+    distance of their transfer matrices, taken from the terms by
+    :func:`ehtp.elementary.choi_distance`."""
+    identity = ElementaryOperator.from_terms(pi.dim, [(np.eye(pi.dim), np.eye(pi.dim))])
+    resid = choi_distance(gamma(pi, dirac(pi.group, pi.group.identity)).op, identity)
     return {"passed": resid <= tol, "residual": resid}
 
 
@@ -254,21 +254,21 @@ def kernel_check(pi, diag, mu: Measure) -> dict:
 
 def cp_posdef_check(diag, mu: Measure, trials: int, seed: int, tol: float = TOL) -> dict:
     """Complete positivity equals positive semidefiniteness of the symbol,
-    and a completely positive map's Kraus family is independent: its
-    smallest singular value exceeds ``TOL`` times its largest.  That gate
-    does not read ``tol``: the family is built with a condition number of at
-    most ``CUTOFF ** -0.5``, so it fails only on a broken extraction, at
-    any scale of ``mu``."""
+    the Gram and Kraus families have the same size, and a completely
+    positive map's Kraus family is independent: its smallest singular value
+    exceeds ``TOL`` times its largest.  That gate does not read ``tol``: the
+    family is built with a condition number of at most ``CUTOFF ** -0.5``,
+    so it fails only on a broken extraction, at any scale of ``mu``."""
     try:
         report = equivalence_suite(diag, mu, trials=trials, tol=tol, seed=seed)
     except EquivalenceViolationError as exc:
         return {"passed": False, "error": str(exc)}
-    ok = report.consistent
+    ok = report.consistent and report.gram_count == report.kraus_count
     if report.completely_positive and report.kraus_count:
         ok = ok and report.kraus_min_singular > TOL * report.kraus_max_singular
     return {"passed": ok, "cp": report.completely_positive,
             "posdef": report.positive_definite, "sampled": report.sampled_positive,
-            "kraus_count": int(report.kraus_count),
+            "kraus_count": int(report.kraus_count), "gram_count": int(report.gram_count),
             "kraus_min_singular": report.kraus_min_singular,
             "kraus_diagonality": report.kraus_diagonality}
 
@@ -307,8 +307,10 @@ def gamma_report(pi, mu: Measure, diag=None, tol: float = TOL) -> dict:
     """The standard wire report for one realized measure, passed when the
     homomorphism law holds for ``mu * mu`` and the map is contractive."""
     pair = homomorphism_check(pi, mu, mu, tol)
-    norm = norm_check(gamma(pi, mu).op, mu, tol)
-    kernel = {"tensorconj": bool(kernel_test_tensor_conjugate(pi, mu))}
+    image = gamma(pi, mu)
+    norm = norm_check(image.op, mu, tol)
+    # kernel_test_tensor_conjugate(pi, mu) is this predicate of a new image
+    kernel = {"tensorconj": bool(kernel_test_transfer(image))}
     kernel["diffset"] = bool(kernel_test_difference_set(diag, mu)) if diag is not None else None
     return {
         "passed": pair["passed"] and norm["passed"],

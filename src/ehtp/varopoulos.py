@@ -82,15 +82,17 @@ def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
 
 def gram_factorize(u: VFunction) -> list[np.ndarray]:
     """Functions ``phi_i`` on the spectrum with ``u(s, t) = sum_i phi_i(s)
-    conj(phi_i(t))``, from the eigendecomposition; eigenvalues up to
-    ``CUTOFF`` times the largest are dropped.  Errors on a kernel that is not
+    conj(phi_i(t))``, from the eigendecomposition: none when the largest
+    eigenvalue is at most ``CUTOFF * u.scale``, otherwise eigenvalues up to
+    ``CUTOFF`` times the largest are dropped, the rules of
+    ``elementary.strongly_independent_kraus``.  Errors on a kernel that is not
     positive semidefinite, decided as :func:`is_positive_definite` does, from
     the same decomposition."""
     evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
     if not u.is_hermitian or evals.min(initial=0.0) < -TOL * u.scale:
         raise NumericalError("kernel is not positive semidefinite")
     top = float(evals.max(initial=0.0))
-    if top <= 0.0:
+    if top <= CUTOFF * u.scale:
         return []
     keep = evals > CUTOFF * top
     return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
@@ -100,12 +102,14 @@ def gram_factorize(u: VFunction) -> list[np.ndarray]:
 class EquivalenceReport:
     """Verdicts of the three positivity criteria plus Kraus structure data;
     the three Kraus measurements are None for a map with no Kraus element.
-    The singular values are those of the stacked vectorized Kraus elements."""
+    The singular values are those of the stacked vectorized Kraus elements;
+    ``gram_count`` is the size of a positive definite kernel's Gram family."""
 
     completely_positive: bool
     positive_definite: bool
     sampled_positive: bool
     kraus_count: int
+    gram_count: int
     kraus_min_singular: float | None
     kraus_max_singular: float | None
     kraus_diagonality: float | None
@@ -143,7 +147,8 @@ def equivalence_suite(
         cp = True
     except NotCompletelyPositiveError:
         kraus, cp = [], False
-    pd = is_positive_definite(from_measure(diag, mu), tol)
+    kernel = from_measure(diag, mu)
+    pd = is_positive_definite(kernel, tol)
     # the rotation is unitary, so the rotated map is completely positive iff op is
     sampled, _ = sampled_positivity(conjugate_by(op, diag.basis), trials=trials, tol=tol, seed=seed)
 
@@ -173,6 +178,7 @@ def equivalence_suite(
         positive_definite=pd,
         sampled_positive=sampled,
         kraus_count=len(kraus),
+        gram_count=len(gram_factorize(kernel)) if pd else 0,
         kraus_min_singular=min_singular,
         kraus_max_singular=max_singular,
         kraus_diagonality=diagonality,

@@ -103,6 +103,7 @@ def test_choi_positivity_matches_symbol_positivity_with_valid_kraus_families():
     disagreements = [r for r in records if "cp" in r and r["cp"] != r["posdef"]]
     assert not disagreements, disagreements[:3]
     assert not _failures(records), _failures(records)[:3]
+    assert all(r["gram_count"] == r["kraus_count"] for r in records)
     cp_cases = [r for r in records if r.get("cp") and r["kraus_count"]]
     assert cp_cases
     assert min(r["kraus_min_singular"] for r in cp_cases) > 1e-9

@@ -128,6 +128,10 @@ class TestApply:
         for _ in range(10):
             t = _random_op(int(rng.integers(2, 5)), int(rng.integers(1, 4)), rng)
             assert np.allclose(transfer_matrix(t), _brute_transfer(t))
+        # no terms, and more terms than d^2 at d = 8
+        for n, d in [(0, 1), (0, 4), (70, 8)]:
+            t = _random_op(d, n, rng)
+            assert np.allclose(transfer_matrix(t), _brute_transfer(t))
 
     def test_transfer_reproduces_apply(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,8 @@ environment, no file imports a name it never uses, no module but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum``, no caller in the package, the tests, the demos or the README
 passes an ignored parameter, neither rewriting gate builds a dense Choi
-or transfer matrix, no comparison in ``cli`` reads a tolerance, and every
+or transfer matrix, no function but the dense forms and the homomorphism
+residual calls ``transfer_matrix``, ``choi`` or ``.transfer()``, no comparison in ``cli`` reads a tolerance, and every
 name in ``ehtp.__all__`` has a caller outside its module and the tests, or
 a stated reason to be public."""
 
@@ -247,6 +248,36 @@ def test_rewriting_gates_build_no_dense_choi_matrix():
     assert "choi" not in _called_names(kraus)
 
 
+def _dense_builds(tree):
+    """``qualified function name`` for every call under ``tree`` of
+    ``transfer_matrix``, ``choi``, ``_vec_outer_sum`` or a ``.transfer()``
+    method, named by the functions and classes that enclose it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id in {"transfer_matrix", "choi", "_vec_outer_sum"}
+                        or isinstance(func, ast.Attribute) and func.attr == "transfer"):
+                    found.append(".".join(scope))
+            visit(child, scope)
+    visit(tree, [])
+    return found
+
+
+def test_only_the_dense_forms_build_a_dense_transfer_or_choi_matrix():
+    # every check that asks whether a map is another reads choi_distance on
+    # the terms; the d^4 arrays are built only by GammaImage.transfer, by
+    # choi itself and by the homomorphism residual, whose column-block form
+    # is still open
+    found = {f"{p.stem}:{where}" for p in sorted(PACKAGE.glob("*.py")) for where in _dense_builds(_tree(p))}
+    assert found == {"gamma:GammaImage.transfer", "elementary:choi", "suites:homomorphism_residual"}
+
+
 # Public names that no other package module, demo, benchmark or README
 # example calls, and the one-word reason each is public all the same: a type
 # that a public function returns, an exception a caller may catch, or an
@@ -261,7 +292,6 @@ PUBLIC_BY_REASON = {
     "EquivalenceReport": "returned",
     "compose": "paper",     # the homomorphism law: convolution becomes composition
     "gelfand": "paper",     # the Gelfand transform of the measure algebra
-    "schur_op": "paper",    # the Schur multipliers the Varopoulos algebra acts as
 }
 BENCH = PACKAGE.parent.parent / "bench"
 

@@ -18,6 +18,7 @@ from ehtp.elementary import (
     apply,
     choi,
     choi_distance,
+    conjugate_by,
     is_completely_positive,
     is_diagonal_bimodule,
     schur_op,
@@ -44,7 +45,13 @@ from ehtp.representations import (
     regular_rep,
     tensor_conjugate,
 )
-from ehtp.suites import kernel_measure, random_character, random_character_rep, s3_cayley
+from ehtp.suites import (
+    kernel_measure,
+    random_character,
+    random_character_rep,
+    s3_cayley,
+    unit_check,
+)
 from ehtp.varopoulos import equivalence_suite
 
 # (n_terms, d): empty term lists, d == 1, and the sizes in between
@@ -83,6 +90,16 @@ def oracle_choi(t):
     return c
 
 
+def oracle_schur_op(symbol):
+    d = symbol.shape[0]
+    terms = []
+    for j in range(d):
+        e_jj = np.zeros((d, d), dtype=np.complex128)
+        e_jj[j, j] = 1.0
+        terms.append((e_jj, np.diag(symbol[j])))
+    return ElementaryOperator.from_terms(d, terms)
+
+
 def oracle_is_diagonal_bimodule(t, tol=TOL):
     d = t.dim
     for j in range(d):
@@ -102,12 +119,12 @@ def oracle_symbol_residual(diag, mu, symbol):
     support = mu.support()
     op = ElementaryOperator(pi.dim, mu.weights[support, None, None] * pi.matrices[support],
                             pi.matrices[support].conj().transpose(0, 2, 1))
-    resid = 0.0
+    squares = 0.0
     for j in range(pi.dim):
         for k in range(pi.dim):
             unit = np.outer(v[:, j], np.conj(v[:, k]))
-            resid = max(resid, float(np.abs(oracle_apply(op, unit) - symbol[j, k] * unit).max()))
-    return resid
+            squares += float(np.linalg.norm(oracle_apply(op, unit) - symbol[j, k] * unit)) ** 2
+    return np.sqrt(squares)
 
 
 def oracle_tensor_conjugate_norm(pi, mu):
@@ -163,6 +180,16 @@ def test_apply_matches_einsum(n, d):
 def test_choi_matches_outer_product_loop(n, d):
     t = _random_op(np.random.default_rng([n, d, 1]), n, d)
     assert _close(choi(t), oracle_choi(t))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_schur_op_matches_row_loop(d):
+    rng = np.random.default_rng([d, 7])
+    symbol = _rc(rng, d, d)
+    fast, slow = schur_op(symbol), oracle_schur_op(symbol)
+    assert np.array_equal(fast.left, slow.left) and np.array_equal(fast.right, slow.right)
+    x = _rc(rng, d, d)
+    assert _close(apply(fast, x), symbol * x)
 
 
 # -- is_diagonal_bimodule --------------------------------------------------------
@@ -389,22 +416,64 @@ def test_no_spectral_decision_decomposes_a_large_matrix(decomposed):
     assert max(min(shape[-2:]) for shape in matrices) <= 32
 
 
+def _peak_bytes(run):
+    """The result of ``run()`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# a d^4 complex array is 16.8 MB at d = 32, the regular representation of Z_32
+DENSE_Z32 = 32**4 * 16
+
+
 def test_regular_z32_bracket_and_kraus_family_stay_below_one_dense_choi_matrix():
-    # a d^4 complex array is 16.8 MB at d = 32: neither the bracket of a
-    # generic measure nor the Kraus family of a positive one may allocate one
+    # neither the bracket of a generic measure nor the Kraus family of a
+    # positive one may allocate a d^4 array
     g = make_cyclic_product([32])
     pi = regular_rep(g)
     rng = np.random.default_rng(11)
     generic = gamma(pi, Measure(g, _rc(rng, 32))).op
     positive = gamma(pi, Measure(g, rng.random(32) + 0.05)).op
     for run in (lambda: haagerup_norm_bounds(generic), lambda: strongly_independent_kraus(positive)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32**4 * 16
+        assert _peak_bytes(run)[1] < DENSE_Z32
+
+
+def test_regular_z32_schur_multiplier_gates_stay_below_one_dense_choi_matrix():
+    # the symbol, bimodule, positivity-probe and unit gates each ask whether
+    # a map is a given Schur multiplier (or the identity), through
+    # choi_distance on the terms; none may allocate a d^4 array
+    g = make_cyclic_product([32])
+    pi = regular_rep(g)
+    diag = diagonalize(pi)
+    rng = np.random.default_rng(12)
+    generic = Measure(g, _rc(rng, 32))
+    positive = Measure(g, rng.random(32) + 0.05)
+    rotated = conjugate_by(gamma(pi, generic).op, diag.basis)
+    runs = {
+        "schur_form": lambda: schur_form(diag, generic).shape == (32, 32),
+        "equivalence_suite": lambda: equivalence_suite(diag, positive, trials=20).completely_positive,
+        "is_diagonal_bimodule": lambda: is_diagonal_bimodule(rotated),
+        "unit_check": lambda: unit_check(pi)["passed"],
+    }
+    for name, run in runs.items():
+        ok, peak = _peak_bytes(run)
+        assert ok and peak < DENSE_Z32, (name, peak)
+
+
+def test_regular_z32_transfer_matrix_is_the_only_dense_array():
+    # the products are written straight into the result: one d^4 array, not a
+    # product and its realigned copy
+    g = make_cyclic_product([32])
+    op = gamma(regular_rep(g), Measure(g, _rc(np.random.default_rng(13), 32))).op
+    transfer, peak = _peak_bytes(lambda: transfer_matrix(op))
+    x = _rc(np.random.default_rng(14), 32, 32)
+    assert _close(transfer @ vec(x), vec(oracle_apply(op, x)), scale=32 * 32)
+    assert peak < 1.25 * DENSE_Z32
 
 
 # -- the transfer and tensor-conjugate kernel predicates: one Frobenius norm -----

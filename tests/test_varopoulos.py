@@ -1,5 +1,7 @@
 """Kernels on spectra, positive definiteness, and the positivity equivalences."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from ehtp.varopoulos import (
     gram_factorize,
     is_positive_definite,
 )
+
+gamma_module = importlib.import_module("ehtp.gamma")     # the package's `gamma` is the function
 
 
 def _spectrum(n, exponents):
@@ -221,6 +225,20 @@ class TestEquivalenceSuite:
         report = equivalence_suite(diag, mu)
         assert report.kraus_count == 8 and report.consistent
 
+    @pytest.mark.parametrize("n,exponents,s", [(8, [0, 2, 4, 6], 4), (9, [0, 3, 6], 6),
+                                               (12, [0, 3, 6, 9], 8)])
+    def test_numerically_zero_kernel_has_no_gram_or_kraus_terms(self, n, exponents, s):
+        # every spectrum character is 1 at s, so delta_s - delta_0 realizes the
+        # zero map; in floating point its kernel keeps an eigenvalue near
+        # 1e-16, which the Gram rule once kept as one factor against no Kraus
+        # element
+        g, diag = _spectrum(n, exponents)
+        mu = dirac(g, s) - dirac(g, g.identity)
+        assert gram_factorize(from_measure(diag, mu)) == []
+        assert strongly_independent_kraus(gamma(diag.rep, mu).op) == []
+        report = equivalence_suite(diag, mu)
+        assert report.completely_positive and report.gram_count == report.kraus_count == 0
+
     def test_tiny_signed_measure_is_neither_cp_nor_positive_definite(self):
         g, diag = _spectrum(7, [1, 2, 4])
         mu = (dirac(g, 1) - dirac(g, 0)) * 1e-12
@@ -241,18 +259,20 @@ class TestEquivalenceSuite:
 
 class TestChoiBuilds:
     """One Choi decomposition per map: the CP verdict and the Kraus family
-    come from the same ``eigh``.  Every Choi or transfer matrix is built by
-    ``elementary._vec_outer_sum``, so wrapping it counts the builds."""
+    come from the same ``eigh``.  Every Choi matrix is built by
+    ``elementary._vec_outer_sum`` and every transfer matrix by
+    ``transfer_matrix`` (called from ``elementary`` and ``gamma``), so
+    wrapping them counts the dense builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        outer_sum = elementary._vec_outer_sum
-
-        def counted(t):
-            calls.append(t.dim)
-            return outer_sum(t)
-        monkeypatch.setattr(elementary, "_vec_outer_sum", counted)
+        for module, name in ((elementary, "_vec_outer_sum"), (elementary, "transfer_matrix"),
+                             (gamma_module, "transfer_matrix")):
+            def counted(t, _inner=getattr(module, name)):
+                calls.append(t.dim)
+                return _inner(t)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def _regular_z8(self):
@@ -260,13 +280,14 @@ class TestChoiBuilds:
         pi = regular_rep(g)
         return pi, diagonalize(pi), Measure(g, np.linspace(1.0, 2.0, 8))
 
-    def test_equivalence_suite_builds_one(self, builds):
-        # the transfer matrix of the rotated map, which the positivity probe
-        # shares with its gate; the Kraus reconstruction gate reads factors
+    def test_equivalence_suite_builds_none(self, builds):
+        # the positivity probe's bimodule gate and the Kraus reconstruction
+        # gate read the factors through choi_distance, and the probe's
+        # images are Schur products with the symbol
         _, diag, mu = self._regular_z8()
         report = equivalence_suite(diag, mu, trials=20)
         assert report.completely_positive and report.kraus_count == 8
-        assert len(builds) == 1
+        assert builds == []
 
     def test_cp_norm_path_builds_none(self, builds):
         # the CP verdict, the Kraus family and its reconstruction gate all
