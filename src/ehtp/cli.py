@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -445,25 +444,38 @@ def _summary(records: list[dict]) -> dict:
     }
 
 
-def _render(records: list[dict], summary: dict, fmt: str) -> str:
+class _Lines(list):
+    """A list that ``csv.writer`` writes to, one string per row."""
+    write = list.append
+
+
+def _report_lines(records: list[dict], summary: dict, fmt: str) -> list[str]:
+    """The report a line at a time: one JSON object per record and then the
+    summary, or a CSV header and one row per record.  Every line is
+    serialized before any is written, so a record that cannot be (a NaN
+    under ``allow_nan=False``) leaves no partial report."""
     if fmt == "json":
-        return "\n".join([_json_line(r) for r in records] + [_json_line(summary)]) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+        return [_json_line(rec) + "\n" for rec in records] + [_json_line(summary) + "\n"]
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(["id", "suite", "case", "identity", "passed", "detail"])
     for rec in records:
         rest = {k: v for k, v in rec.items()
                 if k not in ("id", "suite", "case", "identity", "passed")}
         writer.writerow([rec.get("id", ""), rec["suite"], rec["case"], rec["identity"],
                          "pass" if rec["passed"] else "fail", _json_line(rest)])
-    return buf.getvalue()
+    return lines
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(records: list[dict], summary: dict, fmt: str, out: str | None) -> None:
+    """Write the report's lines to the file ``out``, or to stdout without
+    one, with no copy of the whole report as one string."""
+    lines = _report_lines(records, summary, fmt)
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            stream.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _print_table(records: list[dict], stream) -> None:
@@ -498,7 +510,7 @@ def _cmd_run(args) -> int:
     chunks.sort(key=lambda pair: pair[0])
     records = [rec for _, chunk in chunks for rec in chunk]
     summary = _summary(records)
-    _emit(_render(records, summary, args.format), args.out)
+    _emit(records, summary, args.format, args.out)
     if args.out:
         print(f"wrote {summary['total']} records to {args.out}", file=sys.stderr)
     return 1 if summary["failed"] else 0
@@ -510,7 +522,7 @@ def _cmd_selftest(args) -> int:
     _print_table(records, sys.stdout)
     print(f"total {summary['total']}  failed {summary['failed']}", file=sys.stdout)
     if args.out:
-        _emit(_render(records, summary, args.format), args.out)
+        _emit(records, summary, args.format, args.out)
     return 1 if summary["failed"] else 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elementary import ElementaryOperator, apply, choi_distance, conjugate_by, schur_op
-from .elementary import slice_left, transfer_matrix
+from .elementary import slice_left
 from .errors import TOL, GroupMismatchError, NumericalError, RestrictionMismatchError
 from .groups import SubgroupRestriction, difference_set
 from .measures import Measure, fourier_on, fourier_symbol, reverse
@@ -60,9 +60,6 @@ class GammaImage:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return apply(self.op, x)
-
-    def transfer(self) -> np.ndarray:
-        return transfer_matrix(self.op)
 
 
 def gamma(pi: Representation, mu: Measure) -> GammaImage:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elementary import ElementaryOperator, choi_distance
+from .elementary import ElementaryOperator, choi_distance, composition_distance
 from .errors import (
     TOL,
     EquivalenceViolationError,
@@ -210,10 +210,11 @@ def record(suite: str, case: str, body: dict, **context) -> dict:
 
 def homomorphism_residual(pi, mu: Measure, nu: Measure) -> float:
     """Frobenius gap between realizing the convolution and composing the
-    realizations, measured on transfer matrices."""
-    lhs = gamma(pi, convolve(mu, nu)).transfer()
-    rhs = gamma(pi, mu).transfer() @ gamma(pi, nu).transfer()
-    return float(np.linalg.norm(lhs - rhs))
+    realizations, measured on transfer matrices by
+    :func:`ehtp.elementary.composition_distance`: one d^4 array, the
+    transfer matrix of ``gamma(pi, mu)``, plus column blocks of the other
+    two and of the product, which is still one d^6 product."""
+    return composition_distance(gamma(pi, convolve(mu, nu)).op, gamma(pi, mu).op, gamma(pi, nu).op)
 
 
 def unit_check(pi, tol: float = TOL) -> dict:

@@ -70,6 +70,23 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
                      scale=len(diag.spectrum) * mu.norm)
 
 
+def _gram_family(u: VFunction, tol: float) -> list[np.ndarray] | None:
+    """The Gram family of :func:`gram_factorize`, or None for a kernel that
+    is not positive semidefinite at ``tol``, decided as
+    :func:`is_positive_definite` does.  One eigendecomposition gives the
+    verdict and the family."""
+    if not u.is_hermitian:
+        return None
+    evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
+    if evals.min(initial=0.0) < -tol * u.scale:
+        return None
+    top = float(evals.max(initial=0.0))
+    if top <= CUTOFF * u.scale:
+        return []
+    keep = evals > CUTOFF * top
+    return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
+
+
 def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
     """Numerically Hermitian positive semidefinite as a matrix on the
     spectrum: smallest eigenvalue >= -tol * u.scale, the same threshold
@@ -86,16 +103,12 @@ def gram_factorize(u: VFunction) -> list[np.ndarray]:
     eigenvalue is at most ``CUTOFF * u.scale``, otherwise eigenvalues up to
     ``CUTOFF`` times the largest are dropped, the rules of
     ``elementary.strongly_independent_kraus``.  Errors on a kernel that is not
-    positive semidefinite, decided as :func:`is_positive_definite` does, from
-    the same decomposition."""
-    evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
-    if not u.is_hermitian or evals.min(initial=0.0) < -TOL * u.scale:
+    positive semidefinite at ``TOL``, decided as :func:`is_positive_definite`
+    does."""
+    family = _gram_family(u, TOL)
+    if family is None:
         raise NumericalError("kernel is not positive semidefinite")
-    top = float(evals.max(initial=0.0))
-    if top <= CUTOFF * u.scale:
-        return []
-    keep = evals > CUTOFF * top
-    return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
+    return family
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,8 @@ def equivalence_suite(
     strongly independent Kraus family, which must consist of
     matrices diagonal in the joint eigenbasis, to ``TOL`` times the largest
     Kraus norm (an element of a Choi eigenvalue near the cutoff is accurate
-    only to that scale).
+    only to that scale).  One eigendecomposition of the kernel gives its
+    positive semidefiniteness at ``tol`` and its Gram family.
 
     Raises :class:`EquivalenceViolationError` on any disagreement; a raise
     here signals a bug, not a property of the input.
@@ -147,8 +161,8 @@ def equivalence_suite(
         cp = True
     except NotCompletelyPositiveError:
         kraus, cp = [], False
-    kernel = from_measure(diag, mu)
-    pd = is_positive_definite(kernel, tol)
+    gram = _gram_family(from_measure(diag, mu), tol)
+    pd = gram is not None
     # the rotation is unitary, so the rotated map is completely positive iff op is
     sampled, _ = sampled_positivity(conjugate_by(op, diag.basis), trials=trials, tol=tol, seed=seed)
 
@@ -178,7 +192,7 @@ def equivalence_suite(
         positive_definite=pd,
         sampled_positive=sampled,
         kraus_count=len(kraus),
-        gram_count=len(gram_factorize(kernel)) if pd else 0,
+        gram_count=len(gram) if pd else 0,
         kraus_min_singular=min_singular,
         kraus_max_singular=max_singular,
         kraus_diagonality=diagonality,

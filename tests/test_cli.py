@@ -247,6 +247,19 @@ class TestReports:
         records = [json.loads(line, parse_constant=reject) for text in texts for line in text.splitlines()]
         assert any(r.get("kraus_count") == 0 and r["kraus_min_singular"] is None for r in records)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_report_that_cannot_be_serialized_leaves_the_out_file_alone(self, tmp_path, fmt):
+        # every line is serialized before the file is opened, so a NaN in a
+        # later record neither truncates the file nor leaves half a report
+        cli_module = importlib.import_module("ehtp.cli")
+        fields = {"suite": "s", "case": "c", "identity": "i", "passed": True}
+        records = [dict(fields, residual=0.0), dict(fields, residual=float("nan"))]
+        out = tmp_path / "report.txt"
+        out.write_text("earlier report\n")
+        with pytest.raises(ValueError):
+            cli_module._emit(records, {"type": "summary"}, fmt, str(out))
+        assert out.read_text() == "earlier report\n"
+
     def test_selftest_has_no_tolerance_flag(self, capsys):
         # the suites carry their own tolerances; --tol belongs to `run`
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from ehtp.elementary import apply
+from ehtp.elementary import apply, transfer_matrix
 from ehtp.errors import GroupMismatchError, NumericalError
 from ehtp.gamma import (
     gamma,
@@ -48,7 +48,7 @@ class TestRealization:
     def test_identity_point_mass_gives_the_identity_map(self):
         g = make_cyclic_product([3, 2])
         pi = regular_rep(g)
-        assert np.allclose(gamma(pi, dirac(g, g.identity)).transfer(), np.eye(36))
+        assert np.allclose(transfer_matrix(gamma(pi, dirac(g, g.identity)).op), np.eye(36))
 
     def test_point_mass_gives_conjugation(self):
         g = make_cyclic_product([5])
@@ -88,8 +88,8 @@ class TestHomomorphism:
             pi = regular_rep(g)
             for _ in range(10):
                 mu, nu = _random_measure(g, rng), _random_measure(g, rng)
-                lhs = gamma(pi, convolve(mu, nu)).transfer()
-                rhs = gamma(pi, mu).transfer() @ gamma(pi, nu).transfer()
+                lhs = transfer_matrix(gamma(pi, convolve(mu, nu)).op)
+                rhs = transfer_matrix(gamma(pi, mu).op) @ transfer_matrix(gamma(pi, nu).op)
                 assert np.linalg.norm(lhs - rhs) < 1e-9
 
     def test_linearity_in_the_measure(self):
@@ -97,8 +97,8 @@ class TestHomomorphism:
         pi = regular_rep(g)
         rng = np.random.default_rng(3)
         mu, nu = _random_measure(g, rng), _random_measure(g, rng)
-        lhs = gamma(pi, mu + nu * 2j).transfer()
-        assert np.allclose(lhs, gamma(pi, mu).transfer() + 2j * gamma(pi, nu).transfer())
+        lhs = transfer_matrix(gamma(pi, mu + nu * 2j).op)
+        assert np.allclose(lhs, transfer_matrix(gamma(pi, mu).op) + 2j * transfer_matrix(gamma(pi, nu).op))
 
     def test_contractive_into_cb_norm(self):
         rng = np.random.default_rng(4)
@@ -239,7 +239,7 @@ class TestKernelTests:
         assert kernel_test_tensor_conjugate(pi, mu)
         img = gamma(pi, mu)
         assert kernel_test_transfer(img)
-        assert np.linalg.norm(img.transfer()) < 1e-12
+        assert np.linalg.norm(transfer_matrix(img.op)) < 1e-12
 
     def test_thresholds_scale_with_the_measure(self):
         # a generic measure shrunk to 1e-12 total variation is still far from

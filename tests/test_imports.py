@@ -5,8 +5,8 @@ environment, no file imports a name it never uses, no module but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum``, no caller in the package, the tests, the demos or the README
 passes an ignored parameter, neither rewriting gate builds a dense Choi
-or transfer matrix, no function but the dense forms and the homomorphism
-residual calls ``transfer_matrix``, ``choi`` or ``.transfer()``, no comparison in ``cli`` reads a tolerance, and every
+or transfer matrix, no function but the dense forms and the composition
+distance calls ``transfer_matrix``, ``choi`` or their builders, no comparison in ``cli`` reads a tolerance, and every
 name in ``ehtp.__all__`` has a caller outside its module and the tests, or
 a stated reason to be public."""
 
@@ -250,8 +250,9 @@ def test_rewriting_gates_build_no_dense_choi_matrix():
 
 def _dense_builds(tree):
     """``qualified function name`` for every call under ``tree`` of
-    ``transfer_matrix``, ``choi``, ``_vec_outer_sum`` or a ``.transfer()``
-    method, named by the functions and classes that enclose it."""
+    ``transfer_matrix``, ``choi``, ``_vec_outer_sum`` or
+    ``_transfer_columns``, named by the functions and classes that enclose
+    it."""
     found = []
 
     def visit(node, scope):
@@ -261,8 +262,8 @@ def _dense_builds(tree):
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if (isinstance(func, ast.Name) and func.id in {"transfer_matrix", "choi", "_vec_outer_sum"}
-                        or isinstance(func, ast.Attribute) and func.attr == "transfer"):
+                if isinstance(func, ast.Name) and func.id in {"transfer_matrix", "choi", "_vec_outer_sum",
+                                                               "_transfer_columns"}:
                     found.append(".".join(scope))
             visit(child, scope)
     visit(tree, [])
@@ -271,11 +272,11 @@ def _dense_builds(tree):
 
 def test_only_the_dense_forms_build_a_dense_transfer_or_choi_matrix():
     # every check that asks whether a map is another reads choi_distance on
-    # the terms; the d^4 arrays are built only by GammaImage.transfer, by
-    # choi itself and by the homomorphism residual, whose column-block form
-    # is still open
+    # the terms; the d^4 arrays are built only by the dense forms
+    # transfer_matrix and choi and by composition_distance, which forms one
+    # transfer matrix whole and the others in column blocks
     found = {f"{p.stem}:{where}" for p in sorted(PACKAGE.glob("*.py")) for where in _dense_builds(_tree(p))}
-    assert found == {"gamma:GammaImage.transfer", "elementary:choi", "suites:homomorphism_residual"}
+    assert found == {"elementary:transfer_matrix", "elementary:choi", "elementary:composition_distance"}
 
 
 # Public names that no other package module, demo, benchmark or README

@@ -18,6 +18,8 @@ from ehtp.elementary import (
     apply,
     choi,
     choi_distance,
+    compose,
+    composition_distance,
     conjugate_by,
     is_completely_positive,
     is_diagonal_bimodule,
@@ -46,6 +48,7 @@ from ehtp.representations import (
     tensor_conjugate,
 )
 from ehtp.suites import (
+    homomorphism_check,
     kernel_measure,
     random_character,
     random_character_rep,
@@ -316,6 +319,31 @@ def test_choi_distance_matches_the_dense_difference(n_s, n_t, d, factor):
         assert abs(choi_distance(scaled_s, scaled_t) - dense) <= 1e-12 * scale
 
 
+# -- the composition distance: the homomorphism residual in column blocks -----
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_composition_distance_matches_the_factored_composition(d):
+    # the composed map's n_t n_u terms, read by choi_distance, form no
+    # transfer matrix; one block at these sizes
+    rng = np.random.default_rng([d, 10])
+    s, t, u = (_random_op(rng, n, d) for n in (3, 2, 4))
+    slow = choi_distance(s, compose(t, u))
+    assert abs(composition_distance(s, t, u) - slow) <= 1e-12 * slow
+
+
+@pytest.mark.parametrize("d", [16, 17])
+def test_composition_distance_in_quarters_matches_the_dense_difference(d):
+    # quarter blocks from d = 16; at d = 17 the last block is wider
+    rng = np.random.default_rng([d, 11])
+    s, t, u = (_random_op(rng, n, d) for n in (3, 2, 4))
+    dense = float(np.linalg.norm(transfer_matrix(s) - transfer_matrix(t) @ transfer_matrix(u)))
+    assert abs(composition_distance(s, t, u) - dense) <= 1e-12 * dense
+    # a rewriting of t after u lies at distance zero, to rounding in the product
+    scale = float(np.linalg.norm(transfer_matrix(t)) * np.linalg.norm(transfer_matrix(u)))
+    assert composition_distance(compose(t, u), t, u) <= 1e-12 * scale
+
+
 def _gate_cases(rng):
     """Maps at d <= 8 with a Kraus family or a cb-norm certificate: positive
     and generic measures under regular and character representations, Schur
@@ -463,6 +491,18 @@ def test_regular_z32_schur_multiplier_gates_stay_below_one_dense_choi_matrix():
     for name, run in runs.items():
         ok, peak = _peak_bytes(run)
         assert ok and peak < DENSE_Z32, (name, peak)
+
+
+def test_regular_z32_homomorphism_check_holds_one_dense_transfer_matrix_and_blocks():
+    # composition_distance forms the transfer matrix of mu whole and those of
+    # mu * nu and nu, and the product, in quarter column blocks held in two
+    # buffers: 1.5 d^4 arrays; the dense difference held four
+    g = make_cyclic_product([32])
+    pi = regular_rep(g)
+    rng = np.random.default_rng(15)
+    mu, nu = (Measure(g, _rc(rng, 32)) for _ in range(2))
+    ok, peak = _peak_bytes(lambda: homomorphism_check(pi, mu, nu)["passed"])
+    assert ok and peak < 1.8 * DENSE_Z32
 
 
 def test_regular_z32_transfer_matrix_is_the_only_dense_array():

@@ -1,7 +1,5 @@
 """Kernels on spectra, positive definiteness, and the positivity equivalences."""
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,6 @@ from ehtp.varopoulos import (
     gram_factorize,
     is_positive_definite,
 )
-
-gamma_module = importlib.import_module("ehtp.gamma")     # the package's `gamma` is the function
 
 
 def _spectrum(n, exponents):
@@ -260,19 +256,18 @@ class TestEquivalenceSuite:
 class TestChoiBuilds:
     """One Choi decomposition per map: the CP verdict and the Kraus family
     come from the same ``eigh``.  Every Choi matrix is built by
-    ``elementary._vec_outer_sum`` and every transfer matrix by
-    ``transfer_matrix`` (called from ``elementary`` and ``gamma``), so
-    wrapping them counts the dense builds."""
+    ``elementary._vec_outer_sum`` and every transfer matrix or block of one
+    by ``elementary._transfer_columns``, so wrapping them counts the dense
+    builds."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        for module, name in ((elementary, "_vec_outer_sum"), (elementary, "transfer_matrix"),
-                             (gamma_module, "transfer_matrix")):
-            def counted(t, _inner=getattr(module, name)):
+        for name in ("_vec_outer_sum", "_transfer_columns"):
+            def counted(t, *args, _inner=getattr(elementary, name)):
                 calls.append(t.dim)
-                return _inner(t)
-            monkeypatch.setattr(module, name, counted)
+                return _inner(t, *args)
+            monkeypatch.setattr(elementary, name, counted)
         return calls
 
     def _regular_z8(self):
