@@ -21,12 +21,17 @@ those checks read.  Every number in a scenario goes through one reader that
 refuses null, booleans, non-finite values and integers beyond 64 bits.
 
 Exit codes: 0 all assertions pass; 1 assertion failure; 2 malformed
-scenario/schema; 3 numerical failure (for example a corrupted
-representation that cannot be diagonalized).
+scenario/schema, or a report that cannot be written; 3 numerical failure
+(for example a corrupted representation that cannot be diagonalized).
 
 Reports are byte-identical across runs given identical seed and flags: all
 randomness flows from the single seed (see :func:`ehtp.suites.make_rng`)
-and no timestamps or environment data are embedded.
+and no timestamps or environment data are embedded.  ``selftest`` writes
+each record as its check returns and keeps only per-suite counts, so its
+memory does not grow with the trial counts.  ``--out`` is replaced
+atomically: the report goes to a temporary file beside it, opened before
+any check runs, which is moved onto ``--out`` at the end and removed on
+any error.
 """
 
 from __future__ import annotations
@@ -34,7 +39,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -430,7 +438,8 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _summary(records: list[dict]) -> dict:
+def _summary(records: Iterable[dict]) -> dict:
+    """Read the records as they pass, keeping only per-suite counts."""
     by_suite: dict[str, dict] = {}
     for rec in records:
         slot = by_suite.setdefault(rec["suite"], {"total": 0, "failed": 0})
@@ -438,61 +447,90 @@ def _summary(records: list[dict]) -> dict:
         slot["failed"] += 0 if rec["passed"] else 1
     return {
         "type": "summary",
-        "total": len(records),
+        "total": sum(slot["total"] for slot in by_suite.values()),
         "failed": sum(slot["failed"] for slot in by_suite.values()),
         "suites": by_suite,
     }
 
 
-class _Lines(list):
-    """A list that ``csv.writer`` writes to, one string per row."""
-    write = list.append
+def _csv_row(rec: dict) -> list:
+    rest = {k: v for k, v in rec.items() if k not in ("id", "suite", "case", "identity", "passed")}
+    return [rec.get("id", ""), rec["suite"], rec["case"], rec["identity"],
+            "pass" if rec["passed"] else "fail", _json_line(rest)]
 
 
-def _report_lines(records: list[dict], summary: dict, fmt: str) -> list[str]:
-    """The report a line at a time: one JSON object per record and then the
-    summary, or a CSV header and one row per record.  Every line is
-    serialized before any is written, so a record that cannot be (a NaN
-    under ``allow_nan=False``) leaves no partial report."""
-    if fmt == "json":
-        return [_json_line(rec) + "\n" for rec in records] + [_json_line(summary) + "\n"]
-    lines = _Lines()
-    writer = csv.writer(lines, lineterminator="\n")
-    writer.writerow(["id", "suite", "case", "identity", "passed", "detail"])
+def _written(records: Iterable[dict], write) -> Iterator[dict]:
+    """Each record, passed on once ``write`` has serialized it."""
     for rec in records:
-        rest = {k: v for k, v in rec.items()
-                if k not in ("id", "suite", "case", "identity", "passed")}
-        writer.writerow([rec.get("id", ""), rec["suite"], rec["case"], rec["identity"],
-                         "pass" if rec["passed"] else "fail", _json_line(rest)])
-    return lines
+        write(rec)
+        yield rec
 
 
-def _emit(records: list[dict], summary: dict, fmt: str, out: str | None) -> None:
-    """Write the report's lines to the file ``out``, or to stdout without
-    one, with no copy of the whole report as one string."""
-    lines = _report_lines(records, summary, fmt)
-    if out:
-        with open(out, "w") as stream:
-            stream.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+@contextmanager
+def _report_stream(out: str | None):
+    """The stream a report goes to: stdout without ``out``, else a temporary
+    sibling of ``out`` that replaces it when the block ends and is removed
+    if the block raises, so ``out`` holds an earlier report or a whole new
+    one, never part of one."""
+    if not out:
+        yield sys.stdout
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as stream:
+            yield stream
+        os.replace(tmp, out)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _print_table(records: list[dict], stream) -> None:
-    by_suite: dict[str, list[dict]] = {}
-    for rec in records:
-        by_suite.setdefault(rec["suite"], []).append(rec)
+def _write_report(records: Iterable[dict], fmt: str, out: str | None) -> dict:
+    """Write each record as it arrives, one JSON object per line and then
+    the summary, or a CSV header and one row per record, to ``out`` (see
+    :func:`_report_stream`) or stdout, and return the summary.  The stream
+    is opened before the first record is asked for, so an unwritable
+    ``out`` fails before any check runs, and only per-suite counts are
+    kept, so memory does not grow with the report."""
+    with _report_stream(out) as stream:
+        if fmt == "json":
+            def write(obj: dict) -> None:
+                stream.write(_json_line(obj) + "\n")
+        else:
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(["id", "suite", "case", "identity", "passed", "detail"])
+
+            def write(obj: dict) -> None:
+                writer.writerow(_csv_row(obj))
+        summary = _summary(_written(records, write))
+        if fmt == "json":
+            write(summary)
+    return summary
+
+
+def _print_table(summary: dict, stream) -> None:
+    by_suite = summary["suites"]
     width = max(len(name) for name in by_suite) if by_suite else 10
     print(f"{'suite':<{width}}  {'checks':>6}  {'failed':>6}  status", file=stream)
-    for name, recs in by_suite.items():
-        failed = sum(not r["passed"] for r in recs)
-        status = "ok" if failed == 0 else "FAIL"
-        print(f"{name:<{width}}  {len(recs):>6}  {failed:>6}  {status}", file=stream)
+    for name, slot in by_suite.items():
+        status = "ok" if slot["failed"] == 0 else "FAIL"
+        print(f"{name:<{width}}  {slot['total']:>6}  {slot['failed']:>6}  {status}", file=stream)
+    print(f"total {summary['total']}  failed {summary['failed']}", file=stream)
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
+
+
+def _run_records(scenarios: list[Scenario], quick: bool) -> Iterator[dict]:
+    """The records of every scenario, sorted by scenario id.  Nothing runs
+    until the first record is asked for."""
+    chunks = [(s.sid, EXPERIMENTS[s.experiment](s, quick)) for s in scenarios]
+    chunks.sort(key=lambda pair: pair[0])
+    for _, chunk in chunks:
+        yield from chunk
 
 
 def _cmd_run(args) -> int:
@@ -506,11 +544,7 @@ def _cmd_run(args) -> int:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     objs = payload if isinstance(payload, list) else [payload]
     scenarios = [load_scenario(obj, i, args.seed, args.tol) for i, obj in enumerate(objs)]
-    chunks = [(s.sid, EXPERIMENTS[s.experiment](s, args.quick)) for s in scenarios]
-    chunks.sort(key=lambda pair: pair[0])
-    records = [rec for _, chunk in chunks for rec in chunk]
-    summary = _summary(records)
-    _emit(records, summary, args.format, args.out)
+    summary = _write_report(_run_records(scenarios, args.quick), args.format, args.out)
     if args.out:
         print(f"wrote {summary['total']} records to {args.out}", file=sys.stderr)
     return 1 if summary["failed"] else 0
@@ -518,11 +552,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_selftest(args) -> int:
     records = run_all(seed=args.seed, quick=args.quick)
-    summary = _summary(records)
-    _print_table(records, sys.stdout)
-    print(f"total {summary['total']}  failed {summary['failed']}", file=sys.stdout)
     if args.out:
-        _emit(records, summary, args.format, args.out)
+        summary = _write_report(records, args.format, args.out)
+    else:
+        summary = _summary(records)
+    _print_table(summary, sys.stdout)
     return 1 if summary["failed"] else 0
 
 
@@ -569,6 +603,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:          # the scenario file's own read is a ScenarioError
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

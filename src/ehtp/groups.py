@@ -210,21 +210,12 @@ class Character:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "exponents", exps)
 
-    @classmethod
-    def trivial(cls, shape: Sequence[int]) -> "Character":
-        shape = tuple(int(n) for n in shape)
-        return cls(shape, (0,) * len(shape))
-
     def mul(self, other: "Character") -> "Character":
         self._check_compatible(other)
         return Character(self.shape, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def inv(self) -> "Character":
         return Character(self.shape, tuple(-k for k in self.exponents))
-
-    def conj(self) -> "Character":
-        # complex conjugate of a character is its inverse
-        return self.inv()
 
     def quotient(self, other: "Character") -> "Character":
         return self.mul(other.inv())
@@ -237,10 +228,6 @@ class Character:
     def values(self, group: FiniteGroup) -> np.ndarray:
         """Value at every element of the group, index-aligned."""
         return character_table(group, [self])[0]
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(k == 0 for k in self.exponents)
 
     def _check_compatible(self, other: "Character") -> None:
         if self.shape != other.shape:

@@ -7,6 +7,11 @@ the same checks, so each gate is written once; :func:`record` adds the fixed
 keys (``suite``, ``case``, ``identity``) and the caller's context fields, so
 reports serialize to stable JSON lines.
 
+Each suite is a generator: it yields one record per case as the case's
+check returns, so a caller that writes records as they arrive (``ehtp
+selftest --out``) holds one record at a time, whatever the trial counts.
+Wrap a suite in ``list(...)`` to keep its records.
+
 Randomness policy: everything flows from a single 64-bit seed through
 numpy's PCG64.  Each suite owns a fixed stream number, spawned off the seed
 with ``SeedSequence(seed, spawn_key=(stream,))``, so results do not depend
@@ -14,6 +19,9 @@ on which suites run or in what order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -386,38 +394,35 @@ def square_scan(modulus: int, indices, k: int, tol: float = TOL) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: generators that yield one record per case as its check returns
 # ---------------------------------------------------------------------------
 
 
-def homomorphism_suite(pairs_per_group: int = 100, seed: int = 0) -> list[dict]:
+def homomorphism_suite(pairs_per_group: int = 100, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=1)
-    records = []
     for label, group in homomorphism_roster():
         if group.abelian_shape is None:
             pi = regular_rep(group)
         else:
             pi = random_character_rep(group, rng, max_dim=8)
-        records.append(record("gamma-homomorphism", f"{label}/unit", unit_check(pi),
-                              group=label, dim=pi.dim))
+        yield record("gamma-homomorphism", f"{label}/unit", unit_check(pi),
+                     group=label, dim=pi.dim)
         for i in range(pairs_per_group):
             mu = random_measure(group, rng)
             nu = random_measure(group, rng)
-            records.append(record("gamma-homomorphism", f"{label}/pair-{i:03d}",
-                                  homomorphism_check(pi, mu, nu), group=label, dim=pi.dim))
-    return records
+            yield record("gamma-homomorphism", f"{label}/pair-{i:03d}",
+                         homomorphism_check(pi, mu, nu), group=label, dim=pi.dim)
 
 
-def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
+def contractivity_suite(trials: int = 100, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=2)
-    records = []
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
         mu = random_measure(group, rng)
         body = norm_check(gamma(pi, mu).op, mu)
         _sub_seed(rng)  # one draw per case, so each seed keeps selecting the same cases
-        records.append(record("contractivity", f"generic-{i:03d}", body, tv_norm=float(mu.norm)))
+        yield record("contractivity", f"generic-{i:03d}", body, tv_norm=float(mu.norm))
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
@@ -427,33 +432,30 @@ def contractivity_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         mass = float(mu.total_mass.real)
         resid = abs(bounds.upper - mass)
         ok = resid <= 1e-12 * mass and bounds.lower == bounds.upper
-        records.append(record("contractivity", f"positive-{i:03d}",
-                              {"passed": ok, "upper": float(bounds.upper), "mass": mass,
-                               "residual": float(resid)}))
-    return records
+        yield record("contractivity", f"positive-{i:03d}",
+                     {"passed": ok, "upper": float(bounds.upper), "mass": mass,
+                      "residual": float(resid)})
 
 
-def schur_suite(trials: int = 200, seed: int = 0) -> list[dict]:
+def schur_suite(trials: int = 200, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=3)
-    records = []
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=8)
         mu = random_measure(group, rng)
         _sub_seed(rng)
-        records.append(record("schur-identity", f"triple-{i:03d}", symbol_check(diagonalize(pi), mu),
-                              group=_shape_label(group.abelian_shape), dim=pi.dim))
-    return records
+        yield record("schur-identity", f"triple-{i:03d}", symbol_check(diagonalize(pi), mu),
+                     group=_shape_label(group.abelian_shape), dim=pi.dim)
 
 
-def square_suite(seed: int = 0) -> list[dict]:
-    return [record("square-example", f"N{SQUARE_MODULUS}-k{k}",
-                   square_scan(SQUARE_MODULUS, SQUARE_INDICES, k)) for k in SQUARE_KS]
+def square_suite(seed: int = 0) -> Iterator[dict]:
+    for k in SQUARE_KS:
+        yield record("square-example", f"N{SQUARE_MODULUS}-k{k}",
+                     square_scan(SQUARE_MODULUS, SQUARE_INDICES, k))
 
 
-def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
+def kernel_suite(trials: int = 500, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=5)
-    records = []
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
@@ -463,8 +465,8 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
             flavor, mu = "generic", random_measure(group, rng)
         else:
             flavor, mu = "constructed-kernel", kernel_measure(diag, rng)
-        records.append(record("kernel-equivalence", f"random-{i:03d}", kernel_check(pi, diag, mu),
-                              flavor=flavor, group=_shape_label(group.abelian_shape)))
+        yield record("kernel-equivalence", f"random-{i:03d}", kernel_check(pi, diag, mu),
+                     flavor=flavor, group=_shape_label(group.abelian_shape))
 
     # adversarial block: single-character transforms straddling the boundary
     # of the difference set
@@ -482,15 +484,13 @@ def kernel_suite(trials: int = 500, seed: int = 0) -> list[dict]:
         for side, c in picks:
             scale = complex(rng.standard_normal() + 1j * rng.standard_normal())
             mu = from_transform(group, {c.exponents: scale})
-            records.append(record("kernel-equivalence", f"adversarial-{case:03d}",
-                                  kernel_check(pi, diag, mu), flavor=side, group=_shape_label(shape)))
+            yield record("kernel-equivalence", f"adversarial-{case:03d}",
+                         kernel_check(pi, diag, mu), flavor=side, group=_shape_label(shape))
             case += 1
-    return records
 
 
-def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
+def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=6)
-    records = []
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=8)
@@ -514,13 +514,11 @@ def cp_posdef_suite(trials: int = 1000, seed: int = 0) -> list[dict]:
             body = cp_posdef_check(diag, mu, CP_SAMPLE_TRIALS, _sub_seed(rng))
         except NumericalError as exc:
             body = {"passed": False, "error": str(exc)}
-        records.append(record("cp-posdef-equivalence", f"triple-{i:04d}", body, flavor=flavor))
-    return records
+        yield record("cp-posdef-equivalence", f"triple-{i:04d}", body, flavor=flavor)
 
 
-def norm_interval_suite(trials: int = 100, seed: int = 0) -> list[dict]:
+def norm_interval_suite(trials: int = 100, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=7)
-    records = []
     for i in range(trials):
         d = int(rng.integers(1, 7))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -530,14 +528,12 @@ def norm_interval_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         target = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
         body["passed"] = (body["passed"] and body["lower"] <= target * (1 + 1e-12)
                           and body["upper"] >= target * (1 - 1e-12))
-        records.append(record("norm-interval", f"single-term-{i:03d}", body, target=target, dim=d))
-    return records
+        yield record("norm-interval", f"single-term-{i:03d}", body, target=target, dim=d)
 
 
-def slice_suite(instances: int = 100, functionals: int = 50, seed: int = 0) -> list[dict]:
+def slice_suite(instances: int = 100, functionals: int = 50, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=8)
     s3 = from_cayley(s3_cayley())
-    records = []
     for i in range(instances):
         if i % 10 == 9:
             group, pi, label = s3, regular_rep(s3), "S3"
@@ -552,15 +548,13 @@ def slice_suite(instances: int = 100, functionals: int = 50, seed: int = 0) -> l
         for _ in range(functionals):
             w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             worst = max(worst, slice_identity_residual(image, w))
-        records.append(record("slice-identity", f"instance-{i:03d}",
-                              {"passed": worst <= TOL, "residual": float(worst)},
-                              group=label, dim=d, functionals=functionals))
-    return records
+        yield record("slice-identity", f"instance-{i:03d}",
+                     {"passed": worst <= TOL, "residual": float(worst)},
+                     group=label, dim=d, functionals=functionals)
 
 
-def cyclic_vector_suite(trials: int = 100, seed: int = 0) -> list[dict]:
+def cyclic_vector_suite(trials: int = 100, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=9)
-    records = []
     for i in range(trials):
         d = int(rng.integers(1, 11))
         count = int(rng.integers(1, 5))
@@ -577,15 +571,13 @@ def cyclic_vector_suite(trials: int = 100, seed: int = 0) -> list[dict]:
         target = np.stack(vectors, axis=1)
         rank_orbit = int(np.linalg.matrix_rank(orbit, tol=TOL))
         rank_joint = int(np.linalg.matrix_rank(np.concatenate([orbit, target], axis=1), tol=TOL))
-        records.append(record("cyclic-vector", f"instance-{i:03d}",
-                              {"passed": rank_joint == rank_orbit, "rank_orbit": rank_orbit,
-                               "rank_joint": rank_joint}, dim=d, vectors=count))
-    return records
+        yield record("cyclic-vector", f"instance-{i:03d}",
+                     {"passed": rank_joint == rank_orbit, "rank_orbit": rank_orbit,
+                      "rank_joint": rank_joint}, dim=d, vectors=count)
 
 
-def restriction_suite(trials: int = 50, seed: int = 0) -> list[dict]:
+def restriction_suite(trials: int = 50, seed: int = 0) -> Iterator[dict]:
     rng = make_rng(seed, stream=10)
-    records = []
     for i in range(trials):
         group = _pick_group(rng, SHAPE_POOL_24)
         generators = [int(rng.integers(group.order)) for _ in range(int(rng.integers(1, 3)))]
@@ -595,9 +587,8 @@ def restriction_suite(trials: int = 50, seed: int = 0) -> list[dict]:
             body = restriction_check(pi, sub, _sub_seed(rng))
         except NumericalError as exc:
             body = {"passed": False, "subgroup_order": sub.subgroup.order, "error": str(exc)}
-        records.append(record("restriction-check", f"instance-{i:03d}", body,
-                              group=_shape_label(group.abelian_shape)))
-    return records
+        yield record("restriction-check", f"instance-{i:03d}", body,
+                     group=_shape_label(group.abelian_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +612,18 @@ _SUITE_SPECS = (
 SUITE_NAMES = tuple(name for name, *_ in _SUITE_SPECS)
 
 
-def run_all(seed: int = 0, quick: bool = False, names=None) -> list[dict]:
-    """Run the registered suites one after another and return their records
-    in registry order.
+def run_all(seed: int = 0, quick: bool = False, names=None) -> Iterator[dict]:
+    """The records of the registered suites, in registry order, as one lazy
+    stream: a suite starts when the one before it is exhausted, and each
+    record is computed when it is read.
 
-    ``quick`` switches every suite to its reduced trial counts.
+    Unknown ``names`` are rejected here, before any suite runs.  ``quick``
+    switches every suite to its reduced trial counts.
     """
-    selected = [spec for spec in _SUITE_SPECS if names is None or spec[0] in names]
     if names is not None:
         unknown = set(names) - {spec[0] for spec in _SUITE_SPECS}
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
-    records: list[dict] = []
-    for _, fn, full_kwargs, quick_kwargs in selected:
-        records.extend(fn(seed=seed, **(quick_kwargs if quick else full_kwargs)))
-    return records
+    return chain.from_iterable(fn(seed=seed, **(quick_kwargs if quick else full_kwargs))
+                               for name, fn, full_kwargs, quick_kwargs in _SUITE_SPECS
+                               if names is None or name in names)

@@ -32,7 +32,7 @@ def test_transfer_composition_is_multiplicative_across_group_roster():
     names = [name for name, _ in homomorphism_roster()]
     assert names == [f"Z{n}" for n in range(2, 13)] + ["Z2xZ2", "Z2xZ4", "S3"]
     start = time.perf_counter()
-    records = homomorphism_suite(pairs_per_group=100, seed=0)
+    records = list(homomorphism_suite(pairs_per_group=100, seed=0))
     elapsed = time.perf_counter() - start
     pair_records = [r for r in records if "/pair-" in r["case"]]
     assert len(pair_records) == 100 * len(names)
@@ -44,7 +44,7 @@ def test_transfer_composition_is_multiplicative_across_group_roster():
 def test_cb_upper_bound_contracts_total_variation_and_is_exact_on_positive_mass():
     # upper bound never exceeds the total variation norm by more than 1e-9;
     # for 100 positive measures the fast path returns the total mass exactly
-    records = contractivity_suite(trials=100, seed=0)
+    records = list(contractivity_suite(trials=100, seed=0))
     assert not _failures(records), _failures(records)[:3]
     generic = [r for r in records if r["case"].startswith("generic")]
     positive = [r for r in records if r["case"].startswith("positive")]
@@ -57,7 +57,7 @@ def test_cb_upper_bound_contracts_total_variation_and_is_exact_on_positive_mass(
 
 def test_diagonal_rep_action_matches_fourier_symbol_entrywise():
     # 200 random (abelian group, diagonalized rep, measure) triples, d <= 8
-    records = schur_suite(trials=200, seed=0)
+    records = list(schur_suite(trials=200, seed=0))
     assert len(records) == 200
     assert not _failures(records), _failures(records)[:3]
     assert max(r["dim"] for r in records) <= 8
@@ -67,7 +67,7 @@ def test_diagonal_rep_action_matches_fourier_symbol_entrywise():
 def test_square_difference_scan_finds_unique_pairs():
     # mod 101 with square indices 1..6: the entrywise action has exactly one
     # active pair per offset, located by an exhaustive integer scan first
-    records = square_suite(seed=0)
+    records = list(square_suite(seed=0))
     assert not _failures(records), records
     by_k = {r["case"]: r for r in records}
     assert by_k["N101-k5"]["found_pairs"] == [[2, 3]]
@@ -83,7 +83,7 @@ def test_three_kernel_predicates_agree_on_random_and_adversarial_instances():
     # 500 randomized instances (half with transforms prescribed off the
     # difference set) plus boundary single-character cases: the transfer-zero,
     # difference-set and tensor-conjugate verdicts must never disagree
-    records = kernel_suite(trials=500, seed=0)
+    records = list(kernel_suite(trials=500, seed=0))
     random_cases = [r for r in records if r["case"].startswith("random")]
     adversarial = [r for r in records if r["case"].startswith("adversarial")]
     assert len(random_cases) == 500 and adversarial
@@ -98,7 +98,7 @@ def test_choi_positivity_matches_symbol_positivity_with_valid_kraus_families():
     # 1000 triples, zero verdict disagreements; every completely positive
     # instance yields a strongly independent Kraus family (stacked
     # vectorizations well-conditioned) of eigenbasis-diagonal elements
-    records = cp_posdef_suite(trials=1000, seed=0)
+    records = list(cp_posdef_suite(trials=1000, seed=0))
     assert len(records) == 1000
     disagreements = [r for r in records if "cp" in r and r["cp"] != r["posdef"]]
     assert not disagreements, disagreements[:3]
@@ -114,7 +114,7 @@ def test_single_term_norm_interval_brackets_spectral_product():
     # 100 random rank-one-term operators with d <= 6: the interval contains
     # ||a||*||b||, closes to 1e-4 relative width within 500 iterations, and
     # the logged upper-bound trace is monotone non-increasing
-    records = norm_interval_suite(trials=100, seed=0)
+    records = list(norm_interval_suite(trials=100, seed=0))
     assert len(records) == 100
     assert not _failures(records), _failures(records)[:3]
     for r in records:
@@ -127,7 +127,7 @@ def test_single_term_norm_interval_brackets_spectral_product():
 def test_functional_slices_match_reweighted_integrals():
     # slicing the image against 50 random functionals per instance agrees
     # with integrating the reweighted measure, over 100 (rep, measure) pairs
-    records = slice_suite(instances=100, functionals=50, seed=0)
+    records = list(slice_suite(instances=100, functionals=50, seed=0))
     assert len(records) == 100
     assert not _failures(records), _failures(records)[:3]
     assert max(r["residual"] for r in records) <= 1e-9
@@ -136,7 +136,7 @@ def test_functional_slices_match_reweighted_integrals():
 def test_constructed_cyclic_vector_spans_target_vectors():
     # 100 random instances, dimension <= 10 and up to 4 target vectors over
     # the diagonal algebra: the orbit of the constructed vector covers them
-    records = cyclic_vector_suite(trials=100, seed=0)
+    records = list(cyclic_vector_suite(trials=100, seed=0))
     assert len(records) == 100
     assert not _failures(records), _failures(records)[:3]
     assert all(r["rank_joint"] == r["rank_orbit"] for r in records)
@@ -145,6 +145,6 @@ def test_constructed_cyclic_vector_spans_target_vectors():
 def test_subgroup_restriction_reproduces_quotient_spectrum():
     # 50 random (group of order <= 24, random subgroup, rep of d <= 8)
     # instances: restricted spectrum equals the pushed-forward character set
-    records = restriction_suite(trials=50, seed=0)
+    records = list(restriction_suite(trials=50, seed=0))
     assert len(records) == 50
     assert not _failures(records), _failures(records)[:3]

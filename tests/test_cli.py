@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -249,16 +250,61 @@ class TestReports:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_a_report_that_cannot_be_serialized_leaves_the_out_file_alone(self, tmp_path, fmt):
-        # every line is serialized before the file is opened, so a NaN in a
-        # later record neither truncates the file nor leaves half a report
+        # records go to a temporary file beside the report, which is removed
+        # when one cannot be serialized, so a NaN in a later record neither
+        # truncates the file nor leaves half a report
         cli_module = importlib.import_module("ehtp.cli")
         fields = {"suite": "s", "case": "c", "identity": "i", "passed": True}
         records = [dict(fields, residual=0.0), dict(fields, residual=float("nan"))]
         out = tmp_path / "report.txt"
         out.write_text("earlier report\n")
         with pytest.raises(ValueError):
-            cli_module._emit(records, {"type": "summary"}, fmt, str(out))
+            cli_module._write_report(iter(records), fmt, str(out))
         assert out.read_text() == "earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    @pytest.mark.parametrize("command", ["run", "selftest"])
+    def test_an_unwritable_out_exits_two_before_any_check_runs(self, tmp_path, capsys, monkeypatch,
+                                                               command):
+        # exit 1 means a check failed; a report that cannot be written is
+        # refused with one line, and no suite or experiment runs first
+        ran = []
+
+        def probe(*args, **kwargs):
+            ran.append(command)
+            return [{"suite": "probe", "case": "c", "identity": "i", "passed": True}]
+
+        cli_module = importlib.import_module("ehtp.cli")
+        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", probe, {}, {}),))
+        monkeypatch.setitem(cli_module.EXPERIMENTS, "square-example", probe)
+        out = str(tmp_path / "missing" / "report.jsonl")
+        argv = ["run", "--scenario", scenario_file(tmp_path, SQUARE)] if command == "run" else ["selftest"]
+        assert main([*argv, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not ran
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cannot write report: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_selftest_memory_does_not_grow_with_its_report(self, tmp_path, capsys, monkeypatch, fmt):
+        # 20,000 records held at once take several MB; written as they
+        # arrive, the run holds one record and the per-suite counts
+        def many(seed=0):
+            for i in range(20_000):
+                yield {"suite": "probe", "case": f"case-{i:05d}", "identity": "i", "passed": True,
+                       "residual": 0.0}
+
+        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", many, {}, {}),))
+        out = tmp_path / "report.txt"
+        tracemalloc.start()
+        try:
+            assert main(["selftest", "--format", fmt, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "total 20000  failed 0" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 20_001
+        assert peak < 2_000_000, f"peak {peak / 1e6:.2f} MB"
 
     def test_selftest_has_no_tolerance_flag(self, capsys):
         # the suites carry their own tolerances; --tol belongs to `run`

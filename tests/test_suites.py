@@ -30,23 +30,23 @@ class TestRegistry:
             run_all(names=["no-such-suite"], quick=True)
 
     def test_quick_run_is_green(self):
-        records = run_all(seed=0, quick=True)
+        records = list(run_all(seed=0, quick=True))
         assert records and all(r["passed"] for r in records)
         assert {r["suite"] for r in records} == set(SUITE_NAMES)
 
     def test_records_carry_identities(self):
-        records = run_all(seed=0, quick=True, names=["slice-identity"])
+        records = list(run_all(seed=0, quick=True, names=["slice-identity"]))
         assert all(r["identity"] for r in records)
         assert all(r["case"] for r in records)
 
     def test_same_seed_reproduces_records_exactly(self):
-        a = run_all(seed=9, quick=True, names=["contractivity", "schur-identity"])
-        b = run_all(seed=9, quick=True, names=["contractivity", "schur-identity"])
+        a = list(run_all(seed=9, quick=True, names=["contractivity", "schur-identity"]))
+        b = list(run_all(seed=9, quick=True, names=["contractivity", "schur-identity"]))
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = run_all(seed=0, quick=True, names=["schur-identity"])
-        b = run_all(seed=1, quick=True, names=["schur-identity"])
+        a = list(run_all(seed=0, quick=True, names=["schur-identity"]))
+        b = list(run_all(seed=1, quick=True, names=["schur-identity"]))
         assert a != b
 
 
