@@ -15,12 +15,10 @@ from .errors import (
     BimoduleError,
     DimensionMismatchError,
     EhtpError,
-    EquivalenceViolationError,
     GroupMismatchError,
     NonAbelianError,
     NotCompletelyPositiveError,
     NumericalError,
-    RestrictionMismatchError,
     ScenarioError,
 )
 from .groups import (
@@ -114,8 +112,6 @@ __all__ = [
     "NumericalError",
     "NotCompletelyPositiveError",
     "BimoduleError",
-    "RestrictionMismatchError",
-    "EquivalenceViolationError",
     "ScenarioError",
     # groups
     "FiniteGroup",

@@ -2,7 +2,8 @@
 
 This is the concrete form every map in this package takes.  The module
 provides application, composition (term-wise product lists), the left
-slice against a trace functional, the Choi matrix, complete-positivity tests,
+slice against a trace functional, the Choi matrix, the positivity rule
+(shared with the kernels of ``varopoulos``), complete-positivity tests,
 Kraus extraction with strong (linear) independence, and the
 positivity-implies-complete-positivity check for bimodule maps over the
 diagonal MASA.
@@ -44,6 +45,7 @@ __all__ = [
     "slice_left",
     "choi",
     "choi_distance",
+    "positive_family",
     "is_completely_positive",
     "strongly_independent_kraus",
     "is_diagonal_bimodule",
@@ -106,10 +108,6 @@ class ElementaryOperator:
     def n_terms(self) -> int:
         return self.left.shape[0]
 
-    @property
-    def terms(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        return tuple((self.left[i], self.right[i]) for i in range(self.n_terms))
-
     def __repr__(self) -> str:
         return f"ElementaryOperator(dim={self.dim}, n_terms={self.n_terms})"
 
@@ -154,13 +152,20 @@ def compose(s: ElementaryOperator, t: ElementaryOperator) -> ElementaryOperator:
     return ElementaryOperator(d, left, right)
 
 
+def _choi_factors(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the Choi matrix ``V_L V_R`` of the terms
+    ``(left_i, right_i)``: ``V_L`` (d^2 x n) has columns ``vec(left_i)``
+    and ``V_R`` (n x d^2) rows ``right_i.ravel()``, both views."""
+    n, d = left.shape[:2]
+    return left.transpose(0, 2, 1).reshape(n, d * d).T, right.reshape(n, d * d)
+
+
 def _vec_outer_sum(t: ElementaryOperator) -> np.ndarray:
     """``sum_i vec(left_i) right_i.ravel()^T`` as one ``(d^2, n) @ (n, d^2)``
     product.  Entry ``[(e, c), (b, a)]`` is ``sum_i left_i[c, e] right_i[b, a]``:
     the Choi matrix, and a realignment of the transfer matrix."""
-    n, d = t.n_terms, t.dim
-    vec_left = t.left.transpose(0, 2, 1).reshape(n, d * d)
-    return vec_left.T @ t.right.reshape(n, d * d)
+    vl, vr = _choi_factors(t.left, t.right)
+    return vl @ vr
 
 
 def _transfer_columns(t: ElementaryOperator, start: int, stop: int, out: np.ndarray) -> np.ndarray:
@@ -236,9 +241,8 @@ def choi_distance(s: ElementaryOperator, t: ElementaryOperator) -> float:
     """``||Choi(s) - Choi(t)||_F`` from the factors, which is also the
     Frobenius distance of the transfer matrices (the same entries).
 
-    The difference is ``[V_Ls, -V_Lt] [V_Rs; V_Rt]``, with ``V_L`` the
-    columns ``vec(left_i)`` and ``V_R`` the rows ``right_i.ravel()`` as in
-    :func:`choi`.  For k = n_s + n_t terms, when 2k < d^2 a thin QR of the
+    The difference is ``[V_Ls, -V_Lt] [V_Rs; V_Rt]`` in the factors of
+    :func:`_choi_factors`.  For k = n_s + n_t terms, when 2k < d^2 a thin QR of the
     d^2 x k left factor leaves its norm to the k x d^2 product ``R V_R``;
     otherwise the norm is taken of the one d^2 x d^2 product.  Nothing
     larger than d^2 x k is formed below that size, and the difference is
@@ -247,8 +251,7 @@ def choi_distance(s: ElementaryOperator, t: ElementaryOperator) -> float:
     if s.dim != t.dim:
         raise DimensionMismatchError("operators act on different dimensions")
     k, d = s.n_terms + t.n_terms, s.dim
-    vl = np.concatenate([s.left, -t.left]).transpose(0, 2, 1).reshape(k, d * d).T
-    vr = np.concatenate([s.right, t.right]).reshape(k, d * d)
+    vl, vr = _choi_factors(np.concatenate([s.left, -t.left]), np.concatenate([s.right, t.right]))
     if 2 * k < d * d:
         vl = np.linalg.qr(vl, mode="r")
     return float(np.linalg.norm(vl @ vr))
@@ -267,84 +270,92 @@ def _data_scale(t: ElementaryOperator) -> float:
     return scale
 
 
-def _choi_spectrum(t: ElementaryOperator) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The spectrum of the Choi matrix ``C = V_L V_R`` from its factors, where
-    ``V_L`` has columns ``vec(left_i)`` and ``V_R`` rows ``right_i.ravel()``.
+def _choi_core(t: ElementaryOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi matrix ``C = V_L V_R`` compressed to a core, from the factors
+    of :func:`_choi_factors`.
 
     When 2n < d^2, a thin QR of ``[V_L, V_R*]`` gives orthonormal columns Q,
     k = 2n of them, whose span holds the ranges of C and C*, so
     ``C = Q core Q*`` with the k x k ``core = Q* V_L V_R Q``; otherwise
     Q = I, k = d^2 and the core is C itself, one product of the factors.
-    Returns the Hermiticity residual ``||core - core*||_F = ||C - C*||_F``,
-    then the eigenvalues (ascending) and eigenvectors w of the core's
-    Hermitian part, and Q: the eigenvectors of the Hermitian part of C are
-    ``Q w``, and its other d^2 - k eigenvalues are exact zeros.  Nothing
-    larger than d^2 x max(k, n) is formed, and only the k x k core is
-    decomposed."""
-    n, d = t.n_terms, t.dim
-    vl = t.left.transpose(0, 2, 1).reshape(n, d * d).T
-    vr = t.right.reshape(n, d * d)
-    if 2 * n >= d * d:
-        q, core = np.eye(d * d), vl @ vr
-    else:
-        q, _ = np.linalg.qr(np.concatenate([vl, vr.conj().T], axis=1))
-        core = (q.conj().T @ vl) @ (vr @ q)
-    evals, w = np.linalg.eigh((core + core.conj().T) / 2)
-    return float(np.linalg.norm(core - core.conj().T)), evals, w, q
+    Returns the core and Q: ``||core - core*||_F = ||C - C*||_F``, the
+    eigenvectors of the Hermitian part of C are Q times those of the core's,
+    and its other d^2 - k eigenvalues are exact zeros.  Nothing larger than
+    d^2 x max(k, n) is formed."""
+    d = t.dim
+    vl, vr = _choi_factors(t.left, t.right)
+    if 2 * t.n_terms >= d * d:
+        return vl @ vr, np.eye(d * d)
+    q, _ = np.linalg.qr(np.concatenate([vl, vr.conj().T], axis=1))
+    return (q.conj().T @ vl) @ (vr @ q), q
 
 
-def _is_cp_spectrum(asym: float, evals: np.ndarray, scale: float, tol: float) -> bool:
-    """The CP verdict on a factored Choi spectrum: Hermitian to ``tol * scale``
-    and no eigenvalue below ``-tol * scale`` (the exact zeros never are)."""
-    return asym <= tol * scale and bool(evals.min(initial=0.0) >= -tol * scale)
+def positive_family(m: np.ndarray, scale: float, tol: float = TOL) -> tuple[np.ndarray, np.ndarray] | None:
+    """The positivity rule, one for the Choi matrix of a map and for the
+    kernel of a measure on a spectrum, at the data scale ``scale``.
+
+    ``m`` is positive semidefinite when its Hermitian residual
+    ``||m - m*||_F`` is at most ``tol * scale`` and the smallest eigenvalue
+    of its Hermitian part is at least ``-tol * scale``; otherwise the result
+    is None.  A positive ``m`` gets its family from the one
+    eigendecomposition: none when the largest eigenvalue is at most
+    ``CUTOFF * scale`` (zero up to rounding), otherwise the eigenvalues
+    above ``CUTOFF`` times the largest.  Returns the kept eigenvalues
+    (ascending) and their eigenvectors as columns.  A NaN fails both
+    tests."""
+    if not np.linalg.norm(m - m.conj().T) <= tol * scale:
+        return None
+    evals, w = np.linalg.eigh((m + m.conj().T) / 2)
+    if not evals.min(initial=0.0) >= -tol * scale:
+        return None
+    top = float(evals.max(initial=0.0))
+    keep = evals > CUTOFF * top if top > CUTOFF * scale else np.zeros(evals.shape, dtype=bool)
+    return evals[keep], w[:, keep]
 
 
 def is_completely_positive(t: ElementaryOperator, tol: float = TOL) -> bool:
-    """True iff the Choi matrix is (numerically) positive semidefinite:
-    Hermitian to ``tol * scale``, with smallest eigenvalue ``>= -tol * scale``,
-    at the data scale ``scale = sum_i ||a_i||_F ||b_i||_F``.  A map that is
-    zero up to cancellation noise is completely positive.  The spectrum is
-    taken from the factors of the Choi matrix, on a core of size
-    min(d^2, 2n) for n terms (Choi: the Kraus rank is the rank of the Choi
-    matrix), so no matrix larger than 2n x 2n is decomposed."""
-    asym, evals, _, _ = _choi_spectrum(t)
-    return _is_cp_spectrum(asym, evals, _data_scale(t), tol)
+    """True iff the Choi matrix is (numerically) positive semidefinite by
+    :func:`positive_family`, at the data scale
+    ``scale = sum_i ||a_i||_F ||b_i||_F``.  A map that is zero up to
+    cancellation noise is completely positive.  The rule reads the core of
+    :func:`_choi_core`, of size min(d^2, 2n) for n terms (Choi: the Kraus
+    rank is the rank of the Choi matrix), so no matrix larger than 2n x 2n
+    is decomposed."""
+    core, _ = _choi_core(t)
+    return positive_family(core, _data_scale(t), tol) is not None
 
 
 def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[np.ndarray]:
     """Kraus decomposition ``T(x) = sum_i k_i x k_i*`` with linearly
     independent (strongly independent) Kraus elements.
 
-    Taken from one eigendecomposition of the factored Choi spectrum, on a
-    core of size min(d^2, 2n) for n terms, which also decides complete
-    positivity as :func:`is_completely_positive` does.  A map whose largest
-    Choi eigenvalue is at most ``CUTOFF`` times the data scale
-    ``sum_i ||a_i||_F ||b_i||_F`` is zero up to rounding and keeps no terms.
-    Otherwise eigenvalues up to ``CUTOFF`` times the largest are dropped, the
-    rule ``varopoulos.gram_factorize`` applies to the symbol, so the Kraus
-    and Gram families of one map have the same size.  The surviving
-    vectorized elements are orthogonal with norms ``sqrt(lambda_i)``, so the
-    family is automatically strongly independent.
+    The family of :func:`positive_family` on the Choi core of
+    :func:`_choi_core`, which also decides complete positivity as
+    :func:`is_completely_positive` does; ``varopoulos.gram_factorize``
+    applies the same rule to the symbol, so the Kraus and Gram families of
+    one map have the same size.  The surviving vectorized elements are
+    orthogonal with norms ``sqrt(lambda_i)``, so the family is
+    automatically strongly independent.
     Raises for a map that is not completely positive before the
     reconstruction gate runs.  The gate is the Frobenius distance of the
     Choi matrices of the map and of the Kraus rewriting, taken from their
     factors by :func:`choi_distance` (no d^2 x d^2 matrix below 2(n + k) <
-    d^2 for k elements), to ``TOL`` times the data scale; it bounds the
-    deviation on every matrix unit.
+    d^2 for k elements), to ``tol`` times the data scale, the bound the
+    verdict read; it bounds the deviation on every matrix unit.
     """
     scale = _data_scale(t)
-    asym, evals, w, q = _choi_spectrum(t)
-    if not _is_cp_spectrum(asym, evals, scale, tol):
+    core, q = _choi_core(t)
+    family = positive_family(core, scale, tol)
+    del core        # d^4 entries when 2n >= d^2, not needed by the rebuild
+    if family is None:
         raise NotCompletelyPositiveError("Kraus extraction needs a completely positive map")
-    top = float(evals.max(initial=0.0))
-    if top <= CUTOFF * scale:
+    evals, w = family
+    if not evals.size:
         return []
-    keep = evals > CUTOFF * top
-    vecs = q @ (w[:, keep] * np.sqrt(evals[keep]))
-    kraus = [unvec(v) for v in vecs.T]
+    kraus = [unvec(v) for v in (q @ (w * np.sqrt(evals))).T]
     recon = ElementaryOperator.from_terms(t.dim, [(k, k.conj().T) for k in kraus])
     resid = choi_distance(recon, t)
-    if resid > TOL * scale:
+    if resid > tol * scale:
         raise NumericalError(f"Kraus reconstruction residual {resid:.3e}")
     return kraus
 
@@ -373,10 +384,6 @@ class PositivityReport:
     completely_positive: bool
     trials: int
     worst_eigenvalue_ratio: float
-
-    @property
-    def verdicts_agree(self) -> bool:
-        return self.sampled_positive == self.completely_positive
 
 
 def _positive_samples(rng: np.random.Generator, d: int, trials: int) -> np.ndarray:

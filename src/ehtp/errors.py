@@ -1,9 +1,15 @@
 """Exception types and the numerical threshold convention shared across the
 package.
 
-The CLI maps these onto exit codes: ScenarioError -> 2 (bad input shape),
-NumericalError -> 3 (a numerical precondition or verification failed),
-everything assertion-like -> 1.
+The exceptions: EhtpError, the base; NonAbelianError, GroupMismatchError
+and DimensionMismatchError for arguments that do not fit together;
+NumericalError for a numerical precondition or verification that failed;
+NotCompletelyPositiveError and BimoduleError for a map outside the domain
+of Kraus extraction or of the positivity probe; ScenarioError for input
+that does not match the schema.  No exception reports a failed check: each
+check of ``ehtp.suites`` returns a record with ``passed`` and its
+measurements.  The CLI maps ScenarioError -> exit 2 (bad input shape),
+NumericalError -> exit 3, and a failed record -> exit 1.
 
 Every numerical threshold is one of two constants.  A pass/fail gate reads
 ``residual <= TOL * scale``, where ``scale`` is the largest value the checked
@@ -53,15 +59,6 @@ class NotCompletelyPositiveError(EhtpError):
 class BimoduleError(EhtpError):
     """A map was expected to be a bimodule map over the diagonal algebra
     (a Schur multiplier) and is not."""
-
-
-class RestrictionMismatchError(EhtpError):
-    """Restriction of a representation to a subgroup produced a character
-    set different from the restricted character set."""
-
-
-class EquivalenceViolationError(EhtpError):
-    """Two criteria that are provably equivalent disagreed; signals a bug."""
 
 
 class ScenarioError(EhtpError):

@@ -74,13 +74,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
-
     def coords(self, element: int) -> tuple[int, ...]:
         """Coordinates of an element in the cyclic-product presentation."""
         shape = self._shape_or_raise()

@@ -5,9 +5,9 @@ A measure acting through a diagonalized abelian representation is an
 entrywise (Schur) multiplier with symbol ``u(sigma, tau) = mu_hat(sigma
 tau^-1)`` on the spectrum.  Complete positivity of the map, positive
 semidefiniteness of the symbol, and positivity on sampled states are all
-equivalent; ``equivalence_suite`` exercises all three plus the structure of
+equivalent; ``equivalence_suite`` measures all three plus the structure of
 the Kraus family (which must land in the algebra diagonalized by the
-eigenbasis).
+eigenbasis), and ``ehtp.suites.cp_posdef_check`` gates them.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elementary import conjugate_by, sampled_positivity, strongly_independent_kraus, vec
-from .errors import CUTOFF, TOL, EquivalenceViolationError, GroupMismatchError, NumericalError
-from .errors import NotCompletelyPositiveError
+from .elementary import conjugate_by, positive_family, sampled_positivity, strongly_independent_kraus
+from .elementary import vec
+from .errors import TOL, GroupMismatchError, NotCompletelyPositiveError, NumericalError
 from .gamma import gamma
 from .groups import SpectrumSet
 from .measures import Measure, fourier_symbol
@@ -57,10 +57,6 @@ class VFunction:
         if self.scale is None:
             object.__setattr__(self, "scale", float(np.linalg.norm(vals)))
 
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.linalg.norm(self.values - self.values.conj().T) <= TOL * self.scale)
-
 
 def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
     """The kernel ``(sigma, tau) -> mu_hat(sigma tau^-1)`` on the spectrum."""
@@ -72,39 +68,31 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
 
 def _gram_family(u: VFunction, tol: float) -> list[np.ndarray] | None:
     """The Gram family of :func:`gram_factorize`, or None for a kernel that
-    is not positive semidefinite at ``tol``, decided as
-    :func:`is_positive_definite` does.  One eigendecomposition gives the
-    verdict and the family."""
-    if not u.is_hermitian:
+    is not positive semidefinite at ``tol``: the family of
+    :func:`ehtp.elementary.positive_family` on the kernel at ``u.scale``,
+    the rule complete positivity reads on the Choi matrix."""
+    family = positive_family(u.values, u.scale, tol)
+    if family is None:
         return None
-    evals, evecs = np.linalg.eigh((u.values + u.values.conj().T) / 2)
-    if evals.min(initial=0.0) < -tol * u.scale:
-        return None
-    top = float(evals.max(initial=0.0))
-    if top <= CUTOFF * u.scale:
-        return []
-    keep = evals > CUTOFF * top
-    return [np.sqrt(lam) * evecs[:, i] for i, lam in zip(np.nonzero(keep)[0], evals[keep])]
+    evals, evecs = family
+    return [np.sqrt(lam) * v for lam, v in zip(evals, evecs.T)]
 
 
 def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
     """Numerically Hermitian positive semidefinite as a matrix on the
-    spectrum: smallest eigenvalue >= -tol * u.scale, the same threshold
-    convention as :func:`ehtp.elementary.is_completely_positive`."""
-    if not u.is_hermitian:
-        return False
-    evals = np.linalg.eigvalsh((u.values + u.values.conj().T) / 2)
-    return bool(evals.size == 0 or evals[0] >= -tol * u.scale)
+    spectrum, by :func:`ehtp.elementary.positive_family` at ``u.scale``,
+    the rule of :func:`ehtp.elementary.is_completely_positive`."""
+    return positive_family(u.values, u.scale, tol) is not None
 
 
 def gram_factorize(u: VFunction) -> list[np.ndarray]:
     """Functions ``phi_i`` on the spectrum with ``u(s, t) = sum_i phi_i(s)
-    conj(phi_i(t))``, from the eigendecomposition: none when the largest
+    conj(phi_i(t))``, from the eigendecomposition of
+    :func:`ehtp.elementary.positive_family`, the rule
+    ``elementary.strongly_independent_kraus`` reads: none when the largest
     eigenvalue is at most ``CUTOFF * u.scale``, otherwise eigenvalues up to
-    ``CUTOFF`` times the largest are dropped, the rules of
-    ``elementary.strongly_independent_kraus``.  Errors on a kernel that is not
-    positive semidefinite at ``TOL``, decided as :func:`is_positive_definite`
-    does."""
+    ``CUTOFF`` times the largest are dropped.  Errors on a kernel that is
+    not positive semidefinite at ``TOL``."""
     family = _gram_family(u, TOL)
     if family is None:
         raise NumericalError("kernel is not positive semidefinite")
@@ -140,20 +128,16 @@ def equivalence_suite(
     seed: int = 0,
 ) -> EquivalenceReport:
     """Run all three positivity criteria on one (representation, measure)
-    pair and check their consistency.
+    pair and measure the Kraus structure; the report holds the verdicts and
+    the measurements, and ``ehtp.suites.cp_posdef_check`` gates them.
 
-    Asserts that complete positivity of the realized operator and positive
-    semidefiniteness of the kernel agree, and that positivity on sampled
-    states never contradicts them.  One Choi decomposition of the operator
-    gives its complete positivity and, on completely positive instances, the
-    strongly independent Kraus family, which must consist of
-    matrices diagonal in the joint eigenbasis, to ``TOL`` times the largest
-    Kraus norm (an element of a Choi eigenvalue near the cutoff is accurate
-    only to that scale).  One eigendecomposition of the kernel gives its
-    positive semidefiniteness at ``tol`` and its Gram family.
-
-    Raises :class:`EquivalenceViolationError` on any disagreement; a raise
-    here signals a bug, not a property of the input.
+    One Choi decomposition of the operator gives its complete positivity
+    and, on completely positive instances, the strongly independent Kraus
+    family, whose elements should be diagonal in the joint eigenbasis:
+    ``kraus_diagonality`` is the largest off-diagonal part of a rotated
+    element relative to the largest Kraus norm.  One eigendecomposition of
+    the kernel gives its positive semidefiniteness and its Gram family,
+    both criteria by :func:`ehtp.elementary.positive_family` at ``tol``.
     """
     op = gamma(diag.rep, mu).op
     try:
@@ -166,13 +150,6 @@ def equivalence_suite(
     # the rotation is unitary, so the rotated map is completely positive iff op is
     sampled, _ = sampled_positivity(conjugate_by(op, diag.basis), trials=trials, tol=tol, seed=seed)
 
-    if cp != pd:
-        raise EquivalenceViolationError(
-            f"complete positivity ({cp}) disagrees with kernel positivity ({pd})"
-        )
-    if cp and not sampled:
-        raise EquivalenceViolationError("sampled positivity contradicts complete positivity")
-
     min_singular = max_singular = diagonality = None
     if kraus:
         stacked = np.stack([vec(k) for k in kraus], axis=1)
@@ -183,10 +160,6 @@ def equivalence_suite(
         top = max(float(np.linalg.norm(rot)) for rot in rots)
         off = max(float(np.linalg.norm(rot - np.diag(np.diag(rot)))) for rot in rots)
         diagonality = off / max(top, 1e-300)
-        if diagonality > TOL:
-            raise EquivalenceViolationError(
-                f"Kraus family is not diagonal in the eigenbasis: residual {diagonality:.3e}"
-            )
     return EquivalenceReport(
         completely_positive=cp,
         positive_definite=pd,

@@ -443,6 +443,11 @@ NORM_MEASURE = {"experiment": "norm-interval", "group": {"kind": "cyclic_product
 POINT_MASS = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [6]},
               "representation": {"kind": "regular"}, "measures": [{"dirac": 2}]}
 
+NEARLY_HERMITIAN = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [7]},
+                    "representation": {"kind": "characters", "chars": [[0], [1], [3]]},
+                    "measures": [{"weights": [{"elem": 0, "re": 2, "im": 1e-6}, {"elem": 1, "re": 0.5},
+                                              {"elem": 6, "re": 0.5}]}]}
+
 
 class TestSharedGates:
     """`ehtp run` records read the gates the suites read."""
@@ -476,6 +481,49 @@ class TestSharedGates:
         code, records = run_records(tmp_path, capsys, POINT_MASS)
         assert code == 1 and not records[0]["passed"]
         assert records[0]["kraus_min_singular"] == 1e-12
+
+    @pytest.mark.parametrize("field, key, value", [
+        ("positive_definite", "posdef", False),
+        ("sampled_positive", "sampled", False),
+        ("kraus_diagonality", "kraus_diagonality", 1e-6),
+    ], ids=["cp-but-not-posdef", "cp-but-not-sampled", "off-diagonal-kraus"])
+    def test_a_broken_criterion_fails_the_cp_record(self, tmp_path, capsys, monkeypatch, field, key, value):
+        # the point mass is completely positive with one Kraus element; each
+        # fault breaks one gate and leaves the others holding
+        real = suites.equivalence_suite
+        monkeypatch.setattr(suites, "equivalence_suite", lambda *a, **k: dataclasses.replace(
+            real(*a, **k), **{field: value}))
+        code, records = run_records(tmp_path, capsys, POINT_MASS)
+        rec = records[0]
+        assert code == 1 and not rec["passed"] and "error" not in rec
+        assert rec[key] == value and rec["cp"] and rec["kraus_count"] == rec["gram_count"] == 1
+
+    def test_a_restricted_spectrum_that_differs_fails_the_record(self, tmp_path, capsys, monkeypatch):
+        real = suites.restriction_spectrum_check
+
+        def dropped(*args, **kwargs):
+            report = real(*args, **kwargs)
+            assert len(report.actual_exponents) == 2
+            return dataclasses.replace(report, actual_exponents=report.actual_exponents[:1])
+
+        monkeypatch.setattr(suites, "restriction_spectrum_check", dropped)
+        code, records = run_records(tmp_path, capsys, RESTRICTION)
+        rec = records[0]
+        assert code == 1 and not rec["passed"] and "error" not in rec
+        assert rec["spectrum_size"] == 2 and rec["symbol_residual"] <= TOL
+
+    @pytest.mark.parametrize("flags, positive", [((), False), (("--tol", "1e-3"), True)],
+                             ids=["default-tol", "loose-tol"])
+    def test_tol_reaches_the_whole_positivity_decision(self, tmp_path, capsys, flags, positive):
+        # a kernel Hermitian to 3.5e-6 on a data scale of 9, so positive at
+        # tol 1e-3 and not at 1e-9; its Kraus family rebuilds the map to
+        # 3e-6, which the reconstruction gate failed at TOL (exit 3)
+        code, records = run_records(tmp_path, capsys, NEARLY_HERMITIAN, *flags)
+        rec = records[0]
+        assert code == 0 and rec["passed"]
+        assert rec["cp"] is rec["posdef"] is positive
+        if positive:
+            assert rec["sampled"] and rec["kraus_count"] == rec["gram_count"] == 3
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-8, 1e8])
     @pytest.mark.parametrize("flags", [(), ("--tol", "1e-3")], ids=["default-tol", "loose-tol"])

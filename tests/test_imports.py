@@ -4,13 +4,16 @@ environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum``, no caller in the package, the tests, the demos or the README
-passes an ignored parameter, neither rewriting gate builds a dense Choi
+passes an ignored parameter, no function that takes ``tol`` compares with
+``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
-distance calls ``transfer_matrix``, ``choi`` or their builders, no comparison in ``cli`` reads a tolerance, and every
+distance calls ``transfer_matrix``, ``choi`` or their builders, no comparison in ``cli`` reads a tolerance, every
 name in ``ehtp.__all__`` has a caller outside its module and the tests, or
-a stated reason to be public."""
+a stated reason to be public, and so has every public method of its
+classes."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -142,6 +145,41 @@ def test_the_command_line_writes_no_gate():
     # so each gate is written once
     assert _tolerance_comparisons(PACKAGE / "suites.py")
     assert _tolerance_comparisons(PACKAGE / "cli.py") == []
+
+
+# Comparisons with ``TOL`` inside a function that takes ``tol``, one reason
+# per comparison: each is a gate that ``--tol`` does not reach on purpose.
+TOL_BESIDE_TOL = {
+    "suites.cp_posdef_check": (
+        "Kraus independence, relative to the family's largest singular value",
+        "Kraus diagonality, relative to the family's largest norm",
+    ),
+}
+
+
+def _fixed_gates_beside_tol(path):
+    """``module.function`` once for every comparison that reads ``TOL`` in
+    a function with a ``tol`` parameter."""
+    found = []
+    for fn in ast.walk(_tree(path)):
+        if not (isinstance(fn, ast.FunctionDef)
+                and "tol" in {a.arg for a in fn.args.args + fn.args.kwonlyargs}):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Name) and sub.id == "TOL"
+                    for operand in [node.left, *node.comparators] for sub in ast.walk(operand)):
+                found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_a_function_that_takes_tol_reads_TOL_only_for_a_stated_reason():
+    # the Kraus reconstruction gate once read TOL beside a verdict at tol, so
+    # `ehtp run --tol 1e-3` accepted a map as completely positive and then
+    # failed its Kraus family at exit 3
+    found = [hit for p in sorted(PACKAGE.glob("*.py")) for hit in _fixed_gates_beside_tol(p)]
+    assert {name: found.count(name) for name in found} == {
+        name: len(reasons) for name, reasons in TOL_BESIDE_TOL.items()}
 
 
 def _imported_top_level(path):
@@ -336,3 +374,50 @@ def test_every_public_name_has_a_caller_or_a_reason():
         if not callers and name not in outside:
             uncalled.append(name)
     assert sorted(uncalled) == sorted(PUBLIC_BY_REASON)
+
+
+# Public methods and properties of the classes in ``ehtp.__all__`` that no
+# package module, demo, benchmark or README example reads, and why each is
+# kept all the same: an exact form a test checks a fast path against.
+METHODS_BY_REASON = {
+    "Character.quotient": "oracle",     # sigma * tau^-1, the k^2 oracle of difference_set
+    "Character.evaluate": "oracle",     # exact rational phases, the oracle of character_table
+}
+
+
+def _attribute_reads(tree):
+    """Every attribute the tree reads, and every part of a string that
+    spells a dotted name (``bench/tracing.py`` times ``Character.values``
+    through such a string)."""
+    found = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", node.value)):
+            found |= set(node.value.split("."))
+    return found
+
+
+def _public_methods(cls):
+    """The public functions, properties, class and static methods that
+    ``cls`` defines itself."""
+    return sorted(name for name, value in vars(cls).items()
+                  if not name.startswith("_")
+                  and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))))
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    import ehtp
+
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    read = set()
+    for path in paths:
+        read |= _attribute_reads(_tree(path))
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        read |= _attribute_reads(ast.parse(block))
+    assert set(METHODS_BY_REASON.values()) == {"oracle"}
+
+    classes = [getattr(ehtp, name) for name in ehtp.__all__ if inspect.isclass(getattr(ehtp, name))]
+    assert len(classes) > 10
+    unread = [f"{cls.__name__}.{name}" for cls in classes for name in _public_methods(cls)
+              if name not in read]
+    assert sorted(unread) == sorted(METHODS_BY_REASON)

@@ -88,7 +88,7 @@ def oracle_apply(t, x):
 def oracle_choi(t):
     d = t.dim
     c = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a, b in t.terms:
+    for a, b in zip(t.left, t.right):
         c += np.outer(vec(a), np.conj(vec(b.conj().T)))
     return c
 

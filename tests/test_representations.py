@@ -129,7 +129,7 @@ def _oracle_multiplicities(pi):
     traces = np.trace(pi.matrices, axis1=1, axis2=2)
     mults = {}
     for chi in dual_group(g):
-        m = round((sum(np.conj(chi.evaluate(g, s)) * traces[s] for s in g.elements()) / g.order).real)
+        m = round((sum(np.conj(chi.evaluate(g, s)) * traces[s] for s in range(g.order)) / g.order).real)
         if m:
             mults[chi.exponents] = m
     return mults
@@ -195,7 +195,7 @@ class TestDiagonalize:
         diag = diagonalize(pi)
         labels = [c.exponents for c in diag.char_of_index]
         assert {e: labels.count(e) for e in set(labels)} == _oracle_multiplicities(pi)
-        values = np.array([[c.evaluate(g, s) for c in diag.char_of_index] for s in g.elements()])
+        values = np.array([[c.evaluate(g, s) for c in diag.char_of_index] for s in range(g.order)])
         v = diag.basis
         assert np.abs(pi.matrices @ v - v * values[:, None, :]).max() <= 1e-12
 

@@ -72,7 +72,7 @@ class TestRoster:
         assert "Z2xZ2" in names and "Z2xZ4" in names
         assert "S3" in names
         nonabelian = dict(roster)["S3"]
-        assert not nonabelian.is_abelian
+        assert not np.array_equal(nonabelian.cayley, nonabelian.cayley.T)
         assert nonabelian.order == 6
 
     def test_s3_table_is_a_group(self):

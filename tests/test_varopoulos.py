@@ -140,7 +140,7 @@ class TestGramFactorization:
         g, diag = _spectrum(7, [0, 2, 3, 5])
         weights = np.linspace(1.0, 2.0, 7) if psd else np.array([1.0, -1, 0, 0, 0, 0, -1])
         u = from_measure(diag, Measure(g, weights))
-        assert u.is_hermitian
+        assert np.linalg.norm(u.values - u.values.conj().T) <= TOL * u.scale
         calls = []
         for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "cholesky"):
             def counted(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
