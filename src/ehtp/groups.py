@@ -308,93 +308,35 @@ def difference_set(e: SpectrumSet) -> SpectrumSet:
 # ---------------------------------------------------------------------------
 # Subgroups of shaped abelian groups, and character restriction.
 #
-# For G = Z_{n_1} x ... x Z_{n_r} and a generated subgroup H, treat G as the
-# quotient of Z^r by the lattice N spanned by n_j e_j.  The preimage of H is
-# the lattice L spanned by the generators together with N, and H = L/N.  Two
-# Smith-normal-form passes with tracked unimodular transforms give a basis
-# c_1, ..., c_s of L whose multiples m_i c_i form a basis of N, hence
-# H = (+) Z_{m_i} with explicit generators c_i.  All arithmetic is on exact
-# Python ints.
+# H, generated by some elements, is enumerated as coordinate rows: each
+# generator adds its multiples below its order modulo the span so far.  H is
+# then split greedily: with K the span of the cyclic factors chosen so far, a
+# direct summand of H, the next factor is an element y of largest order among
+# those whose order equals their order modulo K (so <y> meets K only in 0),
+# the one of lowest index, so the factors depend on H and not on how it was
+# generated.  That order is the exponent of H/K, so K + <y> is again a direct
+# summand (S. Lang, Algebra, ch. I, sec. 8), and the reversed list of factor
+# orders is an invariant-factor chain m_1 | m_2 | ....
 # ---------------------------------------------------------------------------
 
 
-def _snf_tracked(mat, basis, basis_inv=None):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _orders_modulo(coords: np.ndarray, span: np.ndarray, group: FiniteGroup, exponent: int) -> np.ndarray:
+    """For each coordinate row x, the least divisor t of ``exponent`` with
+    t x in the subgroup of coordinate rows ``span``; ``exponent`` must be a
+    multiple of the order of every x modulo ``span``."""
+    shape = group.abelian_shape
+    inside = np.zeros(group.order, dtype=bool)
+    inside[np.ravel_multi_index(tuple(span.T), shape)] = True
+    orders = np.zeros(len(coords), dtype=np.int64)
+    for t in range(exponent, 0, -1):
+        if exponent % t == 0:
+            orders[inside[np.ravel_multi_index(tuple((t * coords).T), shape, mode="wrap")]] = t
+    return orders
 
-    ``basis`` (r x r) is updated so that the pair of lattices
-    ``basis @ Z^r`` and ``basis @ mat @ Z^c`` is invariant: a row operation
-    ``mat <- E mat`` is paired with ``basis <- basis E^-1`` (and, when given,
-    ``basis_inv <- E basis_inv``).  Column operations touch only ``mat``.
-    Returns the diagonal as a list (nonnegative, length min(r, c)).
-    """
-    m = [list(map(int, row)) for row in mat]
-    c_ = [list(map(int, row)) for row in basis]
-    ci = None if basis_inv is None else [list(map(int, row)) for row in basis_inv]
-    rows, cols = len(m), len(m[0]) if m else 0
 
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in c_:
-            row[i], row[j] = row[j], row[i]
-        if ci is not None:
-            ci[i], ci[j] = ci[j], ci[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j on mat; col_j -= k * col_i on basis
-        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
-        for row in c_:
-            row[j] -= k * row[i]
-        if ci is not None:
-            ci[i] = [x + k * y for x, y in zip(ci[i], ci[j])]
-
-    def row_neg(i):
-        m[i] = [-x for x in m[i]]
-        for row in c_:
-            row[i] = -row[i]
-        if ci is not None:
-            ci[i] = [-x for x in ci[i]]
-
-    def col_swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, k):
-        # col_i += k * col_j
-        for row in m:
-            row[i] += k * row[j]
-
-    for k in range(min(rows, cols)):
-        while True:
-            pivots = [(abs(m[i][j]), i, j) for i in range(k, rows) for j in range(k, cols) if m[i][j] != 0]
-            if not pivots:
-                break
-            _, pi, pj = min(pivots)
-            if pi != k:
-                row_swap(k, pi)
-            if pj != k:
-                col_swap(k, pj)
-            if m[k][k] < 0:
-                row_neg(k)
-            done = True
-            for i in range(k + 1, rows):
-                q = m[i][k] // m[k][k]
-                if q:
-                    row_add(i, k, -q)
-                if m[i][k]:
-                    done = False
-            for j in range(k + 1, cols):
-                q = m[k][j] // m[k][k]
-                if q:
-                    col_add(j, k, -q)
-                if m[k][j]:
-                    done = False
-            if done:
-                break
-        if k < rows and m[k][k] < 0:
-            row_neg(k)
-
-    diag = [m[k][k] for k in range(min(rows, cols))]
-    return diag, c_, ci
+def _extend(span: np.ndarray, y: np.ndarray, t: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The coordinate rows ``k + a y`` for k in ``span`` and 0 <= a < t."""
+    return (span[:, None, :] + np.arange(t)[None, :, None] * y).reshape(-1, len(shape)) % np.array(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,41 +388,23 @@ def subgroup_and_restriction(group: FiniteGroup, generators: Sequence[int]) -> S
     """The subgroup generated by the given elements, in cyclic-product form,
     together with the character restriction data."""
     shape = group._shape_or_raise()
-    r = len(shape)
-    gen_cols = [list(group.coords(g)) for g in generators]
+    h = np.zeros((1, len(shape)), dtype=np.int64)
+    for y in (np.array(group.coords(g)) for g in generators):
+        h = _extend(h, y, int(_orders_modulo(y[None], h, group, lcm(*shape))[0]), shape)
+    h = h[np.argsort(np.ravel_multi_index(tuple(h.T), shape))]
 
-    # L = lattice spanned by the generators and N = diag(shape) * Z^r
-    a_mat = [[gen_cols[j][i] for j in range(len(gen_cols))] + [shape[i] * (i == j) for j in range(r)]
-             for i in range(r)]
-    ident = [[int(i == j) for j in range(r)] for i in range(r)]
-    d_diag, c_basis, c_inv = _snf_tracked(a_mat, ident, ident)
-
-    # basis of L is c_i * d_i; X = B_L^-1 diag(shape) must be integral
-    x_mat = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            num = c_inv[i][j] * shape[j]
-            if num % d_diag[i] != 0:
-                raise AssertionError("nested-lattice division failed; bug in subgroup decomposition")
-            x_mat[i][j] = num // d_diag[i]
-    b_l = [[c_basis[i][j] * d_diag[j] for j in range(r)] for i in range(r)]
-
-    m_diag, h_basis, _ = _snf_tracked(x_mat, b_l)
-
-    factors = [(m, [h_basis[i][j] for i in range(r)]) for j, m in enumerate(m_diag) if m > 1]
-    if factors:
-        h_shape = [m for m, _ in factors]
-        gen_coords = tuple(tuple(c % n for c, n in zip(col, shape)) for _, col in factors)
-    else:
-        h_shape = [1]
-        gen_coords = ((0,) * r,)
+    orders = np.lcm.reduce(np.array(shape) // np.gcd(h, np.array(shape)), axis=1)
+    span, factors = h[:1], []
+    while len(span) < len(h):
+        free = np.where(orders == _orders_modulo(h, span, group, int(orders.max())), orders, 0)
+        y = h[int(np.argmax(free))]
+        factors.append((int(free.max()), tuple(int(c) for c in y)))
+        span = _extend(span, y, factors[-1][0], shape)
+    h_shape, gen_coords = zip(*(factors[::-1] or [(1, (0,) * len(shape))]))
 
     sub = make_cyclic_product(h_shape)
-    h_coords = sub.coordinate_table()  # (s, |H|)
-    gen_mat = np.array(gen_coords).T  # (r, s)
-    g_coords = gen_mat @ h_coords % np.array(shape).reshape(-1, 1)
+    g_coords = np.array(gen_coords).T @ sub.coordinate_table() % np.array(shape).reshape(-1, 1)
     embedding = np.ravel_multi_index(tuple(g_coords), shape)
     if len(set(embedding.tolist())) != sub.order:
         raise AssertionError("subgroup embedding is not injective; bug in subgroup decomposition")
-
     return SubgroupRestriction(group, sub, embedding, gen_coords)

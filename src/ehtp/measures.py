@@ -83,10 +83,6 @@ class Measure:
     def __neg__(self) -> "Measure":
         return Measure(self.group, -self.weights)
 
-    def allclose(self, other: "Measure", tol: float = 1e-10) -> bool:
-        _check_group(self, other)
-        return bool(np.max(np.abs(self.weights - other.weights)) <= tol)
-
 
 def _check_group(mu: Measure, nu: Measure) -> None:
     if not mu.group.is_same(nu.group):

@@ -39,9 +39,11 @@ class VFunction:
 
     ``scale`` bounds the Frobenius norm of the values, so every eigenvalue
     and the rounding noise in them; the positivity gates are taken at it.
-    :func:`from_measure` sets it to ``n ||mu||_1`` for n characters, which is
-    the data scale of ``elementary.is_completely_positive`` on the realized
-    map; by default it is the Frobenius norm of the values."""
+    By default it is ``sum_j ||u_j||_2`` over the rows, the data scale that
+    ``elementary.is_completely_positive`` reads on ``schur_op(values)``, so
+    the kernel and its Schur multiplier get one verdict.
+    :func:`from_measure` sets it to ``n ||mu||_1`` for n characters, the
+    data scale of the realized map."""
 
     spectrum: SpectrumSet
     values: np.ndarray
@@ -55,7 +57,7 @@ class VFunction:
         object.__setattr__(self, "values", vals)
         self.values.flags.writeable = False
         if self.scale is None:
-            object.__setattr__(self, "scale", float(np.linalg.norm(vals)))
+            object.__setattr__(self, "scale", float(np.linalg.norm(vals, axis=1).sum()))
 
 
 def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:

@@ -511,6 +511,8 @@ class TestSharedGates:
         rec = records[0]
         assert code == 1 and not rec["passed"] and "error" not in rec
         assert rec["spectrum_size"] == 2 and rec["symbol_residual"] <= TOL
+        # H = <4> = Z_3 with generator 4: characters 1 and 5 restrict to 1 and 2
+        assert rec["expected_exponents"] == [[1], [2]] and rec["actual_exponents"] == [[1]]
 
     @pytest.mark.parametrize("flags, positive", [((), False), (("--tol", "1e-3"), True)],
                              ids=["default-tol", "loose-tol"])

@@ -17,7 +17,7 @@ from ehtp.groups import (
     subgroup_and_restriction,
 )
 from ehtp.representations import character_rep, diagonalize
-from ehtp.suites import SHAPE_POOL_12, s3_cayley
+from ehtp.suites import SHAPE_POOL_12, SHAPE_POOL_24, s3_cayley
 
 SHAPES = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
 
@@ -313,3 +313,53 @@ class TestSubgroups:
         e = spectrum(g, [Character((6,), (1,)), Character((6,), (4,))])
         restricted = sub.restrict_spectrum(e)
         assert restricted.exponent_set() == {(1,)}
+
+
+# independent oracle: the subgroup as a breadth-first closure of the
+# identity under multiplication by the generators, on the Cayley table
+def _closure(g, generators):
+    seen, frontier = {g.identity}, [g.identity]
+    while frontier:
+        frontier = [b for b in {g.mul(a, s) for a in frontier for s in generators} if b not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def _check_subgroup(g, generators, rng):
+    """The properties of a generated subgroup that no coordinate choice
+    changes: its element set, the embedding as an injective homomorphism,
+    an invariant-factor shape, and restriction as evaluation."""
+    sub = subgroup_and_restriction(g, generators)
+    h, emb = sub.subgroup, sub.embedding
+    assert set(emb.tolist()) == _closure(g, generators) and len(emb) == h.order
+    if h.order <= 256:
+        a, b = np.meshgrid(np.arange(h.order), np.arange(h.order))
+    else:
+        a, b = rng.integers(h.order, size=(2, 4096))
+    assert np.array_equal(g.cayley[emb[a], emb[b]], emb[h.cayley[a, b]])
+    shape = h.abelian_shape
+    assert shape == (1,) or (min(shape) > 1 and all(n % m == 0 for m, n in zip(shape, shape[1:])))
+    elements = range(h.order) if h.order <= 64 else rng.integers(h.order, size=64).tolist()
+    for exps in rng.integers(0, g.abelian_shape, size=(3, len(g.abelian_shape))).tolist():
+        chi = Character(g.abelian_shape, exps)
+        r = sub.restrict(chi)
+        for j in elements:
+            assert abs(r.evaluate(h, j) - chi.evaluate(g, int(emb[j]))) < 1e-9
+
+
+class TestSubgroupProperties:
+    @pytest.mark.parametrize("shape", SHAPE_POOL_24, ids=str)
+    def test_each_single_generator_and_seeded_pairs(self, shape):
+        g = make_cyclic_product(shape)
+        rng = np.random.default_rng(sum(shape))
+        for s in range(g.order):
+            _check_subgroup(g, [s], rng)
+        for _ in range(20):
+            _check_subgroup(g, rng.integers(g.order, size=2).tolist(), rng)
+
+    @pytest.mark.parametrize("shape", [(12, 30), (4, 60), (8, 8)], ids=str)
+    def test_seeded_generator_sets_on_larger_groups(self, shape):
+        g = make_cyclic_product(shape)
+        rng = np.random.default_rng(g.order)
+        for _ in range(20):
+            _check_subgroup(g, rng.integers(g.order, size=int(rng.integers(1, 4))).tolist(), rng)

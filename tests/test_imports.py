@@ -385,11 +385,20 @@ METHODS_BY_REASON = {
 }
 
 
+def _root_name(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _attribute_reads(tree):
-    """Every attribute the tree reads, and every part of a string that
-    spells a dotted name (``bench/tracing.py`` times ``Character.values``
-    through such a string)."""
-    found = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    """Every attribute the tree reads, except those read off numpy (so
+    ``np.allclose`` does not count as a read of a method named
+    ``allclose``), and every part of a string that spells a dotted name
+    (``bench/tracing.py`` times ``Character.values`` through such a
+    string)."""
+    found = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and _root_name(node) not in ("np", "numpy")}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and re.fullmatch(r"[A-Za-z_]\w*(\.\w+)+", node.value)):

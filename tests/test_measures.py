@@ -23,6 +23,12 @@ from ehtp.measures import (
 SHAPES = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=2)
 
 
+def _close(mu, nu):
+    """The two measures live on one group and their weights differ by at
+    most 1e-10 at every element."""
+    return mu.group.is_same(nu.group) and np.max(np.abs(mu.weights - nu.weights)) <= 1e-10
+
+
 # independent oracle: convolution by double loop over the group table
 def _brute_convolve(g, w1, w2):
     out = np.zeros(g.order, dtype=np.complex128)
@@ -73,12 +79,12 @@ class TestBasics:
         g = make_cyclic_product([6])
         f = np.zeros(6)
         f[0] = 6.0
-        assert from_density(g, f).allclose(dirac(g, 0))
+        assert _close(from_density(g, f), dirac(g, 0))
 
     def test_from_density_sign_pattern_on_z2(self):
         g = make_cyclic_product([2])
         mu = from_density(g, [2.0, -2.0])
-        assert mu.allclose(dirac(g, 0) - dirac(g, 1))
+        assert _close(mu, dirac(g, 0) - dirac(g, 1))
 
 
 class TestConvolution:
@@ -86,20 +92,20 @@ class TestConvolution:
         g = make_cyclic_product([2, 3])
         for s in range(6):
             for t in range(6):
-                assert convolve(dirac(g, s), dirac(g, t)).allclose(dirac(g, g.mul(s, t)))
+                assert _close(convolve(dirac(g, s), dirac(g, t)), dirac(g, g.mul(s, t)))
 
     def test_unit_is_the_identity_point_mass(self):
         g = make_cyclic_product([7])
         rng = np.random.default_rng(0)
         mu = _random_measure(g, rng)
-        assert convolve(dirac(g, g.identity), mu).allclose(mu)
-        assert convolve(mu, dirac(g, g.identity)).allclose(mu)
+        assert _close(convolve(dirac(g, g.identity), mu), mu)
+        assert _close(convolve(mu, dirac(g, g.identity)), mu)
 
     def test_worked_product_on_z4(self):
         g = make_cyclic_product([4])
         lhs = convolve(dirac(g, 1) + dirac(g, 2), dirac(g, 1) - dirac(g, 3))
         expect = dirac(g, 2) + dirac(g, 3) - dirac(g, 0) - dirac(g, 1)
-        assert lhs.allclose(expect)
+        assert _close(lhs, expect)
 
     @given(SHAPES)
     def test_matches_brute_force(self, shape):
@@ -113,7 +119,7 @@ class TestConvolution:
         g = make_cyclic_product(shape)
         rng = np.random.default_rng(2)
         mu, nu, kappa = (_random_measure(g, rng) for _ in range(3))
-        assert convolve(convolve(mu, nu), kappa).allclose(convolve(mu, convolve(nu, kappa)))
+        assert _close(convolve(convolve(mu, nu), kappa), convolve(mu, convolve(nu, kappa)))
 
     @given(SHAPES)
     def test_norm_submultiplicative(self, shape):
@@ -126,20 +132,20 @@ class TestConvolution:
 class TestInvolution:
     def test_point_mass_reverses(self):
         g = make_cyclic_product([5])
-        assert reverse_conj(dirac(g, 2)).allclose(dirac(g, 3))
+        assert _close(reverse_conj(dirac(g, 2)), dirac(g, 3))
 
     def test_conjugates_weights(self):
         g = make_cyclic_product([4])
-        assert reverse_conj(dirac(g, 1) * 1j).allclose(dirac(g, 3) * (-1j))
+        assert _close(reverse_conj(dirac(g, 1) * 1j), dirac(g, 3) * (-1j))
 
     @given(SHAPES)
     def test_involutive_antiautomorphism(self, shape):
         g = make_cyclic_product(shape)
         rng = np.random.default_rng(4)
         mu, nu = _random_measure(g, rng), _random_measure(g, rng)
-        assert reverse_conj(reverse_conj(mu)).allclose(mu)
+        assert _close(reverse_conj(reverse_conj(mu)), mu)
         lhs = reverse_conj(convolve(mu, nu))
-        assert lhs.allclose(convolve(reverse_conj(nu), reverse_conj(mu)))
+        assert _close(lhs, convolve(reverse_conj(nu), reverse_conj(mu)))
 
 
 class TestFourier:

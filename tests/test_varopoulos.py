@@ -92,6 +92,23 @@ class TestPositiveDefiniteness:
         u = VFunction(diag.spectrum, np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert not is_positive_definite(u)
 
+    @pytest.mark.parametrize("c", [0.5, 1.5, 2.0, 2.5, 3.5])
+    def test_the_kernel_and_its_schur_multiplier_get_one_verdict(self, c):
+        # seven eigenvalues 1 and the smallest at -c * TOL * ||u||_F: the
+        # default scale sum_j ||u_j||_2 (about 7.5 against ||u||_F = 2.6) is
+        # the data scale of schur_op(u), so the verdicts agree at every c and
+        # both turn at c = 7.47 / 2.65 = 2.82
+        g = make_cyclic_product([8])
+        diag = diagonalize(character_rep(g, [Character((8,), (k,)) for k in range(8)]))
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        evals = np.ones(8)
+        evals[0] = -c * TOL * np.sqrt(7.0)
+        u = (q * evals) @ q.conj().T
+        u = (u + u.conj().T) / 2
+        assert is_positive_definite(VFunction(diag.spectrum, u)) == (c < 2.8)
+        assert is_completely_positive(elementary.schur_op(u)) == (c < 2.8)
+
     def test_probability_measures_give_positive_kernels(self):
         g = make_cyclic_product([3, 3])
         rng = np.random.default_rng(1)
