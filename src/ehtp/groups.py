@@ -124,10 +124,17 @@ def make_cyclic_product(shape: Sequence[int]) -> FiniteGroup:
         raise ValueError(f"group order {order} exceeds the bound {MAX_ORDER}")
 
     coords = np.array(np.unravel_index(np.arange(order), shape))  # (r, order)
-    shape_col = np.array(shape).reshape(-1, 1, 1)
-    sums = (coords[:, :, None] + coords[:, None, :]) % shape_col
-    cayley = np.ravel_multi_index(tuple(sums), shape)
-    inverse = np.ravel_multi_index(tuple((-coords) % shape_col[:, :, 0]), shape)
+    # one factor at a time, in place, so no (r, |G|, |G|) array of coordinate sums is formed
+    cayley = np.zeros((order, order), dtype=np.int64)
+    part = np.empty_like(cayley)
+    stride = order
+    for c, n in zip(coords, shape):
+        stride //= n
+        np.add(c[:, None], c[None, :], out=part)
+        part %= n
+        part *= stride
+        cayley += part
+    inverse = np.ravel_multi_index(tuple((-coords) % np.array(shape)[:, None]), shape)
     return FiniteGroup(order, cayley, 0, inverse, abelian_shape=shape)
 
 

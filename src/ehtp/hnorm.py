@@ -28,24 +28,27 @@ pair.  The corrector centers with ``sigma = min(1, mu_aff / mu)``
 (Mehrotra, SIAM J. Optim. 2, 1992), and each step goes the fraction
 ``0.9 + 0.09 min(1, a_p, a_d)`` of the way to the boundary of the cones,
 where a_p and a_d are the corrector's largest primal and dual steps (the
-adaptive fraction of SDPT3, below).  In standard form the variable is
-``diag(rho, sigma, W)`` of size 2d + 2r, with m = 2r^2 + 1 constraints
-``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and ``W_22 = S(sigma)``, and
-the objective is ``-2 Re tr W_12``.  The multipliers of the last two are P
-and Q.  The families are first balanced, so that the raw gauge of the pruned terms is
-the identity and both of its factors are 1.  The m x m Newton matrix is
+adaptive fraction of SDPT3, below).  In standard form the variable is the
+states rho and sigma beside one 2r x 2r block W, of total size 2d + 2r, with
+m = 2r^2 + 1 constraints ``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and
+``W_22 = S(sigma)``, and the objective is ``-2 Re tr W_12``.  The
+multipliers of the last two are P and Q.  The families are first balanced,
+so that the raw gauge of the pruned terms is the identity and both of its
+factors are 1.  The m x m Newton matrix is
 assembled from products of the families with the blocks of X and Z^-1, its
 W part from Kronecker products of the blocks of W and its Z^-1 block.
-One iteration serves two forms, chosen from the terms as given.  Maps whose
+One iteration serves two forms, chosen once from the terms as given; the W
+block is theirs in common, and a form lays out only the states.  Maps whose
 terms are all exactly zero off the diagonal (Γ images of character
 representations, ``schur_op``) are pruned on their diagonals and take the
 **diagonal form**: their optimal states are diagonal, the dual being
 Haagerup's ``max_{p,q} ||D_p^(1/2) S D_q^(1/2)||_1`` (V. Paulsen,
 *Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8), so rho
-and sigma are LP blocks beside the SDP block W (as in SDPT3: Toh, Todd and
-Tütüncü, Optim. Methods Softw. 11, 1999), and the Newton assembly costs
-r^4 d, not r^4 d^2.  Every other map takes the **factorization form**, one
-Hermitian block.  Both ends are certified:
+and sigma are one LP block beside the SDP block W, and the Newton assembly
+costs r^4 d, not r^4 d^2.  Every other map takes the **factorization form**,
+whose states are one stack of two d x d Hermitian blocks.  An LP block, an
+SDP block and a stack of SDP blocks of one size are the cones of SDPT3 (Toh,
+Todd and Tütüncü, Optim. Methods Softw. 11, 1999).  Both ends are certified:
 
 * upper: the factorization value of the rewriting at the dual iterate's
   gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
@@ -69,12 +72,13 @@ Hermitian block.  Both ends are certified:
   then found in a step or two.
 
 Before the terms are pruned, the lower end is taken at the maximally mixed
-states ``rho = sigma = I/d`` from the terms as given (one thin QR and one
-singular-value sum).  When it meets the raw gauge's value to the stopping
-gap the bracket closes there, with the raw certificate and 0 iterations, and
-neither pruning nor the solve runs: for the regular representation of any
-group both are ``||mu||_1`` (the representation is an isometry: Ghahramani,
-Glasgow Math. J. 23, 1982; Neufang, Ruan and Spronk, Trans. AMS 360, 2008).
+states ``rho = sigma = I/d`` by the chosen form on the terms as given (one
+thin QR and one singular-value sum).  When it meets the raw gauge's value to
+the stopping gap the bracket closes there, with the raw certificate and 0
+iterations, and neither pruning nor the solve runs: for the regular
+representation of any group both are ``||mu||_1`` (the representation is an
+isometry: Ghahramani, Glasgow Math. J. 23, 1982; Neufang, Ruan and Spronk,
+Trans. AMS 360, 2008).
 Otherwise the solve starts from those states, ``rho = sigma = I/2d`` before
 normalization, with that lower end as its first.  It stops at a certified
 relative gap of 1e-12, or when a Cholesky factorization fails, and returns
@@ -90,6 +94,7 @@ with T on the indices a and b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -168,6 +173,13 @@ def _drop_zero_terms(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, n
     return left[keep], right[keep]
 
 
+def _balanced(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rewriting at the diagonal gauge ``P = diag(||b_i||_F / ||a_i||_F)``,
+    which gives both factors of each term one Frobenius norm."""
+    gauge = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
+    return left * gauge[:, None, None], right / gauge[:, None, None]
+
+
 def _compress(primary: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Independent rows for the flattened terms ``primary``, folding the coefficients into ``partner``."""
     u, s, vh = np.linalg.svd(primary.T, full_matrices=False)
@@ -207,18 +219,18 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
 # blocks, one per side, are stacked the same way.  Side s maps a state K to
 # ``R_s(K)_ji = tr(F[s, j]* K F[s, i])``, with adjoint
 # ``R_s*(E) = sum_ij E_ij F[s, i] F[s, j]*``.  The primal ``max <C, X>`` over
-# X = diag(rho, sigma, W), with ``C = -[[0, I], [I, 0]]`` on W, is constrained
-# by ``A(X) = (tr rho + tr sigma, W_11 - R_0(rho), W_22 - R_1(sigma)) = (1, 0, 0)``;
+# X = [states, W], with ``C = -[[0, I], [I, 0]]`` on W, is constrained by
+# ``A(X) = (tr rho + tr sigma, W_11 - R_0(rho), W_22 - R_1(sigma)) = (1, 0, 0)``;
 # the dual is ``min y_0`` with slack ``Z = A*(y) - C >= 0``.  A multiplier
 # vector y holds y_0, then P and Q row by row; A and A* are extended
 # complex-linearly, and Hermitian P and Q are the real multipliers.
 #
-# X, Z and their steps are lists of SDP blocks (Hermitian matrices) and LP blocks
-# (real vectors: diagonal blocks).  A form supplies the blocks, A, A*, the state
-# part of the Newton matrix, the spreads and the states; the iteration is shared.
+# X, Z and their steps are lists of blocks: an LP block (a real vector, the
+# diagonal of a diagonal block), one Hermitian SDP block, or a stack of
+# Hermitian SDP blocks of one size.
 
 def _sym(block: np.ndarray) -> np.ndarray:
-    return block if block.ndim == 1 else (block + block.conj().T) / 2
+    return block if block.ndim == 1 else (block + block.conj().swapaxes(-1, -2)) / 2
 
 
 def _sym_product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -236,14 +248,14 @@ def _barrier(x: list, z: list) -> tuple[list, list]:
               for a, b in zip(x, z)]
     if not all(np.all(f > 0) for f in frames if f.ndim == 2):
         raise np.linalg.LinAlgError("an LP block left the positive orthant")
-    return frames, [1 / f[1] if f.ndim == 2 else f[1].conj().T @ f[1] for f in frames]
+    return frames, [1 / f[1] if f.ndim == 2 else f[1].conj().swapaxes(-1, -2) @ f[1] for f in frames]
 
 
 def _max_steps(frames: list, dx: list, dz: list) -> np.ndarray:
     """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``: a ratio
     test on LP blocks, the lowest eigenvalue of the step in its frame on SDP blocks."""
-    low = np.min([(np.stack([a, b]) / f).min(axis=1) if a.ndim == 1 else
-                  np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().transpose(0, 2, 1))[:, 0]
+    low = np.min([(np.stack([a, b]) / f if a.ndim == 1 else
+                   np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().swapaxes(-1, -2))).reshape(2, -1).min(axis=1)
                   for f, a, b in zip(frames, dx, dz)], axis=0)
     return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
 
@@ -253,14 +265,6 @@ def _transposition(r: int) -> np.ndarray:
     Q, so that Hermitian P and Q have ``y[t] = conj(y)``."""
     swap = np.arange(r * r).reshape(r, r).T.ravel()
     return np.concatenate([[0], 1 + swap, 1 + r * r + swap])
-
-
-def _w_dual(pq: np.ndarray) -> np.ndarray:
-    """The W block of ``A*(y)``, ``diag(P, Q)``."""
-    r = pq.shape[1]
-    w = np.zeros((2 * r, 2 * r), dtype=np.complex128)
-    w[:r, :r], w[r:, r:] = pq
-    return w
 
 
 def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -> np.ndarray:
@@ -310,32 +314,54 @@ def _polar_contraction(vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
     return float(s.sum()), qa @ vh.conj().T, qb @ u
 
 
-def _start_lower_end(left: np.ndarray, right: np.ndarray, diagonal: bool) -> tuple[float, tuple]:
-    """The dual value at the maximally mixed states ``rho = sigma = I/d``,
-    from the terms as given, and its witness ``(xa, xb, root)``: with
-    ``L = I / sqrt(d)`` the families ``vec(a_i* L)`` and ``vec(b_i L)`` are
-    the raveled terms over sqrt(d).  For exactly diagonal terms only their d
-    rows (p, p) are nonzero, and only those are factored."""
-    n, d, _ = left.shape
-    vecs = np.stack([left.conj().transpose(0, 2, 1), right]).reshape(2, n, d * d).transpose(0, 2, 1)
-    rows = slice(None, None, d + 1) if diagonal else slice(None)
-    value, xa, xb = _polar_contraction(vecs[:, rows] / np.sqrt(d))
-    factors = np.zeros((2, d * d, xa.shape[1]), dtype=np.complex128)
-    factors[:, rows] = xa, xb
-    return value, (factors[0], factors[1], np.eye(d) / np.sqrt(d))
+class _Form:
+    """X = [states, W]: rho and sigma in the block a form lays out, and one
+    2r x 2r SDP block W, whose constraints, part ``diag(P, Q)`` of A*, objective C
+    and part of the Newton matrix are written here.  A form supplies the states'
+    identity ``unit``, R_s and R_s* on them (``_compressed``, ``_spread``), their
+    blocks of the Newton matrix, the spreads and the state roots."""
+
+    def __init__(self, fam: np.ndarray, unit: np.ndarray):
+        _, self.r, self.d, _ = fam.shape
+        self.unit = unit
+        self.c = [np.zeros_like(unit), -np.eye(2 * self.r, k=self.r) - np.eye(2 * self.r, k=-self.r)]
+
+    def values(self, x: list) -> np.ndarray:
+        """``A(X)``."""
+        w = x[1].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :]  # W_11, W_22
+        return np.concatenate([[np.vdot(self.unit, x[0])], (w - self._compressed(x[0])).ravel()])
+
+    def adjoint(self, y: np.ndarray) -> list:
+        """``A*(y) = [(y_0 I - R_0*(P), y_0 I - R_1*(Q)), diag(P, Q)]``."""
+        r = self.r
+        pq = y[1:].reshape(2, r, r)
+        w = np.zeros((2 * r, 2 * r), dtype=np.complex128)
+        w[:r, :r], w[r:, r:] = pq
+        return [y[0].real * self.unit - self._spread(pq), w]
+
+    def newton(self, x: list, g: list) -> np.ndarray:
+        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
+        in real coordinates (see ``_newton_assembly``).  Its first column is
+        ``A(sym(X A*(e_0) G))``, which only the state blocks reach."""
+        h = _sym_product(x[0], self.unit, g[0])
+        return _newton_assembly(np.vdot(self.unit, h).real, -self._compressed(h).ravel(),
+                                self._newton_blocks(x[0], g[0]), x[1], g[1])
+
+    def dual_witness(self, roots: np.ndarray | None = None) -> tuple:
+        """The dual value of the states ``L_s L_s*`` for the factors ``roots``,
+        by default the maximally mixed states ``L = I / sqrt(d)``, and its
+        lower-end witness ``(xa, xb, root)``."""
+        roots = self.unit / np.sqrt(self.d) if roots is None else roots
+        value, xa, xb = _polar_contraction(self.polar_vectors(roots))
+        return value, self.witness(xa, xb, roots)
 
 
-class _FactorizationForm:
-    """X = diag(rho, sigma, W) as one SDP block of size 2d + 2r."""
+class _FactorizationForm(_Form):
+    """The states as one stack of two d x d SDP blocks."""
 
     def __init__(self, fam: np.ndarray):
-        self.fam, (_, self.r, self.d, _) = fam, fam.shape
-        self.c = [np.zeros((2 * self.d + 2 * self.r,) * 2, dtype=np.complex128)]
-        self.c[0][2 * self.d:, 2 * self.d:] = np.kron([[0, -1], [-1, 0]], np.eye(self.r))
-
-    def _states(self, k: np.ndarray) -> np.ndarray:
-        """The rho and sigma blocks of K, stacked."""
-        return np.stack([k[:self.d, :self.d], k[self.d:2 * self.d, self.d:2 * self.d]])
+        super().__init__(fam, np.broadcast_to(np.eye(fam.shape[2]), (2,) + fam.shape[2:]))
+        self.fam = fam
 
     def _compressed(self, k: np.ndarray) -> np.ndarray:
         """``R_s(K_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* K_s F[s, i])``."""
@@ -349,52 +375,28 @@ class _FactorizationForm:
         cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
         return mixed.transpose(0, 2, 1, 3).reshape(2, d, r * d) @ cat.conj().transpose(0, 2, 1)
 
-    def values(self, x: list) -> np.ndarray:
-        """``A(X)``."""
-        states = self._states(x[0])
-        w = x[0][2 * self.d:, 2 * self.d:].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :]  # W_11, W_22
-        return np.concatenate([[np.trace(states, axis1=1, axis2=2).sum()],
-                               (w - self._compressed(states)).ravel()])
-
-    def adjoint(self, y: np.ndarray) -> list:
-        """``A*(y) = diag(y_0 I - R_0*(P), y_0 I - R_1*(Q), diag(P, Q))``."""
-        d, r = self.d, self.r
-        pq = y[1:].reshape(2, r, r)
-        z = np.zeros((2 * d + 2 * r, 2 * d + 2 * r), dtype=np.complex128)
-        z[:d, :d], z[d:2 * d, d:2 * d] = y[0] * np.eye(d) - self._spread(pq)
-        z[2 * d:, 2 * d:] = _w_dual(pq)
-        return [z]
-
-    def newton(self, x: list, g: list) -> np.ndarray:
-        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
-        in real coordinates (see ``_newton_assembly``).  Without the
-        symmetrization the (l,k),(i,j) entry of side s is
+    def _newton_blocks(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        """Without the symmetrization the (l,k),(i,j) entry of side s is
         ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
         ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
         and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
         each block conjugated with its index pairs transposed."""
         fam, r, d = self.fam, self.r, self.d
-        rr = r * r
-        xs, gs = self._states(x[0]), self._states(g[0])
         cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
         cath = cat.conj().transpose(0, 2, 1)
         fx = (cath @ xs @ cat).reshape(2, r, d, r, d)        # [s, l, p, i, q]
         fg = (cath @ gs @ cat).reshape(2, r, d, r, d)        # [s, j, q, k, p]
-        c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, rr, d * d)
-             @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, rr)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
+        c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, r * r, d * d)
+             @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, r * r)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
         c = c.transpose(0, 1, 4, 2, 3)                       # [s, l, k, i, j]
-        c = ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, rr, rr)
-        h = xs @ gs
-        h = (h + h.conj().transpose(0, 2, 1)) / 2
-        return _newton_assembly(np.trace(h, axis1=1, axis2=2).real.sum(), -self._compressed(h).ravel(),
-                                c, x[0][2 * d:, 2 * d:], g[0][2 * d:, 2 * d:])
+        return ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, r * r, r * r)
 
     def spread_tops(self, e: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(self._spread(e))[:, -1]
 
     def state_roots(self, x: list, mu: float) -> np.ndarray:
         """Factors L_s, stacked, with ``L_s L_s*`` the kept states of X."""
-        w, v = np.linalg.eigh(self._states(x[0]))
+        w, v = np.linalg.eigh(x[0])
         return v * _kept_roots(w, mu)[:, None, :]
 
     def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
@@ -406,38 +408,33 @@ class _FactorizationForm:
         return xa, xb, roots[1]
 
 
-class _DiagonalForm:
-    """X = (diag(rho), diag(sigma) as one LP block of length 2d; W) for families
-    ``F[s, i] = diag(f_si)``.  With ``K_s[(l, k), p] = conj(f_sl(p)) f_sk(p)``,
+class _DiagonalForm(_Form):
+    """The states as one LP block of length 2d, (diag(rho), diag(sigma)), for
+    families ``F[s, i] = diag(f_si)``.  With ``K_s[(l, k), p] = conj(f_sl(p)) f_sk(p)``,
     ``R_s(p)`` raveled is ``K_s p``, the diagonal of ``R_s*(E)`` is ``K_s* vec(E)``
-    and the state part of the Newton matrix is ``K_s diag(x_s / z_s) K_s*``."""
+    and the state part of the Newton matrix is ``K_s diag(x_s / z_s) K_s*``.
+    K is built on first use: the start point reads only the f_si."""
 
     def __init__(self, fam: np.ndarray):
-        _, self.r, self.d, _ = fam.shape
+        super().__init__(fam, np.ones(2 * fam.shape[2]))
         self.vecs = np.diagonal(fam, axis1=2, axis2=3)     # [s, i, p] = f_si(p)
-        self.k = (self.vecs.conj()[:, :, None, :] * self.vecs[:, None, :, :]).reshape(2, self.r ** 2, self.d)
-        self.kh = self.k.conj().transpose(0, 2, 1)
-        self.c = [np.zeros(2 * self.d), np.kron([[0, -1], [-1, 0]], np.eye(self.r))]
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return (self.vecs.conj()[:, :, None, :] * self.vecs[:, None, :, :]).reshape(2, self.r ** 2, self.d)
+
+    def _compressed(self, p: np.ndarray) -> np.ndarray:
+        return (self.k @ p.reshape(2, self.d, 1)).reshape(2, self.r, self.r)
 
     def _spread(self, e: np.ndarray) -> np.ndarray:
-        """The diagonals of ``R_s*(E_s)``, one row per side."""
-        return (self.kh @ e.reshape(2, -1, 1))[..., 0].real
+        """The diagonals of ``R_s*(E_s)``, laid out as the LP block."""
+        return (e.conj().reshape(2, 1, -1) @ self.k).real.ravel()
 
-    def values(self, x: list) -> np.ndarray:
-        w = x[1].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :].reshape(2, -1, 1)  # W_11, W_22
-        return np.concatenate([[x[0].sum()], (w - self.k @ x[0].reshape(2, self.d, 1)).ravel()])
-
-    def adjoint(self, y: np.ndarray) -> list:
-        pq = y[1:].reshape(2, self.r, self.r)
-        return [(y[0].real - self._spread(pq)).ravel(), _w_dual(pq)]
-
-    def newton(self, x: list, g: list) -> np.ndarray:
-        h = (x[0] * g[0]).reshape(2, self.d, 1)
-        return _newton_assembly(h.sum(), -(self.k @ h).ravel(), (self.k * h.transpose(0, 2, 1)) @ self.kh,
-                                x[1], g[1])
+    def _newton_blocks(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        return (self.k * (xs * gs).reshape(2, 1, self.d)) @ self.k.conj().transpose(0, 2, 1)
 
     def spread_tops(self, e: np.ndarray) -> np.ndarray:
-        return self._spread(e).max(axis=1)
+        return self._spread(e).reshape(2, self.d).max(axis=1)
 
     def state_roots(self, x: list, mu: float) -> np.ndarray:
         """The diagonals of the factors L_s, one row per side."""
@@ -445,13 +442,13 @@ class _DiagonalForm:
 
     def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
         """The d nonzero rows (p, p) of ``vec(a_i* L_0)`` and ``vec(b_i L_1)``."""
-        return (self.vecs.conj() * roots[:, None, :]).transpose(0, 2, 1)
+        return (self.vecs.conj() * roots.reshape(2, 1, self.d)).transpose(0, 2, 1)
 
     def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
         """The witness in d^2 coordinates: row p of a factor is row (p, p)."""
-        full = np.zeros((2, self.d ** 2, self.r), dtype=np.complex128)
+        full = np.zeros((2, self.d ** 2, xa.shape[1]), dtype=np.complex128)
         full[:, ::self.d + 1] = xa, xb
-        return full[0], full[1], np.diag(roots[1])
+        return full[0], full[1], np.diag(roots.reshape(2, self.d)[1])
 
 
 def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.ndarray) -> float:
@@ -487,9 +484,10 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
     """Primal-dual interior-point solve of the factorization SDP for
     independent families in ``form`` (a form class), stopping once the
     certified gap, with ``cap`` as a second certified upper bound, is small.
-    ``start`` is the dual value and witness at the maximally mixed states
-    (``_start_lower_end``), which are the states of the first iterate, so
-    that iterate's lower end is not computed again.
+    ``start`` is the dual value and witness at the maximally mixed states,
+    taken on the terms as given (see ``haagerup_norm_bounds``); they are the
+    states of the first iterate, so that iterate's lower end is not computed
+    again.
     Returns the rewriting at the best gauge, the lower-end witness
     ``(xa, xb, root)`` of the best states (the factors of the polar
     contraction ``xa xb*`` and the root ``L_sigma``), the iteration count and
@@ -499,20 +497,18 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
     and an output h of A is read back as ``Re h + Im h``; so the complex
     Newton matrix M becomes the real matrix ``Re M + Im M[:, t]``."""
     r, d, _ = left.shape
-    balance = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
-    left, right = left * balance[:, None, None], right / balance[:, None, None]
+    left, right = _balanced(left, right)
     row = np.linalg.norm(left.transpose(1, 0, 2).reshape(d, r * d), 2)
     col = np.linalg.norm(right.reshape(r * d, d), 2)
     left, right = left / row, right / col
     form = form(np.stack([left, right.conj().transpose(0, 2, 1)]))
     scale, cap = row * col, cap / (row * col)
-    # Z starts at diag(3I - 2 R_0*(I), 3I - 2 R_1*(I), [[2I, I], [I, 2I]]),
+    # Z starts at [(3I - 2 R_0*(I), 3I - 2 R_1*(I)), [[2I, I], [I, 2I]]],
     # positive definite because ||R_0*(I)|| = ||R_1*(I)|| = 1 after scaling
-    x = [np.full(len(c), 1 / (2 * d)) if c.ndim == 1 else np.eye(len(c), dtype=np.complex128) / (2 * d)
-         for c in form.c]
+    x = [form.unit / (2 * d), np.eye(2 * r, dtype=np.complex128) / (2 * d)]
     y = np.concatenate([[3.0], 2 * np.eye(r).ravel(), 2 * np.eye(r).ravel()]).astype(np.complex128)
     z = _step(form.adjoint(y), -1.0, form.c)
-    n = sum(block.shape[0] for block in x)
+    n = 2 * d + 2 * r
     b = np.eye(1, len(y), dtype=np.complex128)[0]
     t = _transposition(r)
     upper, lower = np.inf, start[0] / scale
@@ -561,10 +557,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
         y = y + ad * dy
         z = _step(z, ad, dz)
     cert_left, cert_right = _certificate(left * row, right * col, p_best)
-    witness = start[1]
-    if roots_best is not None:
-        _, xa, xb = _polar_contraction(form.polar_vectors(roots_best))
-        witness = form.witness(xa, xb, roots_best)
+    witness = start[1] if roots_best is None else form.dual_witness(roots_best)[1]
     return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
@@ -589,12 +582,12 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         cert = tuple((k, k.conj().T) for k in kraus)
         return NormInterval(value, value, cert, 0, (value,))
 
+    # one diagonal decision for the start and the solve: pruning keeps diagonal terms diagonal
+    form = _DiagonalForm if _is_diagonal(t) else _FactorizationForm
     left, right = _drop_zero_terms(t.left, t.right)
-    # the raw gauge P = diag(||b_i||_F / ||a_i||_F) is diagonal: its rewriting scales the terms
-    gauge = np.sqrt(np.linalg.norm(right, axis=(1, 2)) / np.linalg.norm(left, axis=(1, 2)))
-    cert = (left * gauge[:, None, None], right / gauge[:, None, None])
+    start = form(np.stack([left, right.conj().transpose(0, 2, 1)])).dual_witness()
+    cert = _balanced(left, right)
     upper = _factorization_value(*cert)
-    start = _start_lower_end(left, right, _is_diagonal(t))
     witness, iterations, trace = start[1], 0, [upper]
     # the maximally mixed states close the bracket for every regular
     # representation (and the zero map); otherwise prune and solve
@@ -602,10 +595,7 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         pruned = prune_terms(t)
         if pruned.n_terms == 0:
             return NormInterval(0.0, 0.0, (), 0, (0.0,))
-        # diagonal terms were pruned on their diagonals, so they stay exactly diagonal
-        *solved, witness, iterations, trace = _factorization_sdp(
-            pruned.left, pruned.right, upper, _DiagonalForm if _is_diagonal(pruned) else _FactorizationForm,
-            start)
+        *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, upper, form, start)
         trace = [min(upper, v) for v in trace]
         value = _factorization_value(*solved)
         if value <= upper:

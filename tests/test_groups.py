@@ -1,5 +1,7 @@
 """Group tables, characters, dual groups, difference sets, subgroups."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -73,6 +75,23 @@ class TestCyclicProduct:
         for i in range(g.order):
             assert g.coords(i) == _coords(i, (2, 3, 4))
             assert g.element_index(g.coords(i)) == i
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 4, 4), (16, 16, 4)])
+    def test_table_is_the_coordinate_formula_within_three_tables(self, shape):
+        # the table is built one factor at a time in place, with no array of
+        # the coordinate sums of all r factors at once
+        tracemalloc.start()
+        try:
+            g = make_cyclic_product(shape)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        coords = np.array([_coords(i, shape) for i in range(g.order)])
+        strides = np.array([int(np.prod(shape[j + 1:])) for j in range(len(shape))])
+        sums = (coords[:, None, :] + coords[None, :, :]) % np.array(shape)
+        assert np.array_equal(g.cayley, sums @ strides)
+        assert peak <= 3 * g.cayley.nbytes, f"peak {peak / 1e6:.1f} MB"
+        assert held <= 1.1 * g.cayley.nbytes, f"held {held / 1e6:.1f} MB"
 
     @given(SHAPES)
     def test_group_axioms(self, shape):

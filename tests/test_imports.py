@@ -3,7 +3,8 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum``, no caller in the package, the tests, the demos or the README
+``einsum`` and writes the W block of its solver once, in the shared base of
+its two forms, no caller in the package, the tests, the demos or the README
 passes an ignored parameter, no function that takes ``tol`` compares with
 ``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
@@ -266,6 +267,21 @@ def test_norm_solver_calls_no_einsum():
     # an unoptimized two-operand contraction of n terms, n^2 d^2 work in the
     # certificate, once cost 3 ms a call; matmul is the form used there
     assert _einsums(PACKAGE / "hnorm.py") == []
+
+
+def test_the_w_block_is_written_once():
+    # both forms of the norm solver share the W block: its rows of A, its part
+    # of A* and the W part of the Newton matrix belong to their base, and a
+    # form writes only its state part
+    classes = [node for node in _tree(PACKAGE / "hnorm.py").body if isinstance(node, ast.ClassDef)]
+    writers = {cls.name: {f.name for f in cls.body if isinstance(f, ast.FunctionDef)} & {"values", "adjoint", "newton"}
+               for cls in classes}
+    assert {name: found for name, found in writers.items() if found} == {"_Form": {"values", "adjoint", "newton"}}
+    forms = {cls.name for cls in classes if any(getattr(base, "id", None) == "_Form" for base in cls.bases)}
+    assert forms == {"_DiagonalForm", "_FactorizationForm"}
+    calls = [node for node in ast.walk(_tree(PACKAGE / "hnorm.py"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_newton_assembly"]
+    assert len(calls) == 1
 
 
 def _called_names(node):

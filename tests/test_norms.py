@@ -2,6 +2,8 @@
 the factorization SDP, checked on Schur multipliers, regular representations
 and random maps against independent oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from ehtp.groups import Character, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_symbol
 from ehtp.gamma import gamma
 from ehtp.representations import character_rep, regular_rep
-from ehtp.suites import SHAPE_POOL_12, _pick_group, make_rng, random_character_rep, random_measure, s3_cayley
+from ehtp.suites import (SHAPE_POOL_12, _pick_group, contractivity_suite, make_rng, norm_interval_suite,
+                         random_character_rep, random_measure, s3_cayley)
 
 
 # independent oracle: the factorization value of an explicit term list
@@ -379,7 +382,33 @@ def _contractivity_generic_ops(count):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
         yield gamma(pi, random_measure(group, rng)).op
-        rng.integers(2**63)  # the suite's per-case seed draw
+
+
+def _norm_interval_case(case):
+    """The single term ``(a, c)`` of one case of the seed-0 norm-interval suite."""
+    rng = make_rng(0, stream=7)
+    for _ in range(case + 1):
+        d = int(rng.integers(1, 7))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a, c
+
+
+class TestSuiteReplicas:
+    # the helpers above replay the suites' draws; a draw added to or dropped
+    # from a suite moves every later case, and these catch that
+    def test_contractivity_maps_reproduce_the_suite_records(self):
+        records = list(itertools.islice(contractivity_suite(seed=0), 25))
+        assert [rec["case"] for rec in records] == [f"generic-{i:03d}" for i in range(25)]
+        uppers = [haagerup_norm_bounds(t).upper for t in _contractivity_generic_ops(25)]
+        assert uppers == [rec["upper"] for rec in records]
+
+    def test_ascent_map_is_norm_interval_case_84(self):
+        record = next(itertools.islice(norm_interval_suite(seed=0), 84, None))
+        a, c = _norm_interval_case(84)
+        assert record["case"] == "single-term-084"
+        assert a.shape[0] == record["dim"]
+        assert np.linalg.norm(a, 2) * np.linalg.norm(c, 2) == record["target"]
 
 
 def _character_image(rng, n, d):
@@ -450,19 +479,16 @@ def _random_hermitian_pd(n, rng):
 
 
 def _random_iterate(form, rng):
-    """Block-diagonal X (or G) for the form: states and W, as the iteration keeps them."""
+    """X (or G) for the form: states and W, as the iteration keeps them."""
     d, r = form.d, form.r
     w = _random_hermitian_pd(2 * r, rng)
     if isinstance(form, hnorm._DiagonalForm):
         return [rng.random(2 * d) + 0.5, w]
-    x = np.zeros((2 * d + 2 * r,) * 2, dtype=np.complex128)
-    x[:d, :d], x[d:2 * d, d:2 * d] = _random_hermitian_pd(d, rng), _random_hermitian_pd(d, rng)
-    x[2 * d:, 2 * d:] = w
-    return [x]
+    return [np.stack([_random_hermitian_pd(d, rng), _random_hermitian_pd(d, rng)]), w]
 
 
 def _w_block(form, x):
-    return x[1] if isinstance(form, hnorm._DiagonalForm) else x[0][2 * form.d:, 2 * form.d:]
+    return x[1]
 
 
 def _newton_oracle(form, x, g):
@@ -498,6 +524,49 @@ class TestNewtonAssembly:
         x, g = _random_iterate(form, rng), _random_iterate(form, rng)
         expected = _newton_oracle(form, x, g)
         assert np.abs(form.newton(x, g) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _random_hermitian(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+def _padded(states, w):
+    """The states and W as one zero-padded block ``diag(rho, sigma, W)``."""
+    d = states.shape[1]
+    out = np.zeros((2 * d + len(w),) * 2, dtype=np.complex128)
+    out[:d, :d], out[d:2 * d, d:2 * d], out[2 * d:, 2 * d:] = states[0], states[1], w
+    return out
+
+
+class TestBatchedCone:
+    # the cone helpers on [stack of the two d x d states, W] against the same
+    # helpers on the one zero-padded block of size 2d + 2r
+    @staticmethod
+    def _close(split, padded):
+        assert np.abs(split - padded).max() <= 1e-13 * np.abs(padded).max()
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("r", range(1, 4))
+    def test_stack_and_w_agree_with_the_padded_block(self, d, r):
+        rng = np.random.default_rng(40 + 4 * r + d)
+
+        def blocks(make):
+            split = [np.stack([make(d, rng), make(d, rng)]), make(2 * r, rng)]
+            return split, [_padded(*split)]
+
+        (x, xp), (z, zp) = blocks(_random_hermitian_pd), blocks(_random_hermitian_pd)
+        (dx, dxp), (dz, dzp) = blocks(_random_hermitian), blocks(_random_hermitian)
+        frames, g = hnorm._barrier(x, z)
+        frames_p, g_p = hnorm._barrier(xp, zp)
+        for k in range(2):
+            self._close(_padded(frames[0][k], frames[1][k]), frames_p[0][k])
+        self._close(_padded(*g), g_p[0])
+        steps, steps_p = hnorm._max_steps(frames, dx, dz), hnorm._max_steps(frames_p, dxp, dzp)
+        assert np.isfinite(steps_p).all()
+        self._close(steps, steps_p)
+        product = [hnorm._sym_product(a, b, c) for a, b, c in zip(x, dz, g)]
+        self._close(_padded(*product), hnorm._sym_product(xp[0], dzp[0], g_p[0]))
 
 
 class TestIterationCounts:
@@ -585,12 +654,7 @@ class TestAscent:
     def test_ascent_reaches_the_cap_in_one_restart(self):
         # case 84 of the seed-0 norm-interval suite: an ascent that converges
         # slowly, which once stopped 1.6e-9 below the exact value
-        rng = make_rng(0, stream=7)
-        for _ in range(85):
-            d = int(rng.integers(1, 7))
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rng.integers(2**63)  # the suite's per-case seed draw
-        b = haagerup_norm_bounds(ElementaryOperator.from_terms(d, [(a, c)]))
+        a, c = _norm_interval_case(84)
+        b = haagerup_norm_bounds(ElementaryOperator.from_terms(a.shape[0], [(a, c)]))
         assert b.lower >= b.upper * (1 - 1e-12)
         assert b.upper == pytest.approx(np.linalg.norm(a, 2) * np.linalg.norm(c, 2), rel=1e-12)
