@@ -9,182 +9,17 @@ Fourier symbols and Schur multiplier forms over joint eigenbases, kernel
 tests, positive-definiteness equivalences, and subgroup restriction of
 diagonalization spectra.  ``ehtp.cli`` exposes the scenario runner and the
 randomized selftest; ``ehtp.suites`` holds the underlying invariant suites.
+
+The public names are those of each module's ``__all__``, re-exported here;
+``ehtp.gamma`` is the function, not its module.
 """
 
-from .errors import (
-    BimoduleError,
-    DimensionMismatchError,
-    EhtpError,
-    GroupMismatchError,
-    NonAbelianError,
-    NotCompletelyPositiveError,
-    NumericalError,
-    ScenarioError,
-)
-from .groups import (
-    Character,
-    FiniteGroup,
-    SpectrumSet,
-    SubgroupRestriction,
-    character_table,
-    difference_set,
-    dual_group,
-    from_cayley,
-    make_cyclic_product,
-    spectrum,
-    subgroup_and_restriction,
-)
-from .measures import (
-    Measure,
-    convolve,
-    dirac,
-    fourier_on,
-    fourier_stieltjes,
-    fourier_symbol,
-    from_density,
-    from_transform,
-    in_augmentation_ideal,
-    reverse,
-    reverse_conj,
-)
-from .representations import (
-    DiagonalizedRep,
-    Representation,
-    block_algebra_basis,
-    character_rep,
-    cyclic_vector,
-    diagonalize,
-    gelfand,
-    integrate,
-    make_representation,
-    regular_rep,
-    restrict_representation,
-    tensor_conjugate,
-)
-from .elementary import (
-    ElementaryOperator,
-    PositivityReport,
-    apply,
-    choi,
-    compose,
-    conjugate_by,
-    is_completely_positive,
-    is_diagonal_bimodule,
-    positive_implies_cp_check,
-    sampled_positivity,
-    schur_op,
-    slice_left,
-    strongly_independent_kraus,
-    transfer_matrix,
-    vec,
-)
-from .hnorm import NormInterval, haagerup_norm_bounds
-from .gamma import (
-    GammaImage,
-    RestrictionReport,
-    gamma,
-    kernel_test_difference_set,
-    kernel_test_tensor_conjugate,
-    kernel_test_transfer,
-    restriction_spectrum_check,
-    schur_form,
-    slice_identity_residual,
-    symbol_residual,
-)
-from .varopoulos import (
-    EquivalenceReport,
-    VFunction,
-    equivalence_suite,
-    from_measure,
-    gram_factorize,
-    is_positive_definite,
-)
+from . import errors, groups, measures, representations, elementary, hnorm, gamma, varopoulos
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "EhtpError",
-    "NonAbelianError",
-    "GroupMismatchError",
-    "DimensionMismatchError",
-    "NumericalError",
-    "NotCompletelyPositiveError",
-    "BimoduleError",
-    "ScenarioError",
-    # groups
-    "FiniteGroup",
-    "Character",
-    "SpectrumSet",
-    "SubgroupRestriction",
-    "make_cyclic_product",
-    "from_cayley",
-    "spectrum",
-    "character_table",
-    "dual_group",
-    "difference_set",
-    "subgroup_and_restriction",
-    # measures
-    "Measure",
-    "dirac",
-    "from_density",
-    "convolve",
-    "reverse",
-    "reverse_conj",
-    "fourier_stieltjes",
-    "fourier_on",
-    "fourier_symbol",
-    "from_transform",
-    "in_augmentation_ideal",
-    # representations
-    "Representation",
-    "DiagonalizedRep",
-    "make_representation",
-    "regular_rep",
-    "character_rep",
-    "integrate",
-    "tensor_conjugate",
-    "restrict_representation",
-    "diagonalize",
-    "gelfand",
-    "cyclic_vector",
-    "block_algebra_basis",
-    # elementary operators
-    "ElementaryOperator",
-    "PositivityReport",
-    "vec",
-    "schur_op",
-    "apply",
-    "compose",
-    "transfer_matrix",
-    "slice_left",
-    "choi",
-    "is_completely_positive",
-    "strongly_independent_kraus",
-    "is_diagonal_bimodule",
-    "positive_implies_cp_check",
-    "sampled_positivity",
-    "conjugate_by",
-    # norms
-    "NormInterval",
-    "haagerup_norm_bounds",
-    # gamma
-    "GammaImage",
-    "RestrictionReport",
-    "gamma",
-    "schur_form",
-    "symbol_residual",
-    "slice_identity_residual",
-    "kernel_test_transfer",
-    "kernel_test_difference_set",
-    "kernel_test_tensor_conjugate",
-    "restriction_spectrum_check",
-    # positive definiteness
-    "VFunction",
-    "EquivalenceReport",
-    "from_measure",
-    "is_positive_definite",
-    "gram_factorize",
-    "equivalence_suite",
-]
+__all__ = ["__version__"]
+for _module in (errors, groups, measures, representations, elementary, hnorm, gamma, varopoulos):
+    globals().update({name: getattr(_module, name) for name in _module.__all__})
+    __all__ += _module.__all__
+del _module

@@ -6,8 +6,8 @@ Two subcommands:
     Load one JSON scenario (or a list of them), execute the named
     experiments, and emit a machine-readable report: one JSON object per
     assertion plus a trailing summary object (CSV behind ``--format csv``).
-    Scenarios in a batch run one after another; the report is sorted by
-    scenario id.
+    Scenarios in a batch run one after another, in scenario-id order, each
+    when the report reaches it.
 
 ``ehtp selftest``
     Run the full randomized invariant suite with a fixed default seed and
@@ -21,14 +21,16 @@ those checks read.  Every number in a scenario goes through one reader that
 refuses null, booleans, non-finite values and integers beyond 64 bits.
 
 Exit codes: 0 all assertions pass; 1 assertion failure; 2 malformed
-scenario/schema, or a report that cannot be written; 3 numerical failure
-(for example a corrupted representation that cannot be diagonalized).
+scenario/schema, a report that cannot be written, or an input too large to
+allocate; 3 numerical failure (for example a corrupted representation that
+cannot be diagonalized).
 
 Reports are byte-identical across runs given identical seed and flags: all
 randomness flows from the single seed (see :func:`ehtp.suites.make_rng`)
 and no timestamps or environment data are embedded.  ``selftest`` writes
 each record as its check returns and keeps only per-suite counts, so its
-memory does not grow with the trial counts.  ``--out`` is replaced
+memory does not grow with the trial counts; ``run`` holds the records of
+one scenario at a time.  ``--out`` is replaced
 atomically: the report goes to a temporary file beside it, opened before
 any check runs, which is moved onto ``--out`` at the end and removed on
 any error.
@@ -525,12 +527,10 @@ def _print_table(summary: dict, stream) -> None:
 
 
 def _run_records(scenarios: list[Scenario], quick: bool) -> Iterator[dict]:
-    """The records of every scenario, sorted by scenario id.  Nothing runs
-    until the first record is asked for."""
-    chunks = [(s.sid, EXPERIMENTS[s.experiment](s, quick)) for s in scenarios]
-    chunks.sort(key=lambda pair: pair[0])
-    for _, chunk in chunks:
-        yield from chunk
+    """The records of each scenario in scenario-id order (equal ids keep
+    their file order).  A scenario runs when its first record is asked for."""
+    for s in sorted(scenarios, key=lambda s: s.sid):
+        yield from EXPERIMENTS[s.experiment](s, quick)
 
 
 def _cmd_run(args) -> int:
@@ -605,6 +605,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:          # the scenario file's own read is a ScenarioError
         print(f"cannot write report: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # an input too large for this machine
+        print(f"cannot allocate: {exc}", file=sys.stderr)
         return 2
 
 

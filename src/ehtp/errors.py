@@ -9,7 +9,8 @@ of Kraus extraction or of the positivity probe; ScenarioError for input
 that does not match the schema.  No exception reports a failed check: each
 check of ``ehtp.suites`` returns a record with ``passed`` and its
 measurements.  The CLI maps ScenarioError -> exit 2 (bad input shape),
-NumericalError -> exit 3, and a failed record -> exit 1.
+NumericalError -> exit 3, and a failed record -> exit 1; a MemoryError
+also exits 2.
 
 Every numerical threshold is one of two constants.  A pass/fail gate reads
 ``residual <= TOL * scale``, where ``scale`` is the largest value the checked
@@ -22,6 +23,17 @@ modules.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "EhtpError",
+    "NonAbelianError",
+    "GroupMismatchError",
+    "DimensionMismatchError",
+    "NumericalError",
+    "NotCompletelyPositiveError",
+    "BimoduleError",
+    "ScenarioError",
+]
 
 TOL = 1e-9
 CUTOFF = 1e-12

@@ -154,26 +154,24 @@ def from_cayley(table: Sequence[Sequence[int]]) -> FiniteGroup:
         raise ValueError("cayley entries must index elements 0..order-1")
 
     ar = np.arange(n)
-    sorted_rows = np.sort(cayley, axis=1)
-    sorted_cols = np.sort(cayley, axis=0)
-    if not (np.array_equal(sorted_rows, np.tile(ar, (n, 1)))
-            and np.array_equal(sorted_cols.T, np.tile(ar, (n, 1)))):
+    # mark the elements each row and each column holds: a Latin square
+    # marks every one
+    in_row, in_col = np.zeros((2, n, n), dtype=bool)
+    in_row[ar[:, None], cayley] = True
+    in_col[cayley, ar] = True
+    if not (in_row.all() and in_col.all()):
         raise ValueError("cayley table is not a Latin square")
 
-    identity = -1
-    for e in range(n):
-        if np.array_equal(cayley[e], ar) and np.array_equal(cayley[:, e], ar):
-            identity = e
-            break
-    if identity < 0:
+    # column 0 holds 0 once, in the row of the only candidate e with e*0 = 0
+    identity = int(np.argmax(cayley[:, 0] == 0))
+    if not (np.array_equal(cayley[identity], ar) and np.array_equal(cayley[:, identity], ar)):
         raise ValueError("cayley table has no identity element")
 
-    inverse = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        right = np.nonzero(cayley[a] == identity)[0]
-        if len(right) != 1 or cayley[right[0], a] != identity:
-            raise ValueError(f"element {a} has no two-sided inverse")
-        inverse[a] = right[0]
+    # each row holds the identity once, at the right inverse
+    inverse = np.argmax(cayley == identity, axis=1)
+    one_sided = np.flatnonzero(cayley[inverse, ar] != identity)
+    if one_sided.size:
+        raise ValueError(f"element {one_sided[0]} has no two-sided inverse")
 
     _check_associativity(cayley)
     return FiniteGroup(n, cayley, identity, inverse, abelian_shape=None)

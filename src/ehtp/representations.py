@@ -38,6 +38,7 @@ __all__ = [
     "diagonalize",
     "gelfand",
     "cyclic_vector",
+    "block_algebra_basis",
 ]
 
 _EXHAUSTIVE_ORDER = 64

@@ -156,6 +156,21 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_an_impossible_allocation_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # the regular representation of Z_4096 needs 1 TiB; exit 1 would
+        # claim that a check failed
+        def too_large(group):
+            raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+        monkeypatch.setattr(importlib.import_module("ehtp.cli"), "regular_rep", too_large)
+        payload = {"experiment": "gamma-homomorphism", "group": {"kind": "cyclic_product", "shape": [4]},
+                   "representation": {"kind": "regular"}, "measures": [{"dirac": 1}, {"dirac": 2}]}
+        assert main(["run", "--scenario", scenario_file(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0] == "cannot allocate: Unable to allocate 1.00 TiB for an array"
+        assert captured.out == ""
+
 
 # inputs that used to escape the loaders as tracebacks
 MALFORMED = {
@@ -207,6 +222,24 @@ class TestReports:
         ids = [r["id"] for r in records]
         assert ids == sorted(ids)
         assert ids[0] == "a-schur" and ids[-1] == "c-kernel"
+
+    def test_a_scenario_runs_when_its_first_record_is_read(self, monkeypatch):
+        # the batch is not run whole before the first record is written
+        cli_module = importlib.import_module("ehtp.cli")
+        ran = []
+
+        def probe(s, quick):
+            ran.append(s.sid)
+            return [{"id": s.sid, "suite": s.experiment, "case": "c", "identity": "i", "passed": True}]
+
+        for name in cli_module.EXPERIMENTS:
+            monkeypatch.setitem(cli_module.EXPERIMENTS, name, probe)
+        scenarios = [load_scenario(obj, i, 7, None) for i, obj in enumerate(BATCH)]
+        records = cli_module._run_records(scenarios, False)
+        assert next(records)["id"] == "a-schur"
+        assert ran == ["a-schur"]
+        assert [r["id"] for r in records] == ["b-square", "c-kernel"]
+        assert ran == ["a-schur", "b-square", "c-kernel"]
 
     def test_identical_invocations_write_identical_bytes(self, tmp_path):
         src = scenario_file(tmp_path, BATCH)

@@ -140,6 +140,28 @@ class TestCayley:
         with pytest.raises(ValueError):
             from_cayley([[0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 2, 1], [2, 1, 0], [1, 0, 2]], "cayley table has no identity element"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+         "element 2 has no two-sided inverse"),
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+         "cayley table is not associative"),
+    ])
+    def test_each_axiom_is_rejected_with_its_message(self, table, message):
+        # each table is a Latin square that fails this axiom first
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_cayley(table)
+
+    def test_identity_and_inverses_of_a_relabelled_table(self):
+        # Z_6 with its elements renamed by p, so the identity is p[0] = 4
+        p = np.array([4, 2, 5, 0, 3, 1])
+        g = make_cyclic_product([6])
+        table = np.empty((6, 6), dtype=np.int64)
+        table[p[:, None], p] = p[g.cayley]
+        h = from_cayley(table)
+        assert h.identity == 4
+        assert [h.mul(a, h.inverse[a]) for a in range(6)] == [4] * 6
+
 
 class TestCharacters:
     def test_trivial_character_is_constant_one(self):

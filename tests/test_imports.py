@@ -11,7 +11,8 @@ or transfer matrix, no function but the dense forms and the composition
 distance calls ``transfer_matrix``, ``choi`` or their builders, no comparison in ``cli`` reads a tolerance, every
 name in ``ehtp.__all__`` has a caller outside its module and the tests, or
 a stated reason to be public, and so has every public method of its
-classes."""
+classes, and every name in a module's ``__all__`` is defined there, once
+in the package."""
 
 import ast
 import inspect
@@ -390,6 +391,45 @@ def test_every_public_name_has_a_caller_or_a_reason():
         if not callers and name not in outside:
             uncalled.append(name)
     assert sorted(uncalled) == sorted(PUBLIC_BY_REASON)
+
+
+def _listed_but_not_defined(tree):
+    """The names of the module's ``__all__`` that no function, class or
+    assignment at its top level defines (an imported name does not count)."""
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                listed = [elt.value for elt in node.value.elts]
+    return sorted(set(listed) - defined)
+
+
+def test_each_public_name_is_listed_once_in_the_module_that_defines_it():
+    # ehtp.__all__ is the modules' lists, so a name listed in two of them
+    # would be bound silently to the later one
+    import ehtp
+    from ehtp import errors
+
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name not in {"__init__.py", "__main__.py"}]
+    assert len(modules) > 5
+    found = {p.name: _listed_but_not_defined(_tree(p)) for p in modules}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+    exceptions = {name for name, value in vars(errors).items()
+                  if inspect.isclass(value) and issubclass(value, errors.EhtpError)
+                  and value.__module__ == errors.__name__}
+    assert sorted(errors.__all__) == sorted(exceptions)
+
+    assert len(ehtp.__all__) == len(set(ehtp.__all__))
+    namespace = {}
+    exec("from ehtp import *", namespace)
+    assert [name for name in ehtp.__all__ if namespace.get(name) is not getattr(ehtp, name)] == []
+    assert inspect.isfunction(ehtp.gamma)
 
 
 # Public methods and properties of the classes in ``ehtp.__all__`` that no
