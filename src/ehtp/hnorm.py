@@ -44,11 +44,14 @@ representations, ``schur_op``) are pruned on their diagonals and take the
 **diagonal form**: their optimal states are diagonal, the dual being
 Haagerup's ``max_{p,q} ||D_p^(1/2) S D_q^(1/2)||_1`` (V. Paulsen,
 *Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8), so rho
-and sigma are one LP block beside the SDP block W, and the Newton assembly
-costs r^4 d, not r^4 d^2.  Every other map takes the **factorization form**,
-whose states are one stack of two d x d Hermitian blocks.  An LP block, an
-SDP block and a stack of SDP blocks of one size are the cones of SDPT3 (Toh,
-Todd and Tütüncü, Optim. Methods Softw. 11, 1999).  Both ends are certified:
+and sigma are one stack of 2d 1 x 1 blocks beside the SDP block W, and the
+Newton assembly costs r^4 d, not r^4 d^2.  Every other map takes the
+**factorization form**, whose states are one stack of two d x d Hermitian
+blocks.  Every cone is thus a stack of PSD blocks of one size, one of the
+cones of SDPT3 (Toh, Todd and Tütüncü, Optim. Methods Softw. 11, 1999), and
+one code path steps them all: the nonnegative orthant is a stack of 1 x 1
+blocks, as a Lorentz cone is of 2 x 2 ones (F. Alizadeh and D. Goldfarb,
+Math. Program. 95, 2003).  Both ends are certified:
 
 * upper: the factorization value of the rewriting at the dual iterate's
   gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
@@ -225,16 +228,16 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
 # vector y holds y_0, then P and Q row by row; A and A* are extended
 # complex-linearly, and Hermitian P and Q are the real multipliers.
 #
-# X, Z and their steps are lists of blocks: an LP block (a real vector, the
-# diagonal of a diagonal block), one Hermitian SDP block, or a stack of
-# Hermitian SDP blocks of one size.
+# X, Z and their steps are lists of blocks, each a Hermitian PSD block or a
+# stack of Hermitian PSD blocks of one size; a diagonal block is a stack of
+# 1 x 1 blocks.
 
 def _sym(block: np.ndarray) -> np.ndarray:
-    return block if block.ndim == 1 else (block + block.conj().swapaxes(-1, -2)) / 2
+    return (block + block.conj().swapaxes(-1, -2)) / 2
 
 
 def _sym_product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return a * b * c if a.ndim == 1 else _sym(a @ b @ c)
+    return _sym(a @ b @ c)
 
 
 def _step(x: list, alpha: float, dx: list) -> list:
@@ -242,20 +245,16 @@ def _step(x: list, alpha: float, dx: list) -> list:
 
 
 def _barrier(x: list, z: list) -> tuple[list, list]:
-    """Per block, X and Z stacked (LP) or the inverses of their Cholesky factors
-    (SDP), and ``G = Z^-1``; raises ``LinAlgError`` unless both are positive."""
-    frames = [np.stack([a, b]) if a.ndim == 1 else np.linalg.inv(np.linalg.cholesky(np.stack([a, b])))
-              for a, b in zip(x, z)]
-    if not all(np.all(f > 0) for f in frames if f.ndim == 2):
-        raise np.linalg.LinAlgError("an LP block left the positive orthant")
-    return frames, [1 / f[1] if f.ndim == 2 else f[1].conj().swapaxes(-1, -2) @ f[1] for f in frames]
+    """Per block, the inverses of the Cholesky factors of X and Z, stacked, and
+    ``G = Z^-1``; raises ``LinAlgError`` unless both are positive definite."""
+    frames = [np.linalg.inv(np.linalg.cholesky(np.stack([a, b]))) for a, b in zip(x, z)]
+    return frames, [f[1].conj().swapaxes(-1, -2) @ f[1] for f in frames]
 
 
 def _max_steps(frames: list, dx: list, dz: list) -> np.ndarray:
-    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``: a ratio
-    test on LP blocks, the lowest eigenvalue of the step in its frame on SDP blocks."""
-    low = np.min([(np.stack([a, b]) / f if a.ndim == 1 else
-                   np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().swapaxes(-1, -2))).reshape(2, -1).min(axis=1)
+    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``: the
+    lowest eigenvalue of the step in its frame, per block."""
+    low = np.min([np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().swapaxes(-1, -2)).reshape(2, -1).min(axis=1)
                   for f, a, b in zip(frames, dx, dz)], axis=0)
     return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
 
@@ -409,14 +408,14 @@ class _FactorizationForm(_Form):
 
 
 class _DiagonalForm(_Form):
-    """The states as one LP block of length 2d, (diag(rho), diag(sigma)), for
+    """The states as one stack of 2d 1 x 1 blocks, (diag(rho), diag(sigma)), for
     families ``F[s, i] = diag(f_si)``.  With ``K_s[(l, k), p] = conj(f_sl(p)) f_sk(p)``,
     ``R_s(p)`` raveled is ``K_s p``, the diagonal of ``R_s*(E)`` is ``K_s* vec(E)``
     and the state part of the Newton matrix is ``K_s diag(x_s / z_s) K_s*``.
     K is built on first use: the start point reads only the f_si."""
 
     def __init__(self, fam: np.ndarray):
-        super().__init__(fam, np.ones(2 * fam.shape[2]))
+        super().__init__(fam, np.ones((2 * fam.shape[2], 1, 1)))
         self.vecs = np.diagonal(fam, axis1=2, axis2=3)     # [s, i, p] = f_si(p)
 
     @cached_property
@@ -427,8 +426,8 @@ class _DiagonalForm(_Form):
         return (self.k @ p.reshape(2, self.d, 1)).reshape(2, self.r, self.r)
 
     def _spread(self, e: np.ndarray) -> np.ndarray:
-        """The diagonals of ``R_s*(E_s)``, laid out as the LP block."""
-        return (e.conj().reshape(2, 1, -1) @ self.k).real.ravel()
+        """The diagonals of ``R_s*(E_s)``, laid out as the stack of states."""
+        return (e.conj().reshape(2, 1, -1) @ self.k).real.reshape(-1, 1, 1)
 
     def _newton_blocks(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
         return (self.k * (xs * gs).reshape(2, 1, self.d)) @ self.k.conj().transpose(0, 2, 1)

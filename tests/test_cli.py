@@ -27,7 +27,7 @@ from ehtp.cli import (
     load_scenario,
     main,
 )
-from ehtp.errors import TOL, ScenarioError
+from ehtp.errors import TOL, NumericalError, ScenarioError
 from ehtp.groups import Character, make_cyclic_product as cyclic_product
 from ehtp.measures import from_density
 
@@ -155,6 +155,24 @@ class TestExitCodes:
         code = main(["run", "--scenario", scenario_file(tmp_path, payload)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check, suite", [("cp_posdef_check", "cp-posdef-equivalence"),
+                                              ("restriction_check", "restriction-check")])
+    def test_a_numerical_failure_in_the_selftest_exits_three_with_one_line(self, tmp_path, capsys,
+                                                                           monkeypatch, check, suite):
+        # exit 1 means only that a check failed; a suite does not turn a
+        # NumericalError into a failed record
+        def broken(*args, **kwargs):
+            raise NumericalError("Kraus reconstruction residual 1.000e-03")
+
+        monkeypatch.setattr(suites, check, broken)
+        monkeypatch.setattr(suites, "_SUITE_SPECS", tuple(s for s in suites._SUITE_SPECS if s[0] == suite))
+        out = tmp_path / "report.jsonl"
+        assert main(["selftest", "--quick", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert lines == ["numerical failure: Kraus reconstruction residual 1.000e-03"]
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_an_impossible_allocation_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
         # the regular representation of Z_4096 needs 1 TiB; exit 1 would

@@ -132,8 +132,10 @@ class TestCayley:
             g.coords(1)
 
     def test_nonassociative_table_rejected(self):
-        table = [[0, 1], [1, 1]]  # 1*1 = 1 has no inverse row
-        with pytest.raises(ValueError):
+        # a Latin square with identity 0 and two-sided inverses (every
+        # element is its own), but (1*2)*4 = 1 and 1*(2*4) = 4
+        table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(ValueError, match="not associative"):
             from_cayley(table)
 
     def test_non_latin_square_rejected(self):

@@ -4,8 +4,8 @@ environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
 ``einsum`` and writes the W block of its solver once, in the shared base of
-its two forms, no caller in the package, the tests, the demos or the README
-passes an ignored parameter, no function that takes ``tol`` compares with
+its two forms, and its cone helpers read no ``ndim``, no caller in the
+package, the tests, the demos or the README passes an ignored parameter, no function that takes ``tol`` compares with
 ``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
 distance calls ``transfer_matrix``, ``choi`` or their builders, no comparison in ``cli`` reads a tolerance, every
@@ -283,6 +283,17 @@ def test_the_w_block_is_written_once():
     calls = [node for node in ast.walk(_tree(PACKAGE / "hnorm.py"))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_newton_assembly"]
     assert len(calls) == 1
+
+
+def test_the_cone_helpers_have_one_layout():
+    # every block of the norm solver is a stack of PSD blocks of one size (the
+    # orthant a stack of 1 x 1 blocks), so no cone helper branches on a layout
+    helpers = {"_sym", "_sym_product", "_barrier", "_max_steps"}
+    found = {node.name: node for node in _tree(PACKAGE / "hnorm.py").body if isinstance(node, ast.FunctionDef)}
+    assert helpers <= set(found)
+    layouts = {name: [node.lineno for node in ast.walk(found[name])
+                      if isinstance(node, ast.Attribute) and node.attr == "ndim"] for name in helpers}
+    assert {name: lines for name, lines in layouts.items() if lines} == {}
 
 
 def _called_names(node):

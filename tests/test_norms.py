@@ -483,7 +483,7 @@ def _random_iterate(form, rng):
     d, r = form.d, form.r
     w = _random_hermitian_pd(2 * r, rng)
     if isinstance(form, hnorm._DiagonalForm):
-        return [rng.random(2 * d) + 0.5, w]
+        return [(rng.random(2 * d) + 0.5).reshape(2 * d, 1, 1), w]
     return [np.stack([_random_hermitian_pd(d, rng), _random_hermitian_pd(d, rng)]), w]
 
 
@@ -567,6 +567,56 @@ class TestBatchedCone:
         self._close(steps, steps_p)
         product = [hnorm._sym_product(a, b, c) for a, b, c in zip(x, dz, g)]
         self._close(_padded(*product), hnorm._sym_product(xp[0], dzp[0], g_p[0]))
+
+
+def _ones_stack(v):
+    return v.reshape(-1, 1, 1)
+
+
+def _ratio_test(x, dx):
+    """The orthant's largest step: ``min(-x / dx)`` over the entries with ``dx < 0``."""
+    return np.min(-x[dx < 0] / dx[dx < 0], initial=np.inf)
+
+
+class TestOneCone:
+    # every block is a stack of PSD blocks: the orthant is a stack of 1 x 1
+    # blocks, with the LP formulas as the oracle, and |phi| <= 1 a stack of
+    # 2 x 2 blocks [[1, phi], [conj phi, 1]]
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_a_stack_of_one_by_one_blocks_is_the_orthant(self, n):
+        rng = np.random.default_rng(50 + n)
+        x, z = rng.random(n) + 0.1, rng.random(n) + 0.1
+        frames, g = hnorm._barrier([_ones_stack(x)], [_ones_stack(z)])
+        assert np.abs(g[0].ravel() - 1 / z).max() <= 1e-13 * (1 / z).max()
+        for dx, dz in [(rng.standard_normal(n), rng.standard_normal(n)),
+                       (rng.random(n), -rng.random(n)), (-rng.random(n), rng.random(n))]:
+            steps = hnorm._max_steps(frames, [_ones_stack(dx)], [_ones_stack(dz)])
+            for step, expected in zip(steps, [_ratio_test(x, dx), _ratio_test(z, dz)]):
+                assert step == expected if np.isinf(expected) else abs(step - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("value", [0.0, -1e-3])
+    def test_a_non_positive_one_by_one_block_stops_the_barrier(self, value):
+        x = _ones_stack(np.array([1.0, value, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            hnorm._barrier([x], [_ones_stack(np.ones(3))])
+        with pytest.raises(np.linalg.LinAlgError):
+            hnorm._barrier([_ones_stack(np.ones(3))], [x])
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_a_stack_of_two_by_two_blocks_is_the_unit_disc(self, n):
+        rng = np.random.default_rng(60 + n)
+        phi = rng.uniform(0, 0.9, n) * np.exp(2j * np.pi * rng.random(n))
+        delta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        disc = np.ones((n, 2, 2), dtype=np.complex128)
+        disc[:, 0, 1], disc[:, 1, 0] = phi, phi.conj()
+        step = np.zeros_like(disc)
+        step[:, 0, 1], step[:, 1, 0] = delta, delta.conj()
+        frames, _ = hnorm._barrier([disc], [disc])
+        # the positive root of |phi + alpha delta|^2 = 1
+        b, a, c = (phi.conj() * delta).real, np.abs(delta) ** 2, 1 - np.abs(phi) ** 2
+        expected = np.min((np.sqrt(b ** 2 + a * c) - b) / a)
+        steps = hnorm._max_steps(frames, [step], [step])
+        assert np.abs(steps - expected).max() <= 1e-13 * expected
 
 
 class TestIterationCounts:
