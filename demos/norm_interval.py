@@ -7,12 +7,18 @@ certifies the upper bound, and the dual's optimal states give a contraction
 X and a unit vector eta, and ||(T (x) id)(X) eta|| certifies the lower
 bound. Single-term maps a . b
 have cb norm exactly ||a|| ||b||, so the interval must pinch that value.
+Schur multipliers, such as the images of character representations, are
+first tried by Newton ascent on the weights of Haagerup's dual, which
+closes a d = 32 bracket in a few steps.
 """
 
 import numpy as np
 
 from ehtp import (
+    Character,
     ElementaryOperator,
+    Measure,
+    character_rep,
     dirac,
     from_density,
     gamma,
@@ -51,3 +57,13 @@ pos = dirac(group, 1) * 0.25 + dirac(group, 4) * 0.75
 bounds = haagerup_norm_bounds(gamma(pi, pos).op)
 print("positive measure  mass =", float(pos.total_mass.real),
       " cb norm =", bounds.upper, " exact:", bounds.lower == bounds.upper)
+
+# a Schur multiplier at a size the interior-point program needs seconds
+# for: 32 random characters of Z_97 and a generic measure
+n, d = 97, 32
+group = make_cyclic_product([n])
+chars = [Character((n,), (int(k),)) for k in rng.choice(n, size=d, replace=False)]
+mu = Measure(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+bounds = haagerup_norm_bounds(gamma(character_rep(group, chars), mu).op)
+print(f"Z_{n}, {d} characters  bracket [{bounds.lower:.12f}, {bounds.upper:.12f}]"
+      f"  width {bounds.width:.2e}  iterations {bounds.iterations}  path {bounds.path}")

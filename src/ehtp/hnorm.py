@@ -1,9 +1,13 @@
 """Certified two-sided bounds for the completely bounded norm of an elementary operator.
 
-``haagerup_norm_bounds`` takes one of two paths.
+``haagerup_norm_bounds`` closes the bracket on the first of four paths that
+does, and ``NormInterval.path`` names it: ``"cp"``, ``"start"``,
+``"weights"`` or ``"ipm"``.
 
-**Completely positive maps.**  Both bounds are the exact value ``||T(I)||``,
-and the certificate is a Kraus rewriting of the map.
+**Completely positive maps** (``"cp"``).  Both bounds are the exact value
+``||T(I)||``, and the certificate is a Kraus rewriting of the map.  The map
+with no terms, which the zero measure realizes, is one, with no Kraus
+terms and cb norm 0.
 
 **Every other map.**  The cb norm of ``T = sum_i a_i (x) b_i`` equals the
 Haagerup tensor norm of its terms (U. Haagerup, 1980): the infimum of
@@ -22,7 +26,7 @@ and sigma, with ``R(rho)_ji = tr(a_j* rho a_i)`` and
 not on d^2: r = 1 for a single term, r <= d for character representations
 and r = |G| for the regular representation.
 
-A primal-dual interior-point method (HKM direction, Mehrotra
+A primal-dual interior-point method (``"ipm"``; HKM direction, Mehrotra
 predictor-corrector; Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the
 pair.  The corrector centers with ``sigma = min(1, mu_aff / mu)``
 (Mehrotra, SIAM J. Optim. 2, 1992), and each step goes the fraction
@@ -77,18 +81,46 @@ Math. Program. 95, 2003).  Both ends are certified:
 Before the terms are pruned, the lower end is taken at the maximally mixed
 states ``rho = sigma = I/d`` by the chosen form on the terms as given (one
 thin QR and one singular-value sum).  When it meets the raw gauge's value to
-the stopping gap the bracket closes there, with the raw certificate and 0
-iterations, and neither pruning nor the solve runs: for the regular
-representation of any group both are ``||mu||_1`` (the representation is an
-isometry: Ghahramani, Glasgow Math. J. 23, 1982; Neufang, Ruan and Spronk,
-Trans. AMS 360, 2008).
-Otherwise the solve starts from those states, ``rho = sigma = I/2d`` before
-normalization, with that lower end as its first.  It stops at a certified
-relative gap of 1e-12, or when a Cholesky factorization fails, and returns
-the best certified pair; a Newton matrix that is singular to working
-precision, as it can be near the optimum, gives its least-squares direction.
-A crossed bracket (by more than ``TOL`` relative) or a certificate that does
-not rebuild the map raises :class:`NumericalError`.
+the stopping gap the bracket closes there (``"start"``), with the raw
+certificate and 0 iterations, and neither pruning nor the solve runs: for
+the regular representation of any group both are ``||mu||_1`` (the
+representation is an isometry: Ghahramani, Glasgow Math. J. 23, 1982;
+Neufang, Ruan and Spronk, Trans. AMS 360, 2008).
+
+**The weight path** (``"weights"``).  A map in the diagonal form that the
+start point leaves open is next tried, before pruning, by Newton ascent of
+Haagerup's dual on its symbol S (``elementary.schur_symbol`` of the terms as
+given): ``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the
+state weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.
+Each step takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated at
+``CUTOFF * sigma_1``, the gradient and the 2d x 2d Hessian, the latter from
+one (2d, d, d) batch of directional derivatives of M and of its polar factor
+``W = U V*``; it inverts the Hessian less ``f I`` on the tangent space of the
+two spheres, each eigenvalue ``lambda`` replaced by ``-max(|lambda|, 1e-8 f)``,
+and halves the step until f does not fall.  At a stationary point where
+every weight is interior, ``X = D_a^-1 U Sigma^1/2`` and
+``Y = D_b^-1 V Sigma^1/2`` factor ``S = X Y*``, and the rewriting with the
+terms ``(diag X_k, diag conj Y_k)`` has the value
+``max_i ||X_i|| max_j ||Y_j|| = f``.  That rewriting, or the raw one where
+its value is smaller, certifies the upper end, and the lower end is the one
+above, at the states ``diag(p)`` and ``diag(q)``.  The bracket is taken when
+its certified gap is within the stopping gap and its certificate rebuilds
+the map.  Otherwise the solve runs as it would without this path: when a
+weight falls to ``CUTOFF`` of the largest (the optimum has a zero weight,
+where f is not smooth), when no halving keeps f from falling, when 20 steps
+leave the gap open, or when the bracket is not certified.  A step costs one
+SVD of a d x d matrix, O(d^4) for the Hessian and one 2d x 2d ``eigh``, and
+a full-rank symbol closes in 3 to 10 steps.
+
+The solve starts from the maximally mixed states, ``rho = sigma = I/2d``
+before normalization, with the start point's lower end as its first.  It
+stops at a certified relative gap of 1e-12, or when a Cholesky
+factorization fails, and returns the best certified pair; a Newton matrix
+that is singular to working precision, as it can be near the optimum, gives
+its least-squares direction.  A crossed bracket (by more than ``TOL``
+relative), on any path, raises :class:`NumericalError`, and so does a
+certificate of the start point or the solve that does not rebuild the map;
+on the weight path such a certificate sends the map to the solve.
 
 ``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
 with T on the indices a and b.
@@ -101,15 +133,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .elementary import ElementaryOperator, apply, choi_distance, strongly_independent_kraus
+from .elementary import ElementaryOperator, apply, choi_distance, schur_symbol, strongly_independent_kraus
 from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
-# Solver settings, not gates: they decide when the interior-point solve
-# stops, and both ends it returns are certified whatever they are.
+# Solver settings, not gates: they decide when the interior-point solve and
+# the Newton ascent on the weights stop, and both ends either returns are
+# certified whatever they are.
 _SDP_GAP = 1e-12           # stop at this certified relative gap
 _SDP_ITERS = 100           # cap on interior-point iterations
+_WEIGHT_ITERS = 20         # cap on Newton steps in the state weights
+_WEIGHT_HALVINGS = 30      # cap on step halvings in one Newton step
 
 
 @dataclass(frozen=True)
@@ -120,11 +155,17 @@ class NormInterval:
     bound: its factorization value is ``upper``, except on the completely
     positive fast path, where it is a Kraus rewriting and ``upper`` is the
     exact value ``||T(I)||`` (which positivity alone certifies).
-    ``iterations`` counts interior-point iterations; 0 means the starting
-    point already closed the bracket.  ``upper_trace`` logs the best upper
-    bound after each iterate (non-increasing by construction).  Both ends
-    are computed independently, so where they agree to rounding ``width``
-    can be a few ulps below zero.
+    ``path`` names the path that closed the bracket (see the module
+    docstring): ``"cp"`` for a completely positive map, ``"start"`` when
+    the maximally mixed states meet the raw gauge, ``"weights"`` for Newton
+    on the state weights of a Schur multiplier, ``"ipm"`` for the
+    interior-point solve.  ``iterations`` counts that path's steps: Newton
+    steps on ``"weights"``, interior-point iterations on ``"ipm"``, 0 on the
+    other two.  ``upper_trace`` logs the best upper bound after each
+    iterate; on every path it is a running minimum times a positive scale,
+    so it never rises, not even by rounding.  ``report()`` leaves ``path``
+    out.  Both ends are computed independently, so where they agree to
+    rounding ``width`` can be a few ulps below zero.
     """
 
     lower: float
@@ -132,6 +173,7 @@ class NormInterval:
     certificate_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
     iterations: int
     upper_trace: tuple[float, ...]
+    path: str
 
     @property
     def width(self) -> float:
@@ -463,6 +505,137 @@ def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.n
     return float(np.linalg.norm(t.left.transpose(1, 0, 2).reshape(d, n * d) @ images))
 
 
+# The weight path.  For a Schur multiplier with symbol S the dual is
+# ``max ||D_a S D_b||_1`` over unit vectors a, b in R^d, the state weights
+# being ``p = a^2`` and ``q = b^2``.  The objective f is smooth wherever no
+# weight is zero, since ``M = D_a S D_b`` then keeps the rank of S, and it is
+# homogeneous of degree one in a and in b, so at a stationary point its
+# gradient is ``f (a, b)``.
+
+def _weight_factors(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The thin SVD ``M = u diag(sig) v*`` of ``M = D_a S D_b``, truncated at
+    ``CUTOFF * sigma_1``."""
+    u, sig, vh = np.linalg.svd(a[:, None] * s * b)
+    k = int(np.sum(sig > CUTOFF * sig[0]))
+    return u[:, :k], sig[:k], vh[:k].conj().T
+
+
+def _weight_derivatives(s: np.ndarray, a: np.ndarray, b: np.ndarray, factors: tuple) -> tuple:
+    """The gradient and the 2d x 2d Hessian of ``f(a, b) = ||D_a S D_b||_1`` in
+    the coordinates ``(a, b)``, from the factors of M.
+
+    With the polar factor ``W = U V*`` and ``G = S o conj(W)``, f changes by
+    ``Re tr(W* dM)``, so the gradient is ``(Re G b, Re G^T a)``.  A Hessian
+    column differentiates it along one coordinate: ``dM`` is a row of ``S D_b``
+    or a column of ``D_a S``, and the polar factor moves by
+    ``dW = U Omega V* + (I - UU*) dM V Sigma^-1 V* + U Sigma^-1 U* dM (I - VV*)``
+    with ``Omega = (K - K*) / (sigma_i + sigma_j)`` and ``K = U* dM V``, its
+    derivative on the matrices of the rank of M."""
+    u, sig, v = factors
+    d = len(a)
+    uh, vh = u.conj().T, v.conj().T
+    g = s * (u @ vh).conj()
+    grad = np.concatenate([(g @ b).real, (a @ g).real])
+    idx = np.arange(d)
+    dm = np.zeros((2 * d, d, d), dtype=np.complex128)
+    dm[idx, idx] = s * b
+    dm[d + idx, :, idx] = (a[:, None] * s).T
+    dmv, udm = dm @ v, uh @ dm
+    k = uh @ dmv
+    omega = (k - k.conj().swapaxes(1, 2)) / (sig[:, None] + sig)
+    dw = u @ (omega @ vh + (udm - k @ vh) / sig[:, None]) + ((dmv - u @ k) / sig) @ vh
+    dg = s * dw.conj()
+    h = np.concatenate([(dg @ b).real, (a @ dg).real], axis=1)    # row n: the gradient's change along n
+    h[:d, d:] += g.real
+    h[d:, :d] += g.real.T
+    return grad, (h + h.T) / 2
+
+
+def _weight_ascent(s: np.ndarray):
+    """Newton ascent of ``||D_a S D_b||_1`` over unit vectors a and b, from
+    ``a = b = d^-1/2``.  Returns ``(a, b, factors, steps, uppers)`` at the first
+    iterate whose factorization ``X = D_a^-1 U Sigma^1/2``,
+    ``Y = D_b^-1 V Sigma^1/2`` of S has value ``max_i ||X_i|| max_j ||Y_j||``
+    within the stopping gap of f, with that value at each iterate in
+    ``uppers``; or None when a weight falls to ``CUTOFF`` of the largest, a
+    step finds no point where f does not fall, or the steps run out.
+
+    Each step inverts the Hessian, less ``f I``, on the tangent space of the
+    two spheres, with each eigenvalue ``lambda`` replaced by
+    ``-max(|lambda|, 1e-8 f)`` so that the step ascends, then halves the step
+    until f does not fall by more than rounding.  ``X_i`` squared is
+    ``(U Sigma U*)_ii / a_i^2``, which is f at a stationary point, and so is
+    every ``Y_j`` squared: there the two ends meet."""
+    d = s.shape[0]
+    a = b = np.full(d, d ** -0.5)
+    uppers = []
+    for steps in range(_WEIGHT_ITERS + 1):
+        factors = u, sig, v = _weight_factors(s, a, b)
+        f = sig.sum()
+        rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
+        uppers.append(float(np.sqrt(rows[0].max() * rows[1].max())))
+        if uppers[-1] - f <= _SDP_GAP * uppers[-1]:
+            return a, b, factors, steps, uppers
+        if steps == _WEIGHT_ITERS:
+            break
+        grad, hess = _weight_derivatives(s, a, b, factors)
+        normals = np.zeros((2 * d, 2))
+        normals[:d, 0], normals[d:, 1] = a, b
+        tangent = np.eye(2 * d) - normals @ normals.T
+        lam, vec = np.linalg.eigh(tangent @ (hess - f * np.eye(2 * d)) @ tangent)
+        step = tangent @ (vec @ ((vec.T @ (tangent @ grad)) / np.maximum(np.abs(lam), 1e-8 * f)))
+        for halving in range(_WEIGHT_HALVINGS):
+            # f does not see the signs of the weights' roots; keep them positive
+            x = np.abs(np.concatenate([a, b]) + 0.5 ** halving * step)
+            a_new, b_new = x[:d] / np.linalg.norm(x[:d]), x[d:] / np.linalg.norm(x[d:])
+            if _weight_factors(s, a_new, b_new)[1].sum() >= f * (1 - 2 * d * np.finfo(float).eps):
+                break
+        else:
+            break
+        a, b = a_new, b_new
+        if min(a.min() / a.max(), b.min() / b.max()) ** 2 <= CUTOFF:
+            break
+    return None
+
+
+def _weight_bracket(t: ElementaryOperator, start_form, raw: tuple, cap: float) -> NormInterval | None:
+    """The bracket of a map in the diagonal form from ``_weight_ascent`` on
+    its symbol, or None when the ascent declines or the bracket is not
+    certified to the stopping gap with a certificate that rebuilds the map.
+    The certificate has the terms ``(diag X_k, diag conj Y_k)``, since
+    ``S = X Y*``, or is the raw rewriting ``raw`` of value ``cap`` where that
+    is smaller, as in the solve; the lower end is ``_lower_end`` at the
+    witness of the states ``diag(a^2)`` and ``diag(b^2)`` from
+    ``start_form``, the form of the terms as given."""
+    found = _weight_ascent(schur_symbol(t))
+    if found is None:
+        return None
+    a, b, (u, sig, v), steps, uppers = found
+    d, root = t.dim, np.sqrt(sig)
+    cert = np.zeros((2, len(sig), d, d), dtype=np.complex128)
+    idx = np.arange(d)
+    cert[0][:, idx, idx] = (u * root / a[:, None]).T
+    cert[1][:, idx, idx] = (v * root / b[:, None]).T.conj()
+    upper = _factorization_value(*cert)
+    if upper > cap:
+        upper, cert = cap, raw
+    if choi_distance(ElementaryOperator(d, *cert), t) > TOL * upper:
+        return None
+    lower = _uncrossed(_lower_end(t, *start_form.dual_witness(np.stack([a, b]))[1]), upper)
+    if upper - lower > _SDP_GAP * upper:
+        return None
+    trace = np.minimum.accumulate([cap, *uppers])
+    return NormInterval(lower, upper, tuple(zip(*cert)), steps, tuple(float(v) for v in trace), "weights")
+
+
+def _uncrossed(lower: float, upper: float) -> float:
+    """``lower``, unless it exceeds ``upper`` by more than ``TOL`` relative: a
+    crossed bracket is an error, not something to clamp away."""
+    if lower > upper * (1 + TOL):
+        raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
+    return lower
+
+
 def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, target: list, t):
     """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
     in the real coordinates of the Newton matrix, given
@@ -566,8 +739,6 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
     ``restarts`` and ``seed`` are ignored: the bracket is deterministic.  They
     stay so that callers written for a randomized lower bound keep working.
     """
-    if t.n_terms == 0:
-        raise ValueError("the term list is empty")
     d = t.dim
 
     try:
@@ -579,30 +750,33 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         value = float(np.linalg.eigvalsh((t_of_one + t_of_one.conj().T) / 2).max())
         value = max(value, 0.0)
         cert = tuple((k, k.conj().T) for k in kraus)
-        return NormInterval(value, value, cert, 0, (value,))
+        return NormInterval(value, value, cert, 0, (value,), "cp")
 
     # one diagonal decision for the start and the solve: pruning keeps diagonal terms diagonal
     form = _DiagonalForm if _is_diagonal(t) else _FactorizationForm
     left, right = _drop_zero_terms(t.left, t.right)
-    start = form(np.stack([left, right.conj().transpose(0, 2, 1)])).dual_witness()
+    start_form = form(np.stack([left, right.conj().transpose(0, 2, 1)]))
+    start = start_form.dual_witness()
     cert = _balanced(left, right)
     upper = _factorization_value(*cert)
-    witness, iterations, trace = start[1], 0, [upper]
+    witness, iterations, trace, path = start[1], 0, [upper], "start"
     # the maximally mixed states close the bracket for every regular
-    # representation (and the zero map); otherwise prune and solve
+    # representation (and the zero map); otherwise try the weights, then
+    # prune and solve
     if upper - start[0] > _SDP_GAP * upper:
+        weights = _weight_bracket(t, start_form, cert, upper) if form is _DiagonalForm else None
+        if weights is not None:
+            return weights
         pruned = prune_terms(t)
         if pruned.n_terms == 0:
-            return NormInterval(0.0, 0.0, (), 0, (0.0,))
+            return NormInterval(0.0, 0.0, (), 0, (0.0,), "ipm")
         *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, upper, form, start)
-        trace = [min(upper, v) for v in trace]
+        trace, path = [min(upper, v) for v in trace], "ipm"
         value = _factorization_value(*solved)
         if value <= upper:
             upper, cert = value, solved
     miss = choi_distance(ElementaryOperator(d, *cert), t)
     if miss > TOL * upper:
         raise NumericalError(f"certificate misses the map by {miss:.3e}")
-    lower = _lower_end(t, *witness)
-    if lower > upper * (1 + TOL):
-        raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
-    return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(trace))
+    lower = _uncrossed(_lower_end(t, *witness), upper)
+    return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(trace), path)

@@ -301,12 +301,13 @@ def restriction_check(pi, sub, seed: int, tol: float = TOL) -> dict:
 def norm_check(op: ElementaryOperator, mu: Measure | None = None, tol: float = TOL) -> dict:
     """The cb-norm bracket of ``op`` is not crossed, is at most
     ``NORM_REL_WIDTH`` wide relative to its upper end, and its upper trace
-    never rises; given the measure ``op`` realizes, its upper end is at
-    most ``||mu||_1``, to ``tol`` relative (contractivity)."""
+    never rises, not even by rounding: on every path it is a running minimum
+    times a positive scale; given the measure ``op`` realizes, its upper end
+    is at most ``||mu||_1``, to ``tol`` relative (contractivity)."""
     bounds = haagerup_norm_bounds(op)
     trace = bounds.upper_trace
     ok = (bounds.lower <= bounds.upper * (1 + 1e-12) and bounds.width <= NORM_REL_WIDTH * bounds.upper
-          and all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])))
+          and all(b <= a for a, b in zip(trace, trace[1:])))
     body = {**bounds.report(), "width": float(bounds.width)}
     if mu is not None:
         body["excess"] = float(bounds.upper - mu.norm)

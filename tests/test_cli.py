@@ -500,8 +500,26 @@ NEARLY_HERMITIAN = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cy
                                               {"elem": 6, "re": 0.5}]}]}
 
 
+def _zero_measure_scenario(experiment):
+    """Z_4 on characters 1 and 2, with measures whose weights are all zero."""
+    zero = {"density": [0, 0, 0, 0]}
+    return {"id": f"zero-{experiment}", "experiment": experiment,
+            "group": {"kind": "cyclic_product", "shape": [4]},
+            "representation": {"kind": "characters", "chars": [[1], [2]]},
+            "measures": [zero, zero] if experiment == "gamma-homomorphism" else [zero]}
+
+
 class TestSharedGates:
     """`ehtp run` records read the gates the suites read."""
+
+    def test_a_zero_measure_passes_every_experiment(self, tmp_path, capsys):
+        # the zero measure realizes a map with no terms, whose cb norm is 0
+        payload = [_zero_measure_scenario(e) for e in ("norm-interval", "gamma-homomorphism", "kernel-equivalence",
+                                                      "cp-posdef-equivalence", "schur-identity")]
+        code, records = run_records(tmp_path, capsys, payload)
+        assert code == 0 and len(records) == 9 and all(r["passed"] for r in records)
+        uppers = [r[key] for r in records for key in ("upper", "cb_upper") if key in r]
+        assert uppers == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("payload", [NORM_OPERATOR, NORM_MEASURE], ids=["operator", "measure"])
     def test_a_rising_upper_trace_fails_the_norm_record(self, tmp_path, capsys, monkeypatch, payload):

@@ -1,11 +1,14 @@
-"""Completely bounded norm brackets: the completely positive fast path and
-the factorization SDP, checked on Schur multipliers, regular representations
-and random maps against independent oracles."""
+"""Completely bounded norm brackets: the completely positive fast path, Newton
+on the state weights of Schur multipliers and the factorization SDP, checked
+on Schur multipliers, regular representations and random maps against
+independent oracles, the SDP being the oracle of the weights."""
 
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ehtp import elementary, hnorm
 from ehtp.elementary import (
@@ -21,8 +24,8 @@ from ehtp.groups import Character, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_symbol
 from ehtp.gamma import gamma
 from ehtp.representations import character_rep, regular_rep
-from ehtp.suites import (SHAPE_POOL_12, _pick_group, contractivity_suite, make_rng, norm_interval_suite,
-                         random_character_rep, random_measure, s3_cayley)
+from ehtp.suites import (NORM_REL_WIDTH, SHAPE_POOL_12, _pick_group, contractivity_suite, make_rng,
+                         norm_interval_suite, random_character_rep, random_measure, s3_cayley)
 
 
 # independent oracle: the factorization value of an explicit term list
@@ -123,9 +126,12 @@ class TestIntervalShape:
         assert set(rep) == {"lower", "upper", "iters"}
         assert isinstance(rep["iters"], int)
 
-    def test_empty_operator_rejected(self):
-        with pytest.raises(ValueError):
-            haagerup_norm_bounds(ElementaryOperator.from_terms(2, []))
+    def test_empty_operator_is_the_zero_map(self):
+        # the zero measure realizes a map with no terms: completely positive,
+        # with the empty Kraus family and cb norm exactly 0
+        b = haagerup_norm_bounds(ElementaryOperator.from_terms(2, []))
+        assert (b.lower, b.upper, b.certificate_terms, b.iterations, b.upper_trace) == (0.0, 0.0, (), 0, (0.0,))
+        assert b.path == "cp"
 
 
 class TestCertificates:
@@ -146,7 +152,7 @@ class TestCertificates:
         for _ in range(4):
             t = gamma(pi, Measure(g, rng.random(6))).op
             b = haagerup_norm_bounds(t)
-            assert b.iterations == 0 and b.lower == b.upper
+            assert b.path == "cp" and b.iterations == 0 and b.lower == b.upper
             cert = ElementaryOperator.from_terms(6, b.certificate_terms)
             assert all(np.array_equal(r, k.conj().T) for k, r in b.certificate_terms)
             gap = np.abs(transfer_matrix(cert) - transfer_matrix(t)).max()
@@ -297,15 +303,15 @@ class TestSchurPath:
 
     def test_regular_representations_close_at_the_starting_point(self, monkeypatch):
         # the maximally mixed states attain ||mu||_1, which the raw gauge
-        # already gives, so the terms are not pruned, no solve is set up and
-        # no d^2 x d^2 Choi or transfer matrix is built
-        calls = []
-        for module, name in ((hnorm, "prune_terms"), (hnorm, "_factorization_sdp"),
-                             (elementary, "_vec_outer_sum")):
-            def recorded(*args, _inner=getattr(module, name), _name=name):
-                calls.append(_name)
-                return _inner(*args)
-            monkeypatch.setattr(module, name, recorded)
+        # already gives, so neither the weights nor the solve run, and no
+        # d^2 x d^2 Choi or transfer matrix is built
+        calls, inner = [], elementary._vec_outer_sum
+
+        def recorded(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(elementary, "_vec_outer_sum", recorded)
         rng = np.random.default_rng(18)
         groups = [make_cyclic_product([n]) for n in range(4, 17)]
         groups += [make_cyclic_product([2, 6]), make_cyclic_product([8, 8]), from_cayley(s3_cayley())]
@@ -315,11 +321,11 @@ class TestSchurPath:
             calls.clear()
             b = haagerup_norm_bounds(op)
             assert calls == []
-            assert b.iterations == 0
+            assert b.path == "start" and b.iterations == 0
             assert b.lower == pytest.approx(mu.norm, rel=1e-12)
             assert b.upper == pytest.approx(mu.norm, rel=1e-12)
 
-    def test_certificate_that_misses_the_symbol_raises(self, monkeypatch):
+    def test_certificate_that_misses_the_symbol_raises(self, monkeypatch, ipm_only):
         solve = hnorm._factorization_sdp
 
         def perturbed(*args):
@@ -331,7 +337,7 @@ class TestSchurPath:
             with pytest.raises(NumericalError):
                 haagerup_norm_bounds(t)
 
-    def test_crossed_bracket_raises(self, monkeypatch):
+    def test_crossed_bracket_raises(self, monkeypatch, ipm_only):
         # a lower end that overshoots the certified upper end is an error,
         # not something to clamp away
         solve = hnorm._factorization_sdp
@@ -351,6 +357,21 @@ def _one_map_per_form(rng):
     conjugated by a unitary, which takes the factorization form."""
     t = schur_op(_random_symbol(3, rng))
     return [t, conjugate_by(t, _random_unitary(3, rng))]
+
+
+@contextlib.contextmanager
+def _weights_declined():
+    """Decline the weight path, so that a diagonal map the start point
+    leaves open goes to the interior-point solve."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hnorm, "_weight_ascent", lambda s: None)
+        yield
+
+
+@pytest.fixture
+def ipm_only():
+    with _weights_declined():
+        yield
 
 
 @pytest.fixture
@@ -375,9 +396,9 @@ def _in_factorization_form(t, monkeypatch):
         return haagerup_norm_bounds(t)
 
 
-def _contractivity_generic_ops(count):
-    """The maps of the first generic draws of the seed-0 contractivity suite."""
-    rng = make_rng(0, stream=2)
+def _contractivity_generic_ops(count, seed=0):
+    """The maps of the first generic draws of the contractivity suite."""
+    rng = make_rng(seed, stream=2)
     for _ in range(count):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
@@ -417,6 +438,7 @@ def _character_image(rng, n, d):
     return gamma(character_rep(g, chars), Measure(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))).op
 
 
+@pytest.mark.usefixtures("ipm_only")
 class TestDiagonalForm:
     def test_both_forms_give_the_same_bracket(self, monkeypatch, newton_calls):
         rng = np.random.default_rng(23)
@@ -619,6 +641,7 @@ class TestOneCone:
         assert np.abs(steps - expected).max() <= 1e-13 * expected
 
 
+@pytest.mark.usefixtures("ipm_only")
 class TestIterationCounts:
     def test_generic_contractivity_draws_close_in_few_iterations(self):
         # 276 iterations with cubic centering and a fixed step fraction 0.95
@@ -708,3 +731,169 @@ class TestAscent:
         b = haagerup_norm_bounds(ElementaryOperator.from_terms(a.shape[0], [(a, c)]))
         assert b.lower >= b.upper * (1 - 1e-12)
         assert b.upper == pytest.approx(np.linalg.norm(a, 2) * np.linalg.norm(c, 2), rel=1e-12)
+
+
+def _f_oracle(s, x):
+    """``||D_a S D_b||_1`` at ``x = (a, b)``, from the singular values alone."""
+    d = s.shape[0]
+    return np.linalg.svd(x[:d, None] * s * x[d:], compute_uv=False).sum()
+
+
+def _derivatives(s, x):
+    """The weight path's gradient and Hessian at ``x = (a, b)``."""
+    d = s.shape[0]
+    a, b = x[:d], x[d:]
+    return hnorm._weight_derivatives(s, a, b, hnorm._weight_factors(s, a, b))
+
+
+def _overlap(brackets):
+    """Every pair of brackets meets, and each is at most ``NORM_REL_WIDTH`` wide."""
+    assert max(b.lower for b in brackets) <= min(b.upper for b in brackets) * (1 + 1e-12)
+    assert all(b.width <= NORM_REL_WIDTH * b.upper for b in brackets)
+
+
+def _ipm_bracket(t):
+    with _weights_declined():
+        return haagerup_norm_bounds(t)
+
+
+def _scenario_batch_maps():
+    """The six diagonal maps of the benchmark's scenario batch: three measures
+    on six characters of Z_120 for each of its two Z_120 scenarios, before
+    the relabelling each seed applies, which keeps the terms."""
+    g = make_cyclic_product([120])
+    for base in (1, 3):
+        gen = np.random.default_rng(base)
+        pi = character_rep(g, [Character((120,), (int(k),)) for k in gen.choice(120, size=6, replace=False)])
+        for _ in range(3):
+            yield gamma(pi, Measure(g, gen.standard_normal(120) + 1j * gen.standard_normal(120))).op
+
+
+def _low_rank_symbol(d, rank, rng):
+    """A random complex symbol of the given rank, with its first two rows equal."""
+    s = _random_symbol(d, rng)[:, :rank] @ _random_symbol(d, rng)[:rank]
+    s[1] = s[0]
+    return s
+
+
+class TestWeightPath:
+    # Newton on the state weights closes the diagonal brackets whose optimal
+    # weights are interior; the interior-point solve is its oracle
+    @pytest.mark.parametrize("rank", [5, 2])
+    def test_derivatives_match_central_differences(self, rank):
+        rng = np.random.default_rng(70 + rank)
+        s = _low_rank_symbol(5, rank, rng) if rank < 5 else _random_symbol(5, rng)
+        x = rng.uniform(0.5, 1.5, 10)
+        grad, hess = _derivatives(s, x)
+        h, eye = 1e-5, np.eye(10)
+        fd_grad = [(_f_oracle(s, x + h * e) - _f_oracle(s, x - h * e)) / (2 * h) for e in eye]
+        fd_hess = np.array([(_derivatives(s, x + h * e)[0] - _derivatives(s, x - h * e)[0]) / (2 * h) for e in eye])
+        assert np.abs(grad - fd_grad).max() <= 1e-8 * np.abs(grad).max()
+        assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
+
+    @pytest.mark.parametrize("seed, closed", [(0, 50), (1, 50)])
+    def test_contractivity_brackets_agree_with_the_solve(self, seed, closed):
+        # the weights close at least `closed` of the brackets that the start
+        # point leaves to the solve: those whose optimal weights are interior
+        taken = reached = 0
+        for t in _contractivity_generic_ops(100, seed):
+            b = haagerup_norm_bounds(t)
+            if b.path == "weights":
+                ipm = _ipm_bracket(t)
+                _overlap([b, ipm])
+                reached += ipm.iterations > 0
+                taken += ipm.iterations > 0
+            else:
+                reached += b.path == "ipm" and b.iterations > 0
+        assert taken >= closed and reached > taken
+
+    @pytest.mark.parametrize("maps", ["scenario-batch", "z97-d16"])
+    def test_every_map_closes_on_the_weights_and_agrees_with_the_solve(self, maps):
+        ops = (list(_scenario_batch_maps()) if maps == "scenario-batch"
+               else [_character_image(np.random.default_rng(seed), 97, 16) for seed in (3, 4, 5)])
+        for t in ops:
+            b = haagerup_norm_bounds(t)
+            assert b.path == "weights" and 0 < b.iterations <= 10
+            _overlap([b, _ipm_bracket(t)])
+
+    @pytest.mark.parametrize("case", ["z97-d32", "schur-d32"])
+    def test_north_star_sizes_close_within_ten_steps(self, case):
+        rng = np.random.default_rng(3)
+        t = _character_image(rng, 97, 32) if case == "z97-d32" else schur_op(_random_symbol(32, rng))
+        b = haagerup_norm_bounds(t)
+        assert b.path == "weights" and b.iterations <= 10
+        assert b.width <= 1e-12 * b.upper
+
+    def test_a_zero_weight_optimum_goes_to_the_solve(self):
+        # a rank-one symbol u v* attains max|u| max|v| on a single pair of
+        # weights, where f is not smooth: the ascent declines
+        rng = np.random.default_rng(71)
+        u, v = _random_symbol(4, rng)[:2]
+        s = np.outer(u, v.conj())
+        assert hnorm._weight_ascent(s) is None
+        b = haagerup_norm_bounds(schur_op(s))
+        assert b.path == "ipm" and b.width <= 1e-12 * b.upper
+
+    def test_the_trace_is_a_running_minimum_from_the_raw_gauge(self):
+        t = _character_image(np.random.default_rng(3), 97, 16)
+        b = haagerup_norm_bounds(t)
+        trace = np.array(b.upper_trace)
+        assert b.path == "weights" and len(trace) == b.iterations + 2
+        assert np.array_equal(trace, np.minimum.accumulate(trace))
+        assert trace[-1] == pytest.approx(b.upper, rel=1e-12)
+
+    def test_a_certificate_that_misses_goes_to_the_solve(self, monkeypatch):
+        ascent, solve = hnorm._weight_ascent, hnorm._factorization_sdp
+
+        def missing(s):
+            a, b, (u, sig, v), steps, uppers = ascent(s)
+            return a, b, (u, sig * (1 + 1e-6), v), steps, uppers
+
+        t = schur_op(_random_symbol(5, np.random.default_rng(72)))
+        assert haagerup_norm_bounds(t).path == "weights"
+        monkeypatch.setattr(hnorm, "_weight_ascent", missing)
+        b = haagerup_norm_bounds(t)
+        assert b.path == "ipm" and b.width <= 1e-12 * b.upper
+        # and when the solve's certificate misses too, the bracket raises
+        monkeypatch.setattr(hnorm, "_factorization_sdp",
+                            lambda *args: (solve(*args)[0] * (1 + 1e-6), *solve(*args)[1:]))
+        with pytest.raises(NumericalError):
+            haagerup_norm_bounds(t)
+
+    def test_a_crossed_bracket_raises(self, monkeypatch):
+        lower_end = hnorm._lower_end
+        t = schur_op(_random_symbol(5, np.random.default_rng(73)))
+        assert haagerup_norm_bounds(t).path == "weights"
+        monkeypatch.setattr(hnorm, "_lower_end", lambda *args: 2 * lower_end(*args))
+        with pytest.raises(NumericalError):
+            haagerup_norm_bounds(t)
+
+
+@st.composite
+def _symbols(draw):
+    """A complex symbol with d <= 6, of full or lower rank, some of its rows
+    copies of its first, and the generator its entries came from."""
+    d = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, d))
+    copies = draw(st.integers(0, d - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = _random_symbol(d, rng)[:, :rank] @ _random_symbol(d, rng)[:rank]
+    s[1:1 + copies] = s[0]
+    return s, rng
+
+
+class TestSymmetries:
+    # the cb norm of a Schur multiplier is unchanged by transposing,
+    # conjugating, permuting rows and columns and scaling them by unimodular
+    # numbers; so the brackets of the images of one symbol must meet
+    @pytest.mark.parametrize("weights", [True, False], ids=["weights", "ipm-only"])
+    @settings(max_examples=10)
+    @given(_symbols())
+    def test_the_brackets_of_equivalent_symbols_meet(self, weights, drawn):
+        s, rng = drawn
+        d = s.shape[0]
+        p, q = rng.permutation(d), rng.permutation(d)
+        u, v = np.exp(2j * np.pi * rng.random(d)), np.exp(2j * np.pi * rng.random(d))
+        images = [s, s.T, s.conj(), s[p][:, q], u[:, None] * s * v]
+        with contextlib.nullcontext() if weights else _weights_declined():
+            _overlap([haagerup_norm_bounds(schur_op(x)) for x in images])

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from ehtp import suites
+from ehtp.elementary import ElementaryOperator
 from ehtp.gamma import gamma, kernel_test_transfer
 from ehtp.groups import difference_set, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import fourier_on
+from ehtp.hnorm import NormInterval
 from ehtp.representations import diagonalize
 from ehtp.suites import (
     SUITE_NAMES,
@@ -117,3 +120,16 @@ class TestKernelMeasure:
             assert values[on].max() <= 1e-12 * mu.norm
             assert values[~on].min() > 1e-6
             assert kernel_test_transfer(gamma(diag.rep, mu))
+
+
+class TestNormCheck:
+    def test_an_upper_trace_that_rises_by_rounding_fails(self, monkeypatch):
+        # on every path the trace is a running minimum times a positive
+        # scale, so a rise of 1e-13 on an upper end of 1e-3 is a fault, not
+        # rounding, and no absolute slack forgives it
+        rising = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3 + 1e-13), "ipm")
+        flat = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3), "ipm")
+        op = ElementaryOperator.from_terms(1, [])
+        for bounds, passed in ((flat, True), (rising, False)):
+            monkeypatch.setattr(suites, "haagerup_norm_bounds", lambda t, _b=bounds: _b)
+            assert suites.norm_check(op)["passed"] is passed
