@@ -41,17 +41,18 @@ so that the raw gauge of the pruned terms is the identity and both of its
 factors are 1.  The m x m Newton matrix is
 assembled from products of the families with the blocks of X and Z^-1, its
 W part from Kronecker products of the blocks of W and its Z^-1 block.
-One iteration serves two forms, chosen once from the terms as given; the W
-block is theirs in common, and a form lays out only the states.  Maps whose
-terms are all exactly zero off the diagonal (Γ images of character
-representations, ``schur_op``) are pruned on their diagonals and take the
-**diagonal form**: their optimal states are diagonal, the dual being
+The states are one stack of 2d/b Hermitian b x b blocks, rho and sigma
+being block-diagonal, with the block size b chosen once from the terms as
+given.  Maps whose terms are all exactly zero off the diagonal (Γ images of
+character representations, ``schur_op``) take b = 1 and are pruned on
+their diagonals: their optimal states are diagonal, the dual being
 Haagerup's ``max_{p,q} ||D_p^(1/2) S D_q^(1/2)||_1`` (V. Paulsen,
-*Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8), so rho
-and sigma are one stack of 2d 1 x 1 blocks beside the SDP block W, and the
-Newton assembly costs r^4 d, not r^4 d^2.  Every other map takes the
-**factorization form**, whose states are one stack of two d x d Hermitian
-blocks.  Every cone is thus a stack of PSD blocks of one size, one of the
+*Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8).  Every
+other map takes b = d.  Every state operation is a contraction with the
+Gram blocks ``F_kc F_lc*`` of the terms' b x b diagonal blocks F_c (see
+``_Form``), so the Newton assembly costs r^4 d b: r^4 d for a Schur
+multiplier, r^4 d^2 for a general map.  Every cone is thus a stack of PSD
+blocks of one size, one of the
 cones of SDPT3 (Toh, Todd and Tütüncü, Optim. Methods Softw. 11, 1999), and
 one code path steps them all: the nonnegative orthant is a stack of 1 x 1
 blocks, as a Lorentz cone is of 2 x 2 ones (F. Alizadeh and D. Goldfarb,
@@ -79,7 +80,7 @@ Math. Program. 95, 2003).  Both ends are certified:
   then found in a step or two.
 
 Before the terms are pruned, the lower end is taken at the maximally mixed
-states ``rho = sigma = I/d`` by the chosen form on the terms as given (one
+states ``rho = sigma = I/d`` in blocks of size b on the terms as given (one
 thin QR and one singular-value sum).  When it meets the raw gauge's value to
 the stopping gap the bracket closes there (``"start"``), with the raw
 certificate and 0 iterations, and neither pruning nor the solve runs: for
@@ -87,8 +88,8 @@ the regular representation of any group both are ``||mu||_1`` (the
 representation is an isometry: Ghahramani, Glasgow Math. J. 23, 1982;
 Neufang, Ruan and Spronk, Trans. AMS 360, 2008).
 
-**The weight path** (``"weights"``).  A map in the diagonal form that the
-start point leaves open is next tried, before pruning, by Newton ascent of
+**The weight path** (``"weights"``).  A map with b = 1 that the start
+point leaves open is next tried, before pruning, by Newton ascent of
 Haagerup's dual on its symbol S (``elementary.schur_symbol`` of the terms as
 given): ``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the
 state weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.
@@ -101,14 +102,16 @@ and halves the step until f does not fall.  At a stationary point where
 every weight is interior, ``X = D_a^-1 U Sigma^1/2`` and
 ``Y = D_b^-1 V Sigma^1/2`` factor ``S = X Y*``, and the rewriting with the
 terms ``(diag X_k, diag conj Y_k)`` has the value
-``max_i ||X_i|| max_j ||Y_j|| = f``.  That rewriting, or the raw one where
-its value is smaller, certifies the upper end, and the lower end is the one
-above, at the states ``diag(p)`` and ``diag(q)``.  The bracket is taken when
-its certified gap is within the stopping gap and its certificate rebuilds
-the map.  Otherwise the solve runs as it would without this path: when a
-weight falls to ``CUTOFF`` of the largest (the optimum has a zero weight,
-where f is not smooth), when no halving keeps f from falling, when 20 steps
-leave the gap open, or when the bracket is not certified.  A step costs one
+``max_i ||X_i|| max_j ||Y_j|| = f``.  That rewriting certifies the upper
+end, and the lower end is the one above, at the states ``diag(p)`` and
+``diag(q)``, through the certification that the start point and the solve
+share: the raw rewriting where its value is smaller, the rebuild of the map
+and the check that the bracket is not crossed.  The bracket is taken when
+its certified gap is within the stopping gap.  Otherwise the solve runs as
+it would without this path: when a weight falls to ``CUTOFF`` of the
+largest (the optimum has a zero weight, where f is not smooth), when no
+halving keeps f from falling, when 20 steps leave the gap open, or when
+the certificate does not rebuild the map.  A step costs one
 SVD of a d x d matrix, O(d^4) for the Hessian and one 2d x 2d ``eigh``, and
 a full-rank symbol closes in 3 to 10 steps.
 
@@ -190,12 +193,12 @@ def prune_terms(t: ElementaryOperator) -> ElementaryOperator:
     A dependent left family is compressed through its SVD (folding the
     coefficients into the right family), then the same on the right.  The
     second pass keeps the left family independent because it mixes it through
-    a matrix of orthonormal columns.  When every term is exactly diagonal only
-    the diagonals are compressed, so the pruned terms are exactly diagonal.
+    a matrix of orthonormal columns.  Only the entries in the diagonal blocks
+    of ``_block_size`` are compressed, so diagonal terms stay exactly diagonal.
     """
     left, right = _drop_zero_terms(t.left, t.right)
     n, d = left.shape[0], t.dim
-    cols = slice(None, None, d + 1) if _is_diagonal(t) else slice(None)
+    cols = _block_positions(d, _block_size(t))
     flat_l, flat_r = left.reshape(n, d * d)[:, cols], right.reshape(n, d * d)[:, cols]
     if n:
         flat_l, flat_r = _compress(flat_l, flat_r)
@@ -205,10 +208,17 @@ def prune_terms(t: ElementaryOperator) -> ElementaryOperator:
     return ElementaryOperator(d, *out.reshape(2, -1, d, d))
 
 
-def _is_diagonal(t: ElementaryOperator) -> bool:
-    """True iff every left and right term has exact zeros off the diagonal."""
+def _block_size(t: ElementaryOperator) -> int:
+    """1 when every left and right term has exact zeros off the diagonal, else d."""
     off = ~np.eye(t.dim, dtype=bool)
-    return not (t.left[:, off].any() or t.right[:, off].any())
+    return t.dim if t.left[:, off].any() or t.right[:, off].any() else 1
+
+
+def _block_positions(d: int, b: int) -> np.ndarray:
+    """The raveled positions of the entries of the b x b diagonal blocks of a
+    d x d matrix, block by block, each block row by row."""
+    n = d // b
+    return np.arange(d * d).reshape(n, b, n, b).diagonal(axis1=0, axis2=2).transpose(2, 0, 1).ravel()
 
 
 def _drop_zero_terms(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +271,8 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
 # The factorization SDP in standard form.  Both sides have the same shape once
 # the right family is replaced by its adjoints, so the families are one stack
 # F of shape (2, r, d, d) with F[0] = (a_i) and F[1] = (b_i*), and pairs of
-# blocks, one per side, are stacked the same way.  Side s maps a state K to
-# ``R_s(K)_ji = tr(F[s, j]* K F[s, i])``, with adjoint
+# blocks, one per side, are stacked the same way.  Side s maps a state X to
+# ``R_s(X)_ji = tr(F[s, j]* X F[s, i])``, with adjoint
 # ``R_s*(E) = sum_ij E_ij F[s, i] F[s, j]*``.  The primal ``max <C, X>`` over
 # X = [states, W], with ``C = -[[0, I], [I, 0]]`` on W, is constrained by
 # ``A(X) = (tr rho + tr sigma, W_11 - R_0(rho), W_22 - R_1(sigma)) = (1, 0, 0)``;
@@ -270,9 +280,8 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
 # vector y holds y_0, then P and Q row by row; A and A* are extended
 # complex-linearly, and Hermitian P and Q are the real multipliers.
 #
-# X, Z and their steps are lists of blocks, each a Hermitian PSD block or a
-# stack of Hermitian PSD blocks of one size; a diagonal block is a stack of
-# 1 x 1 blocks.
+# X, Z and their steps are lists of two blocks: the states, a (2, d/b, b, b)
+# stack of Hermitian b x b blocks, and the 2r x 2r block W.
 
 def _sym(block: np.ndarray) -> np.ndarray:
     return (block + block.conj().swapaxes(-1, -2)) / 2
@@ -310,7 +319,7 @@ def _transposition(r: int) -> np.ndarray:
 
 def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -> np.ndarray:
     """The real Newton matrix ``Re M + Im M[:, t]`` (see ``_factorization_sdp``) of
-    the complex matrix M with the forms' state part (corner, first column, r^2 x r^2
+    the complex matrix M with the form's state part (corner, first column, r^2 x r^2
     diagonal blocks c) and the W part.  As the W blocks of X and G are Hermitian,
     the W part on the pair of blocks (s, u) is
     ``(X_su (x) conj(G_su) + G_su (x) conj(X_su)) / 2``; t swaps the pair of a
@@ -356,16 +365,38 @@ def _polar_contraction(vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
 
 
 class _Form:
-    """X = [states, W]: rho and sigma in the block a form lays out, and one
-    2r x 2r SDP block W, whose constraints, part ``diag(P, Q)`` of A*, objective C
-    and part of the Newton matrix are written here.  A form supplies the states'
-    identity ``unit``, R_s and R_s* on them (``_compressed``, ``_spread``), their
-    blocks of the Newton matrix, the spreads and the state roots."""
+    """X = [states, W]: rho and sigma as one (2, d/b, b, b) stack of PSD
+    blocks, block-diagonal with blocks of size b, and one 2r x 2r SDP block W.
+    Every state operation is a contraction with the Gram blocks
+    ``K[s, (l, k), c] = F[s, k]_c F[s, l]_c*`` of the terms' b x b diagonal
+    blocks ``F_c``: ``R_s(X)`` raveled is ``K_s vec(X^T)``, ``R_s*(E)`` is
+    ``vec(E^T) K_s`` and the state part of the Newton matrix is
+    ``sum_c (G_c K_c X_c + X_c K_c G_c) / 2 K_c*``.  b is 1 for families that
+    are exactly diagonal and d otherwise (``_block_size``).  K is built on
+    first use: the start point reads only the blocks F_c."""
 
-    def __init__(self, fam: np.ndarray, unit: np.ndarray):
+    def __init__(self, fam: np.ndarray, b: int):
         _, self.r, self.d, _ = fam.shape
-        self.unit = unit
-        self.c = [np.zeros_like(unit), -np.eye(2 * self.r, k=self.r) - np.eye(2 * self.r, k=-self.r)]
+        self.b, n = b, self.d // b
+        self.positions = _block_positions(self.d, b)
+        self.blocks = fam.reshape(2, self.r, -1)[:, :, self.positions].reshape(2, self.r, n, b, b)
+        self.unit = np.eye(b)[None, None].repeat(n, axis=1).repeat(2, axis=0)
+        self.c = [np.zeros(self.unit.shape), -np.eye(2 * self.r, k=self.r) - np.eye(2 * self.r, k=-self.r)]
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """The Gram blocks, shape (2, r^2, d/b, b, b)."""
+        f = self.blocks
+        return (f[:, None] @ f.conj().swapaxes(-1, -2)[:, :, None]).reshape(2, self.r ** 2, *f.shape[2:])
+
+    def _compressed(self, x: np.ndarray) -> np.ndarray:
+        """``R_s(X_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* X_s F[s, i])``."""
+        return (self.k.reshape(2, self.r ** 2, -1) @ x.swapaxes(-1, -2).reshape(2, -1, 1)).reshape(2, self.r, self.r)
+
+    def _spread(self, e: np.ndarray) -> np.ndarray:
+        """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
+        flat = e.swapaxes(-1, -2).reshape(2, 1, -1) @ self.k.reshape(2, self.r ** 2, -1)
+        return flat.reshape(self.unit.shape)
 
     def values(self, x: list) -> np.ndarray:
         """``A(X)``."""
@@ -383,10 +414,39 @@ class _Form:
     def newton(self, x: list, g: list) -> np.ndarray:
         """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
         in real coordinates (see ``_newton_assembly``).  Its first column is
-        ``A(sym(X A*(e_0) G))``, which only the state blocks reach."""
-        h = _sym_product(x[0], self.unit, g[0])
-        return _newton_assembly(np.vdot(self.unit, h).real, -self._compressed(h).ravel(),
-                                self._newton_blocks(x[0], g[0]), x[1], g[1])
+        ``A(sym(X A*(e_0) G))``, which only the state blocks reach.  Without the
+        symmetrization the (l,k),(i,j) entry of the state part of side s is
+        ``sum_c tr(X_c K_c(j,i) G_c K_c(l,k)) = <K_c(i,j), G_c K_c(l,k) X_c>``;
+        the other half, ``E -> A(G A*(E) X)``, swaps X and G."""
+        r2, k = self.r ** 2, self.k
+        xs, gs = x[0][:, None], g[0][:, None]
+        h = _sym(x[0] @ g[0])
+        mixed = ((gs @ k @ xs + xs @ k @ gs) / 2).reshape(2, r2, -1)
+        blocks = mixed @ k.reshape(2, r2, -1).conj().swapaxes(-1, -2)
+        return _newton_assembly(np.vdot(self.unit, h).real, -self._compressed(h).ravel(), blocks, x[1], g[1])
+
+    def spread_tops(self, e: np.ndarray) -> np.ndarray:
+        """The largest eigenvalue of ``R_s*(E_s)`` for both sides."""
+        return np.linalg.eigvalsh(self._spread(e)).reshape(2, -1).max(axis=1)
+
+    def state_roots(self, x: list, mu: float) -> np.ndarray:
+        """Factors L_s, stacked as the states, with ``L_s L_s*`` the kept states of X."""
+        w, v = np.linalg.eigh(x[0])
+        return v * _kept_roots(w.reshape(2, -1), mu).reshape(w.shape)[..., None, :]
+
+    def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
+        """The families ``vec(a_i* L_0)`` and ``vec(b_i L_1)``, stacked, on the
+        positions of the blocks, the only rows that are not zero."""
+        f = self.blocks
+        return (f.conj().swapaxes(-1, -2) @ roots[:, None]).reshape(2, self.r, -1).swapaxes(1, 2)
+
+    def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
+        """The witness in d^2 coordinates, with the root ``L_1`` as a d x d matrix."""
+        full = np.zeros((2, self.d ** 2, xa.shape[1]), dtype=np.complex128)
+        full[:, self.positions] = xa, xb
+        root = np.zeros(self.d ** 2, dtype=roots.dtype)
+        root[self.positions] = roots[1].ravel()
+        return full[0], full[1], root.reshape(self.d, self.d)
 
     def dual_witness(self, roots: np.ndarray | None = None) -> tuple:
         """The dual value of the states ``L_s L_s*`` for the factors ``roots``,
@@ -395,101 +455,6 @@ class _Form:
         roots = self.unit / np.sqrt(self.d) if roots is None else roots
         value, xa, xb = _polar_contraction(self.polar_vectors(roots))
         return value, self.witness(xa, xb, roots)
-
-
-class _FactorizationForm(_Form):
-    """The states as one stack of two d x d SDP blocks."""
-
-    def __init__(self, fam: np.ndarray):
-        super().__init__(fam, np.broadcast_to(np.eye(fam.shape[2]), (2,) + fam.shape[2:]))
-        self.fam = fam
-
-    def _compressed(self, k: np.ndarray) -> np.ndarray:
-        """``R_s(K_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* K_s F[s, i])``."""
-        fam, r = self.fam, self.r
-        return np.conj(fam.reshape(2, r, -1)) @ (k[:, None] @ fam).reshape(2, r, -1).transpose(0, 2, 1)
-
-    def _spread(self, e: np.ndarray) -> np.ndarray:
-        """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
-        fam, r, d = self.fam, self.r, self.d
-        mixed = (e.transpose(0, 2, 1) @ fam.reshape(2, r, d * d)).reshape(2, r, d, d)  # [s, j] = sum_i E_s[i, j] F[s, i]
-        cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
-        return mixed.transpose(0, 2, 1, 3).reshape(2, d, r * d) @ cat.conj().transpose(0, 2, 1)
-
-    def _newton_blocks(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        """Without the symmetrization the (l,k),(i,j) entry of side s is
-        ``tr(F[s,l]* X_s F[s,i] F[s,j]* G_s F[s,k])``: one
-        ``(r^2, d^2) @ (d^2, r^2)`` product of the blocks ``F[s,l]* X_s F[s,i]``
-        and ``F[s,j]* G_s F[s,k]``.  The other half, ``E -> A(G A*(E) X)``, is
-        each block conjugated with its index pairs transposed."""
-        fam, r, d = self.fam, self.r, self.d
-        cat = fam.transpose(0, 2, 1, 3).reshape(2, d, r * d)
-        cath = cat.conj().transpose(0, 2, 1)
-        fx = (cath @ xs @ cat).reshape(2, r, d, r, d)        # [s, l, p, i, q]
-        fg = (cath @ gs @ cat).reshape(2, r, d, r, d)        # [s, j, q, k, p]
-        c = (fx.transpose(0, 1, 3, 2, 4).reshape(2, r * r, d * d)
-             @ fg.transpose(0, 4, 2, 1, 3).reshape(2, d * d, r * r)).reshape(2, r, r, r, r)  # [s, l, i, j, k]
-        c = c.transpose(0, 1, 4, 2, 3)                       # [s, l, k, i, j]
-        return ((c + np.conj(c.transpose(0, 2, 1, 4, 3))) / 2).reshape(2, r * r, r * r)
-
-    def spread_tops(self, e: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(self._spread(e))[:, -1]
-
-    def state_roots(self, x: list, mu: float) -> np.ndarray:
-        """Factors L_s, stacked, with ``L_s L_s*`` the kept states of X."""
-        w, v = np.linalg.eigh(x[0])
-        return v * _kept_roots(w, mu)[:, None, :]
-
-    def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
-        """The d^2 x r families ``vec(a_i* L_0)`` and ``vec(b_i L_1)``, stacked."""
-        fam, r, d = self.fam, self.r, self.d
-        return (fam.conj().transpose(0, 1, 3, 2) @ roots[:, None]).reshape(2, r, d * d).transpose(0, 2, 1)
-
-    def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
-        return xa, xb, roots[1]
-
-
-class _DiagonalForm(_Form):
-    """The states as one stack of 2d 1 x 1 blocks, (diag(rho), diag(sigma)), for
-    families ``F[s, i] = diag(f_si)``.  With ``K_s[(l, k), p] = conj(f_sl(p)) f_sk(p)``,
-    ``R_s(p)`` raveled is ``K_s p``, the diagonal of ``R_s*(E)`` is ``K_s* vec(E)``
-    and the state part of the Newton matrix is ``K_s diag(x_s / z_s) K_s*``.
-    K is built on first use: the start point reads only the f_si."""
-
-    def __init__(self, fam: np.ndarray):
-        super().__init__(fam, np.ones((2 * fam.shape[2], 1, 1)))
-        self.vecs = np.diagonal(fam, axis1=2, axis2=3)     # [s, i, p] = f_si(p)
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return (self.vecs.conj()[:, :, None, :] * self.vecs[:, None, :, :]).reshape(2, self.r ** 2, self.d)
-
-    def _compressed(self, p: np.ndarray) -> np.ndarray:
-        return (self.k @ p.reshape(2, self.d, 1)).reshape(2, self.r, self.r)
-
-    def _spread(self, e: np.ndarray) -> np.ndarray:
-        """The diagonals of ``R_s*(E_s)``, laid out as the stack of states."""
-        return (e.conj().reshape(2, 1, -1) @ self.k).real.reshape(-1, 1, 1)
-
-    def _newton_blocks(self, xs: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        return (self.k * (xs * gs).reshape(2, 1, self.d)) @ self.k.conj().transpose(0, 2, 1)
-
-    def spread_tops(self, e: np.ndarray) -> np.ndarray:
-        return self._spread(e).reshape(2, self.d).max(axis=1)
-
-    def state_roots(self, x: list, mu: float) -> np.ndarray:
-        """The diagonals of the factors L_s, one row per side."""
-        return _kept_roots(x[0].reshape(2, self.d), mu)
-
-    def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
-        """The d nonzero rows (p, p) of ``vec(a_i* L_0)`` and ``vec(b_i L_1)``."""
-        return (self.vecs.conj() * roots.reshape(2, 1, self.d)).transpose(0, 2, 1)
-
-    def witness(self, xa: np.ndarray, xb: np.ndarray, roots: np.ndarray) -> tuple:
-        """The witness in d^2 coordinates: row p of a factor is row (p, p)."""
-        full = np.zeros((2, self.d ** 2, xa.shape[1]), dtype=np.complex128)
-        full[:, ::self.d + 1] = xa, xb
-        return full[0], full[1], np.diag(roots.reshape(2, self.d)[1])
 
 
 def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.ndarray) -> float:
@@ -598,14 +563,11 @@ def _weight_ascent(s: np.ndarray):
     return None
 
 
-def _weight_bracket(t: ElementaryOperator, start_form, raw: tuple, cap: float) -> NormInterval | None:
-    """The bracket of a map in the diagonal form from ``_weight_ascent`` on
-    its symbol, or None when the ascent declines or the bracket is not
-    certified to the stopping gap with a certificate that rebuilds the map.
-    The certificate has the terms ``(diag X_k, diag conj Y_k)``, since
-    ``S = X Y*``, or is the raw rewriting ``raw`` of value ``cap`` where that
-    is smaller, as in the solve; the lower end is ``_lower_end`` at the
-    witness of the states ``diag(a^2)`` and ``diag(b^2)`` from
+def _weight_certificate(t: ElementaryOperator, start_form: _Form, cap: float) -> tuple | None:
+    """``_certified``'s arguments after ``cap`` from ``_weight_ascent`` on the
+    symbol of a map with b = 1, or None when the ascent declines.  The
+    rewriting has the terms ``(diag X_k, diag conj Y_k)``, since ``S = X Y*``,
+    and the witness is that of the states ``diag(a^2)`` and ``diag(b^2)`` in
     ``start_form``, the form of the terms as given."""
     found = _weight_ascent(schur_symbol(t))
     if found is None:
@@ -616,16 +578,23 @@ def _weight_bracket(t: ElementaryOperator, start_form, raw: tuple, cap: float) -
     idx = np.arange(d)
     cert[0][:, idx, idx] = (u * root / a[:, None]).T
     cert[1][:, idx, idx] = (v * root / b[:, None]).T.conj()
-    upper = _factorization_value(*cert)
+    witness = start_form.dual_witness(np.stack([a, b]).reshape(2, d, 1, 1))[1]
+    return cert, witness, steps, np.minimum.accumulate([cap, *uppers]), "weights"
+
+
+def _certified(t: ElementaryOperator, raw: tuple, cap: float, cert, witness: tuple, iterations: int,
+               trace, path: str) -> NormInterval | None:
+    """The bracket of a path: its upper end is the value of the rewriting
+    ``cert``, or ``cap`` with the raw rewriting ``raw`` where that is smaller,
+    and its lower end ``_lower_end`` at ``witness``.  None when the rewriting
+    does not rebuild the map to ``TOL * upper``; a crossed bracket raises."""
+    upper = cap if cert is raw else _factorization_value(*cert)
     if upper > cap:
         upper, cert = cap, raw
-    if choi_distance(ElementaryOperator(d, *cert), t) > TOL * upper:
+    if choi_distance(ElementaryOperator(t.dim, *cert), t) > TOL * upper:
         return None
-    lower = _uncrossed(_lower_end(t, *start_form.dual_witness(np.stack([a, b]))[1]), upper)
-    if upper - lower > _SDP_GAP * upper:
-        return None
-    trace = np.minimum.accumulate([cap, *uppers])
-    return NormInterval(lower, upper, tuple(zip(*cert)), steps, tuple(float(v) for v in trace), "weights")
+    lower = _uncrossed(_lower_end(t, *witness), upper)
+    return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(float(v) for v in trace), path)
 
 
 def _uncrossed(lower: float, upper: float) -> float:
@@ -652,9 +621,9 @@ def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, 
     return dx, dy, dz
 
 
-def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, start: tuple):
+def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, start: tuple):
     """Primal-dual interior-point solve of the factorization SDP for
-    independent families in ``form`` (a form class), stopping once the
+    independent families, with states in blocks of size b, stopping once the
     certified gap, with ``cap`` as a second certified upper bound, is small.
     ``start`` is the dual value and witness at the maximally mixed states,
     taken on the terms as given (see ``haagerup_norm_bounds``); they are the
@@ -673,7 +642,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
     row = np.linalg.norm(left.transpose(1, 0, 2).reshape(d, r * d), 2)
     col = np.linalg.norm(right.reshape(r * d, d), 2)
     left, right = left / row, right / col
-    form = form(np.stack([left, right.conj().transpose(0, 2, 1)]))
+    form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), b)
     scale, cap = row * col, cap / (row * col)
     # Z starts at [(3I - 2 R_0*(I), 3I - 2 R_1*(I)), [[2I, I], [I, 2I]]],
     # positive definite because ||R_0*(I)|| = ||R_1*(I)|| = 1 after scaling
@@ -681,7 +650,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
     y = np.concatenate([[3.0], 2 * np.eye(r).ravel(), 2 * np.eye(r).ravel()]).astype(np.complex128)
     z = _step(form.adjoint(y), -1.0, form.c)
     n = 2 * d + 2 * r
-    b = np.eye(1, len(y), dtype=np.complex128)[0]
+    e0 = np.eye(1, len(y), dtype=np.complex128)[0]
     t = _transposition(r)
     upper, lower = np.inf, start[0] / scale
     p_best = roots_best = None
@@ -711,10 +680,10 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, form, st
         iterations += 1
         try:
             newton = form.newton(x, g)
-            rp = b - form.values(x)
-            # predictor (target -X, so A(target) - rp = -b), then the
+            rp = e0 - form.values(x)
+            # predictor (target -X, so A(target) - rp = -e0), then the
             # Mehrotra corrector with centering mu_aff / mu
-            dx, _, dz = _hkm_direction(form, x, g, newton, -b, [-a for a in x], t)
+            dx, _, dz = _hkm_direction(form, x, g, newton, -e0, [-a for a in x], t)
             ap, ad = np.minimum(1.0, _max_steps(frames, dx, dz))
             mu_aff = sum(np.vdot(u, v).real for u, v in zip(_step(x, ap, dx), _step(z, ad, dz))) / n
             sigma = min(1.0, max(mu_aff / mu, 0.0))
@@ -752,31 +721,28 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         cert = tuple((k, k.conj().T) for k in kraus)
         return NormInterval(value, value, cert, 0, (value,), "cp")
 
-    # one diagonal decision for the start and the solve: pruning keeps diagonal terms diagonal
-    form = _DiagonalForm if _is_diagonal(t) else _FactorizationForm
+    # one block size for the start and the solve: pruning keeps diagonal terms diagonal
+    b = _block_size(t)
     left, right = _drop_zero_terms(t.left, t.right)
-    start_form = form(np.stack([left, right.conj().transpose(0, 2, 1)]))
+    start_form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), b)
     start = start_form.dual_witness()
-    cert = _balanced(left, right)
-    upper = _factorization_value(*cert)
-    witness, iterations, trace, path = start[1], 0, [upper], "start"
+    raw = _balanced(left, right)
+    cap = _factorization_value(*raw)
+    found = raw, start[1], 0, [cap], "start"
     # the maximally mixed states close the bracket for every regular
     # representation (and the zero map); otherwise try the weights, then
     # prune and solve
-    if upper - start[0] > _SDP_GAP * upper:
-        weights = _weight_bracket(t, start_form, cert, upper) if form is _DiagonalForm else None
-        if weights is not None:
-            return weights
+    if cap - start[0] > _SDP_GAP * cap:
+        weights = _weight_certificate(t, start_form, cap) if b == 1 else None
+        bracket = weights and _certified(t, raw, cap, *weights)
+        if bracket and bracket.width <= _SDP_GAP * bracket.upper:
+            return bracket
         pruned = prune_terms(t)
         if pruned.n_terms == 0:
             return NormInterval(0.0, 0.0, (), 0, (0.0,), "ipm")
-        *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, upper, form, start)
-        trace, path = [min(upper, v) for v in trace], "ipm"
-        value = _factorization_value(*solved)
-        if value <= upper:
-            upper, cert = value, solved
-    miss = choi_distance(ElementaryOperator(d, *cert), t)
-    if miss > TOL * upper:
-        raise NumericalError(f"certificate misses the map by {miss:.3e}")
-    lower = _uncrossed(_lower_end(t, *witness), upper)
-    return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(trace), path)
+        *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, cap, b, start)
+        found = solved, witness, iterations, [min(cap, v) for v in trace], "ipm"
+    bracket = _certified(t, raw, cap, *found)
+    if bracket is None:
+        raise NumericalError("certificate misses the map")
+    return bracket

@@ -3,8 +3,8 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum`` and writes the W block of its solver once, in the shared base of
-its two forms, and its cone helpers read no ``ndim``, no caller in the
+``einsum`` and writes the W block of its solver once, in its one form
+class, which branches on no block size, and its cone helpers read no ``ndim``, no caller in the
 package, the tests, the demos or the README passes an ignored parameter, no function that takes ``tol`` compares with
 ``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
@@ -271,18 +271,30 @@ def test_norm_solver_calls_no_einsum():
 
 
 def test_the_w_block_is_written_once():
-    # both forms of the norm solver share the W block: its rows of A, its part
-    # of A* and the W part of the Newton matrix belong to their base, and a
-    # form writes only its state part
+    # one form class lays out the states of every map, in blocks of a size
+    # it is given, and writes the W block: its rows of A, its part of A* and
+    # the W part of the Newton matrix; nothing subclasses it
     classes = [node for node in _tree(PACKAGE / "hnorm.py").body if isinstance(node, ast.ClassDef)]
     writers = {cls.name: {f.name for f in cls.body if isinstance(f, ast.FunctionDef)} & {"values", "adjoint", "newton"}
                for cls in classes}
     assert {name: found for name, found in writers.items() if found} == {"_Form": {"values", "adjoint", "newton"}}
-    forms = {cls.name for cls in classes if any(getattr(base, "id", None) == "_Form" for base in cls.bases)}
-    assert forms == {"_DiagonalForm", "_FactorizationForm"}
+    assert [cls.name for cls in classes] == ["NormInterval", "_Form"]
+    assert [cls.name for cls in classes if cls.bases] == []
     calls = [node for node in ast.walk(_tree(PACKAGE / "hnorm.py"))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_newton_assembly"]
     assert len(calls) == 1
+
+
+def test_the_form_does_not_branch_on_its_block_size():
+    # the block size b only shapes the arrays of the form: no comparison,
+    # condition or loop of a method reads ``self.b``
+    form = next(node for node in _tree(PACKAGE / "hnorm.py").body
+                if isinstance(node, ast.ClassDef) and node.name == "_Form")
+    branches = (ast.Compare, ast.If, ast.IfExp, ast.While, ast.For, ast.comprehension, ast.Match)
+    found = [node.lineno for node in ast.walk(form) if isinstance(node, branches)
+             and any(isinstance(sub, ast.Attribute) and sub.attr == "b"
+                     and getattr(sub.value, "id", None) == "self" for sub in ast.walk(node))]
+    assert found == []
 
 
 def test_the_cone_helpers_have_one_layout():

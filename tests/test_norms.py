@@ -333,7 +333,7 @@ class TestSchurPath:
             return cert_left * (1 + 1e-6), cert_right, witness, iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", perturbed)
-        for t in _one_map_per_form(np.random.default_rng(19)):
+        for t in _one_map_per_block_size(np.random.default_rng(19)):
             with pytest.raises(NumericalError):
                 haagerup_norm_bounds(t)
 
@@ -347,14 +347,14 @@ class TestSchurPath:
             return cert_left, cert_right, (2 * xa, xb, root), iterations, trace
 
         monkeypatch.setattr(hnorm, "_factorization_sdp", inflated)
-        for t in _one_map_per_form(np.random.default_rng(20)):
+        for t in _one_map_per_block_size(np.random.default_rng(20)):
             with pytest.raises(NumericalError):
                 haagerup_norm_bounds(t)
 
 
-def _one_map_per_form(rng):
-    """A Schur multiplier, which takes the diagonal form, and the same map
-    conjugated by a unitary, which takes the factorization form."""
+def _one_map_per_block_size(rng):
+    """A Schur multiplier, which takes the block size b = 1, and the same map
+    conjugated by a unitary, which takes b = d."""
     t = schur_op(_random_symbol(3, rng))
     return [t, conjugate_by(t, _random_unitary(3, rng))]
 
@@ -376,23 +376,24 @@ def ipm_only():
 
 @pytest.fixture
 def newton_calls(monkeypatch):
-    """The names of the forms whose Newton assembly ran, one per iteration."""
-    calls = []
-    for form in (hnorm._DiagonalForm, hnorm._FactorizationForm):
-        def recorded(self, x, g, _inner=form.newton, _name=form.__name__):
-            calls.append(_name)
-            return _inner(self, x, g)
-        monkeypatch.setattr(form, "newton", recorded)
+    """The block sizes, ``"b=1"`` or ``"b=d"``, of the Newton assemblies that
+    ran, one per iteration."""
+    calls, inner = [], hnorm._Form.newton
+
+    def recorded(self, x, g):
+        calls.append("b=1" if self.b == 1 else "b=d")
+        return inner(self, x, g)
+
+    monkeypatch.setattr(hnorm._Form, "newton", recorded)
     return calls
 
 
-def _in_factorization_form(t, monkeypatch):
-    """The bracket of t with the factorization form forced on the pruned terms."""
+def _with_full_blocks(t, monkeypatch):
+    """The bracket of t with the block size b = d forced on the pruned terms."""
     solve = hnorm._factorization_sdp
     with monkeypatch.context() as m:
         m.setattr(hnorm, "_factorization_sdp",
-                  lambda left, right, cap, form, start:
-                  solve(left, right, cap, hnorm._FactorizationForm, start))
+                  lambda left, right, cap, b, start: solve(left, right, cap, left.shape[1], start))
         return haagerup_norm_bounds(t)
 
 
@@ -440,6 +441,8 @@ def _character_image(rng, n, d):
 
 @pytest.mark.usefixtures("ipm_only")
 class TestDiagonalForm:
+    # the diagonal form is the block size b = 1, with b = d on the same
+    # diagonal maps as its oracle
     def test_both_forms_give_the_same_bracket(self, monkeypatch, newton_calls):
         rng = np.random.default_rng(23)
         ops = list(_contractivity_generic_ops(25))
@@ -452,15 +455,15 @@ class TestDiagonalForm:
             ops.append(schur_op(np.outer(u, v.conj())))
         iterated = 0
         for t in ops:
-            assert hnorm._is_diagonal(t)
+            assert hnorm._block_size(t) == 1
             diagonal = haagerup_norm_bounds(t)
-            factorization = _in_factorization_form(t, monkeypatch)
+            factorization = _with_full_blocks(t, monkeypatch)
             scale = max(diagonal.upper, factorization.upper)
             assert abs(diagonal.upper - factorization.upper) <= 1e-10 * scale
             assert abs(diagonal.lower - factorization.lower) <= 1e-10 * scale
             iterated += diagonal.iterations > 0 and factorization.iterations > 0
         assert iterated >= 25
-        assert {"_DiagonalForm", "_FactorizationForm"} <= set(newton_calls)
+        assert {"b=1", "b=d"} <= set(newton_calls)
 
     def test_pruned_character_images_are_exactly_diagonal(self):
         rng = np.random.default_rng(24)
@@ -475,7 +478,7 @@ class TestDiagonalForm:
         for t in (_character_image(rng, 12, 5), schur_op(_random_symbol(4, rng))):
             newton_calls.clear()
             assert haagerup_norm_bounds(t).iterations > 0
-            assert set(newton_calls) == {"_DiagonalForm"}
+            assert set(newton_calls) == {"b=1"}
 
     def test_one_off_diagonal_entry_takes_the_factorization_form(self, newton_calls):
         rng = np.random.default_rng(26)
@@ -484,7 +487,7 @@ class TestDiagonalForm:
             left[0, 0, 1] = 0.5
             newton_calls.clear()
             assert haagerup_norm_bounds(ElementaryOperator(t.dim, left, t.right)).iterations > 0
-            assert set(newton_calls) == {"_FactorizationForm"}
+            assert set(newton_calls) == {"b=d"}
 
 
 def _w_part_oracle(xw, gw):
@@ -501,12 +504,11 @@ def _random_hermitian_pd(n, rng):
 
 
 def _random_iterate(form, rng):
-    """X (or G) for the form: states and W, as the iteration keeps them."""
-    d, r = form.d, form.r
-    w = _random_hermitian_pd(2 * r, rng)
-    if isinstance(form, hnorm._DiagonalForm):
-        return [(rng.random(2 * d) + 0.5).reshape(2 * d, 1, 1), w]
-    return [np.stack([_random_hermitian_pd(d, rng), _random_hermitian_pd(d, rng)]), w]
+    """X (or G) for the form: states in blocks of its size b and W, as the
+    iteration keeps them."""
+    d, r, b = form.d, form.r, form.b
+    states = np.stack([_random_hermitian_pd(b, rng) for _ in range(2 * d // b)])
+    return [states.reshape(2, d // b, b, b), _random_hermitian_pd(2 * r, rng)]
 
 
 def _w_block(form, x):
@@ -534,15 +536,17 @@ def _newton_oracle(form, x, g):
 
 
 class TestNewtonAssembly:
-    @pytest.mark.parametrize("form", [hnorm._DiagonalForm, hnorm._FactorizationForm])
-    @pytest.mark.parametrize("r", range(1, 7))
-    def test_real_newton_matrix_matches_the_broadcast_oracle(self, form, r):
+    # b = 1 on diagonal families and b = d on dense ones, at d = 4; r = 16 =
+    # d^2 is the regime of a generic map, r > d.  The ids keep the names
+    # under which the cases have been reported.
+    @pytest.mark.parametrize("r, full", [pytest.param(r, full, id=f"{r}-{'_Factorization' if full else '_Diagonal'}")
+                                         for r in range(1, 7) for full in (False, True)]
+                             + [pytest.param(16, True, id="16-_Factorization")])
+    def test_real_newton_matrix_matches_the_broadcast_oracle(self, r, full):
         rng = np.random.default_rng(30 + r)
         d = 4
         fam = rng.standard_normal((2, r, d, d)) + 1j * rng.standard_normal((2, r, d, d))
-        if form is hnorm._DiagonalForm:
-            fam = fam * np.eye(d)
-        form = form(fam)
+        form = hnorm._Form(fam, d) if full else hnorm._Form(fam * np.eye(d), 1)
         x, g = _random_iterate(form, rng), _random_iterate(form, rng)
         expected = _newton_oracle(form, x, g)
         assert np.abs(form.newton(x, g) - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -671,7 +675,7 @@ class TestIterationCounts:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular_late)
-        for t in _one_map_per_form(np.random.default_rng(27)):
+        for t in _one_map_per_block_size(np.random.default_rng(27)):
             calls.clear()
             b = haagerup_norm_bounds(t)
             assert len(calls) > 6
