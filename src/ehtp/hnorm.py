@@ -193,10 +193,12 @@ def prune_terms(t: ElementaryOperator) -> ElementaryOperator:
     A dependent left family is compressed through its SVD (folding the
     coefficients into the right family), then the same on the right.  The
     second pass keeps the left family independent because it mixes it through
-    a matrix of orthonormal columns.  Only the entries in the diagonal blocks
-    of ``_block_size`` are compressed, so diagonal terms stay exactly diagonal.
+    a matrix of orthonormal columns.  The terms are balanced first, so a scalar
+    moved between a term's factors changes nothing.  Only the entries in the
+    diagonal blocks of ``_block_size`` are compressed, so diagonal terms stay
+    exactly diagonal.
     """
-    left, right = _drop_zero_terms(t.left, t.right)
+    left, right = _balanced(*_drop_zero_terms(t.left, t.right))
     n, d = left.shape[0], t.dim
     cols = _block_positions(d, _block_size(t))
     flat_l, flat_r = left.reshape(n, d * d)[:, cols], right.reshape(n, d * d)[:, cols]
@@ -738,8 +740,6 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         if bracket and bracket.width <= _SDP_GAP * bracket.upper:
             return bracket
         pruned = prune_terms(t)
-        if pruned.n_terms == 0:
-            return NormInterval(0.0, 0.0, (), 0, (0.0,), "ipm")
         *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, cap, b, start)
         found = solved, witness, iterations, [min(cap, v) for v in trace], "ipm"
     bracket = _certified(t, raw, cap, *found)

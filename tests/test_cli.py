@@ -264,7 +264,7 @@ class TestReports:
         outs = [str(tmp_path / f"report{i}.json") for i in range(2)]
         for out in outs:
             assert main(["run", "--scenario", src, "--seed", "11", "--out", out]) == 0
-        first, second = (open(out, "rb").read() for out in outs)
+        first, second = (Path(out).read_bytes() for out in outs)
         assert first == second
 
     def test_csv_format(self, tmp_path, capsys):
@@ -286,16 +286,15 @@ class TestReports:
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        cp = {"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [6]},
-              "representation": {"kind": "characters", "chars": [[1], [2], [5]]},
-              "measures": [{"dirac": 2}, {"density": [1, -1, 0, 0, 0, 0]}]}
         out = tmp_path / "report.json"
         assert main(["selftest", "--quick", "--out", str(out)]) == 0
         capsys.readouterr()                   # the summary table
         texts = [out.read_text()]
-        for payload in (BATCH, SQUARE, cp):
-            assert main(["run", "--scenario", scenario_file(tmp_path, payload)]) == 0
+        for name, (payload, flags, cases) in REPORT_RUNS.items():
+            assert main(["run", "--scenario", scenario_file(tmp_path, payload), *flags]) == 0, name
             texts.append(capsys.readouterr().out)
+            if cases is not None:
+                assert [r["case"] for r in parse_report(texts[-1])[0]] == cases, name
         records = [json.loads(line, parse_constant=reject) for text in texts for line in text.splitlines()]
         assert any(r.get("kraus_count") == 0 and r["kraus_min_singular"] is None for r in records)
 
@@ -665,6 +664,36 @@ def changed(payload, *path_and_value):
     return out
 
 
+# runs whose reports must be strict JSON: the payload, the flags and the
+# record cases expected, or None for any
+REPORT_RUNS = {
+    "batch": (BATCH, (), None),
+    "square": (SQUARE, (), None),
+    "cp-given": ({"experiment": "cp-posdef-equivalence", "group": {"kind": "cyclic_product", "shape": [6]},
+                  "representation": {"kind": "characters", "chars": [[1], [2], [5]]},
+                  "measures": [{"dirac": 2}, {"density": [1, -1, 0, 0, 0, 0]}]}, (), None),
+    # --quick quarters the trial count, 8 -> 2
+    "quick": (changed(CP_RANDOM, "params", "trials", 8), ("--quick",), ["measure-00", "measure-01"]),
+    # random measures pair off (0, 1), (2, 3), ...; given ones pair every way
+    "random-pairs": ({"experiment": "gamma-homomorphism", "group": {"kind": "cyclic_product", "shape": [5]},
+                      "representation": {"kind": "characters", "chars": [[1], [3]]}, "params": {"trials": 4}},
+                     (), ["unit", *(f"measure-{i:02d}/report" for i in range(4)), "pair-00-01", "pair-02-03"]),
+    # without subgroup_generators the subgroup is drawn from the seed
+    "restriction-drawn": ({k: v for k, v in RESTRICTION.items() if k != "params"}, (), ["spectrum"]),
+    "weights-at-coordinates": ({"experiment": "schur-identity",
+                                "group": {"kind": "cyclic_product", "shape": [2, 3]},
+                                "representation": {"kind": "characters", "chars": [[1, 1], [0, 2]]},
+                                "measures": [{"weights": [{"elem": [1, 2], "re": 1.0},
+                                                          {"elem": [0, 1], "im": 0.5}]}]},
+                               (), ["measure-00"]),
+}
+
+
+# Z_70 with the intercalate at rows 10, 45 and columns 6, 41 swapped (16 <-> 51): a Latin
+# square with an identity and inverses, not associative, that 2,000 sampled triples accepted
+SWAPPED_Z70 = [[{(10, 6): 51, (10, 41): 16, (45, 6): 16, (45, 41): 51}.get((i, j), (i + j) % 70) for j in range(70)]
+               for i in range(70)]
+
 # inputs that escaped the loaders as tracebacks, or were read as numbers they are not
 MALFORMED_INPUTS = {
     "experiment-object": changed(SQUARE, "experiment", {}),
@@ -693,6 +722,13 @@ MALFORMED_INPUTS = {
     "seed-negative": changed(CP_RANDOM, "seed", -1),
     "seed-beyond-64-bits": changed(CP_RANDOM, "seed", 2**64),
     "tol-bool": changed(SQUARE, "tol", True),
+    "density-integer-beyond-float": changed(NORM_MEASURE, "measures", 0, "density", [1, 10**400, 3, 4]),
+    "group-shape-beyond-the-order-bound": changed(NORM_MEASURE, "group", "shape", [4097]),
+    "character-exponents-of-the-wrong-length": changed(CHARACTER_DENSITY, "measures", 0, "character_density",
+                                                       [1, 2]),
+    "measure-spec-without-a-kind": changed(NORM_MEASURE, "measures", 0, {"mass": 1}),
+    "cayley-not-associative": {"experiment": "gamma-homomorphism", "group": {"kind": "cayley", "table": SWAPPED_Z70},
+                               "representation": {"kind": "regular"}, "measures": [{"dirac": 1}, {"dirac": 2}]},
 }
 
 

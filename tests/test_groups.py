@@ -165,6 +165,140 @@ class TestCayley:
         assert [h.mul(a, h.inverse[a]) for a in range(6)] == [4] * 6
 
 
+def _exhaustive_verdict(table):
+    """The message ``from_cayley`` must raise for a square table with entries
+    in range, or None for a group: every axiom checked on every element, and
+    associativity on every triple, a row at a time."""
+    t = np.asarray(table)
+    n, ar = len(t), np.arange(len(t))
+    if not all(np.array_equal(np.sort(t[i]), ar) and np.array_equal(np.sort(t[:, i]), ar) for i in ar):
+        return "cayley table is not a Latin square"
+    units = [e for e in ar if np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar)]
+    if not units:
+        return "cayley table has no identity element"
+    e = units[0]
+    for a in ar:
+        if not any(t[a, b] == e and t[b, a] == e for b in ar):
+            return f"element {a} has no two-sided inverse"
+    for a in range(n):
+        # (a*b)*c vs a*(b*c) for all b, c at once
+        if not np.array_equal(t[t[a], :], t[a][t]):
+            return "cayley table is not associative"
+    return None
+
+
+def _permutation_group_table(gens):
+    """The Cayley table of the group of permutations generated by ``gens``,
+    with ``(p q)(i) = p(q(i))``."""
+    elems = [tuple(range(len(gens[0])))]
+    for p in elems:
+        for g in gens:
+            q = tuple(g[i] for i in p)
+            if q not in elems:
+                elems.append(q)
+    index = {p: k for k, p in enumerate(elems)}
+    return np.array([[index[tuple(p[i] for i in q)] for q in elems] for p in elems])
+
+
+# the groups of order at most 12 used by the oracle tests, as permutation groups
+SMALL_GROUPS = {
+    "S3": [(1, 0, 2), (1, 2, 0)],
+    "D4": [(1, 2, 3, 0), (0, 3, 2, 1)],
+    "D5": [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)],
+    "D6": [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)],
+    "Q8": [(1, 2, 3, 0, 7, 4, 5, 6), (4, 5, 6, 7, 2, 3, 0, 1)],
+    "A4": [(1, 2, 0, 3), (1, 0, 3, 2)],
+    "Z12": [tuple(range(1, 12)) + (0,)],
+    "Z2xZ6": [(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 3, 4, 5, 6, 7, 2)],
+    "Z2^3": [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)],
+}
+
+
+def _intercalates(t):
+    """The 2 x 2 Latin subsquares ``(i, j, k, l)``: ``t[i, k] = t[j, l]`` and
+    ``t[i, l] = t[j, k]``."""
+    n = len(t)
+    return [(i, j, k, l) for i in range(n) for j in range(i + 1, n) for k in range(n) for l in range(k + 1, n)
+            if t[i, k] == t[j, l] and t[i, l] == t[j, k]]
+
+
+def _word_lengths(g, gens):
+    """The least k with x = g_k(...(g_1 e)), for every element x, by a
+    breadth-first search with all the generators from the start; -1 where
+    no word reaches."""
+    dist = np.full(g.order, -1)
+    dist[g.identity], frontier = 0, [g.identity]
+    while frontier:
+        nxt = [int(g.cayley[a, x]) for x in frontier for a in gens if dist[g.cayley[a, x]] < 0]
+        nxt = list(dict.fromkeys(nxt))
+        dist[nxt] = dist[frontier[0]] + 1
+        frontier = nxt
+    return dist
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("shape", [[1], [6], [2, 2, 2], [4, 60], [512], [2] * 9])
+    def test_words_up_to_the_bound_reach_every_element(self, shape):
+        g = make_cyclic_product(shape)
+        gens, length = g.generating_set
+        dist = _word_lengths(g, gens)
+        assert dist.min() >= 0 and dist.max() <= length
+        assert g.generating_set is g.generating_set     # computed once
+
+    def test_cyclic_groups_need_one_generator(self):
+        assert make_cyclic_product([512]).generating_set == ((1,), 511)
+        assert make_cyclic_product([2] * 9).generating_set == (tuple(2 ** k for k in range(9)), 9)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_the_bound_covers_nonabelian_tables(self, name):
+        g = from_cayley(_permutation_group_table(SMALL_GROUPS[name]))
+        gens, length = g.generating_set
+        dist = _word_lengths(g, gens)
+        assert dist.min() >= 0 and dist.max() <= length
+
+
+class TestLightsTest:
+    # Light's test on the generators against the exhaustive triple check
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_group_tables_and_intercalate_swaps_agree_with_the_triples(self, name):
+        table = _permutation_group_table(SMALL_GROUPS[name])
+        assert len(table) <= 12 and _exhaustive_verdict(table) is None
+        rng = np.random.default_rng(len(table))
+        relabel = rng.permutation(len(table))
+        base = np.empty_like(table)
+        base[relabel[:, None], relabel] = relabel[table]
+        quads = _intercalates(base)
+        verdicts = []
+        for swaps in [[]] + [[quads[k]] for k in rng.choice(len(quads), min(40, len(quads)), replace=False)] \
+                + [[quads[k] for k in rng.choice(len(quads), 2, replace=False)] for _ in range(10)]:
+            t = base.copy()
+            for i, j, k, l in swaps:
+                if t[i, k] == t[j, l] and t[i, l] == t[j, k]:     # still an intercalate
+                    t[i, k], t[i, l], t[j, k], t[j, l] = t[i, l], t[i, k], t[j, l], t[j, k]
+            expected = _exhaustive_verdict(t)
+            verdicts.append(expected)
+            if expected is None:
+                assert np.array_equal(from_cayley(t).cayley, t)
+            else:
+                with pytest.raises(ValueError, match=f"^{expected}$"):
+                    from_cayley(t)
+        assert "cayley table is not associative" in verdicts
+
+    def test_an_associative_failure_above_order_64_is_caught(self):
+        # Z_70 with the intercalate at rows 10, 45 and columns 6, 41 swapped
+        # (16 <-> 51): sampling 2,000 triples accepted it
+        t = make_cyclic_product([70]).cayley.copy()
+        t[[10, 10, 45, 45], [6, 41, 6, 41]] = [51, 16, 16, 51]
+        assert _exhaustive_verdict(t) == "cayley table is not associative"
+        with pytest.raises(ValueError, match="^cayley table is not associative$"):
+            from_cayley(t)
+
+    def test_cayley_groups_keep_the_input_table(self):
+        g = make_cyclic_product([4, 3])
+        h = from_cayley(g.cayley)
+        assert np.array_equal(h.cayley, g.cayley) and h.cayley.dtype == np.int64
+
+
 class TestCharacters:
     def test_trivial_character_is_constant_one(self):
         g = make_cyclic_product([4])

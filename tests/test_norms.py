@@ -18,7 +18,7 @@ from ehtp.elementary import (
     schur_op,
     transfer_matrix,
 )
-from ehtp.errors import NumericalError
+from ehtp.errors import TOL, NumericalError
 from ehtp.hnorm import haagerup_norm_bounds, prune_terms
 from ehtp.groups import Character, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_symbol
@@ -873,6 +873,50 @@ class TestWeightPath:
             haagerup_norm_bounds(t)
 
 
+def _certified(t, b):
+    """The certificate rebuilds the map, as ``haagerup_norm_bounds`` gates it,
+    and the bracket is not crossed."""
+    cert = ElementaryOperator.from_terms(t.dim, b.certificate_terms)
+    assert elementary.choi_distance(cert, t) <= TOL * b.upper
+    assert b.lower <= b.upper
+
+
+class TestFallbacks:
+    # every way a solver stops early still returns a certified bracket
+    @pytest.mark.parametrize("setting, value", [("_WEIGHT_ITERS", 1), ("_WEIGHT_HALVINGS", 0)],
+                             ids=["step-cap", "no-halving-keeps-f"])
+    def test_a_declined_ascent_leaves_the_bracket_to_the_solve(self, monkeypatch, setting, value):
+        t = schur_op(_random_symbol(5, np.random.default_rng(74)))
+        b = haagerup_norm_bounds(t)
+        assert b.path == "weights" and b.iterations > 1
+        monkeypatch.setattr(hnorm, setting, value)
+        assert hnorm._weight_ascent(elementary.schur_symbol(t)) is None
+        b = haagerup_norm_bounds(t)
+        assert b.path == "ipm" and b.width <= 1e-12 * b.upper
+        _certified(t, b)
+
+    @pytest.mark.parametrize("stage", ["barrier", "newton"])
+    def test_a_failed_factorization_stops_the_solve_certified(self, monkeypatch, stage):
+        # a LinAlgError in the barrier's Cholesky factors or in the Newton
+        # step ends the solve at the best iterate so far
+        t = conjugate_by(schur_op(_random_symbol(4, np.random.default_rng(75))),
+                         _random_unitary(4, np.random.default_rng(76)))
+        assert haagerup_norm_bounds(t).iterations > 3
+        owner, name = (hnorm, "_barrier") if stage == "barrier" else (hnorm._Form, "newton")
+        real, calls = getattr(owner, name), []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, failing)
+        b = haagerup_norm_bounds(t)
+        assert len(calls) == 3 and b.path == "ipm" and 0 < b.iterations <= 3
+        _certified(t, b)
+
+
 @st.composite
 def _symbols(draw):
     """A complex symbol with d <= 6, of full or lower rank, some of its rows
@@ -901,3 +945,18 @@ class TestSymmetries:
         images = [s, s.T, s.conj(), s[p][:, q], u[:, None] * s * v]
         with contextlib.nullcontext() if weights else _weights_declined():
             _overlap([haagerup_norm_bounds(schur_op(x)) for x in images])
+
+    @settings(max_examples=10)
+    @given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+    def test_a_terms_factors_rescaled_by_s_and_1_over_s(self, d, n, k, seed):
+        # (s a) x (b / s) is the term a x b: pruning compared the unbalanced
+        # left family and kept one of two terms at s = 1e7
+        rng = np.random.default_rng(seed)
+        t = _random_op(d, n, rng)
+        scale = 10.0 ** (k * (-1) ** np.arange(n))
+        scaled = ElementaryOperator(d, t.left * scale[:, None, None], t.right / scale[:, None, None])
+        assert prune_terms(scaled).n_terms == prune_terms(t).n_terms == n
+        base, moved = haagerup_norm_bounds(t), haagerup_norm_bounds(scaled)
+        _overlap([base, moved])
+        assert moved.upper == pytest.approx(base.upper, rel=1e-12)
+        assert moved.lower == pytest.approx(base.lower, rel=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehtp import representations
-from ehtp.errors import GroupMismatchError, NonAbelianError, NumericalError
+from ehtp.errors import TOL, GroupMismatchError, NonAbelianError, NumericalError
 from ehtp.groups import Character, dual_group, make_cyclic_product, subgroup_and_restriction
 from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes
 from ehtp.representations import (
@@ -75,6 +75,91 @@ class TestConstruction:
         mats[1, 0, 1] = bad
         with pytest.raises(NumericalError):
             make_representation(g, mats)
+
+
+def _all_pairs_residual(pi):
+    """The largest ``||pi(a) pi(b) - pi(ab)||_F`` over every pair, a row of
+    the table at a time."""
+    return max(np.linalg.norm(pi.matrices[a] @ pi.matrices - pi.matrices[pi.group.cayley[a]], axis=(1, 2)).max()
+               for a in range(pi.group.order))
+
+
+def _dihedral(n):
+    """The dihedral group of order 2n from its table, with its 2-dimensional
+    representation: rotation r by 2 pi r / n, times diag(1, -1) if flipped."""
+    rot, flip = np.arange(2 * n) % n, np.arange(2 * n) // n
+    table = (flip[:, None] ^ flip) * n + (rot[:, None] + np.where(flip[:, None] == 0, 1, -1) * rot) % n
+    c, s = np.cos(2 * np.pi * rot / n), np.sin(2 * np.pi * rot / n)
+    mats = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    mats[flip == 1] = mats[flip == 1] @ np.diag([1.0, -1.0])
+    return from_cayley(table), mats.astype(np.complex128)
+
+
+def _perturbed_representations(rng):
+    """Representations of order at most 64 with every kind of defect the
+    gate reads: noise on every matrix, a unitary twist of one element, a
+    phase on one element, a disturbed identity; at sizes from rounding to
+    far beyond the gate."""
+    dihedral, rotations = _dihedral(16)
+    bases = [character_rep(make_cyclic_product([64]), [Character((64,), (k,)) for k in (1, 7, 30)]),
+             regular_rep(from_cayley(s3_cayley())),
+             regular_rep(make_cyclic_product([2, 2, 2])),
+             Representation(dihedral, 2, rotations)]
+    for pi in bases:
+        n, d = pi.group.order, pi.dim
+        for eps in (1e-15, 1e-12, 1e-10, 1e-8, 1e-5):
+            noise = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+            twist = np.linalg.qr(np.eye(d) + eps * noise[0])[0]
+            for kind in ("noise", "twist", "phase", "identity"):
+                mats = pi.matrices.copy()
+                x = int(rng.integers(n))
+                if kind == "noise":
+                    mats += eps * noise
+                elif kind == "twist":
+                    mats[x] = twist @ mats[x]
+                elif kind == "phase":
+                    mats[x] *= np.exp(1j * eps)
+                else:
+                    mats[pi.group.identity] += eps * noise[1]
+                yield Representation(pi.group, d, mats)
+
+
+class TestLawGate:
+    def test_the_gated_bound_covers_every_pair(self):
+        # the bound on every pair, from the pairs (generator, y) alone, is at
+        # least the largest residual over all pairs; so an accepted stack is
+        # a representation to TOL * d at every pair
+        for pi in _perturbed_representations(np.random.default_rng(40)):
+            eye = np.eye(pi.dim)
+            gram = np.einsum("sji,sjk->sik", pi.matrices.conj(), pi.matrices)
+            unitarity = np.linalg.norm(gram - eye, axis=(1, 2)).max()
+            at_identity = np.linalg.norm(pi.matrices[pi.group.identity] - eye)
+            residual = _all_pairs_residual(pi)
+            assert representations._law_bound(pi, unitarity, at_identity) >= residual
+            try:
+                make_representation(pi.group, pi.matrices)
+            except NumericalError:
+                continue
+            assert residual <= TOL * pi.dim
+
+    def test_exact_representations_pass(self):
+        for group, mats in (_dihedral(60), _dihedral(3)):
+            assert make_representation(group, mats).dim == 2
+        g = make_cyclic_product([4, 60])
+        make_representation(g, character_rep(g, [Character((4, 60), (1, 7)), Character((4, 60), (3, 59))]).matrices)
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_one_negated_element_of_a_character_is_caught(self, n):
+        # s -> exp(2 pi i s / n) with pi(x0) negated: 200 sampled pairs
+        # accepted 31 of these 40 stacks at n = 4096 and 10 at n = 512
+        g = make_cyclic_product([n])
+        base = np.exp(2j * np.pi * np.arange(n) / n).reshape(n, 1, 1)
+        make_representation(g, base)
+        for x0 in range(1, 41):
+            mats = base.copy()
+            mats[x0] *= -1
+            with pytest.raises(NumericalError, match="homomorphism law fails"):
+                make_representation(g, mats)
 
 
 class TestIntegrate:
