@@ -79,7 +79,7 @@ from .suites import (
     unit_check,
 )
 
-__all__ = ["main", "EXPERIMENT_NAMES"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +427,6 @@ EXPERIMENTS = {
     "restriction-check": exp_restriction_check,
     "norm-interval": exp_norm_interval,
 }
-
-EXPERIMENT_NAMES = tuple(sorted(EXPERIMENTS))
 
 
 # ---------------------------------------------------------------------------

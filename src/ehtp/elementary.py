@@ -388,17 +388,11 @@ class PositivityReport:
 
 
 def _positive_samples(rng: np.random.Generator, d: int, trials: int) -> np.ndarray:
-    """``(trials, d, d)`` stack: ``ceil(trials / 2)`` rank-one ``w w*``, then
-    ``floor(trials / 2)`` full-rank ``g g*``.  One draw gives the normals a
-    loop alternating the two kinds would draw: per pair, Re w, Im w, Re g,
-    Im g."""
-    pairs, per = trials // 2, 2 * d + 2 * d * d
-    z = rng.standard_normal(pairs * per + trials % 2 * 2 * d)
-    paired = z[:pairs * per].reshape(pairs, per)
-    wz = np.concatenate([paired[:, :2 * d], z[pairs * per:].reshape(-1, 2 * d)]).reshape(-1, 2, d)
-    gz = paired[:, 2 * d:].reshape(pairs, 2, d, d)
-    w, g = wz[:, 0] + 1j * wz[:, 1], gz[:, 0] + 1j * gz[:, 1]
-    return np.concatenate([w[:, :, None] * w.conj()[:, None, :], g @ g.conj().transpose(0, 2, 1)])
+    """``(trials, d, d)`` stack of rank-one states ``w w*``, each complex normal
+    w drawn as its real part, then its imaginary part."""
+    z = rng.standard_normal((trials, 2, d))
+    w = z[:, 0] + 1j * z[:, 1]
+    return w[:, :, None] * w.conj()[:, None, :]
 
 
 def sampled_positivity(t: ElementaryOperator, trials: int = 50, tol: float = TOL,
@@ -406,10 +400,17 @@ def sampled_positivity(t: ElementaryOperator, trials: int = 50, tol: float = TOL
     """Positivity on sampled states of a bimodule map over the diagonal MASA
     (precondition, checked by the gate of :func:`is_diagonal_bimodule`): the
     verdict, and the worst ratio of an image's smallest eigenvalue to its
-    scale (``-inf`` for a non-Hermitian image).  Half the samples are
-    rank-one ``w w*`` (which detect any failure of positivity for a diagonal
-    bimodule map), half are full-rank ``g g*``; the images are the Schur
-    products ``S * x``, which that gate makes equal to ``T(x)``."""
+    scale (``-inf`` for a non-Hermitian image).  The images are the Schur
+    products ``S * x``, which that gate makes equal to ``T(x)``.
+
+    The samples are rank-one states ``w w*``: they span the extreme rays of
+    the PSD cone, so a map is positive iff it is positive on them.  For a
+    Schur multiplier each image ``S * w w* = D_w S D_w*`` is congruent to S
+    when no entry of w is zero, as for a normal sample almost surely, so by
+    Sylvester's law of inertia a single sample sees every negative
+    eigenvalue of S.  A full-rank state would not: its image is a sum of
+    congruent copies of S, and ``S = [[1, 2], [2, 1]]`` maps
+    ``[[a, c], [c*, b]]`` to a PSD matrix whenever ``4 |c|^2 <= a b``."""
     if not is_diagonal_bimodule(t, tol):
         raise BimoduleError("map is not a bimodule map over the diagonal MASA")
     x = _positive_samples(np.random.default_rng(seed), t.dim, trials)

@@ -209,9 +209,9 @@ class Character:
 
     def __post_init__(self) -> None:
         shape = tuple(int(n) for n in self.shape)
-        exps = tuple(int(k) % n for k, n in zip(self.exponents, shape))
-        if len(exps) != len(shape):
+        if len(self.exponents) != len(shape):
             raise ValueError("exponent tuple length must match the shape")
+        exps = tuple(int(k) % n for k, n in zip(self.exponents, shape))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "exponents", exps)
 

@@ -77,7 +77,10 @@ Math. Program. 95, 2003).  Both ends are certified:
   dual value of the states.  The states drop the eigenvalues of the iterate
   below ``sqrt(mu)``, which on the central path ``X Z = mu I`` are those
   that vanish at the optimum; a rank-one optimum, as for a single term, is
-  then found in a step or two.
+  then found in a step or two.  An optimum can also hold weights that are
+  tiny but not zero, which the truncation drops too, so where it drops one
+  the lower end is also taken at all the states of the iterate, and the
+  larger value is kept.
 
 Before the terms are pruned, the lower end is taken at the maximally mixed
 states ``rho = sigma = I/d`` in blocks of size b on the terms as given (one
@@ -344,7 +347,9 @@ def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -
 def _kept_roots(w: np.ndarray, mu: float) -> np.ndarray:
     """Roots of the state weights w (a row per side) normalized to sum 1, without
     those below ``sqrt(mu)``, except the largest: on the central path
-    ``X Z = mu I`` they are where X is smaller than Z, and vanish at the optimum."""
+    ``X Z = mu I`` they are where X is smaller than Z, which is where the optimum
+    has a zero weight or one below about ``sqrt(mu)``.  At ``mu = 0`` every
+    weight is kept."""
     w = np.where(w >= np.minimum(np.sqrt(mu), w.max(axis=1, keepdims=True)), w, 0.0)
     return np.sqrt(w / w.sum(axis=1, keepdims=True))
 
@@ -431,10 +436,14 @@ class _Form:
         """The largest eigenvalue of ``R_s*(E_s)`` for both sides."""
         return np.linalg.eigvalsh(self._spread(e)).reshape(2, -1).max(axis=1)
 
-    def state_roots(self, x: list, mu: float) -> np.ndarray:
-        """Factors L_s, stacked as the states, with ``L_s L_s*`` the kept states of X."""
+    def state_roots(self, x: list, mu: float) -> list:
+        """Factors L_s, stacked as the states, with ``L_s L_s*`` the kept states of
+        X (see ``_kept_roots``); then, when that drops a weight, the factors of
+        all the states of X."""
         w, v = np.linalg.eigh(x[0])
-        return v * _kept_roots(w.reshape(2, -1), mu).reshape(w.shape)[..., None, :]
+        kept = _kept_roots(w.reshape(2, -1), mu)
+        roots = [kept] if kept.all() else [kept, _kept_roots(w.reshape(2, -1), 0.0)]
+        return [v * root.reshape(w.shape)[..., None, :] for root in roots]
 
     def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
         """The families ``vec(a_i* L_0)`` and ``vec(b_i L_1)``, stacked, on the
@@ -655,7 +664,9 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, 
     e0 = np.eye(1, len(y), dtype=np.complex128)[0]
     t = _transposition(r)
     upper, lower = np.inf, start[0] / scale
-    p_best = roots_best = None
+    # should the first iterate fail, the certificate is the pruned rewriting,
+    # the identity gauge
+    p_best, roots_best = np.eye(r), None
     trace: list[float] = []
     iterations = 0
     for _ in range(_SDP_ITERS):
@@ -672,8 +683,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, 
         if value < upper:
             upper, p_best = value, p
         trace.append(upper)
-        if iterations:
-            roots = form.state_roots(x, mu)
+        for roots in form.state_roots(x, mu) if iterations else ():
             value = float(np.linalg.svd(_polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
             if value > lower:
                 lower, roots_best = value, roots

@@ -579,35 +579,27 @@ def restriction_suite(trials: int = 50, seed: int = 0) -> Iterator[dict]:
 # Registry
 # ---------------------------------------------------------------------------
 
+# (name, suite, quick sizes): a full run takes each suite's own defaults
 _SUITE_SPECS = (
-    ("gamma-homomorphism", homomorphism_suite, {"pairs_per_group": 100}, {"pairs_per_group": 10}),
-    ("contractivity", contractivity_suite, {"trials": 100}, {"trials": 10}),
-    ("schur-identity", schur_suite, {"trials": 200}, {"trials": 20}),
-    ("square-example", square_suite, {}, {}),
-    ("kernel-equivalence", kernel_suite, {"trials": 500}, {"trials": 50}),
-    ("cp-posdef-equivalence", cp_posdef_suite, {"trials": 1000}, {"trials": 100}),
-    ("norm-interval", norm_interval_suite, {"trials": 100}, {"trials": 10}),
-    ("slice-identity", slice_suite, {"instances": 100, "functionals": 50},
-     {"instances": 10, "functionals": 10}),
-    ("cyclic-vector", cyclic_vector_suite, {"trials": 100}, {"trials": 20}),
-    ("restriction-check", restriction_suite, {"trials": 50}, {"trials": 10}),
+    ("gamma-homomorphism", homomorphism_suite, {"pairs_per_group": 10}),
+    ("contractivity", contractivity_suite, {"trials": 10}),
+    ("schur-identity", schur_suite, {"trials": 20}),
+    ("square-example", square_suite, {}),
+    ("kernel-equivalence", kernel_suite, {"trials": 50}),
+    ("cp-posdef-equivalence", cp_posdef_suite, {"trials": 100}),
+    ("norm-interval", norm_interval_suite, {"trials": 10}),
+    ("slice-identity", slice_suite, {"instances": 10, "functionals": 10}),
+    ("cyclic-vector", cyclic_vector_suite, {"trials": 20}),
+    ("restriction-check", restriction_suite, {"trials": 10}),
 )
 
 SUITE_NAMES = tuple(name for name, *_ in _SUITE_SPECS)
 
 
-def run_all(seed: int = 0, quick: bool = False, names=None) -> Iterator[dict]:
-    """The records of the registered suites, in registry order, as one lazy
+def run_all(seed: int = 0, quick: bool = False) -> Iterator[dict]:
+    """The records of every registered suite, in registry order, as one lazy
     stream: a suite starts when the one before it is exhausted, and each
-    record is computed when it is read.
-
-    Unknown ``names`` are rejected here, before any suite runs.  ``quick``
-    switches every suite to its reduced trial counts.
-    """
-    if names is not None:
-        unknown = set(names) - {spec[0] for spec in _SUITE_SPECS}
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-    return chain.from_iterable(fn(seed=seed, **(quick_kwargs if quick else full_kwargs))
-                               for name, fn, full_kwargs, quick_kwargs in _SUITE_SPECS
-                               if names is None or name in names)
+    record is computed when it is read.  A full run takes each suite's own
+    default sizes; ``quick`` takes the reduced sizes of the registry."""
+    return chain.from_iterable(fn(seed=seed, **(quick_sizes if quick else {}))
+                               for _, fn, quick_sizes in _SUITE_SPECS)

@@ -68,18 +68,6 @@ def from_measure(diag: DiagonalizedRep, mu: Measure) -> VFunction:
                      scale=len(diag.spectrum) * mu.norm)
 
 
-def _gram_family(u: VFunction, tol: float) -> list[np.ndarray] | None:
-    """The Gram family of :func:`gram_factorize`, or None for a kernel that
-    is not positive semidefinite at ``tol``: the family of
-    :func:`ehtp.elementary.positive_family` on the kernel at ``u.scale``,
-    the rule complete positivity reads on the Choi matrix."""
-    family = positive_family(u.values, u.scale, tol)
-    if family is None:
-        return None
-    evals, evecs = family
-    return [np.sqrt(lam) * v for lam, v in zip(evals, evecs.T)]
-
-
 def is_positive_definite(u: VFunction, tol: float = TOL) -> bool:
     """Numerically Hermitian positive semidefinite as a matrix on the
     spectrum, by :func:`ehtp.elementary.positive_family` at ``u.scale``,
@@ -95,10 +83,11 @@ def gram_factorize(u: VFunction) -> list[np.ndarray]:
     eigenvalue is at most ``CUTOFF * u.scale``, otherwise eigenvalues up to
     ``CUTOFF`` times the largest are dropped.  Errors on a kernel that is
     not positive semidefinite at ``TOL``."""
-    family = _gram_family(u, TOL)
+    family = positive_family(u.values, u.scale, TOL)
     if family is None:
         raise NumericalError("kernel is not positive semidefinite")
-    return family
+    evals, evecs = family
+    return [np.sqrt(lam) * v for lam, v in zip(evals, evecs.T)]
 
 
 @dataclass(frozen=True)
@@ -138,8 +127,8 @@ def equivalence_suite(
     family, whose elements should be diagonal in the joint eigenbasis:
     ``kraus_diagonality`` is the largest off-diagonal part of a rotated
     element relative to the largest Kraus norm.  One eigendecomposition of
-    the kernel gives its positive semidefiniteness and its Gram family,
-    both criteria by :func:`ehtp.elementary.positive_family` at ``tol``.
+    the kernel gives its positive semidefiniteness and the size of its Gram
+    family, both criteria by :func:`ehtp.elementary.positive_family` at ``tol``.
     """
     op = gamma(diag.rep, mu).op
     try:
@@ -147,7 +136,8 @@ def equivalence_suite(
         cp = True
     except NotCompletelyPositiveError:
         kraus, cp = [], False
-    gram = _gram_family(from_measure(diag, mu), tol)
+    kernel = from_measure(diag, mu)
+    gram = positive_family(kernel.values, kernel.scale, tol)
     pd = gram is not None
     # the rotation is unitary, so the rotated map is completely positive iff op is
     sampled, _ = sampled_positivity(conjugate_by(op, diag.basis), trials=trials, tol=tol, seed=seed)
@@ -167,7 +157,7 @@ def equivalence_suite(
         positive_definite=pd,
         sampled_positive=sampled,
         kraus_count=len(kraus),
-        gram_count=len(gram) if pd else 0,
+        gram_count=len(gram[0]) if pd else 0,
         kraus_min_singular=min_singular,
         kraus_max_singular=max_singular,
         kraus_diagonality=diagonality,

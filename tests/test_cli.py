@@ -325,7 +325,7 @@ class TestReports:
             return [{"suite": "probe", "case": "c", "identity": "i", "passed": True}]
 
         cli_module = importlib.import_module("ehtp.cli")
-        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", probe, {}, {}),))
+        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", probe, {}),))
         monkeypatch.setitem(cli_module.EXPERIMENTS, "square-example", probe)
         out = str(tmp_path / "missing" / "report.jsonl")
         argv = ["run", "--scenario", scenario_file(tmp_path, SQUARE)] if command == "run" else ["selftest"]
@@ -344,7 +344,7 @@ class TestReports:
                 yield {"suite": "probe", "case": f"case-{i:05d}", "identity": "i", "passed": True,
                        "residual": 0.0}
 
-        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", many, {}, {}),))
+        monkeypatch.setattr(suites, "_SUITE_SPECS", (("probe", many, {}),))
         out = tmp_path / "report.txt"
         tracemalloc.start()
         try:

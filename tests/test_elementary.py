@@ -10,7 +10,9 @@ from ehtp.elementary import (
     ElementaryOperator,
     apply,
     choi,
+    choi_distance,
     compose,
+    composition_distance,
     conjugate_by,
     is_completely_positive,
     is_diagonal_bimodule,
@@ -88,10 +90,20 @@ class TestVec:
 
 class TestConstruction:
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            ElementaryOperator(2, np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
-        with pytest.raises(DimensionMismatchError):
-            ElementaryOperator(2, np.zeros((2, 2, 2)), np.zeros((1, 2, 2)))
+        t2, t3 = _identity_map(2), _identity_map(3)
+        rejected = [
+            lambda: ElementaryOperator(2, np.zeros((1, 3, 3)), np.zeros((1, 3, 3))),
+            lambda: ElementaryOperator(2, np.zeros((2, 2, 2)), np.zeros((1, 2, 2))),
+            lambda: unvec(np.zeros(5)),
+            lambda: schur_op(np.zeros((2, 3))),
+            lambda: apply(t2, np.eye(3)),
+            lambda: compose(t2, t3),
+            lambda: composition_distance(t2, t2, t3),
+            lambda: choi_distance(t2, t3),
+        ]
+        for call in rejected:
+            with pytest.raises(DimensionMismatchError):
+                call()
 
     def test_terms_are_read_only(self):
         t = _identity_map(2)
@@ -102,6 +114,7 @@ class TestConstruction:
         t = ElementaryOperator.from_terms(3, [])
         assert t.n_terms == 0
         assert np.allclose(apply(t, np.eye(3)), 0.0)
+        assert np.array_equal(slice_left(t, np.eye(3)), np.zeros((3, 3)))
 
 
 class TestApply:
@@ -456,17 +469,14 @@ class TestBimoduleSampling:
 
 
 def _loop_samples(seed, d, trials):
-    """The samples as a loop draws them, alternating ``w w*`` and ``g g*``."""
+    """Rank-one samples as a loop draws them: per trial, ``w`` from the real
+    and then the imaginary normals, and ``w w*``."""
     rng = np.random.default_rng(seed)
-    rank_one, full = [], []
-    for trial in range(trials):
-        if trial % 2 == 0:
-            w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            rank_one.append(np.outer(w, np.conj(w)))
-        else:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            full.append(g @ g.conj().T)
-    return np.array(rank_one + full).reshape(trials, d, d)
+    samples = []
+    for _ in range(trials):
+        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        samples.append(np.outer(w, np.conj(w)))
+    return np.array(samples).reshape(trials, d, d)
 
 
 def _loop_positivity(t, samples, tol=1e-9):
@@ -489,6 +499,25 @@ class TestBatchedPositivityProbe:
     def test_one_draw_gives_the_samples_of_the_loop(self, d, trials):
         stack = _positive_samples(np.random.default_rng(5), d, trials)
         assert np.array_equal(stack, _loop_samples(5, d, trials))
+
+    @pytest.mark.parametrize("d, trials", [(1, 3), (3, 20), (4, 7)])
+    def test_every_sample_is_a_rank_one_state(self, d, trials):
+        stack = _positive_samples(np.random.default_rng(6), d, trials)
+        assert stack.shape == (trials, d, d)
+        assert np.allclose(stack, stack.conj().transpose(0, 2, 1), rtol=0, atol=1e-14 * np.abs(stack).max())
+        for x in stack:
+            evals = np.linalg.eigvalsh(x)
+            assert evals[-1] > 0 and np.all(np.abs(evals[:-1]) <= 1e-12 * evals[-1])
+            assert np.linalg.matrix_rank(x) == 1
+
+    def test_one_sample_sees_a_negative_eigenvalue_a_full_rank_state_hides(self):
+        # S o ww* = D_w S D_w* is congruent to S; S o gg* sums such copies,
+        # and [[1, 2], [2, 1]] o [[a, c], [c*, b]] is PSD when 4|c|^2 <= ab
+        s = schur_op(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        verdict, worst = sampled_positivity(s, trials=1)
+        assert not verdict and worst < -TOL
+        hidden = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert np.linalg.eigvalsh(apply(s, hidden)).min() >= 0
 
     def _maps(self):
         rng = np.random.default_rng(25)

@@ -8,6 +8,7 @@ import pytest
 from ehtp.elementary import apply, transfer_matrix
 from ehtp.errors import GroupMismatchError, NumericalError
 from ehtp.gamma import (
+    checked_symbol,
     gamma,
     kernel_test_difference_set,
     kernel_test_tensor_conjugate,
@@ -76,8 +77,11 @@ class TestRealization:
 
     def test_group_mismatch_rejected(self):
         pi = regular_rep(make_cyclic_product([3]))
-        with pytest.raises(GroupMismatchError):
-            gamma(pi, dirac(make_cyclic_product([5]), 0))
+        mu = dirac(make_cyclic_product([5]), 0)
+        for check in (gamma, lambda pi, mu: checked_symbol(diagonalize(pi), mu),
+                      lambda pi, mu: kernel_test_difference_set(diagonalize(pi), mu)):
+            with pytest.raises(GroupMismatchError):
+                check(pi, mu)
 
 
 class TestHomomorphism:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ehtp.errors import NonAbelianError
 from ehtp.groups import (
     Character,
+    SpectrumSet,
     character_table,
     difference_set,
     dual_group,
@@ -67,8 +68,11 @@ class TestCyclicProduct:
         assert order == 6  # Z2 x Z3 is cyclic of order 6
 
     def test_order_cap_rejected(self):
-        with pytest.raises(ValueError):
-            make_cyclic_product([70000])
+        # and the shapes that give no order: no factor, a factor below 1
+        for shape, message in [([70000], "exceeds the bound"), ([], "at least one factor"),
+                               ([4, 0], "must be >= 1")]:
+            with pytest.raises(ValueError, match=message):
+                make_cyclic_product(shape)
 
     def test_coordinates_round_trip(self):
         g = make_cyclic_product([2, 3, 4])
@@ -148,9 +152,14 @@ class TestCayley:
          "element 2 has no two-sided inverse"),
         ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
          "cayley table is not associative"),
+        ([[0, 1, 2], [1, 2, 0]], "cayley table must be square"),
+        ([], "cayley table must be square"),
+        (np.zeros((0, 0), dtype=int), "empty cayley table"),
+        ([[0, 1], [1, 2]], r"cayley entries must index elements 0\.\.order-1"),
     ])
     def test_each_axiom_is_rejected_with_its_message(self, table, message):
-        # each table is a Latin square that fails this axiom first
+        # each of the first three tables is a Latin square that fails this
+        # axiom first; the others are not tables of n elements
         with pytest.raises(ValueError, match=f"^{message}$"):
             from_cayley(table)
 
@@ -366,8 +375,21 @@ class TestCharacters:
         assert character_table(g, []).shape == (0, g.order)
 
     def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(NonAbelianError):
-            character_table(make_cyclic_product([4]), [Character((2, 2), (1, 0))])
+        # characters, spectra and groups whose shapes disagree
+        z4, z6 = make_cyclic_product([4]), make_cyclic_product([6])
+        sub = subgroup_and_restriction(z6, [2])
+        rejected = [
+            (lambda: character_table(z4, [Character((2, 2), (1, 0))]), NonAbelianError, "does not match"),
+            (lambda: Character((5,), (1, 2)), ValueError, "exponent tuple length"),
+            (lambda: Character((5, 5), (1,)), ValueError, "exponent tuple length"),
+            (lambda: SpectrumSet(from_cayley(s3_cayley()), ()), NonAbelianError, "cyclic-product group"),
+            (lambda: SpectrumSet(z4, (Character((6,), (1,)),)), ValueError, "does not match the group"),
+            (lambda: sub.restrict(Character((4,), (1,))), ValueError, "ambient group"),
+            (lambda: sub.restrict_spectrum(spectrum(z4, [Character((4,), (1,))])), ValueError, "ambient group"),
+        ]
+        for call, error, message in rejected:
+            with pytest.raises(error, match=message):
+                call()
 
 
 class TestSpectrumSets:
@@ -376,6 +398,8 @@ class TestSpectrumSets:
         tau = Character((5,), (1,))
         e = spectrum(make_cyclic_product([5]), [chi, tau, chi])
         assert [c.exponents for c in e] == [(2,), (1,)]
+        with pytest.raises(ValueError, match="duplicate characters"):
+            SpectrumSet(make_cyclic_product([5]), (chi, tau, chi))
 
     def test_dual_group_is_lexicographic_and_complete(self):
         g = make_cyclic_product([2, 2])

@@ -64,10 +64,19 @@ class TestBasics:
             Measure(make_cyclic_product([3]), weights)
 
     def test_group_mismatch_rejected(self):
-        mu = dirac(make_cyclic_product([3]), 0)
-        nu = dirac(make_cyclic_product([4]), 0)
-        with pytest.raises(GroupMismatchError):
-            convolve(mu, nu)
+        # measures, weights, densities and spectra of two different groups
+        z3, z4 = make_cyclic_product([3]), make_cyclic_product([4])
+        mu, nu = dirac(z3, 0), dirac(z4, 0)
+        rejected = [
+            (lambda: convolve(mu, nu), GroupMismatchError, "different groups"),
+            (lambda: Measure(z3, np.ones(4)), ValueError, r"weights must have shape \(3,\)"),
+            (lambda: from_density(z3, np.ones(4)), ValueError, "one value per group element"),
+            (lambda: fourier_on(mu, spectrum(z4, [Character((4,), (1,))])), GroupMismatchError,
+             "different group"),
+        ]
+        for call, error, message in rejected:
+            with pytest.raises(error, match=message):
+                call()
 
     def test_from_density_normalization(self):
         g = make_cyclic_product([4])

@@ -465,6 +465,17 @@ class TestDiagonalForm:
         assert iterated >= 25
         assert {"b=1", "b=d"} <= set(newton_calls)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_an_optimum_with_tiny_weights_gets_its_lower_end(self, seed):
+        # the optimal weights on the small rows are 1e-7 to 1e-9 of the
+        # largest, below sqrt(mu); the truncated states alone left widths of
+        # 1.7e-7 and 3.9e-8
+        s = _random_symbol(16, np.random.default_rng(seed))
+        s[:4] *= 1e-2
+        b = haagerup_norm_bounds(schur_op(s))
+        assert b.path == "ipm"
+        assert b.width <= 1e-9 * b.upper
+
     def test_pruned_character_images_are_exactly_diagonal(self):
         rng = np.random.default_rng(24)
         off = ~np.eye(6, dtype=bool)
@@ -915,6 +926,19 @@ class TestFallbacks:
         b = haagerup_norm_bounds(t)
         assert len(calls) == 3 and b.path == "ipm" and 0 < b.iterations <= 3
         _certified(t, b)
+
+    @pytest.mark.usefixtures("ipm_only")
+    def test_a_failed_first_barrier_returns_the_start_bracket(self, monkeypatch):
+        # with no iterate the certificate is the pruned rewriting at the
+        # identity gauge, and the lower end the start point's
+        def failing(*args):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(hnorm, "_barrier", failing)
+        for t in _one_map_per_block_size(np.random.default_rng(77)):
+            b = haagerup_norm_bounds(t)
+            assert b.path == "ipm" and b.iterations == 0
+            _certified(t, b)
 
 
 @st.composite

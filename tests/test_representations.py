@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehtp import representations
-from ehtp.errors import TOL, GroupMismatchError, NonAbelianError, NumericalError
+from ehtp.errors import TOL, DimensionMismatchError, GroupMismatchError, NonAbelianError, NumericalError
 from ehtp.groups import Character, dual_group, make_cyclic_product, subgroup_and_restriction
 from ehtp.measures import Measure, convolve, dirac, fourier_on, fourier_stieltjes
 from ehtp.representations import (
@@ -53,6 +53,11 @@ class TestConstruction:
         mats = np.stack([np.eye(2), 0.9 * np.eye(2)]).astype(np.complex128)
         with pytest.raises(NumericalError):
             make_representation(g, mats)
+        # nor is a stack that is not of square matrices, or of the wrong size
+        with pytest.raises(DimensionMismatchError, match="stack of square matrices"):
+            make_representation(g, np.ones((2, 2, 3)))
+        with pytest.raises(DimensionMismatchError, match=r"must have shape \(2, 2, 2\)"):
+            Representation(g, 2, np.ones((3, 2, 2)))
 
     def test_unitary_non_homomorphism_rejected(self):
         g = make_cyclic_product([4])
@@ -205,6 +210,8 @@ class TestIntegrate:
         pi = regular_rep(make_cyclic_product([3]))
         with pytest.raises(GroupMismatchError):
             integrate(pi, dirac(make_cyclic_product([4]), 0))
+        with pytest.raises(GroupMismatchError, match="subgroup live on different groups"):
+            restrict_representation(pi, subgroup_and_restriction(make_cyclic_product([6]), [2]))
 
 
 def _oracle_multiplicities(pi):
@@ -310,11 +317,14 @@ class TestDiagonalize:
         elif kind == "non-commuting":
             # still unitary: a Hadamard turn of the first two rows of pi(1)
             mats[1, :2] = np.array([[1, 1], [1, -1]]) / np.sqrt(2) @ mats[1, :2]
+        elif kind == "identity-tripled":
+            # every isotypic trace reads 3, so sum_j j P_j has eigenvalues 5..10
+            mats[0] *= 3
         else:
             mats[3, 0, 0] += {"perturbed-1e-6": 1e-6, "perturbed-1e-12": 1e-12}[kind]
         return Representation(g, g.order, mats)
 
-    @pytest.mark.parametrize("kind", ["swapped", "perturbed-1e-6", "non-commuting"])
+    @pytest.mark.parametrize("kind", ["swapped", "perturbed-1e-6", "non-commuting", "identity-tripled"])
     def test_corrupted_stack_raises(self, kind):
         with pytest.raises(NumericalError):
             diagonalize(self._corrupted(kind))
@@ -410,6 +420,10 @@ class TestCyclicVector:
     def test_single_vector_is_kept(self):
         xi = cyclic_vector([2], [np.array([1.0, 2.0])])
         assert np.allclose(xi, [1.0, 2.0])
+        with pytest.raises(ValueError, match="block sizes must be positive"):
+            cyclic_vector([2, 0], [np.array([1.0, 2.0])])
+        with pytest.raises(DimensionMismatchError, match="length 2"):
+            cyclic_vector([2], [np.array([1.0, 2.0, 3.0])])
 
     def test_two_scalar_blocks(self):
         e1 = np.array([1.0, 0.0])
