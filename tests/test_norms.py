@@ -1,10 +1,16 @@
 """Completely bounded norm brackets: the completely positive fast path, Newton
-on the state weights of Schur multipliers and the factorization SDP, checked
-on Schur multipliers, regular representations and random maps against
-independent oracles, the SDP being the oracle of the weights."""
+on the state weights of Schur multipliers and on the state factors of every
+other map, and the factorization SDP, checked on Schur multipliers, regular
+representations and random maps against independent oracles, the SDP being
+the oracle of both weight paths."""
 
+import collections
 import contextlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,9 +29,10 @@ from ehtp.hnorm import haagerup_norm_bounds, prune_terms
 from ehtp.groups import Character, dual_group, from_cayley, make_cyclic_product
 from ehtp.measures import Measure, dirac, fourier_symbol
 from ehtp.gamma import gamma
-from ehtp.representations import character_rep, regular_rep
+from ehtp.representations import character_rep, make_representation, regular_rep
 from ehtp.suites import (NORM_REL_WIDTH, SHAPE_POOL_12, _pick_group, contractivity_suite, make_rng,
-                         norm_interval_suite, random_character_rep, random_measure, s3_cayley)
+                         norm_interval_suite, random_character_rep, random_measure, random_positive_measure,
+                         s3_cayley)
 
 
 # independent oracle: the factorization value of an explicit term list
@@ -226,7 +233,7 @@ class TestSchurPath:
             rotated = conjugate_by(t, _random_unitary(d, rng))
             schur = haagerup_norm_bounds(t)
             generic = haagerup_norm_bounds(rotated)
-            assert generic.iterations > 0
+            assert generic.path != "start"
             assert generic.lower <= schur.upper * (1 + 1e-9)
             assert schur.lower <= generic.upper * (1 + 1e-9)
             assert schur.width <= 1e-9 * schur.upper
@@ -361,10 +368,12 @@ def _one_map_per_block_size(rng):
 
 @contextlib.contextmanager
 def _weights_declined():
-    """Decline the weight path, so that a diagonal map the start point
-    leaves open goes to the interior-point solve."""
+    """Decline both weight paths, Newton on the state weights (b = 1) and on
+    the state factors (b = d), so that a map the start point leaves open goes
+    to the interior-point solve."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hnorm, "_weight_ascent", lambda s: None)
+        m.setattr(hnorm, "_factor_ascent", lambda form: None)
         yield
 
 
@@ -404,6 +413,17 @@ def _contractivity_generic_ops(count, seed=0):
         group = _pick_group(rng, SHAPE_POOL_12)
         pi = random_character_rep(group, rng, max_dim=6)
         yield gamma(pi, random_measure(group, rng)).op
+
+
+def _contractivity_ops(seed=0):
+    """Every map of the contractivity suite at its default size, in its
+    order: 100 generic measures, then 100 positive ones."""
+    rng = make_rng(seed, stream=2)
+    for draw in (random_measure, random_positive_measure):
+        for _ in range(100):
+            group = _pick_group(rng, SHAPE_POOL_12)
+            pi = random_character_rep(group, rng, max_dim=6)
+            yield gamma(pi, draw(group, rng)).op
 
 
 def _norm_interval_case(case):
@@ -718,6 +738,7 @@ def _ascent_oracle(t, rng, restarts=4, steps=200):
     return best
 
 
+@pytest.mark.usefixtures("ipm_only")
 class TestGenericMaps:
     def test_lower_end_matches_an_alternating_ascent(self):
         rng = np.random.default_rng(21)
@@ -906,6 +927,7 @@ class TestFallbacks:
         assert b.path == "ipm" and b.width <= 1e-12 * b.upper
         _certified(t, b)
 
+    @pytest.mark.usefixtures("ipm_only")
     @pytest.mark.parametrize("stage", ["barrier", "newton"])
     def test_a_failed_factorization_stops_the_solve_certified(self, monkeypatch, stage):
         # a LinAlgError in the barrier's Cholesky factors or in the Newton
@@ -939,6 +961,240 @@ class TestFallbacks:
             b = haagerup_norm_bounds(t)
             assert b.path == "ipm" and b.iterations == 0
             _certified(t, b)
+
+
+def _batch_operators():
+    """The eight maps of the scenario batch's ``norm-operators`` scenario,
+    from its ``default_rng(2)`` recipe: single terms at d = 2..5, then three
+    terms at d = 2..5.  The batch also reorders the terms and moves a phase
+    from each b_i to its a_i, which keeps the map."""
+    base = np.random.default_rng(2)
+    ops = []
+    for i in range(8):
+        dim, terms = 2 + i % 4, 1 if i < 4 else 3
+        a = base.standard_normal((terms, dim, dim)) + 1j * base.standard_normal((terms, dim, dim))
+        b = base.standard_normal((terms, dim, dim)) + 1j * base.standard_normal((terms, dim, dim))
+        ops.append(ElementaryOperator(dim, a, b))
+    return ops
+
+
+def _d60_maps():
+    """The two maps of the scenario batch's ``homomorphism-d60`` scenario: the
+    two-dimensional representation of the dihedral group of order 120 and two
+    generic measures from ``default_rng(4)``.  The batch twists the
+    representation by a character of order two and turns the measures by a
+    phase, which keeps the maps up to that phase."""
+    n = 60
+
+    def mul(x, y):
+        (r1, f1), (r2, f2) = divmod(x, n)[::-1], divmod(y, n)[::-1]
+        return (f1 ^ f2) * n + (r1 + (r2 if f1 == 0 else -r2)) % n
+
+    group = from_cayley([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)])
+    mats = np.zeros((2 * n, 2, 2), dtype=np.complex128)
+    for f in range(2):
+        for r in range(n):
+            c, s = np.cos(2 * np.pi * r / n), np.sin(2 * np.pi * r / n)
+            mats[f * n + r] = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0] if f else [1.0, 1.0])
+    pi = make_representation(group, mats)
+    gen = np.random.default_rng(4)
+    return [gamma(pi, Measure(group, gen.standard_normal(2 * n) + 1j * gen.standard_normal(2 * n))).op
+            for _ in range(2)]
+
+
+def _factor_form(t):
+    """The form of the factor path on the pruned terms of t, and those terms
+    balanced, the families its gauge rewrites."""
+    pruned = prune_terms(t)
+    left, right, row, col = hnorm._unit_families(pruned.left, pruned.right)
+    return hnorm._Form(np.stack([left, right.conj().transpose(0, 2, 1)]), t.dim), (left * row, right * col)
+
+
+def _factor_value_and_gradient(form, x, shape):
+    """f and its gradient ``(K_0 L_0, K_1 L_1)`` at the real coordinates x."""
+    roots = hnorm._complex(x, shape)
+    _, factors, gauges, _ = hnorm._factor_state(form, roots)
+    return factors[1].sum(), hnorm._real(form._spread(gauges) @ roots)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """One entry per interior-point solve that ran."""
+    calls, solve = [], hnorm._factorization_sdp
+
+    def counted(*args):
+        calls.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(hnorm, "_factorization_sdp", counted)
+    return calls
+
+
+class TestFactorPath:
+    # Newton on the state factors closes the brackets of maps with b = d
+    # whose optimal states keep A and B nonsingular; the interior-point solve
+    # is its oracle
+    @pytest.mark.parametrize("r", [1, 3, 9])
+    def test_derivatives_match_central_differences(self, r):
+        # r = 1, 3 and d^2 at d = 3, with factors of rank ceil(r / d)
+        d, rng = 3, np.random.default_rng(80 + r)
+        fam = rng.standard_normal((2, r, d, d)) + 1j * rng.standard_normal((2, r, d, d))
+        form = hnorm._Form(fam, d)
+        shape = (2, 1, d, -(-r // d))
+        roots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = hnorm._real(roots)
+        vecs, factors, _, _ = hnorm._factor_state(form, roots)
+        f, grad = _factor_value_and_gradient(form, x, shape)
+        hess = hnorm._factor_derivatives(form, roots, vecs, factors)
+        h, eye = 1e-5, np.eye(len(x))
+        fd_grad = [(_factor_value_and_gradient(form, x + h * e, shape)[0]
+                    - _factor_value_and_gradient(form, x - h * e, shape)[0]) / (2 * h) for e in eye]
+        fd_hess = np.array([(_factor_value_and_gradient(form, x + h * e, shape)[1]
+                             - _factor_value_and_gradient(form, x - h * e, shape)[1]) / (2 * h) for e in eye])
+        assert np.abs(grad - fd_grad).max() <= 1e-8 * np.abs(grad).max()
+        assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
+        # f is the dual value of the states, which the polar contraction gives
+        assert f == pytest.approx(hnorm._polar_contraction(vecs)[0], rel=1e-13)
+
+    def test_the_gauge_is_the_conjugate_of_the_geometric_mean(self):
+        # the rewriting at conj P rebuilds the map and attains f; at P, the
+        # other index convention, it rebuilds the map but does not attain f
+        for t in (_batch_operators()[5], _random_op(3, 9, np.random.default_rng(82))):
+            form, families = _factor_form(t)
+            roots, gauge, _, _ = hnorm._factor_ascent(form)
+            start_form = hnorm._Form(np.stack([t.left, t.right.conj().transpose(0, 2, 1)]), t.dim)
+            padded = np.zeros(start_form.unit.shape, dtype=np.complex128)
+            padded[..., :roots.shape[-1]] = roots
+            f = start_form.dual_witness(padded)[0]
+            for p, attains in ((gauge, True), (gauge.conj(), False)):
+                cert = hnorm._certificate(*families, p)
+                value = _factorization_value(list(zip(*cert)))
+                assert elementary.choi_distance(ElementaryOperator(t.dim, *cert), t) <= TOL * value
+                assert (value == pytest.approx(f, rel=1e-12)) == attains
+
+    @pytest.mark.parametrize("maps", ["random", "batch", "d60"])
+    def test_brackets_agree_with_the_solve(self, maps):
+        # where both paths run, the brackets meet and each is narrow
+        if maps == "random":
+            rng = np.random.default_rng(82)
+            ops = [_random_op(d, n, rng) for d in range(2, 6) for n in sorted({1, 3, d, d * d})]
+        else:
+            ops = _batch_operators() if maps == "batch" else _d60_maps()
+        taken = 0
+        for t in ops:
+            b = haagerup_norm_bounds(t)
+            if b.path == "weights":
+                _overlap([b, _ipm_bracket(t)])
+                taken += 1
+        assert taken >= {"random": 8, "batch": 3, "d60": 2}[maps]
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e8])
+    def test_bracket_scales_with_the_map(self, factor):
+        t = _random_op(3, 9, np.random.default_rng(82))
+        base = haagerup_norm_bounds(t)
+        scaled = haagerup_norm_bounds(ElementaryOperator(3, factor * t.left, t.right))
+        assert base.path == scaled.path == "weights"
+        assert scaled.upper == pytest.approx(factor * base.upper, rel=1e-8)
+        assert scaled.lower == pytest.approx(factor * base.lower, rel=1e-8)
+        assert scaled.width <= 1e-12 * scaled.upper
+
+    def test_paths_and_steps_do_not_depend_on_the_blas_thread_count(self):
+        # the interior-point solve fails this: its iteration counts move
+        # with the thread count near its stopping gap
+        code = ("import json, test_norms\n"
+                "from ehtp.hnorm import haagerup_norm_bounds\n"
+                "print(json.dumps([(b.path, b.iterations) for b in map(haagerup_norm_bounds, "
+                "test_norms._batch_operators())]))")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.path.join(root, "tests"),
+                                             os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                                  timeout=300, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]
+        assert [path for path, _ in runs[0]].count("weights") == 3
+
+    def test_the_trace_is_a_running_minimum_from_the_raw_gauge(self):
+        b = haagerup_norm_bounds(_random_op(4, 16, np.random.default_rng(0)))
+        trace = np.array(b.upper_trace)
+        assert b.path == "weights" and len(trace) == b.iterations + 2
+        assert np.array_equal(trace, np.minimum.accumulate(trace))
+        assert trace[-1] == pytest.approx(b.upper, rel=1e-12)
+
+    def test_a_certificate_that_misses_goes_to_the_solve(self, monkeypatch):
+        certificate = hnorm._factor_certificate
+
+        def missing(*args):
+            (cert_left, cert_right), *rest = certificate(*args)
+            return ((cert_left * (1 + 1e-6), cert_right), *rest)
+
+        t = _batch_operators()[6]
+        assert haagerup_norm_bounds(t).path == "weights"
+        monkeypatch.setattr(hnorm, "_factor_certificate", missing)
+        b = haagerup_norm_bounds(t)
+        assert b.path == "ipm" and b.width <= 1e-12 * b.upper
+        _certified(t, b)
+
+    def test_a_crossed_bracket_raises(self, monkeypatch):
+        lower_end = hnorm._lower_end
+        t = _batch_operators()[6]
+        assert haagerup_norm_bounds(t).path == "weights"
+        monkeypatch.setattr(hnorm, "_lower_end", lambda *args: 2 * lower_end(*args))
+        with pytest.raises(NumericalError):
+            haagerup_norm_bounds(t)
+
+    @pytest.mark.parametrize("d, seed", [(4, 0), (4, 1), (5, 0), (5, 1)])
+    def test_north_star_sizes_close_within_eight_steps(self, d, seed, solves):
+        # generic maps with d^2 terms, drawn so that their optimal states are
+        # full rank; the solve took 0.66 s at d = 4 and 2.4 s at d = 5 (seed 0)
+        t = _random_op(d, d * d, np.random.default_rng(seed))
+        b = haagerup_norm_bounds(t)
+        assert b.path == "weights" and b.iterations <= 8 and solves == []
+        assert b.width <= 1e-12 * b.upper
+        roots = hnorm._factor_ascent(_factor_form(t)[0])[0]
+        spread = np.linalg.svd(roots, compute_uv=False)
+        assert spread.shape[-1] == d and (spread[..., -1] / spread[..., 0]).min() > 1e-2
+
+
+def _norm_interval_cases():
+    """The single terms ``(a, c)`` of the seed-0 norm-interval suite, in order."""
+    rng = make_rng(0, stream=7)
+    for _ in range(100):
+        d = int(rng.integers(1, 7))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        yield a, c
+
+
+class TestPlacement:
+    # which path closes which bracket, with the interior-point solves counted
+    def test_single_terms_close_at_the_start(self, solves):
+        # the top singular vectors of a and b attain ||a|| ||b||, the raw
+        # gauge's value
+        closed = 0
+        for a, c in _norm_interval_cases():
+            if a.shape[0] >= 2:
+                b = haagerup_norm_bounds(ElementaryOperator.from_terms(a.shape[0], [(a, c)]))
+                assert b.path == "start" and b.iterations == 0
+                assert b.width <= 1e-12 * b.upper
+                closed += 1
+        assert closed == 82 and solves == []
+
+    def test_the_batch_operators(self, solves):
+        # the single terms at the start, the three-term maps at d = 3, 4 and 5
+        # on the factors; at d = 2 the optimal state has rank one, where A is
+        # singular (rank(rho) d = 2 < r = 3), and the solve runs
+        paths = [haagerup_norm_bounds(t).path for t in _batch_operators()]
+        assert paths == ["start"] * 4 + ["ipm", "weights", "weights", "weights"]
+        assert len(solves) == 1
+
+    def test_contractivity_paths(self):
+        # every map of the suite has b = 1, where the factor path never runs
+        paths = collections.Counter(haagerup_norm_bounds(t).path for t in _contractivity_ops())
+        assert paths == {"cp": 100, "start": 2, "weights": 74, "ipm": 24}
 
 
 @st.composite
