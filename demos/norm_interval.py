@@ -7,11 +7,13 @@ unit vector eta, and ||(T (x) id)(X) eta|| certifies a lower bound.
 Single-term maps a . b have cb norm exactly ||a|| ||b||, which the states
 at the top singular vectors of a and b attain, so their interval closes at
 the start point, before any solver step. Schur multipliers, such as the
-images of character representations, are tried by Newton ascent on the
-weights of Haagerup's dual, which closes a d = 32 bracket in a few steps,
-and every other map by Newton ascent on factors of the states, which
-closes a generic d = 6 map with 36 terms in a few steps; a semidefinite
-program over the gauges runs only where these decline.
+images of character representations, take Newton ascent on the weights
+of Haagerup's dual, which closes a d = 32 bracket in a few steps, and
+every other map Newton ascent on factors of the states, which closes a
+generic d = 6 map with 36 terms in a few steps. Where the optimum lies on
+a face of the state cone, a weight or a direction of a state going to
+zero, the ascent continues on a log barrier, whose stationary points the
+gauge rewriting certifies to a relative gap of 2 mu d / f.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from ehtp import (
     haagerup_norm_bounds,
     make_cyclic_product,
     regular_rep,
+    schur_op,
 )
 
 rng = np.random.default_rng(3)
@@ -60,8 +63,8 @@ bounds = haagerup_norm_bounds(gamma(pi, pos).op)
 print("positive measure  mass =", float(pos.total_mass.real),
       " cb norm =", bounds.upper, " exact:", bounds.lower == bounds.upper)
 
-# a Schur multiplier at a size the interior-point program needs seconds
-# for: 32 random characters of Z_97 and a generic measure
+# a Schur multiplier at the north star's size: 32 random characters of
+# Z_97 and a generic measure
 n, d = 97, 32
 group = make_cyclic_product([n])
 chars = [Character((n,), (int(k),)) for k in rng.choice(n, size=d, replace=False)]
@@ -70,8 +73,18 @@ bounds = haagerup_norm_bounds(gamma(character_rep(group, chars), mu).op)
 print(f"Z_{n}, {d} characters  bracket [{bounds.lower:.12f}, {bounds.upper:.12f}]"
       f"  width {bounds.width:.2e}  iterations {bounds.iterations}  path {bounds.path}")
 
-# a generic map with d^2 terms, whose term rank r = 36 makes the
-# interior-point program's Newton matrix 2593 x 2593; Newton on the state
+# a Schur multiplier whose optimum lies on a face: the first 8 of 32 rows
+# and columns of its symbol times 0.2 take weights that go to zero, and the
+# barrier closes the bracket
+d = 32
+symbol = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+symbol[:8] *= 0.2
+symbol[:, :8] *= 0.2
+bounds = haagerup_norm_bounds(schur_op(symbol))
+print(f"face symbol, d = {d}  bracket [{bounds.lower:.12f}, {bounds.upper:.12f}]"
+      f"  width {bounds.width:.2e}  steps {bounds.iterations}  path {bounds.path}")
+
+# a generic map with d^2 terms, of term rank r = 36; Newton on the state
 # factors works with 4 d^2 = 144 real unknowns
 d = 6
 left = rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))

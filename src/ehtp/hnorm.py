@@ -1,8 +1,8 @@
 """Certified two-sided bounds for the completely bounded norm of an elementary operator.
 
-``haagerup_norm_bounds`` closes the bracket on the first of four paths that
-does, and ``NormInterval.path`` names it: ``"cp"``, ``"start"``,
-``"weights"`` or ``"ipm"``.
+``haagerup_norm_bounds`` closes the bracket on the first of three paths
+that does, and ``NormInterval.path`` names it: ``"cp"``, ``"start"`` or
+``"weights"``.
 
 **Completely positive maps** (``"cp"``).  Both bounds are the exact value
 ``||T(I)||``, and the certificate is a Kraus rewriting of the map.  The map
@@ -26,41 +26,17 @@ and sigma, with ``R(rho)_ji = tr(a_j* rho a_i)`` and
 not on d^2: r = 1 for a single term, r <= d for character representations
 and r = |G| for the regular representation.
 
-A primal-dual interior-point method (``"ipm"``; HKM direction, Mehrotra
-predictor-corrector; Vandenberghe and Boyd, SIAM Rev. 38, 1996) solves the
-pair.  The corrector centers with ``sigma = min(1, mu_aff / mu)``
-(Mehrotra, SIAM J. Optim. 2, 1992), and each step goes the fraction
-``0.9 + 0.09 min(1, a_p, a_d)`` of the way to the boundary of the cones,
-where a_p and a_d are the corrector's largest primal and dual steps (the
-adaptive fraction of SDPT3, below).  In standard form the variable is the
-states rho and sigma beside one 2r x 2r block W, of total size 2d + 2r, with
-m = 2r^2 + 1 constraints ``tr rho + tr sigma = 1``, ``W_11 = R(rho)`` and
-``W_22 = S(sigma)``, and the objective is ``-2 Re tr W_12``.  The
-multipliers of the last two are P and Q.  The families are first balanced,
-so that the raw gauge of the pruned terms is the identity and both of its
-factors are 1.  The m x m Newton matrix is
-assembled from products of the families with the blocks of X and Z^-1, its
-W part from Kronecker products of the blocks of W and its Z^-1 block.
-The states are one stack of 2d/b Hermitian b x b blocks, rho and sigma
-being block-diagonal, with the block size b chosen once from the terms as
-given.  Maps whose terms are all exactly zero off the diagonal (Γ images of
-character representations, ``schur_op``) take b = 1 and are pruned on
-their diagonals: their optimal states are diagonal, the dual being
+The states are taken block-diagonal, with one block size b chosen from the
+terms as given.  Maps whose terms are all exactly zero off the diagonal (Γ
+images of character representations, ``schur_op``) take b = 1 and are
+pruned on their diagonals: their optimal states are diagonal, the dual being
 Haagerup's ``max_{p,q} ||D_p^(1/2) S D_q^(1/2)||_1`` (V. Paulsen,
 *Completely Bounded Maps and Operator Algebras*, CUP 2002, ch. 8).  Every
-other map takes b = d.  Every state operation is a contraction with the
-Gram blocks ``F_kc F_lc*`` of the terms' b x b diagonal blocks F_c (see
-``_Form``), so the Newton assembly costs r^4 d b: r^4 d for a Schur
-multiplier, r^4 d^2 for a general map.  Every cone is thus a stack of PSD
-blocks of one size, one of the
-cones of SDPT3 (Toh, Todd and Tütüncü, Optim. Methods Softw. 11, 1999), and
-one code path steps them all: the nonnegative orthant is a stack of 1 x 1
-blocks, as a Lorentz cone is of 2 x 2 ones (F. Alizadeh and D. Goldfarb,
-Math. Program. 95, 2003).  Both ends are certified:
+other map takes b = d.  Both ends are certified:
 
-* upper: the factorization value of the rewriting at the dual iterate's
-  gauge P, or of the balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)``
-  on the terms as given, whichever is smaller; ``certificate_terms`` is the
+* upper: the factorization value of the rewriting at a gauge P, or of the
+  balanced raw gauge ``P = diag(||b_i||_F / ||a_i||_F)`` on the terms as
+  given, whichever is smaller; ``certificate_terms`` is the
   rewriting that attains it, and it must rebuild the map: the Frobenius
   distance of the two Choi matrices, taken from their factors by
   ``elementary.choi_distance`` (no d^2 x d^2 array for few terms), is at
@@ -74,19 +50,13 @@ Math. Program. 95, 2003).  Both ends are certified:
   terms the value costs O(n d^2 r + n d^3).  As ``||X|| <= 1`` it is at most
   ``||T||_cb``; by Cauchy-Schwarz, with ``xi = vec L_rho``, it is at least
   ``<xi, (T (x) id_d)(X) eta> = ||R(rho)^(1/2) S(sigma)^(1/2)||_1``, the
-  dual value of the states.  The states drop the eigenvalues of the iterate
-  below ``sqrt(mu)``, which on the central path ``X Z = mu I`` are those
-  that vanish at the optimum; a rank-one optimum, as for a single term, is
-  then found in a step or two.  An optimum can also hold weights that are
-  tiny but not zero, which the truncation drops too, so where it drops one
-  the lower end is also taken at all the states of the iterate, and the
-  larger value is kept.
+  dual value of the states.
 
 Before the terms are pruned, the lower end is taken at the maximally mixed
 states ``rho = sigma = I/d`` in blocks of size b on the terms as given (one
 thin QR and one singular-value sum).  When it meets the raw gauge's value to
 the stopping gap the bracket closes there (``"start"``), with the raw
-certificate and 0 iterations, and neither pruning nor the solve runs: for
+certificate and 0 iterations, and neither pruning nor a Newton path runs: for
 the regular representation of any group both are ``||mu||_1`` (the
 representation is an isometry: Ghahramani, Glasgow Math. J. 23, 1982;
 Neufang, Ruan and Spronk, Trans. AMS 360, 2008).  A map with one nonzero
@@ -95,40 +65,24 @@ start point then also tries the states ``u u*`` and ``v v*`` at the top left
 singular vector u of a and the top right singular vector v of b (for b = 1
 the basis vectors at the largest ``|a_jj|`` and ``|b_kk|``), which attain it.
 
-Two weight paths run before the solve, both named ``"weights"``: Newton on
-the state weights, the roots a and b of diagonal states when b = 1, and on
-the state factors L when b = d.  The first runs on the terms as given, the
-second on the pruned terms.
+Otherwise the terms are pruned, and Newton ascent of the dual runs on the
+states (``"weights"``): on the roots a and b of diagonal states when b = 1,
+on factors L of the states when b = d.
 
-**The weights, b = 1.**  A map with b = 1 that the start
-point leaves open is next tried, before pruning, by Newton ascent of
-Haagerup's dual on its symbol S (``elementary.schur_symbol`` of the terms as
-given): ``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the
-state weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.
-Each step takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated at
-``CUTOFF * sigma_1``, the gradient and the 2d x 2d Hessian, the latter from
-one (2d, d, d) batch of directional derivatives of M and of its polar factor
+**The weights, b = 1.**  Newton ascent of Haagerup's dual on the symbol S
+(``elementary.schur_symbol`` of the terms as given):
+``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the state
+weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.  Each
+step takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated to the
+rank of S, the gradient and the 2d x 2d Hessian, the latter from one
+(2d, d, d) batch of directional derivatives of M and of its polar factor
 ``W = U V*``; it inverts the Hessian less ``f I`` on the tangent space of the
 two spheres, each eigenvalue ``lambda`` replaced by ``-max(|lambda|, 1e-8 f)``,
-and halves the step until f does not fall.  At a stationary point where
-every weight is interior, ``X = D_a^-1 U Sigma^1/2`` and
-``Y = D_b^-1 V Sigma^1/2`` factor ``S = X Y*``, and the rewriting with the
-terms ``(diag X_k, diag conj Y_k)`` has the value
-``max_i ||X_i|| max_j ||Y_j|| = f``.  That rewriting certifies the upper
-end, and the lower end is the one above, at the states ``diag(p)`` and
-``diag(q)``, through the certification that the start point and the solve
-share: the raw rewriting where its value is smaller, the rebuild of the map
-and the check that the bracket is not crossed.  The bracket is taken when
-its certified gap is within the stopping gap.  Otherwise the solve runs as
-it would without this path: when a weight falls to ``CUTOFF`` of the
-largest (the optimum has a zero weight, where f is not smooth), when no
-halving keeps f from falling, when 20 steps leave the gap open, or when
-the certificate does not rebuild the map.  A step costs one
-SVD of a d x d matrix, O(d^4) for the Hessian and one 2d x 2d ``eigh``, and
-a full-rank symbol closes in 3 to 10 steps.
+and halves the step until f does not fall.  A step costs one SVD of a d x d
+matrix, O(d^4) for the Hessian and one 2d x 2d ``eigh``, and a full-rank
+symbol closes in 3 to 10 steps.
 
-**The factors, b = d.**  A map with b = d that the start point leaves open
-is pruned and then tried by Newton ascent of the dual
+**The factors, b = d.**  Newton ascent of the dual
 ``f = tr (A^1/2 B A^1/2)^1/2`` (J. Watrous, Chicago J. Theor. Comput. Sci.
 2013) over factors of the states, ``rho = L_0 L_0*`` and ``sigma = L_1 L_1*``
 with ``L_s`` of size d x k and ``||L_s||_F = 1`` (S. Burer and R. Monteiro,
@@ -149,28 +103,54 @@ nonsingular, up to d: the factors start as the top k eigenvectors of
 ``K_s`` at the maximally mixed states, over ``sqrt(k)``, after two
 fixed-point steps ``L <- K L``, and where a step no longer raises f while
 ``K_s`` has an eigenvalue above f outside the range of ``L_s``, rank k + 1
-starts again in the same way from the current factors.  At a stationary
-point ``lambda_max(K_s) = f`` on both sides, so the rewriting
-``_certificate`` at the gauge ``conj P`` (the conjugate: the gauge's index
-convention transposes P) has the value f and certifies the upper end; the
-lower end is the one above at the states ``L_s L_s*``, through the same
-certification.  The path declines, and the solve runs, when the smallest
-eigenvalue of A or B falls to ``CUTOFF ** 0.5`` of its largest (an optimum
-with ``rank(rho) d < r``, where f is not smooth), when no halving keeps f
-from falling, when 20 steps leave the gap open, or when the certificate does
-not rebuild the map.  A step costs O(d^3 k^3 r) for the Hessian and one
-4dk x 4dk ``eigh``; generic maps with d^2 terms close in 4 to 5 steps, at
-d = 8 in 1 to 1.5 s.
+starts again in the same way from the current factors.  A step costs
+O(d^3 k^3 r) for the Hessian and one 4dk x 4dk ``eigh``; generic maps with
+d^2 terms close in 4 to 5 steps, at d = 8 in 1 to 1.5 s.
 
-The solve starts from the maximally mixed states, ``rho = sigma = I/2d``
-before normalization, with the start point's lower end as its first.  It
-stops at a certified relative gap of 1e-12, or when a Cholesky
-factorization fails, and returns the best certified pair; a Newton matrix
-that is singular to working precision, as it can be near the optimum, gives
-its least-squares direction.  A crossed bracket (by more than ``TOL``
-relative), on any path, raises :class:`NumericalError`, and so does a
-certificate of the start point or the solve that does not rebuild the map;
-on either weight path such a certificate sends the map to the solve.
+**The certificate** of both paths is the rewriting ``_certificate`` of the
+pruned terms at the gauge ``conj P`` (the conjugate: the gauge's index
+convention transposes P), P the geometric mean of their form with block
+size b at the states of an iterate.  Its value is
+``sqrt(lambda_max(K_0) lambda_max(K_1))`` for ``K_s = R_s*(conj P)``, as
+above (for b = 1, ``K_0,ii = (U Sigma U*)_ii / a_i^2``), which is f at a
+stationary point with interior weights, where ``K_s L_s = f L_s``.  It
+certifies the upper end at the iterate with the least value, and the lower
+end is the one above at the states of the iterate with the largest f, both
+through the certification of the start point: the raw rewriting where its
+value is smaller, the rebuild of the map and the check that the bracket is
+not crossed.  For b = 1 the SVD also factors ``S = X Y*`` at
+``X = D_a^-1 U Sigma^1/2``, ``Y = D_b^-1 V Sigma^1/2``, but that rewriting
+divides the SVD's rounding by roots a_i that fall to about sqrt(mu) on a
+face, and misses the map where the gauge rewriting rebuilds it.
+
+**The barrier.**  Where a plain ascent declines, its optimum lies on a face
+of the state cone, where f is not smooth: a weight falls to ``CUTOFF`` of
+the largest, A or B turns singular (an eigenvalue below ``CUTOFF ** 0.5``
+of the largest: an optimum with ``rank(rho) d < r``), no halving keeps f
+from falling, or 20 steps leave the gap open.  The ascent then continues
+from its iterate on ``F = f + mu sum_s log det(L_s L_s*)`` over unit
+factors (Y. Nesterov and A. Nemirovskii, *Interior-Point Polynomial
+Algorithms in Convex Programming*, SIAM 1994): for b = 1
+``F = f + 2 mu sum_i log a_i + 2 mu sum_j log b_j``, for b = d square d x d
+factors, a rank-k iterate padded to rank d.  The barrier adds
+``2 mu L_s^-*`` to the gradient and ``-2 mu Re tr(L^-1 dL L^-1 dL)`` to the
+Hessian; the step is the plain ascent's with the multiplier ``f + 2 mu d``
+(Euler's identity on each side), and halvings test F.  mu starts at the
+certified gap over 2d and shrinks after each step, by 1e-3 for b = 1 and
+1e-4 for b = d, but not below what the stopping gap needs.  At a
+stationary point of F, ``K_s L_s + 2 mu L_s^-* = (f + 2 mu d) L_s``, so
+``K_s = (f + 2 mu d) I - 2 mu rho_s^-1 <= (f + 2 mu d) I``, and the gauge
+rewriting certifies a relative gap of at most ``2 mu d / f`` on any face.
+No state on the central path has an eigenvalue below
+``2 mu / (f + 2 mu d)``, and each iterate's states are raised to that
+floor, which a Newton step overshoots on a face.  The path stops at a
+certified relative gap of 1e-12, or after 100 steps with its best
+certified pair.
+
+A crossed bracket (by more than ``TOL`` relative), on any path, raises
+:class:`NumericalError`.  A Newton path's certificate that does not rebuild
+the map leaves the start point's bracket, whose raw rewriting rebuilds it;
+where even that one misses, the bracket raises :class:`NumericalError`.
 
 ``T (x) id_d`` acts on d^2 x d^2 matrices in block form ``X[(a,i),(b,j)]``,
 with T on the indices a and b.
@@ -179,7 +159,7 @@ with T on the indices a and b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -188,13 +168,14 @@ from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
-# Solver settings, not gates: they decide when the interior-point solve and
-# the Newton ascent on the weights stop, and both ends either returns are
-# certified whatever they are.
+# Solver settings, not gates: they decide when the Newton ascents on the
+# weights and the factors and their barrier continuation stop, and both ends
+# they return are certified whatever they are.
 _SDP_GAP = 1e-12           # stop at this certified relative gap
-_SDP_ITERS = 100           # cap on interior-point iterations
-_WEIGHT_ITERS = 20         # cap on Newton steps in the state weights
+_SDP_ITERS = 100           # cap on Newton steps on the barrier
+_WEIGHT_ITERS = 20         # cap on plain Newton steps in the state weights or factors
 _WEIGHT_HALVINGS = 30      # cap on step halvings in one Newton step
+_BARRIER_SHRINK = 1e-3, 1e-4   # the factor on the barrier weight mu after each step, for b = 1 and b = d
 
 
 @dataclass(frozen=True)
@@ -208,14 +189,14 @@ class NormInterval:
     ``path`` names the path that closed the bracket (see the module
     docstring): ``"cp"`` for a completely positive map, ``"start"`` when
     the maximally mixed states, or for a single term the states at the top
-    singular vectors of its factors, meet the raw gauge, ``"weights"`` for
-    Newton on the state weights (the roots of diagonal states for a Schur
-    multiplier, b = 1, and the factors L of ``rho = L L*`` for every other
-    map, b = d), ``"ipm"`` for the interior-point solve.  ``iterations``
-    counts that path's steps: Newton steps on ``"weights"``, interior-point
-    iterations on ``"ipm"``, 0 on the other two.  ``upper_trace`` logs the
-    best upper bound after each
-    iterate; on every path it is a running minimum times a positive scale,
+    singular vectors of its factors, meet the raw gauge, or when a Newton
+    path's certificate misses the map, and ``"weights"`` for Newton on the
+    state weights (the roots of diagonal states for a Schur multiplier,
+    b = 1, and the factors L of ``rho = L L*`` for every other map, b = d).
+    ``iterations`` counts the Newton steps of ``"weights"``, those of the
+    plain ascent and of its barrier continuation, and is 0 on the other
+    two.  ``upper_trace`` logs the best upper bound after each iterate; on
+    every path it is a running minimum times a positive scale,
     so it never rises, not even by rounding.  ``report()`` leaves ``path``
     out.  Both ends are computed independently, so where they agree to
     rounding ``width`` can be a few ulps below zero.
@@ -320,87 +301,6 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
     return float(np.sqrt(max(lam_row, 0.0) * max(lam_col, 0.0)))
 
 
-# The factorization SDP in standard form.  Both sides have the same shape once
-# the right family is replaced by its adjoints, so the families are one stack
-# F of shape (2, r, d, d) with F[0] = (a_i) and F[1] = (b_i*), and pairs of
-# blocks, one per side, are stacked the same way.  Side s maps a state X to
-# ``R_s(X)_ji = tr(F[s, j]* X F[s, i])``, with adjoint
-# ``R_s*(E) = sum_ij E_ij F[s, i] F[s, j]*``.  The primal ``max <C, X>`` over
-# X = [states, W], with ``C = -[[0, I], [I, 0]]`` on W, is constrained by
-# ``A(X) = (tr rho + tr sigma, W_11 - R_0(rho), W_22 - R_1(sigma)) = (1, 0, 0)``;
-# the dual is ``min y_0`` with slack ``Z = A*(y) - C >= 0``.  A multiplier
-# vector y holds y_0, then P and Q row by row; A and A* are extended
-# complex-linearly, and Hermitian P and Q are the real multipliers.
-#
-# X, Z and their steps are lists of two blocks: the states, a (2, d/b, b, b)
-# stack of Hermitian b x b blocks, and the 2r x 2r block W.
-
-def _sym(block: np.ndarray) -> np.ndarray:
-    return (block + block.conj().swapaxes(-1, -2)) / 2
-
-
-def _sym_product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return _sym(a @ b @ c)
-
-
-def _step(x: list, alpha: float, dx: list) -> list:
-    return [a + alpha * b for a, b in zip(x, dx)]
-
-
-def _barrier(x: list, z: list) -> tuple[list, list]:
-    """Per block, the inverses of the Cholesky factors of X and Z, stacked, and
-    ``G = Z^-1``; raises ``LinAlgError`` unless both are positive definite."""
-    frames = [np.linalg.inv(np.linalg.cholesky(np.stack([a, b]))) for a, b in zip(x, z)]
-    return frames, [f[1].conj().swapaxes(-1, -2) @ f[1] for f in frames]
-
-
-def _max_steps(frames: list, dx: list, dz: list) -> np.ndarray:
-    """Largest alphas with ``X + alpha dX >= 0`` and ``Z + alpha dZ >= 0``: the
-    lowest eigenvalue of the step in its frame, per block."""
-    low = np.min([np.linalg.eigvalsh(f @ np.stack([a, b]) @ f.conj().swapaxes(-1, -2)).reshape(2, -1).min(axis=1)
-                  for f, a, b in zip(frames, dx, dz)], axis=0)
-    return np.where(low >= 0, np.inf, -1.0 / np.minimum(low, -1e-300))
-
-
-def _transposition(r: int) -> np.ndarray:
-    """The index map t with ``y[t]`` holding y_0 and the transposes of P and
-    Q, so that Hermitian P and Q have ``y[t] = conj(y)``."""
-    swap = np.arange(r * r).reshape(r, r).T.ravel()
-    return np.concatenate([[0], 1 + swap, 1 + r * r + swap])
-
-
-def _newton_assembly(corner: float, column: np.ndarray, c: np.ndarray, xw, gw) -> np.ndarray:
-    """The real Newton matrix ``Re M + Im M[:, t]`` (see ``_factorization_sdp``) of
-    the complex matrix M with the form's state part (corner, first column, r^2 x r^2
-    diagonal blocks c) and the W part.  As the W blocks of X and G are Hermitian,
-    the W part on the pair of blocks (s, u) is
-    ``(X_su (x) conj(G_su) + G_su (x) conj(X_su)) / 2``; t swaps the pair of a
-    column index (u, c, e) to (u, e, c)."""
-    rr, r = c.shape[1], xw.shape[0] // 2
-    m = np.empty((2 * rr + 1, 2 * rr + 1))
-    m[0, 0] = corner
-    m[1:, 0] = column.real + column.imag
-    m[0, 1:] = column.real - column.imag.reshape(2, r, r).transpose(0, 2, 1).ravel()
-    x4, g4 = xw.reshape(2, r, 2, r) / 2, gw.reshape(2, r, 2, r)
-    w = x4[:, :, None, :, :, None] * g4.conj()[:, None, :, :, None, :]   # [s, a, b, u, c, e]
-    w += g4[:, :, None, :, :, None] * x4.conj()[:, None, :, :, None, :]
-    body = m[1:, 1:].reshape(2, r, r, 2, r, r)                          # a view of m
-    np.add(w.real, w.imag.transpose(0, 1, 2, 3, 5, 4), out=body)
-    for s in range(2):
-        body[s, :, :, s] += c[s].real.reshape(r, r, r, r) + c[s].imag.reshape(r, r, r, r).transpose(0, 1, 3, 2)
-    return m
-
-
-def _kept_roots(w: np.ndarray, mu: float) -> np.ndarray:
-    """Roots of the state weights w (a row per side) normalized to sum 1, without
-    those below ``sqrt(mu)``, except the largest: on the central path
-    ``X Z = mu I`` they are where X is smaller than Z, which is where the optimum
-    has a zero weight or one below about ``sqrt(mu)``.  At ``mu = 0`` every
-    weight is kept."""
-    w = np.where(w >= np.minimum(np.sqrt(mu), w.max(axis=1, keepdims=True)), w, 0.0)
-    return np.sqrt(w / w.sum(axis=1, keepdims=True))
-
-
 def _polar_core(vecs: np.ndarray):
     """QR factors ``(Q_a, Q_b)`` and ``(R_a, R_b)``, stacked, of the families
     ``vec(a_i* L_0)`` and ``vec(b_i L_1)`` (the columns of ``vecs``) and the
@@ -420,13 +320,12 @@ def _polar_contraction(vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
 
 
 class _Form:
-    """X = [states, W]: rho and sigma as one (2, d/b, b, b) stack of PSD
-    blocks, block-diagonal with blocks of size b, and one 2r x 2r SDP block W.
-    Every state operation is a contraction with the Gram blocks
+    """The families ``F[0] = (a_i)`` and ``F[1] = (b_i*)`` on states rho and
+    sigma held as one (2, d/b, b, b) stack of blocks, block-diagonal with
+    blocks of size b, and their factors L stacked the same way.  Every state
+    operation is a contraction with the Gram blocks
     ``K[s, (l, k), c] = F[s, k]_c F[s, l]_c*`` of the terms' b x b diagonal
-    blocks ``F_c``: ``R_s(X)`` raveled is ``K_s vec(X^T)``, ``R_s*(E)`` is
-    ``vec(E^T) K_s`` and the state part of the Newton matrix is
-    ``sum_c (G_c K_c X_c + X_c K_c G_c) / 2 K_c*``.  b is 1 for families that
+    blocks ``F_c``: ``R_s*(E)`` is ``vec(E^T) K_s``.  b is 1 for families that
     are exactly diagonal and d otherwise (``_block_size``).  K is built on
     first use: the start point reads only the blocks F_c."""
 
@@ -436,7 +335,6 @@ class _Form:
         self.positions = _block_positions(self.d, b)
         self.blocks = fam.reshape(2, self.r, -1)[:, :, self.positions].reshape(2, self.r, n, b, b)
         self.unit = np.eye(b)[None, None].repeat(n, axis=1).repeat(2, axis=0)
-        self.c = [np.zeros(self.unit.shape), -np.eye(2 * self.r, k=self.r) - np.eye(2 * self.r, k=-self.r)]
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -444,54 +342,10 @@ class _Form:
         f = self.blocks
         return (f[:, None] @ f.conj().swapaxes(-1, -2)[:, :, None]).reshape(2, self.r ** 2, *f.shape[2:])
 
-    def _compressed(self, x: np.ndarray) -> np.ndarray:
-        """``R_s(X_s)`` for both sides, with entry ``[s, j, i] = tr(F[s, j]* X_s F[s, i])``."""
-        return (self.k.reshape(2, self.r ** 2, -1) @ x.swapaxes(-1, -2).reshape(2, -1, 1)).reshape(2, self.r, self.r)
-
     def _spread(self, e: np.ndarray) -> np.ndarray:
         """``R_s*(E_s) = sum_ij E_s[i, j] F[s, i] F[s, j]*`` for both sides."""
         flat = e.swapaxes(-1, -2).reshape(2, 1, -1) @ self.k.reshape(2, self.r ** 2, -1)
         return flat.reshape(self.unit.shape)
-
-    def values(self, x: list) -> np.ndarray:
-        """``A(X)``."""
-        w = x[1].reshape(2, self.r, 2, self.r)[[0, 1], :, [0, 1], :]  # W_11, W_22
-        return np.concatenate([[np.vdot(self.unit, x[0])], (w - self._compressed(x[0])).ravel()])
-
-    def adjoint(self, y: np.ndarray) -> list:
-        """``A*(y) = [(y_0 I - R_0*(P), y_0 I - R_1*(Q)), diag(P, Q)]``."""
-        r = self.r
-        pq = y[1:].reshape(2, r, r)
-        w = np.zeros((2 * r, 2 * r), dtype=np.complex128)
-        w[:r, :r], w[r:, r:] = pq
-        return [y[0].real * self.unit - self._spread(pq), w]
-
-    def newton(self, x: list, g: list) -> np.ndarray:
-        """The HKM Newton matrix ``E -> A(sym(X A*(E) G))`` with ``G = Z^-1``,
-        in real coordinates (see ``_newton_assembly``).  Its first column is
-        ``A(sym(X A*(e_0) G))``, which only the state blocks reach.  Without the
-        symmetrization the (l,k),(i,j) entry of the state part of side s is
-        ``sum_c tr(X_c K_c(j,i) G_c K_c(l,k)) = <K_c(i,j), G_c K_c(l,k) X_c>``;
-        the other half, ``E -> A(G A*(E) X)``, swaps X and G."""
-        r2, k = self.r ** 2, self.k
-        xs, gs = x[0][:, None], g[0][:, None]
-        h = _sym(x[0] @ g[0])
-        mixed = ((gs @ k @ xs + xs @ k @ gs) / 2).reshape(2, r2, -1)
-        blocks = mixed @ k.reshape(2, r2, -1).conj().swapaxes(-1, -2)
-        return _newton_assembly(np.vdot(self.unit, h).real, -self._compressed(h).ravel(), blocks, x[1], g[1])
-
-    def spread_tops(self, e: np.ndarray) -> np.ndarray:
-        """The largest eigenvalue of ``R_s*(E_s)`` for both sides."""
-        return np.linalg.eigvalsh(self._spread(e)).reshape(2, -1).max(axis=1)
-
-    def state_roots(self, x: list, mu: float) -> list:
-        """Factors L_s, stacked as the states, with ``L_s L_s*`` the kept states of
-        X (see ``_kept_roots``); then, when that drops a weight, the factors of
-        all the states of X."""
-        w, v = np.linalg.eigh(x[0])
-        kept = _kept_roots(w.reshape(2, -1), mu)
-        roots = [kept] if kept.all() else [kept, _kept_roots(w.reshape(2, -1), 0.0)]
-        return [v * root.reshape(w.shape)[..., None, :] for root in roots]
 
     def polar_vectors(self, roots: np.ndarray) -> np.ndarray:
         """The families ``vec(a_i* L_0)`` and ``vec(b_i L_1)``, stacked, on the
@@ -550,12 +404,11 @@ def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.n
 # homogeneous of degree one in a and in b, so at a stationary point its
 # gradient is ``f (a, b)``.
 
-def _weight_factors(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The thin SVD ``M = u diag(sig) v*`` of ``M = D_a S D_b``, truncated at
-    ``CUTOFF * sigma_1``."""
+def _weight_factors(s: np.ndarray, a: np.ndarray, b: np.ndarray, rank: int) -> tuple:
+    """The thin SVD ``M = u diag(sig) v*`` of ``M = D_a S D_b``, truncated to
+    the rank of S, which M keeps while no weight is zero."""
     u, sig, vh = np.linalg.svd(a[:, None] * s * b)
-    k = int(np.sum(sig > CUTOFF * sig[0]))
-    return u[:, :k], sig[:k], vh[:k].conj().T
+    return u[:, :rank], sig[:rank], vh[:rank].conj().T
 
 
 def _weight_derivatives(s: np.ndarray, a: np.ndarray, b: np.ndarray, factors: tuple) -> tuple:
@@ -608,65 +461,69 @@ def _ascent_step(normals: np.ndarray, grad: np.ndarray, hess: np.ndarray, f: flo
     return tangent @ (vec @ ((vec.T @ (tangent @ grad)) / np.maximum(np.abs(lam), 1e-8 * f)))
 
 
+def _weight_model(s: np.ndarray, rank: int, x: np.ndarray, full: bool = True):
+    """f at ``x = (a, b)``; with ``full`` also the gauge rewriting's value
+    ``sqrt(max_i K_0,ii max_j K_1,jj)``, ``K_0,ii = (U Sigma U*)_ii / a_i^2``
+    and likewise K_1, the gradient and the Hessian of f, and the normals
+    ``(a, 0)`` and ``(0, b)``."""
+    d = s.shape[0]
+    a, b = x[:d], x[d:]
+    factors = u, sig, v = _weight_factors(s, a, b, rank)
+    if not full:
+        return sig.sum()
+    rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
+    normals = np.zeros((2 * d, 2))
+    normals[:d, 0], normals[d:, 1] = a, b
+    upper = float(np.sqrt(rows[0].max() * rows[1].max()))
+    return sig.sum(), upper, *_weight_derivatives(s, a, b, factors), normals
+
+
+def _weight_barrier(x: np.ndarray) -> tuple:
+    """``sum_s log det(L_s L_s*) = sum_i log x_i^2`` for the roots
+    ``x = (a, b)`` of diagonal states, its gradient and its Hessian."""
+    with np.errstate(divide="ignore"):  # a root at zero is off the barrier's domain
+        return np.log(x ** 2).sum(), 2 / x, np.diag(-2 / x ** 2)
+
+
 def _weight_ascent(s: np.ndarray):
     """Newton ascent of ``||D_a S D_b||_1`` over unit vectors a and b, from
-    ``a = b = d^-1/2``.  Returns ``(a, b, factors, steps, uppers)`` at the first
-    iterate whose factorization ``X = D_a^-1 U Sigma^1/2``,
-    ``Y = D_b^-1 V Sigma^1/2`` of S has value ``max_i ||X_i|| max_j ||Y_j||``
-    within the stopping gap of f, with that value at each iterate in
-    ``uppers``; or None when a weight falls to ``CUTOFF`` of the largest, a
-    step finds no point where f does not fall, or the steps run out.
+    ``a = b = d^-1/2``, continued on the barrier (``_barrier_ascent``) where
+    it declines: when a weight falls to ``CUTOFF`` of the largest, a step
+    finds no point where f does not fall, or the steps run out.  Returns
+    ``(lower, upper, steps, uppers)``: the roots of the iterates with the
+    largest f and with the least upper value (``_weight_model``), stacked as
+    ``(2, d, 1, 1)``, the step count, and the upper value at each iterate.
 
     Each step is ``_ascent_step``, halved until f does not fall by more than
-    rounding.  ``X_i`` squared is
-    ``(U Sigma U*)_ii / a_i^2``, which is f at a stationary point, and so is
-    every ``Y_j`` squared: there the two ends meet."""
+    rounding."""
     d = s.shape[0]
-    a = b = np.full(d, d ** -0.5)
+    sv = np.linalg.svd(s, compute_uv=False)
+    model = partial(_weight_model, s, int(np.sum(sv > CUTOFF * sv[0])))
+    x = np.full(2 * d, d ** -0.5)
     uppers = []
     for steps in range(_WEIGHT_ITERS + 1):
-        factors = u, sig, v = _weight_factors(s, a, b)
-        f = sig.sum()
-        rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
-        uppers.append(float(np.sqrt(rows[0].max() * rows[1].max())))
-        if uppers[-1] - f <= _SDP_GAP * uppers[-1]:
-            return a, b, factors, steps, uppers
+        f, upper, grad, hess, normals = model(x)
+        uppers.append(upper)
+        if upper - f <= _SDP_GAP * upper:
+            return x.reshape(2, d, 1, 1), x.reshape(2, d, 1, 1), steps, uppers
         if steps == _WEIGHT_ITERS:
             break
-        normals = np.zeros((2 * d, 2))
-        normals[:d, 0], normals[d:, 1] = a, b
-        step = _ascent_step(normals, *_weight_derivatives(s, a, b, factors), f)
+        step = _ascent_step(normals, grad, hess, f)
         for halving in range(_WEIGHT_HALVINGS):
             # f does not see the signs of the weights' roots; keep them positive
-            x = np.abs(np.concatenate([a, b]) + 0.5 ** halving * step)
-            a_new, b_new = x[:d] / np.linalg.norm(x[:d]), x[d:] / np.linalg.norm(x[d:])
-            if _weight_factors(s, a_new, b_new)[1].sum() >= f * (1 - 2 * d * np.finfo(float).eps):
+            new = np.abs(x + 0.5 ** halving * step).reshape(2, d)
+            new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
+            if model(new, full=False) >= f * (1 - 2 * d * np.finfo(float).eps):
                 break
         else:
             break
-        a, b = a_new, b_new
-        if min(a.min() / a.max(), b.min() / b.max()) ** 2 <= CUTOFF:
+        x = new
+        if (x.reshape(2, d).min(axis=1) / x.reshape(2, d).max(axis=1)).min() ** 2 <= CUTOFF:
             break
-    return None
-
-
-def _weight_certificate(t: ElementaryOperator, start_form: _Form, cap: float) -> tuple | None:
-    """``_certified``'s arguments after ``cap`` from ``_weight_ascent`` on the
-    symbol of a map with b = 1, or None when the ascent declines.  The
-    rewriting has the terms ``(diag X_k, diag conj Y_k)``, since ``S = X Y*``,
-    and the witness is that of the states ``diag(a^2)`` and ``diag(b^2)`` in
-    ``start_form``, the form of the terms as given."""
-    found = _weight_ascent(schur_symbol(t))
-    if found is None:
-        return None
-    a, b, (u, sig, v), steps, uppers = found
-    d, root = t.dim, np.sqrt(sig)
-    cert = np.zeros((2, len(sig), d, d), dtype=np.complex128)
-    idx = np.arange(d)
-    cert[0][:, idx, idx] = (u * root / a[:, None]).T
-    cert[1][:, idx, idx] = (v * root / b[:, None]).T.conj()
-    witness = start_form.dual_witness(np.stack([a, b]).reshape(2, d, 1, 1))[1]
-    return cert, witness, steps, np.minimum.accumulate([cap, *uppers]), "weights"
+    *found, more, trace = _barrier_ascent(model, _weight_barrier,
+                                          lambda x, tau: _floored(x.reshape(2, d, 1, 1), tau).ravel(),
+                                          x, f, min(uppers), d, _BARRIER_SHRINK[0])
+    return *(x.reshape(2, d, 1, 1) for x in found), steps + more, uppers + trace
 
 
 # The factor path.  For a map with b = d the dual is ``max f(L_0, L_1)`` over
@@ -760,12 +617,13 @@ def _vertical(roots: np.ndarray) -> np.ndarray:
 
 def _factor_ascent(form: _Form):
     """Newton ascent of ``f = ||G||_1`` over factors of rank k from
-    ``ceil(r/d)`` up to d.  Returns ``(roots, gauge, steps, uppers)`` at the
-    first iterate where the rewriting at ``gauge = conj P`` has value
-    ``sqrt(lambda_max(K_0) lambda_max(K_1))`` within the stopping gap of f,
-    with that value at each iterate in ``uppers``; or None when A or B turns
-    singular (an eigenvalue below ``CUTOFF ** 0.5`` of the largest), when no
-    halving keeps f from falling, or when the steps run out.
+    ``ceil(r/d)`` up to d, continued on the barrier (``_barrier_ascent``)
+    where it declines: when A or B turns singular (an eigenvalue below
+    ``CUTOFF ** 0.5`` of the largest), when no halving keeps f from falling,
+    or when the steps run out.  Returns ``(lower, upper, steps, uppers)``:
+    the factors of the iterates with the largest f and with the least upper
+    value ``sqrt(lambda_max(K_0) lambda_max(K_1))``, the gauge rewriting's,
+    the step count, and the upper value at each iterate.
 
     The factors start from the maximally mixed states (``_factor_start``).
     Each Newton step is ``_ascent_step`` off the directions that leave the
@@ -781,14 +639,14 @@ def _factor_ascent(form: _Form):
     eps = np.finfo(float).eps
     for steps in range(_WEIGHT_ITERS + 1):
         vecs, factors, gauges, ratio = state
+        f = factors[1].sum()
         if ratio <= CUTOFF ** 0.5:
             break
-        f = factors[1].sum()
         spread = form._spread(gauges)
         top = np.linalg.eigvalsh(spread)[:, 0, -1]
         uppers.append(float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0))))
         if uppers[-1] - f <= _SDP_GAP * uppers[-1]:
-            return roots, gauges[0], steps, uppers
+            return roots, roots, steps, uppers
         if steps == _WEIGHT_ITERS:
             break
         x, shape = _real(roots), roots.shape
@@ -812,7 +670,42 @@ def _factor_ascent(form: _Form):
             if np.linalg.eigvalsh(outside @ spread @ outside)[..., -1].max() > f:
                 roots = _factor_start(form, roots, shape[-1] + 1)
                 state = _factor_state(form, roots)
-    return None
+    # with no upper value yet (A singular at the start), a gap of f
+    *found, more, trace = _barrier_ascent(partial(_factor_model, form), partial(_factor_barrier, d=d),
+                                          lambda x, tau: _real(_floored(_complex(x, (2, 1, d, -1)), tau)),
+                                          _real(roots), f, min(uppers, default=2 * f), d, _BARRIER_SHRINK[1])
+    return *(_complex(x, (2, 1, d, d)) for x in found), steps + more, uppers + trace
+
+
+def _factor_model(form: _Form, x: np.ndarray, full: bool = True):
+    """``_weight_model`` for square factors with the real coordinates x: f,
+    and with ``full`` the upper value ``sqrt(lambda_max(K_0) lambda_max(K_1))``,
+    the gradient ``(K_0 L_0, K_1 L_1)``, the Hessian and the normals."""
+    roots = _complex(x, (2, 1, form.d, form.d))
+    vecs, factors, gauges, _ = _factor_state(form, roots)
+    if not full:
+        return factors[1].sum()
+    spread = form._spread(gauges)
+    top = np.linalg.eigvalsh(spread)[:, 0, -1]
+    upper = float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
+    hess = _factor_derivatives(form, roots, vecs, factors)
+    return factors[1].sum(), upper, _real(spread @ roots), hess, _vertical(roots)
+
+
+def _factor_barrier(x: np.ndarray, d: int) -> tuple:
+    """``sum_s log det(L_s L_s*)`` for square factors with the real
+    coordinates x, its gradient ``2 L_s^-*`` and its Hessian, the form
+    ``-2 Re tr(L^-1 dL L^-1 dL)``: on the directions E_pq and E_p'q' it is
+    ``-2 Re T`` for ``T = (L^-1)_qp' (L^-1)_q'p``, built for all pairs in one
+    batch, and an imaginary direction multiplies T by i."""
+    roots = _complex(x, (2, d, d))
+    inv = np.linalg.inv(roots)
+    t = (inv[:, None, :, :, None] * inv.swapaxes(1, 2)[:, :, None, None, :]).reshape(2, d * d, d * d)
+    side = 2 * np.block([[-t.real, t.imag], [t.imag, t.real]])
+    hess = np.zeros((2, 2 * d * d, 2, 2 * d * d))
+    hess[0, :, 0], hess[1, :, 1] = side
+    logdet = 2 * np.linalg.slogdet(roots)[1].sum()
+    return logdet, 2 * _real(inv.conj().swapaxes(1, 2)), hess.reshape(4 * d * d, 4 * d * d)
 
 
 def _factor_start(form: _Form, roots: np.ndarray, k: int) -> np.ndarray:
@@ -829,21 +722,70 @@ def _factor_start(form: _Form, roots: np.ndarray, k: int) -> np.ndarray:
     return roots
 
 
-def _factor_certificate(pruned: ElementaryOperator, start_form: _Form, cap: float) -> tuple | None:
-    """``_certified``'s arguments after ``cap`` from ``_factor_ascent`` on the
-    pruned terms of a map with b = d, or None when the ascent declines.  The
-    rewriting is ``_certificate`` at ``conj P``, and the witness that of the
-    states ``L_s L_s*`` in ``start_form``, the form of the terms as given."""
+def _floored(roots: np.ndarray, tau: float) -> np.ndarray:
+    """Square factors, stacked as ``roots``, of their states ``L L*`` with
+    every eigenvalue raised to at least tau and each side then normalized
+    to trace 1: a rank-k factor is padded to full rank."""
+    w, v = np.linalg.eigh(roots @ roots.conj().swapaxes(-1, -2))
+    w = np.maximum(w, tau)
+    w /= w.reshape(2, -1).sum(axis=1).reshape(2, *(1,) * (w.ndim - 1))
+    return v * np.sqrt(w)[..., None, :]
+
+
+def _barrier_ascent(model, barrier, floor, x: np.ndarray, f: float, upper: float, d: int, shrink: float):
+    """Newton ascent of ``F = f + mu sum_s log det(L_s L_s*)`` over unit
+    factors (see the module docstring) from the iterate x where a plain
+    ascent declined, with f and its least upper value there.  ``model`` is
+    ``_weight_model`` or ``_factor_model``, ``barrier`` the log det with its
+    derivatives in the same coordinates, and ``floor(x, tau)`` the full-rank
+    factors of ``_floored``.  Returns ``(lower, upper, steps, uppers)`` as
+    the plain ascents do, the points in the coordinates of x."""
+    mu = max(upper - f, _SDP_GAP * f) / (2 * d)
+    x = floor(x, 2 * mu / (f + 2 * mu * d))
+    low = top = None
+    uppers = []
+    for steps in range(_SDP_ITERS + 1):
+        f, upper, grad, hess, normals = model(x)
+        low = (f, x) if low is None or f > low[0] else low
+        top = (upper, x) if top is None or upper < top[0] else top
+        uppers.append(upper)
+        if top[0] - low[0] <= _SDP_GAP * top[0] or steps == _SDP_ITERS:
+            break
+        logdet, barrier_grad, barrier_hess = barrier(x)
+        step = _ascent_step(normals, grad + mu * barrier_grad, hess + mu * barrier_hess, f + 2 * mu * d)
+        target = f + mu * logdet - 2 * x.size * np.finfo(float).eps * f
+        for halving in range(_WEIGHT_HALVINGS):
+            new = (x + 0.5 ** halving * step).reshape(2, -1)
+            new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
+            if model(new, full=False) + mu * barrier(new)[0] >= target:
+                # a step overshoots the states' small eigenvalues, which the
+                # central path keeps above tau
+                x = floor(new, 2 * mu / (f + 2 * mu * d))
+                break
+        mu = max(mu * shrink, _SDP_GAP * f / (4 * d))
+    return low[1], top[1], steps, uppers
+
+
+def _ascent_certificate(t: ElementaryOperator, pruned: ElementaryOperator, start_form: _Form,
+                        cap: float) -> tuple:
+    """``_certified``'s arguments after ``cap`` from the Newton path of the
+    block size b of ``start_form``: ``_weight_ascent`` on the symbol of t for
+    b = 1, ``_factor_ascent`` on the pruned terms for b = d.  The rewriting
+    is ``_certificate`` of the pruned terms at the gauge ``conj P`` of the
+    iterate with the least upper value, from their form with block size b,
+    and the witness that of the states of the iterate with the largest f in
+    ``start_form``, the form of the terms as given."""
     left, right, row, col = _unit_families(pruned.left, pruned.right)
-    found = _factor_ascent(_Form(np.stack([left, right.conj().transpose(0, 2, 1)]), pruned.dim))
-    if found is None:
-        return None
-    roots, gauge, steps, uppers = found
+    form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), start_form.b)
+    if form.b == 1:
+        (lower, upper, steps, uppers), scale = _weight_ascent(schur_symbol(t)), 1.0
+    else:
+        (lower, upper, steps, uppers), scale = _factor_ascent(form), row * col
     padded = np.zeros(start_form.unit.shape, dtype=np.complex128)
-    padded[..., :roots.shape[-1]] = roots
-    cert = _certificate(left * row, right * col, gauge)
+    padded[..., :lower.shape[-1]] = lower
+    cert = _certificate(left * row, right * col, _factor_state(form, upper)[2][0])
     witness = start_form.dual_witness(padded)[1]
-    return cert, witness, steps, np.minimum.accumulate([cap, *(row * col * np.array(uppers))]), "weights"
+    return cert, witness, steps, np.minimum.accumulate([cap, *(scale * np.array(uppers))]), "weights"
 
 
 def _certified(t: ElementaryOperator, raw: tuple, cap: float, cert, witness: tuple, iterations: int,
@@ -861,36 +803,12 @@ def _certified(t: ElementaryOperator, raw: tuple, cap: float, cert, witness: tup
     return NormInterval(lower, upper, tuple(zip(*cert)), iterations, tuple(float(v) for v in trace), path)
 
 
-def _closed(t: ElementaryOperator, raw: tuple, cap: float, found: tuple | None) -> NormInterval | None:
-    """The certified bracket of a weight path's ``found`` when its gap is
-    within the stopping gap; None when the path declined, its certificate
-    misses the map or the gap is open."""
-    bracket = found and _certified(t, raw, cap, *found)
-    return bracket if bracket and bracket.width <= _SDP_GAP * bracket.upper else None
-
-
 def _uncrossed(lower: float, upper: float) -> float:
     """``lower``, unless it exceeds ``upper`` by more than ``TOL`` relative: a
     crossed bracket is an error, not something to clamp away."""
     if lower > upper * (1 + TOL):
         raise NumericalError(f"crossed cb-norm bracket: lower {lower!r} > upper {upper!r}")
     return lower
-
-
-def _hkm_direction(form, x: list, g: list, newton: np.ndarray, rhs: np.ndarray, target: list, t):
-    """Solve ``A(dX) = rp``, ``dZ = A*(dy)``, ``dX + sym(X dZ G) = target``
-    in the real coordinates of the Newton matrix, given
-    ``rhs = A(target) - rp``.  Near the optimum the Newton matrix can be
-    singular to working precision, and its LU factorization can meet an exactly
-    zero pivot; the direction is then the least-squares solution."""
-    try:
-        k = np.linalg.solve(newton, rhs.real + rhs.imag)
-    except np.linalg.LinAlgError:
-        k = np.linalg.lstsq(newton, rhs.real + rhs.imag)[0]
-    dy = ((1 + 1j) * k + (1 - 1j) * k[t]) / 2
-    dz = form.adjoint(dy)
-    dx = [_sym(a - _sym_product(b, c, e)) for a, b, c, e in zip(target, x, dz, g)]
-    return dx, dy, dz
 
 
 def _unit_families(left: np.ndarray, right: np.ndarray) -> tuple:
@@ -902,85 +820,6 @@ def _unit_families(left: np.ndarray, right: np.ndarray) -> tuple:
     row = np.linalg.norm(left.transpose(1, 0, 2).reshape(d, r * d), 2)
     col = np.linalg.norm(right.reshape(r * d, d), 2)
     return left / row, right / col, row, col
-
-
-def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, start: tuple):
-    """Primal-dual interior-point solve of the factorization SDP for
-    independent families, with states in blocks of size b, stopping once the
-    certified gap, with ``cap`` as a second certified upper bound, is small.
-    ``start`` is the dual value and witness at the maximally mixed states,
-    taken on the terms as given (see ``haagerup_norm_bounds``); they are the
-    states of the first iterate, so that iterate's lower end is not computed
-    again.
-    Returns the rewriting at the best gauge, the lower-end witness
-    ``(xa, xb, root)`` of the best states (the factors of the polar
-    contraction ``xa xb*`` and the root ``L_sigma``), the iteration count and
-    the best upper value after each iterate.
-
-    A real vector k stands for the multiplier ``((1+i) k + (1-i) k[t]) / 2``,
-    and an output h of A is read back as ``Re h + Im h``; so the complex
-    Newton matrix M becomes the real matrix ``Re M + Im M[:, t]``."""
-    r, d, _ = left.shape
-    left, right, row, col = _unit_families(left, right)
-    form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), b)
-    scale, cap = row * col, cap / (row * col)
-    # Z starts at [(3I - 2 R_0*(I), 3I - 2 R_1*(I)), [[2I, I], [I, 2I]]],
-    # positive definite because ||R_0*(I)|| = ||R_1*(I)|| = 1 after scaling
-    x = [form.unit / (2 * d), np.eye(2 * r, dtype=np.complex128) / (2 * d)]
-    y = np.concatenate([[3.0], 2 * np.eye(r).ravel(), 2 * np.eye(r).ravel()]).astype(np.complex128)
-    z = _step(form.adjoint(y), -1.0, form.c)
-    n = 2 * d + 2 * r
-    e0 = np.eye(1, len(y), dtype=np.complex128)[0]
-    t = _transposition(r)
-    upper, lower = np.inf, start[0] / scale
-    # should the first iterate fail, the certificate is the pruned rewriting,
-    # the identity gauge
-    p_best, roots_best = np.eye(r), None
-    trace: list[float] = []
-    iterations = 0
-    for _ in range(_SDP_ITERS):
-        try:
-            frames, g = _barrier(x, z)
-        except np.linalg.LinAlgError:
-            break
-        mu = sum(np.vdot(u, v).real for u, v in zip(x, z)) / n
-        p = y[1:r * r + 1].reshape(r, r)
-        # the factorization value ||R_0*(P)||^(1/2) ||R_1*(P^-1)||^(1/2) of the
-        # rewriting at gauge P (see ``_certificate``), without forming it
-        top = form.spread_tops(np.stack([p, np.linalg.inv(p)]))
-        value = float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
-        if value < upper:
-            upper, p_best = value, p
-        trace.append(upper)
-        for roots in form.state_roots(x, mu) if iterations else ():
-            value = float(np.linalg.svd(_polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
-            if value > lower:
-                lower, roots_best = value, roots
-        if min(upper, cap) - lower <= _SDP_GAP * min(upper, cap):
-            break
-        iterations += 1
-        try:
-            newton = form.newton(x, g)
-            rp = e0 - form.values(x)
-            # predictor (target -X, so A(target) - rp = -e0), then the
-            # Mehrotra corrector with centering mu_aff / mu
-            dx, _, dz = _hkm_direction(form, x, g, newton, -e0, [-a for a in x], t)
-            ap, ad = np.minimum(1.0, _max_steps(frames, dx, dz))
-            mu_aff = sum(np.vdot(u, v).real for u, v in zip(_step(x, ap, dx), _step(z, ad, dz))) / n
-            sigma = min(1.0, max(mu_aff / mu, 0.0))
-            target = [sigma * mu * e - a - _sym_product(da, dc, e) for a, da, dc, e in zip(x, dx, dz, g)]
-            dx, dy, dz = _hkm_direction(form, x, g, newton, form.values(target) - rp, target, t)
-        except np.linalg.LinAlgError:
-            break
-        # step a fraction 0.9 + 0.09 min(1, a_p, a_d) of the way to the boundary
-        steps = _max_steps(frames, dx, dz)
-        ap, ad = np.minimum(1.0, (0.9 + 0.09 * min(1.0, *steps)) * steps)
-        x = [_sym(a) for a in _step(x, ap, dx)]
-        y = y + ad * dy
-        z = _step(z, ad, dz)
-    cert_left, cert_right = _certificate(left * row, right * col, p_best)
-    witness = start[1] if roots_best is None else form.dual_witness(roots_best)[1]
-    return cert_left, cert_right, witness, iterations, [scale * v for v in trace]
 
 
 def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0) -> NormInterval:
@@ -1002,7 +841,7 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         cert = tuple((k, k.conj().T) for k in kraus)
         return NormInterval(value, value, cert, 0, (value,), "cp")
 
-    # one block size for the start and the solve: pruning keeps diagonal terms diagonal
+    # one block size for the start and the paths: pruning keeps diagonal terms diagonal
     b = _block_size(t)
     left, right = _drop_zero_terms(t.left, t.right)
     start_form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), b)
@@ -1011,22 +850,15 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
     cap = _factorization_value(*raw)
     if len(left) == 1 and cap - start[0] > _SDP_GAP * cap:
         start = start_form.dual_witness(_top_roots(start_form))
-    found = raw, start[1], 0, [cap], "start"
     # the maximally mixed states close the bracket for every regular
     # representation (and the zero map), and the top singular vectors for
-    # every single term; otherwise try the weights (b = 1), prune, try the
-    # factors (b = d) and solve
+    # every single term; otherwise prune and ascend on the weights (b = 1)
+    # or the factors (b = d)
+    bracket = None
     if cap - start[0] > _SDP_GAP * cap:
-        bracket = _closed(t, raw, cap, _weight_certificate(t, start_form, cap)) if b == 1 else None
-        if bracket:
-            return bracket
-        pruned = prune_terms(t)
-        bracket = None if b == 1 else _closed(t, raw, cap, _factor_certificate(pruned, start_form, cap))
-        if bracket:
-            return bracket
-        *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, cap, b, start)
-        found = solved, witness, iterations, [min(cap, v) for v in trace], "ipm"
-    bracket = _certified(t, raw, cap, *found)
+        bracket = _certified(t, raw, cap, *_ascent_certificate(t, prune_terms(t), start_form, cap))
+    # a certificate that misses the map leaves the start point's bracket
+    bracket = bracket or _certified(t, raw, cap, raw, start[1], 0, [cap], "start")
     if bracket is None:
         raise NumericalError("certificate misses the map")
     return bracket

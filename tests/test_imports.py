@@ -3,8 +3,9 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum`` and writes the W block of its solver once, in its one form
-class, which branches on no block size, and its cone helpers read no ``ndim``, no caller in the
+``einsum``, has one form class, which branches on no block size, and holds
+no interior-point solve, whose test oracle writes the W block once and
+whose cone helpers read no ``ndim``, no caller in the
 package, the tests, the demos or the README passes an ignored parameter, no function that takes ``tol`` compares with
 ``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
@@ -270,19 +271,43 @@ def test_norm_solver_calls_no_einsum():
     assert _einsums(PACKAGE / "hnorm.py") == []
 
 
+ORACLE = TESTS / "interior_point.py"
+# what the interior-point solve was made of when it lived in ``hnorm``
+IPM_NAMES = {"_factorization_sdp", "_hkm_direction", "_newton_assembly", "_barrier", "_max_steps", "_sym",
+             "_sym_product", "_step", "_transposition", "_kept_roots"}
+IPM_FORM_MEMBERS = {"c", "_compressed", "values", "adjoint", "newton", "spread_tops", "state_roots"}
+
+
 def test_the_w_block_is_written_once():
     # one form class lays out the states of every map, in blocks of a size
-    # it is given, and writes the W block: its rows of A, its part of A* and
-    # the W part of the Newton matrix; nothing subclasses it
+    # it is given, and nothing in the package subclasses it; the oracle's
+    # one subclass of it writes the W block: its rows of A, its part of A*
+    # and the W part of the Newton matrix
     classes = [node for node in _tree(PACKAGE / "hnorm.py").body if isinstance(node, ast.ClassDef)]
-    writers = {cls.name: {f.name for f in cls.body if isinstance(f, ast.FunctionDef)} & {"values", "adjoint", "newton"}
-               for cls in classes}
-    assert {name: found for name, found in writers.items() if found} == {"_Form": {"values", "adjoint", "newton"}}
     assert [cls.name for cls in classes] == ["NormInterval", "_Form"]
     assert [cls.name for cls in classes if cls.bases] == []
-    calls = [node for node in ast.walk(_tree(PACKAGE / "hnorm.py"))
+    oracle = [node for node in _tree(ORACLE).body if isinstance(node, ast.ClassDef)]
+    writers = {cls.name: {f.name for f in cls.body if isinstance(f, ast.FunctionDef)} & {"values", "adjoint", "newton"}
+               for cls in oracle}
+    assert {name: found for name, found in writers.items() if found} == {"_SdpForm": {"values", "adjoint", "newton"}}
+    assert [ast.unparse(base) for cls in oracle for base in cls.bases] == ["hnorm._Form"]
+    calls = [node for node in ast.walk(_tree(ORACLE))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_newton_assembly"]
     assert len(calls) == 1
+
+
+def test_the_package_holds_no_interior_point_solve():
+    # the solve is the tests' oracle: hnorm defines none of its functions or
+    # form members, and no bracket of the package takes the path "ipm"
+    tree = _tree(PACKAGE / "hnorm.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assigned = {target.attr for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Attribute)}
+    assert defined & (IPM_NAMES | IPM_FORM_MEMBERS) == set()
+    assert assigned & IPM_FORM_MEMBERS == set()
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "ipm"] == []
+    oracle = {node.name for node in ast.walk(_tree(ORACLE)) if isinstance(node, ast.FunctionDef)}
+    assert IPM_NAMES | (IPM_FORM_MEMBERS - {"c"}) <= oracle
 
 
 def test_the_form_does_not_branch_on_its_block_size():
@@ -298,10 +323,11 @@ def test_the_form_does_not_branch_on_its_block_size():
 
 
 def test_the_cone_helpers_have_one_layout():
-    # every block of the norm solver is a stack of PSD blocks of one size (the
-    # orthant a stack of 1 x 1 blocks), so no cone helper branches on a layout
+    # every block of the oracle's solve is a stack of PSD blocks of one size
+    # (the orthant a stack of 1 x 1 blocks), so no cone helper branches on a
+    # layout
     helpers = {"_sym", "_sym_product", "_barrier", "_max_steps"}
-    found = {node.name: node for node in _tree(PACKAGE / "hnorm.py").body if isinstance(node, ast.FunctionDef)}
+    found = {node.name: node for node in _tree(ORACLE).body if isinstance(node, ast.FunctionDef)}
     assert helpers <= set(found)
     layouts = {name: [node.lineno for node in ast.walk(found[name])
                       if isinstance(node, ast.Attribute) and node.attr == "ndim"] for name in helpers}

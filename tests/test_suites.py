@@ -129,8 +129,8 @@ class TestNormCheck:
         # on every path the trace is a running minimum times a positive
         # scale, so a rise of 1e-13 on an upper end of 1e-3 is a fault, not
         # rounding, and no absolute slack forgives it
-        rising = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3 + 1e-13), "ipm")
-        flat = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3), "ipm")
+        rising = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3 + 1e-13), "weights")
+        flat = NormInterval(1e-3, 1e-3, (), 1, (1e-3, 1e-3), "weights")
         op = ElementaryOperator.from_terms(1, [])
         for bounds, passed in ((flat, True), (rising, False)):
             monkeypatch.setattr(suites, "haagerup_norm_bounds", lambda t, _b=bounds: _b)
