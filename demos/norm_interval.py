@@ -12,8 +12,8 @@ of Haagerup's dual, which closes a d = 32 bracket in a few steps, and
 every other map Newton ascent on factors of the states, which closes a
 generic d = 6 map with 36 terms in a few steps. Where the optimum lies on
 a face of the state cone, a weight or a direction of a state going to
-zero, the ascent continues on a log barrier, whose stationary points the
-gauge rewriting certifies to a relative gap of 2 mu d / f.
+zero, the same Newton loop turns on a log barrier, whose stationary points
+the gauge rewriting certifies to a relative gap of 2 mu d / f.
 """
 
 import numpy as np

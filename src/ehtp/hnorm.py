@@ -65,47 +65,70 @@ start point then also tries the states ``u u*`` and ``v v*`` at the top left
 singular vector u of a and the top right singular vector v of b (for b = 1
 the basis vectors at the largest ``|a_jj|`` and ``|b_kk|``), which attain it.
 
-Otherwise the terms are pruned, and Newton ascent of the dual runs on the
-states (``"weights"``): on the roots a and b of diagonal states when b = 1,
-on factors L of the states when b = d.
+Otherwise the terms are pruned, and one Newton loop (``_ascent``) ascends
+the dual on the states (``"weights"``): on the roots a and b of diagonal
+states when b = 1, on factors L of the states when b = d.  It maximizes
+``F = f + mu sum_s log det(L_s L_s*)`` over unit factors (Y. Nesterov and
+A. Nemirovskii, *Interior-Point Polynomial Algorithms in Convex
+Programming*, SIAM 1994), f the dual value below, with mu = 0 until the
+plain ascent of f declines.
 
-**The weights, b = 1.**  Newton ascent of Haagerup's dual on the symbol S
+**The weights, b = 1.**  Haagerup's dual on the symbol S
 (``elementary.schur_symbol`` of the terms as given):
 ``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the state
-weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.  Each
-step takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated to the
+weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.  An
+iterate takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated to the
 rank of S, the gradient and the 2d x 2d Hessian, the latter from one
 (2d, d, d) batch of directional derivatives of M and of its polar factor
-``W = U V*``; it inverts the Hessian less ``f I`` on the tangent space of the
-two spheres, each eigenvalue ``lambda`` replaced by ``-max(|lambda|, 1e-8 f)``,
-and halves the step until f does not fall.  A step costs one SVD of a d x d
-matrix, O(d^4) for the Hessian and one 2d x 2d ``eigh``, and a full-rank
-symbol closes in 3 to 10 steps.
+``W = U V*``.  A step costs one SVD of a d x d matrix, O(d^4) for the
+Hessian and one 2d x 2d ``eigh``, and a full-rank symbol closes in 3 to 10
+steps.
 
-**The factors, b = d.**  Newton ascent of the dual
-``f = tr (A^1/2 B A^1/2)^1/2`` (J. Watrous, Chicago J. Theor. Comput. Sci.
-2013) over factors of the states, ``rho = L_0 L_0*`` and ``sigma = L_1 L_1*``
-with ``L_s`` of size d x k and ``||L_s||_F = 1`` (S. Burer and R. Monteiro,
-Math. Program. 95, 2003).  With the pruned, balanced families
-``F_0 = (a_i)`` and ``F_1 = (b_i*)``, ``A = V_0* V_0`` and ``B = V_1* V_1``
-are r x r, V_s having the columns ``vec(F_s,i* L_s)``, and f is the trace
-norm of ``G = V_1 V_0*``, as for the lower end.  With the geometric mean
+**The factors, b = d.**  The dual ``f = tr (A^1/2 B A^1/2)^1/2``
+(J. Watrous, Chicago J. Theor. Comput. Sci. 2013) over factors of the
+states, ``rho = L_0 L_0*`` and ``sigma = L_1 L_1*`` with ``L_s`` of size
+d x k and ``||L_s||_F = 1`` (S. Burer and R. Monteiro, Math. Program. 95,
+2003).  With the pruned, balanced families ``F_0 = (a_i)`` and
+``F_1 = (b_i*)``, ``A = V_0* V_0`` and ``B = V_1* V_1`` are r x r, V_s
+having the columns ``vec(F_s,i* L_s)``, and f is the trace norm of
+``G = V_1 V_0*``, as for the lower end.  With the geometric mean
 ``P = A^-1 # B``, ``df = tr(P dA)/2 + tr(P^-1 dB)/2``: the gradient in L_s is
 ``K_s L_s`` with ``K_0 = sum_ij conj(P)_ij a_i a_j*`` and
 ``K_1 = sum_ij conj(P^-1)_ij b_i* b_j``.  The Hessian is the derivative of
 that gradient through the polar factor W of G, whose derivative is that of
-the weight path's polar factor, for all 4dk real directions in one batch.
-The step rule is the weights': the Hessian less ``f I``, off the two factors
-and off the directions ``L_s X`` (X anti-Hermitian) that leave the states
-where they are, each eigenvalue replaced by ``-max(|lambda|, 1e-8 f)``,
-then halvings.  k runs from ``ceil(r/d)``, the least rank that keeps A
-nonsingular, up to d: the factors start as the top k eigenvectors of
-``K_s`` at the maximally mixed states, over ``sqrt(k)``, after two
-fixed-point steps ``L <- K L``, and where a step no longer raises f while
-``K_s`` has an eigenvalue above f outside the range of ``L_s``, rank k + 1
-starts again in the same way from the current factors.  A step costs
-O(d^3 k^3 r) for the Hessian and one 4dk x 4dk ``eigh``; generic maps with
-d^2 terms close in 4 to 5 steps, at d = 8 in 1 to 1.5 s.
+the weights' polar factor, for all 4dk real directions in one batch.  k runs
+from ``ceil(r/d)``, the least rank that keeps A nonsingular, up to d: the
+factors start as the top k eigenvectors of ``K_s`` at the maximally mixed
+states, over ``sqrt(k)``, after two fixed-point steps ``L <- K L``, and where
+a step no longer raises f while ``K_s`` has an eigenvalue above f outside
+the range of ``L_s``, rank k + 1 starts again in the same way from the
+current factors.  A step costs O(d^3 k^3 r) for the Hessian and one
+4dk x 4dk ``eigh``; generic maps with d^2 terms close in 4 to 5 steps, at
+d = 8 in 1 to 1.5 s.
+
+**The loop.**  Each step inverts the Hessian of F less ``(f + 2 mu d) I``
+(Euler's identity: F less its barrier is of degree one on each side) on the
+tangent space of the two spheres, off the directions ``L_s X``
+(X anti-Hermitian) that leave the states where they are, each eigenvalue
+``lambda`` replaced by ``-max(|lambda|, 1e-8 f)``, and halves the step until
+F does not fall by more than rounding.  The barrier adds ``2 mu L_s^-*``
+to the gradient and ``-2 mu Re tr(L^-1 dL L^-1 dL)`` to the Hessian, which
+is ``-2 mu / a_i^2`` on the diagonal for b = 1.  mu turns on
+where the plain ascent declines, its optimum then lying on a face of the
+state cone, where f is not smooth: a weight falls to ``CUTOFF`` of the
+largest, A or B turns singular (an eigenvalue below ``CUTOFF ** 0.5`` of the
+largest: an optimum with ``rank(rho) d < r``), no halving keeps f from
+falling, or 20 steps leave the gap open.  mu starts there at the certified
+gap over 2d and shrinks after each step, by 1e-3 for b = 1 and 1e-4 for
+b = d, but not below what the stopping gap needs.  At a stationary point of
+F, ``K_s L_s + 2 mu L_s^-* = (f + 2 mu d) L_s``, so
+``K_s = (f + 2 mu d) I - 2 mu rho_s^-1 <= (f + 2 mu d) I``, and the gauge
+rewriting certifies a relative gap of at most ``2 mu d / f`` on any face.
+No state on the central path has an eigenvalue below
+``2 mu / (f + 2 mu d)``, and from the switch on each iterate's states are
+raised to that floor, which a Newton step overshoots on a face; a rank-k
+iterate is padded to rank d.  The loop stops at a certified relative gap of
+1e-12, or after 100 steps on the barrier with its best certified pair.
 
 **The certificate** of both paths is the rewriting ``_certificate`` of the
 pruned terms at the gauge ``conj P`` (the conjugate: the gauge's index
@@ -113,7 +136,7 @@ convention transposes P), P the geometric mean of their form with block
 size b at the states of an iterate.  Its value is
 ``sqrt(lambda_max(K_0) lambda_max(K_1))`` for ``K_s = R_s*(conj P)``, as
 above (for b = 1, ``K_0,ii = (U Sigma U*)_ii / a_i^2``), which is f at a
-stationary point with interior weights, where ``K_s L_s = f L_s``.  It
+stationary point of f with interior weights, where ``K_s L_s = f L_s``.  It
 certifies the upper end at the iterate with the least value, and the lower
 end is the one above at the states of the iterate with the largest f, both
 through the certification of the start point: the raw rewriting where its
@@ -122,30 +145,6 @@ not crossed.  For b = 1 the SVD also factors ``S = X Y*`` at
 ``X = D_a^-1 U Sigma^1/2``, ``Y = D_b^-1 V Sigma^1/2``, but that rewriting
 divides the SVD's rounding by roots a_i that fall to about sqrt(mu) on a
 face, and misses the map where the gauge rewriting rebuilds it.
-
-**The barrier.**  Where a plain ascent declines, its optimum lies on a face
-of the state cone, where f is not smooth: a weight falls to ``CUTOFF`` of
-the largest, A or B turns singular (an eigenvalue below ``CUTOFF ** 0.5``
-of the largest: an optimum with ``rank(rho) d < r``), no halving keeps f
-from falling, or 20 steps leave the gap open.  The ascent then continues
-from its iterate on ``F = f + mu sum_s log det(L_s L_s*)`` over unit
-factors (Y. Nesterov and A. Nemirovskii, *Interior-Point Polynomial
-Algorithms in Convex Programming*, SIAM 1994): for b = 1
-``F = f + 2 mu sum_i log a_i + 2 mu sum_j log b_j``, for b = d square d x d
-factors, a rank-k iterate padded to rank d.  The barrier adds
-``2 mu L_s^-*`` to the gradient and ``-2 mu Re tr(L^-1 dL L^-1 dL)`` to the
-Hessian; the step is the plain ascent's with the multiplier ``f + 2 mu d``
-(Euler's identity on each side), and halvings test F.  mu starts at the
-certified gap over 2d and shrinks after each step, by 1e-3 for b = 1 and
-1e-4 for b = d, but not below what the stopping gap needs.  At a
-stationary point of F, ``K_s L_s + 2 mu L_s^-* = (f + 2 mu d) L_s``, so
-``K_s = (f + 2 mu d) I - 2 mu rho_s^-1 <= (f + 2 mu d) I``, and the gauge
-rewriting certifies a relative gap of at most ``2 mu d / f`` on any face.
-No state on the central path has an eigenvalue below
-``2 mu / (f + 2 mu d)``, and each iterate's states are raised to that
-floor, which a Newton step overshoots on a face.  The path stops at a
-certified relative gap of 1e-12, or after 100 steps with its best
-certified pair.
 
 A crossed bracket (by more than ``TOL`` relative), on any path, raises
 :class:`NumericalError`.  A Newton path's certificate that does not rebuild
@@ -168,12 +167,12 @@ from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
-# Solver settings, not gates: they decide when the Newton ascents on the
-# weights and the factors and their barrier continuation stop, and both ends
-# they return are certified whatever they are.
+# Solver settings, not gates: they decide when the Newton loop on the
+# weights or the factors stops and when it turns the barrier on, and both
+# ends it returns are certified whatever they are.
 _SDP_GAP = 1e-12           # stop at this certified relative gap
 _SDP_ITERS = 100           # cap on Newton steps on the barrier
-_WEIGHT_ITERS = 20         # cap on plain Newton steps in the state weights or factors
+_WEIGHT_ITERS = 20         # cap on Newton steps before the barrier
 _WEIGHT_HALVINGS = 30      # cap on step halvings in one Newton step
 _BARRIER_SHRINK = 1e-3, 1e-4   # the factor on the barrier weight mu after each step, for b = 1 and b = d
 
@@ -193,13 +192,13 @@ class NormInterval:
     path's certificate misses the map, and ``"weights"`` for Newton on the
     state weights (the roots of diagonal states for a Schur multiplier,
     b = 1, and the factors L of ``rho = L L*`` for every other map, b = d).
-    ``iterations`` counts the Newton steps of ``"weights"``, those of the
-    plain ascent and of its barrier continuation, and is 0 on the other
-    two.  ``upper_trace`` logs the best upper bound after each iterate; on
-    every path it is a running minimum times a positive scale,
-    so it never rises, not even by rounding.  ``report()`` leaves ``path``
-    out.  Both ends are computed independently, so where they agree to
-    rounding ``width`` can be a few ulps below zero.
+    ``iterations`` counts every Newton step that ``"weights"`` takes, with
+    mu = 0 and on the barrier, a step that no halving keeps included, and
+    is 0 on the other two.  ``upper_trace`` logs the best upper bound after
+    each iterate; on every path it is a running minimum times a positive
+    scale, so it never rises, not even by rounding.  ``report()`` leaves
+    ``path`` out.  Both ends are computed independently, so where they agree
+    to rounding ``width`` can be a few ulps below zero.
     """
 
     lower: float
@@ -276,6 +275,10 @@ def _compress(primary: np.ndarray, partner: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P^1/2, P^-1/2)`` for the Hermitian part of a gauge P.  Its
+    eigenvalues are clipped at 1e-14 of the largest only to keep NaN out: no
+    certificate's gauge comes near the clip, whose rewriting would be that
+    of another gauge."""
     w, u = np.linalg.eigh((p + p.conj().T) / 2)
     w = np.clip(w, 1e-14 * max(float(w.max()), 1e-300), None)
     root = np.sqrt(w)
@@ -299,24 +302,6 @@ def _factorization_value(left: np.ndarray, right: np.ndarray) -> float:
     lam_row = np.linalg.eigvalsh(row @ row.conj().T)[-1]
     lam_col = np.linalg.eigvalsh(col.conj().T @ col)[-1]
     return float(np.sqrt(max(lam_row, 0.0) * max(lam_col, 0.0)))
-
-
-def _polar_core(vecs: np.ndarray):
-    """QR factors ``(Q_a, Q_b)`` and ``(R_a, R_b)``, stacked, of the families
-    ``vec(a_i* L_0)`` and ``vec(b_i L_1)`` (the columns of ``vecs``) and the
-    core ``C = R_b R_a*``, so that ``G = Q_b C Q_a*``.  The trace norm of C is
-    ``||R_0(rho)^1/2 R_1(sigma)^1/2||_1`` for ``rho = L_0 L_0*``,
-    ``sigma = L_1 L_1*``, and never squares a state root."""
-    q, tri = np.linalg.qr(vecs)
-    return q, tri, tri[1] @ tri[0].conj().T
-
-
-def _polar_contraction(vecs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The trace norm of the core of ``vecs`` (see ``_polar_core``) and the
-    factors ``(xa, xb)`` of the polar contraction ``X = xa xb*`` of G."""
-    q, _, core = _polar_core(vecs)
-    u, s, vh = np.linalg.svd(core)
-    return float(s.sum()), q[0] @ vh.conj().T, q[1] @ u
 
 
 class _Form:
@@ -366,8 +351,8 @@ class _Form:
         by default the maximally mixed states ``L = I / sqrt(d)``, and its
         lower-end witness ``(xa, xb, root)``."""
         roots = self.unit / np.sqrt(self.d) if roots is None else roots
-        value, xa, xb = _polar_contraction(self.polar_vectors(roots))
-        return value, self.witness(xa, xb, roots)
+        _, (xb, s, xa), _, _ = _factor_state(self, roots)
+        return float(s.sum()), self.witness(xa, xb, roots)
 
 
 def _top_roots(form: _Form) -> np.ndarray:
@@ -461,21 +446,102 @@ def _ascent_step(normals: np.ndarray, grad: np.ndarray, hess: np.ndarray, f: flo
     return tangent @ (vec @ ((vec.T @ (tangent @ grad)) / np.maximum(np.abs(lam), 1e-8 * f)))
 
 
-def _weight_model(s: np.ndarray, rank: int, x: np.ndarray, full: bool = True):
-    """f at ``x = (a, b)``; with ``full`` also the gauge rewriting's value
-    ``sqrt(max_i K_0,ii max_j K_1,jj)``, ``K_0,ii = (U Sigma U*)_ii / a_i^2``
-    and likewise K_1, the gradient and the Hessian of f, and the normals
-    ``(a, 0)`` and ``(0, b)``."""
+def _ascent(model, x: np.ndarray, barrier, floor, d: int, shrink: float, widen=None):
+    """Newton ascent of ``F = f + mu sum_s log det(L_s L_s*)`` over unit
+    factors in the real coordinates x (see the module docstring), from
+    ``mu = 0``.  ``model(x)`` is ``(f, smooth, rest)``: f, whether f is smooth
+    at x, and a function that returns the upper value there and a function
+    that returns the gradient and the Hessian of f and the normals, the
+    latter only called where the gap stays open; ``barrier(x)`` is the log
+    det with its gradient and Hessian, ``floor(x, tau)`` the full-rank
+    factors of ``_floored``, and ``widen(x, f)``, where a step no longer
+    raises f, the factors of the next rank or None.  Returns ``(lower,
+    upper, steps, uppers)``: the points with the largest f and with the
+    least upper value, the count of Newton steps, and the upper value at
+    each iterate.
+
+    The step, the decline where mu turns on (``_barrier_start``) and the
+    schedule of mu are the module docstring's "loop"."""
+    eps = np.finfo(float).eps
+    mu, steps, last, stuck, uppers, low, top = 0.0, 0, _SDP_ITERS, False, [], None, None
+    state = model(x)
+    while True:
+        f, smooth, rest = state
+        # a point where f is not smooth has no upper value, and a point that
+        # no halving left has been recorded
+        if mu or smooth and not stuck:
+            upper, derivatives = rest()
+            uppers.append(upper)
+            low = (f, x) if low is None or f > low[0] else low
+            top = (upper, x) if top is None or upper < top[0] else top
+            if top[0] - low[0] <= _SDP_GAP * top[0] or steps == last:
+                return low[1], top[1], steps, uppers
+        if not mu and (stuck or not smooth or steps == _WEIGHT_ITERS):
+            # with no upper value yet (A singular at the start), a gap of f
+            mu, last = _barrier_start(f, top[0] if top else 2 * f, d), steps + _SDP_ITERS
+            x = floor(x, 2 * mu / (f + 2 * mu * d))
+            state = model(x)
+            continue
+        grad, hess, normals = derivatives()
+        logdet, barrier_grad, barrier_hess = barrier(x) if mu else (0.0, 0.0, 0.0)
+        step = _ascent_step(normals, grad + mu * barrier_grad, hess + mu * barrier_hess, f + 2 * mu * d)
+        steps += 1
+        target = f * (1 - 2 * x.size * eps) + mu * logdet
+        stuck = True
+        for halving in range(_WEIGHT_HALVINGS):
+            new = (x + 0.5 ** halving * step).reshape(2, -1)
+            new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
+            trial = model(new)
+            if trial[0] + (mu * barrier(new)[0] if mu else 0.0) >= target:
+                x, state, stuck = new, trial, False
+                break
+        if mu and not stuck:
+            # a step overshoots the states' small eigenvalues, which the
+            # central path keeps above tau
+            x = floor(x, 2 * mu / (f + 2 * mu * d))
+            state = model(x)
+        elif not stuck and widen and state[0] <= f * (1 + 2 * x.size * eps):
+            wider = widen(x, f)
+            if wider is not None:
+                x, state = wider, model(wider)
+        mu = mu and max(mu * shrink, _SDP_GAP * f / (4 * d))
+
+
+def _barrier_start(f: float, upper: float, d: int) -> float:
+    """The first barrier weight mu where the plain ascent declines at f, with
+    its least upper value: the certified gap over 2d."""
+    return max(upper - f, _SDP_GAP * f) / (2 * d)
+
+
+def _floored(roots: np.ndarray, tau: float) -> np.ndarray:
+    """Square factors, stacked as ``roots``, of their states ``L L*`` with
+    every eigenvalue raised to at least tau and each side then normalized
+    to trace 1: a rank-k factor is padded to full rank."""
+    w, v = np.linalg.eigh(roots @ roots.conj().swapaxes(-1, -2))
+    w = np.maximum(w, tau)
+    w /= w.reshape(2, -1).sum(axis=1).reshape(2, *(1,) * (w.ndim - 1))
+    return v * np.sqrt(w)[..., None, :]
+
+
+def _weight_model(s: np.ndarray, rank: int, x: np.ndarray):
+    """``_ascent``'s model at ``x = (a, b)``: f, smooth while no weight
+    ``a_i^2`` or ``b_j^2`` is at ``CUTOFF`` of the largest on its side, and
+    the gauge rewriting's value ``sqrt(max_i K_0,ii max_j K_1,jj)``,
+    ``K_0,ii = (U Sigma U*)_ii / a_i^2`` and likewise K_1, the gradient and
+    the Hessian of f, and the normals ``(a, 0)`` and ``(0, b)``.  f does not
+    see the signs of a and b."""
     d = s.shape[0]
     a, b = x[:d], x[d:]
     factors = u, sig, v = _weight_factors(s, a, b, rank)
-    if not full:
-        return sig.sum()
-    rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
-    normals = np.zeros((2 * d, 2))
-    normals[:d, 0], normals[d:, 1] = a, b
-    upper = float(np.sqrt(rows[0].max() * rows[1].max()))
-    return sig.sum(), upper, *_weight_derivatives(s, a, b, factors), normals
+    roots = np.abs(x).reshape(2, d)
+
+    def rest():
+        rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
+        normals = np.zeros((2 * d, 2))
+        normals[:d, 0], normals[d:, 1] = a, b
+        upper = float(np.sqrt(rows[0].max() * rows[1].max()))
+        return upper, lambda: (*_weight_derivatives(s, a, b, factors), normals)
+    return sig.sum(), (roots.min(axis=1) / roots.max(axis=1)).min() ** 2 > CUTOFF, rest
 
 
 def _weight_barrier(x: np.ndarray) -> tuple:
@@ -486,44 +552,16 @@ def _weight_barrier(x: np.ndarray) -> tuple:
 
 
 def _weight_ascent(s: np.ndarray):
-    """Newton ascent of ``||D_a S D_b||_1`` over unit vectors a and b, from
-    ``a = b = d^-1/2``, continued on the barrier (``_barrier_ascent``) where
-    it declines: when a weight falls to ``CUTOFF`` of the largest, a step
-    finds no point where f does not fall, or the steps run out.  Returns
-    ``(lower, upper, steps, uppers)``: the roots of the iterates with the
-    largest f and with the least upper value (``_weight_model``), stacked as
-    ``(2, d, 1, 1)``, the step count, and the upper value at each iterate.
-
-    Each step is ``_ascent_step``, halved until f does not fall by more than
-    rounding."""
+    """``_ascent`` of ``||D_a S D_b||_1`` over unit vectors a and b, from
+    ``a = b = d^-1/2``.  Returns ``_ascent``'s result, the points as the roots
+    of diagonal states stacked as ``(2, d, 1, 1)``."""
     d = s.shape[0]
     sv = np.linalg.svd(s, compute_uv=False)
     model = partial(_weight_model, s, int(np.sum(sv > CUTOFF * sv[0])))
-    x = np.full(2 * d, d ** -0.5)
-    uppers = []
-    for steps in range(_WEIGHT_ITERS + 1):
-        f, upper, grad, hess, normals = model(x)
-        uppers.append(upper)
-        if upper - f <= _SDP_GAP * upper:
-            return x.reshape(2, d, 1, 1), x.reshape(2, d, 1, 1), steps, uppers
-        if steps == _WEIGHT_ITERS:
-            break
-        step = _ascent_step(normals, grad, hess, f)
-        for halving in range(_WEIGHT_HALVINGS):
-            # f does not see the signs of the weights' roots; keep them positive
-            new = np.abs(x + 0.5 ** halving * step).reshape(2, d)
-            new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
-            if model(new, full=False) >= f * (1 - 2 * d * np.finfo(float).eps):
-                break
-        else:
-            break
-        x = new
-        if (x.reshape(2, d).min(axis=1) / x.reshape(2, d).max(axis=1)).min() ** 2 <= CUTOFF:
-            break
-    *found, more, trace = _barrier_ascent(model, _weight_barrier,
-                                          lambda x, tau: _floored(x.reshape(2, d, 1, 1), tau).ravel(),
-                                          x, f, min(uppers), d, _BARRIER_SHRINK[0])
-    return *(x.reshape(2, d, 1, 1) for x in found), steps + more, uppers + trace
+    *found, steps, uppers = _ascent(model, np.full(2 * d, d ** -0.5), _weight_barrier,
+                                    lambda x, tau: _floored(x.reshape(2, d, 1, 1), tau).ravel(),
+                                    d, _BARRIER_SHRINK[0])
+    return *(x.reshape(2, d, 1, 1) for x in found), steps, uppers
 
 
 # The factor path.  For a map with b = d the dual is ``max f(L_0, L_1)`` over
@@ -539,17 +577,22 @@ def _weight_ascent(s: np.ndarray):
 def _factor_state(form: _Form, roots: np.ndarray) -> tuple:
     """The polar vectors V of the factors, the thin SVD ``(U, s, V)`` of G,
     the gauges ``(conj P, conj P^-1)`` of the geometric mean ``P = A^-1 # B``
-    and the least ratio of the eigenvalues of A and of B.  With the QR factors
-    ``V_s = Q_s R_s`` and the core ``R_1 R_0* = u diag(s) vh``,
-    ``P = M_1* diag(1/s) M_1`` for ``M_1 = u* R_1``, and
+    and the QR factors R_s of ``V_s = Q_s R_s``, so ``A = R_0* R_0`` and
+    ``B = R_1* R_1``.  ``G = Q_1 C Q_0*`` for the core ``C = R_1 R_0*``, whose
+    trace norm ``||R_0(rho)^1/2 R_1(sigma)^1/2||_1`` never squares a state
+    root; with ``C = u diag(s) vh``, ``U = Q_1 u`` and ``V = Q_0 vh*`` are the
+    factors of the polar contraction ``X = V U*`` of the lower end, and
+    ``P = M_1* diag(1/s) M_1`` for ``M_1 = u* R_1`` and
     ``P^-1 = M_0* diag(1/s) M_0`` for ``M_0 = vh R_0``: then ``P A P = B``."""
     vecs = form.polar_vectors(roots)
-    q, tri, core = _polar_core(vecs)
-    u, s, vh = np.linalg.svd(core)
+    q, tri = np.linalg.qr(vecs)
+    u, s, vh = np.linalg.svd(tri[1] @ tri[0].conj().T)
     m = np.stack([vh @ tri[0], u.conj().T @ tri[1]])
-    gauges = (m.conj().swapaxes(1, 2) @ (m / s[:, None])).conj()[::-1]
-    sv = np.linalg.svd(tri, compute_uv=False)
-    return vecs, (q[1] @ u, s, q[0] @ vh.conj().T), gauges, float((sv[:, -1] / sv[:, 0]).min() ** 2)
+    # the terms as given can leave the start point's core singular, where
+    # there is no gauge; only the Newton path, on the pruned terms, reads it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gauges = (m.swapaxes(1, 2) @ (m / s[:, None]).conj())[::-1]
+    return vecs, (q[1] @ u, s, q[0] @ vh.conj().T), gauges, tri
 
 
 def _factor_derivatives(form: _Form, roots: np.ndarray, vecs: np.ndarray, factors: tuple) -> np.ndarray:
@@ -615,81 +658,21 @@ def _vertical(roots: np.ndarray) -> np.ndarray:
     return normals.reshape(2 * q.shape[1], -1)
 
 
-def _factor_ascent(form: _Form):
-    """Newton ascent of ``f = ||G||_1`` over factors of rank k from
-    ``ceil(r/d)`` up to d, continued on the barrier (``_barrier_ascent``)
-    where it declines: when A or B turns singular (an eigenvalue below
-    ``CUTOFF ** 0.5`` of the largest), when no halving keeps f from falling,
-    or when the steps run out.  Returns ``(lower, upper, steps, uppers)``:
-    the factors of the iterates with the largest f and with the least upper
-    value ``sqrt(lambda_max(K_0) lambda_max(K_1))``, the gauge rewriting's,
-    the step count, and the upper value at each iterate.
+def _factor_model(form: _Form, x: np.ndarray):
+    """``_weight_model`` for factors of any rank with the real coordinates x:
+    f, smooth while neither A nor B has an eigenvalue at ``CUTOFF ** 0.5`` of
+    its largest, and the upper value ``sqrt(lambda_max(K_0) lambda_max(K_1))``,
+    the gradient ``(K_0 L_0, K_1 L_1)``, the Hessian and the normals."""
+    roots = _complex(x, (2, 1, form.d, -1))
+    vecs, factors, gauges, tri = _factor_state(form, roots)
+    sv = np.linalg.svd(tri, compute_uv=False)
 
-    The factors start from the maximally mixed states (``_factor_start``).
-    Each Newton step is ``_ascent_step`` off the directions that leave the
-    states where they are (``_vertical``), halved until f does not fall by
-    more than rounding.  At a stationary point ``K_s L_s = f L_s``; where a
-    step no longer raises f while k is below d and ``K_s`` has an
-    eigenvalue above f outside the range of ``L_s``, the factors of rank
-    ``k + 1`` start again from the current ones."""
-    d = form.d
-    roots = _factor_start(form, form.unit / np.sqrt(d), -(-form.r // d))
-    state = _factor_state(form, roots)
-    uppers = []
-    eps = np.finfo(float).eps
-    for steps in range(_WEIGHT_ITERS + 1):
-        vecs, factors, gauges, ratio = state
-        f = factors[1].sum()
-        if ratio <= CUTOFF ** 0.5:
-            break
+    def rest():
         spread = form._spread(gauges)
         top = np.linalg.eigvalsh(spread)[:, 0, -1]
-        uppers.append(float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0))))
-        if uppers[-1] - f <= _SDP_GAP * uppers[-1]:
-            return roots, roots, steps, uppers
-        if steps == _WEIGHT_ITERS:
-            break
-        x, shape = _real(roots), roots.shape
-        hess = _factor_derivatives(form, roots, vecs, factors)
-        step = _ascent_step(_vertical(roots), _real(spread @ roots), hess, f)
-        for halving in range(_WEIGHT_HALVINGS):
-            new = (x + 0.5 ** halving * step).reshape(2, -1)
-            new = _complex(new / np.linalg.norm(new, axis=1, keepdims=True), shape)
-            state = _factor_state(form, new)
-            value = state[1][1].sum()
-            if value >= f * (1 - 2 * x.size * eps):
-                break
-        else:
-            break
-        roots = new
-        if value <= f * (1 + 2 * x.size * eps) and shape[-1] < d:
-            # the rank-k ascent has stopped; an eigenvalue of K_s above f
-            # outside the range of L_s calls for one more column
-            q = np.linalg.qr(roots)[0]
-            outside = np.eye(d) - q @ q.conj().swapaxes(-1, -2)
-            if np.linalg.eigvalsh(outside @ spread @ outside)[..., -1].max() > f:
-                roots = _factor_start(form, roots, shape[-1] + 1)
-                state = _factor_state(form, roots)
-    # with no upper value yet (A singular at the start), a gap of f
-    *found, more, trace = _barrier_ascent(partial(_factor_model, form), partial(_factor_barrier, d=d),
-                                          lambda x, tau: _real(_floored(_complex(x, (2, 1, d, -1)), tau)),
-                                          _real(roots), f, min(uppers, default=2 * f), d, _BARRIER_SHRINK[1])
-    return *(_complex(x, (2, 1, d, d)) for x in found), steps + more, uppers + trace
-
-
-def _factor_model(form: _Form, x: np.ndarray, full: bool = True):
-    """``_weight_model`` for square factors with the real coordinates x: f,
-    and with ``full`` the upper value ``sqrt(lambda_max(K_0) lambda_max(K_1))``,
-    the gradient ``(K_0 L_0, K_1 L_1)``, the Hessian and the normals."""
-    roots = _complex(x, (2, 1, form.d, form.d))
-    vecs, factors, gauges, _ = _factor_state(form, roots)
-    if not full:
-        return factors[1].sum()
-    spread = form._spread(gauges)
-    top = np.linalg.eigvalsh(spread)[:, 0, -1]
-    upper = float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0)))
-    hess = _factor_derivatives(form, roots, vecs, factors)
-    return factors[1].sum(), upper, _real(spread @ roots), hess, _vertical(roots)
+        return float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0))), lambda: (
+            _real(spread @ roots), _factor_derivatives(form, roots, vecs, factors), _vertical(roots))
+    return factors[1].sum(), (sv[:, -1] / sv[:, 0]).min() ** 2 > CUTOFF ** 0.5, rest
 
 
 def _factor_barrier(x: np.ndarray, d: int) -> tuple:
@@ -708,62 +691,45 @@ def _factor_barrier(x: np.ndarray, d: int) -> tuple:
     return logdet, 2 * _real(inv.conj().swapaxes(1, 2)), hess.reshape(4 * d * d, 4 * d * d)
 
 
-def _factor_start(form: _Form, roots: np.ndarray, k: int) -> np.ndarray:
-    """Factors of rank k from those given: the top k eigenvectors of ``K_s``
-    at ``roots``, over ``sqrt(k)``, after two fixed-point steps ``L <- K L``,
+def _factor_start(form: _Form, spread: np.ndarray, k: int) -> np.ndarray:
+    """Factors of rank k: the top k eigenvectors of ``K_s``, given as
+    ``spread``, over ``sqrt(k)``, after two fixed-point steps ``L <- K L``,
     normalized."""
-    for fixed in range(3):
-        spread = form._spread(_factor_state(form, roots)[2])
-        if fixed == 0:
-            roots = np.linalg.eigh(spread)[1][..., -k:] / np.sqrt(k)
-        else:
-            roots = spread @ roots
-            roots /= np.linalg.norm(roots, axis=(-2, -1), keepdims=True)
+    roots = np.linalg.eigh(spread)[1][..., -k:] / np.sqrt(k)
+    for _ in range(2):
+        roots = form._spread(_factor_state(form, roots)[2]) @ roots
+        roots /= np.linalg.norm(roots, axis=(-2, -1), keepdims=True)
     return roots
 
 
-def _floored(roots: np.ndarray, tau: float) -> np.ndarray:
-    """Square factors, stacked as ``roots``, of their states ``L L*`` with
-    every eigenvalue raised to at least tau and each side then normalized
-    to trace 1: a rank-k factor is padded to full rank."""
-    w, v = np.linalg.eigh(roots @ roots.conj().swapaxes(-1, -2))
-    w = np.maximum(w, tau)
-    w /= w.reshape(2, -1).sum(axis=1).reshape(2, *(1,) * (w.ndim - 1))
-    return v * np.sqrt(w)[..., None, :]
+def _factor_widen(form: _Form, x: np.ndarray, f: float) -> np.ndarray | None:
+    """Where a step of the rank-k ascent no longer raises f at the real
+    coordinates x: the coordinates of the factors of rank k + 1 that
+    ``_factor_start`` takes from ``K_s`` there, when k is below d and ``K_s``
+    has an eigenvalue above f outside the range of ``L_s``; else None."""
+    roots = _complex(x, (2, 1, form.d, -1))
+    if roots.shape[-1] == form.d:
+        return None
+    spread = form._spread(_factor_state(form, roots)[2])
+    q = np.linalg.qr(roots)[0]
+    outside = np.eye(form.d) - q @ q.conj().swapaxes(-1, -2)
+    if np.linalg.eigvalsh(outside @ spread @ outside)[..., -1].max() <= f:
+        return None
+    return _real(_factor_start(form, spread, roots.shape[-1] + 1))
 
 
-def _barrier_ascent(model, barrier, floor, x: np.ndarray, f: float, upper: float, d: int, shrink: float):
-    """Newton ascent of ``F = f + mu sum_s log det(L_s L_s*)`` over unit
-    factors (see the module docstring) from the iterate x where a plain
-    ascent declined, with f and its least upper value there.  ``model`` is
-    ``_weight_model`` or ``_factor_model``, ``barrier`` the log det with its
-    derivatives in the same coordinates, and ``floor(x, tau)`` the full-rank
-    factors of ``_floored``.  Returns ``(lower, upper, steps, uppers)`` as
-    the plain ascents do, the points in the coordinates of x."""
-    mu = max(upper - f, _SDP_GAP * f) / (2 * d)
-    x = floor(x, 2 * mu / (f + 2 * mu * d))
-    low = top = None
-    uppers = []
-    for steps in range(_SDP_ITERS + 1):
-        f, upper, grad, hess, normals = model(x)
-        low = (f, x) if low is None or f > low[0] else low
-        top = (upper, x) if top is None or upper < top[0] else top
-        uppers.append(upper)
-        if top[0] - low[0] <= _SDP_GAP * top[0] or steps == _SDP_ITERS:
-            break
-        logdet, barrier_grad, barrier_hess = barrier(x)
-        step = _ascent_step(normals, grad + mu * barrier_grad, hess + mu * barrier_hess, f + 2 * mu * d)
-        target = f + mu * logdet - 2 * x.size * np.finfo(float).eps * f
-        for halving in range(_WEIGHT_HALVINGS):
-            new = (x + 0.5 ** halving * step).reshape(2, -1)
-            new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
-            if model(new, full=False) + mu * barrier(new)[0] >= target:
-                # a step overshoots the states' small eigenvalues, which the
-                # central path keeps above tau
-                x = floor(new, 2 * mu / (f + 2 * mu * d))
-                break
-        mu = max(mu * shrink, _SDP_GAP * f / (4 * d))
-    return low[1], top[1], steps, uppers
+def _factor_ascent(form: _Form):
+    """``_ascent`` of ``f = ||G||_1`` over factors of rank k from
+    ``ceil(r/d)`` up to d (``_factor_widen``), starting from the maximally
+    mixed states (``_factor_start``).  Returns ``_ascent``'s result, the
+    points as factors stacked as ``(2, 1, d, k)``."""
+    d = form.d
+    spread = form._spread(_factor_state(form, form.unit / np.sqrt(d))[2])
+    start = _real(_factor_start(form, spread, -(-form.r // d)))
+    *found, steps, uppers = _ascent(partial(_factor_model, form), start, partial(_factor_barrier, d=d),
+                                    lambda x, tau: _real(_floored(_complex(x, (2, 1, d, -1)), tau)),
+                                    d, _BARRIER_SHRINK[1], partial(_factor_widen, form))
+    return *(_complex(x, (2, 1, d, -1)) for x in found), steps, uppers
 
 
 def _ascent_certificate(t: ElementaryOperator, pruned: ElementaryOperator, start_form: _Form,
@@ -822,6 +788,22 @@ def _unit_families(left: np.ndarray, right: np.ndarray) -> tuple:
     return left / row, right / col, row, col
 
 
+def _start_point(t: ElementaryOperator) -> tuple:
+    """For a map that is not completely positive, the form of its nonzero
+    terms as given with the paths' block size b (pruning keeps diagonal terms
+    diagonal), the raw rewriting and its value ``cap``, ``_Form.dual_witness``
+    at the maximally mixed states, or for a single term at the top singular
+    vectors of its factors, and whether its value meets ``cap`` to the gap."""
+    left, right = _drop_zero_terms(t.left, t.right)
+    start_form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), _block_size(t))
+    start = start_form.dual_witness()
+    raw = _balanced(left, right)
+    cap = _factorization_value(*raw)
+    if len(left) == 1 and cap - start[0] > _SDP_GAP * cap:
+        start = start_form.dual_witness(_top_roots(start_form))
+    return start_form, raw, cap, start, cap - start[0] <= _SDP_GAP * cap
+
+
 def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0) -> NormInterval:
     """Bracket the cb norm of an elementary operator; see the module docstring.
 
@@ -841,22 +823,12 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
         cert = tuple((k, k.conj().T) for k in kraus)
         return NormInterval(value, value, cert, 0, (value,), "cp")
 
-    # one block size for the start and the paths: pruning keeps diagonal terms diagonal
-    b = _block_size(t)
-    left, right = _drop_zero_terms(t.left, t.right)
-    start_form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), b)
-    start = start_form.dual_witness()
-    raw = _balanced(left, right)
-    cap = _factorization_value(*raw)
-    if len(left) == 1 and cap - start[0] > _SDP_GAP * cap:
-        start = start_form.dual_witness(_top_roots(start_form))
+    start_form, raw, cap, start, closed = _start_point(t)
     # the maximally mixed states close the bracket for every regular
     # representation (and the zero map), and the top singular vectors for
     # every single term; otherwise prune and ascend on the weights (b = 1)
     # or the factors (b = d)
-    bracket = None
-    if cap - start[0] > _SDP_GAP * cap:
-        bracket = _certified(t, raw, cap, *_ascent_certificate(t, prune_terms(t), start_form, cap))
+    bracket = None if closed else _certified(t, raw, cap, *_ascent_certificate(t, prune_terms(t), start_form, cap))
     # a certificate that misses the map leaves the start point's bracket
     bracket = bracket or _certified(t, raw, cap, raw, start[1], 0, [cap], "start")
     if bracket is None:

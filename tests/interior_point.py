@@ -255,7 +255,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, 
             upper, p_best = value, p
         trace.append(upper)
         for roots in form.state_roots(x, mu) if iterations else ():
-            value = float(np.linalg.svd(hnorm._polar_core(form.polar_vectors(roots))[2], compute_uv=False).sum())
+            value = form.dual_witness(roots)[0]
             if value > lower:
                 lower, roots_best = value, roots
         if min(upper, cap) - lower <= hnorm._SDP_GAP * min(upper, cap):
@@ -291,15 +291,9 @@ def bracket(t: ElementaryOperator, b: int | None = None) -> NormInterval:
     package, then the solve on the pruned terms with states in blocks of size
     b, by default the package's ``_block_size``.  The map must not be
     completely positive; a certificate that misses the map raises."""
-    left, right = hnorm._drop_zero_terms(t.left, t.right)
-    start_form = hnorm._Form(np.stack([left, right.conj().transpose(0, 2, 1)]), hnorm._block_size(t))
-    start = start_form.dual_witness()
-    raw = hnorm._balanced(left, right)
-    cap = hnorm._factorization_value(*raw)
-    if len(left) == 1 and cap - start[0] > hnorm._SDP_GAP * cap:
-        start = start_form.dual_witness(hnorm._top_roots(start_form))
+    start_form, raw, cap, start, closed = hnorm._start_point(t)
     found = raw, start[1], 0, [cap], "start"
-    if cap - start[0] > hnorm._SDP_GAP * cap:
+    if not closed:
         pruned = prune_terms(t)
         *solved, witness, iterations, trace = _factorization_sdp(pruned.left, pruned.right, cap,
                                                                  b or start_form.b, start)

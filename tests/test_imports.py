@@ -3,9 +3,9 @@ other only through public names, the package starts no threads and reads no
 environment, no file imports a name it never uses, no module but
 ``errors`` defines a threshold constant, the package needs nothing but
 numpy, no ``einsum`` takes three or more operands, ``hnorm`` calls no
-``einsum``, has one form class, which branches on no block size, and holds
-no interior-point solve, whose test oracle writes the W block once and
-whose cone helpers read no ``ndim``, no caller in the
+``einsum``, has one form class, which branches on no block size, and one
+Newton loop, and holds no interior-point solve, whose test oracle writes the
+W block once and whose cone helpers read no ``ndim``, no caller in the
 package, the tests, the demos or the README passes an ignored parameter, no function that takes ``tol`` compares with
 ``TOL`` without a stated reason, neither rewriting gate builds a dense Choi
 or transfer matrix, no function but the dense forms and the composition
@@ -308,6 +308,20 @@ def test_the_package_holds_no_interior_point_solve():
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "ipm"] == []
     oracle = {node.name for node in ast.walk(_tree(ORACLE)) if isinstance(node, ast.FunctionDef)}
     assert IPM_NAMES | (IPM_FORM_MEMBERS - {"c"}) <= oracle
+
+
+def test_the_norm_solver_has_one_newton_loop():
+    # both Newton paths, at mu = 0 and on the barrier, run in one loop:
+    # one call takes the Newton step and one loop halves it
+    found = {}
+    for func in _tree(PACKAGE / "hnorm.py").body:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ascent_step":
+                found.setdefault("step", []).append(func.name)
+            if isinstance(node, ast.For) and "_WEIGHT_HALVINGS" in {n.id for n in ast.walk(node.iter)
+                                                                     if isinstance(n, ast.Name)}:
+                found.setdefault("halvings", []).append(func.name)
+    assert found == {"step": ["_ascent"], "halvings": ["_ascent"]}
 
 
 def test_the_form_does_not_branch_on_its_block_size():

@@ -174,8 +174,38 @@ class TestCertificates:
             b = haagerup_norm_bounds(t)
             assert _factorization_value(b.certificate_terms) == pytest.approx(b.upper, rel=1e-9)
 
+    def test_no_certificate_gauge_reaches_the_clip(self, monkeypatch):
+        # ``_sqrt_pair`` clips a gauge's eigenvalues at 1e-14 of the largest;
+        # a clipped gauge would certify the rewriting of another gauge, whose
+        # value can be far above f.  The least ratio here is 7e-4, at a
+        # tiny-weight symbol
+        ratios, inner = [], hnorm._sqrt_pair
+
+        def recorded(p):
+            w = np.linalg.eigvalsh((p + p.conj().T) / 2)
+            ratios.append(w[0] / w[-1])
+            return inner(p)
+
+        monkeypatch.setattr(hnorm, "_sqrt_pair", recorded)
+        faces = [schur_op(_face_symbol(case, 32, seed))
+                 for case, seed in (("face", 0), ("face", 1), ("tiny", 1), ("tiny", 2), ("rank4", 0))]
+        for t in list(_contractivity_ops()) + _batch_operators() + faces:
+            haagerup_norm_bounds(t)
+        assert len(ratios) == 98 + 4 + 5 and min(ratios) > 1e-14
+
 
 class TestPruning:
+    def test_a_singular_core_at_the_start_brackets_without_a_warning(self):
+        # repeated terms with a common zero row leave the start point's core,
+        # on the terms as given, singular: its states have no gauge, which
+        # only the Newton path, on the pruned terms, reads
+        a = np.random.default_rng(0).standard_normal((3, 3, 3))
+        a[:, 0] = 0
+        t = ElementaryOperator(3, np.concatenate([a, a]), np.concatenate([a, -a]) + 0.1)
+        b = haagerup_norm_bounds(t)
+        assert b.path == "weights" and abs(b.width) <= 1e-12 * b.upper
+        assert elementary.choi_distance(ElementaryOperator.from_terms(3, b.certificate_terms), t) <= TOL * b.upper
+
     def test_zero_terms_are_dropped(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -767,14 +797,14 @@ def _derivatives(s, x, rank):
 
 @pytest.fixture
 def barriers(monkeypatch):
-    """One entry per barrier continuation that ran."""
-    calls, inner = [], hnorm._barrier_ascent
+    """One entry per ascent that declined and turned the barrier on."""
+    calls, inner = [], hnorm._barrier_start
 
     def counted(*args):
         calls.append(None)
         return inner(*args)
 
-    monkeypatch.setattr(hnorm, "_barrier_ascent", counted)
+    monkeypatch.setattr(hnorm, "_barrier_start", counted)
     return calls
 
 
@@ -816,9 +846,9 @@ def _face_symbol(case, d, seed):
 def _faces(seed=0):
     """The maps of the contractivity suite whose optimum lies on a face, where
     the plain ascent declines and the barrier runs: 24 at seed 0."""
-    calls, inner, faces = [], hnorm._barrier_ascent, []
+    calls, inner, faces = [], hnorm._barrier_start, []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(hnorm, "_barrier_ascent", lambda *args: calls.append(None) or inner(*args))
+        m.setattr(hnorm, "_barrier_start", lambda *args: calls.append(None) or inner(*args))
         for t in _contractivity_ops(seed):
             before = len(calls)
             haagerup_norm_bounds(t)
@@ -925,6 +955,16 @@ class TestWeightPath:
             misses += elementary.choi_distance(ElementaryOperator.from_terms(d, diagonal), t) > gate
         assert misses > 0
 
+    def test_iterations_count_every_newton_step(self, monkeypatch):
+        # an ascent that declines on a weight at CUTOFF counts the step that
+        # took the weight there
+        steps, inner = [], hnorm._ascent_step
+        monkeypatch.setattr(hnorm, "_ascent_step", lambda *args: steps.append(None) or inner(*args))
+        faces = [schur_op(_face_symbol(case, 16, 0)) for case in ("face", "tiny", "rank4")]
+        for t in list(_contractivity_ops()) + faces:
+            steps.clear()
+            assert haagerup_norm_bounds(t).iterations == len(steps)
+
     def test_the_trace_is_a_running_minimum_from_the_raw_gauge(self):
         t = _character_image(np.random.default_rng(3), 97, 16)
         b = haagerup_norm_bounds(t)
@@ -980,8 +1020,8 @@ class TestFallbacks:
                              ids=["step-cap", "no-halving-keeps-f"])
     def test_a_declined_ascent_continues_on_the_barrier(self, monkeypatch, setting, value, barriers):
         # with the step cap at 1 the barrier closes the bracket; with no
-        # halving no step is taken, and the steps run out at the best
-        # certified bracket
+        # halving no step is kept, and after the first, counted too, the
+        # barrier's steps run out at the best certified bracket
         t = schur_op(_random_symbol(5, np.random.default_rng(74)))
         b = haagerup_norm_bounds(t)
         assert b.path == "weights" and b.iterations > 1 and barriers == []
@@ -992,7 +1032,7 @@ class TestFallbacks:
             assert declined.width <= 1e-12 * declined.upper
             _overlap([b, declined])
         else:
-            assert declined.iterations == hnorm._SDP_ITERS and declined.width > 1e-6 * declined.upper
+            assert declined.iterations == 1 + hnorm._SDP_ITERS and declined.width > 1e-6 * declined.upper
         _certified(t, declined)
 
     @pytest.mark.parametrize("stage", ["barrier", "newton"])
@@ -1125,8 +1165,9 @@ class TestFactorPath:
                              - _factor_value_and_gradient(form, x - h * e, shape)[1]) / (2 * h) for e in eye])
         assert np.abs(grad - fd_grad).max() <= 1e-8 * np.abs(grad).max()
         assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
-        # f is the dual value of the states, which the polar contraction gives
-        assert f == pytest.approx(hnorm._polar_contraction(vecs)[0], rel=1e-13)
+        # f is the trace norm of G = V_1 V_0*, which the QR core gives
+        # without squaring a state root
+        assert f == pytest.approx(np.linalg.svd(vecs[1] @ vecs[0].conj().T, compute_uv=False).sum(), rel=1e-13)
 
     def test_the_gauge_is_the_conjugate_of_the_geometric_mean(self):
         # the rewriting at conj P rebuilds the map and attains f; at P, the
