@@ -6,14 +6,15 @@ certifies an upper bound, and a pair of states gives a contraction X and a
 unit vector eta, and ||(T (x) id)(X) eta|| certifies a lower bound.
 Single-term maps a . b have cb norm exactly ||a|| ||b||, which the states
 at the top singular vectors of a and b attain, so their interval closes at
-the start point, before any solver step. Schur multipliers, such as the
-images of character representations, take Newton ascent on the weights
-of Haagerup's dual, which closes a d = 32 bracket in a few steps, and
-every other map Newton ascent on factors of the states, which closes a
-generic d = 6 map with 36 terms in a few steps. Where the optimum lies on
-a face of the state cone, a weight or a direction of a state going to
-zero, the same Newton loop turns on a log barrier, whose stationary points
-the gauge rewriting certifies to a relative gap of 2 mu d / f.
+the start point, before any solver step. Every other map takes Newton
+ascent on factors of the states, block-diagonal as the states are: for a
+Schur multiplier, such as the image of a character representation, d
+blocks of 1 x 1 factors, the roots of the weights of Haagerup's dual,
+which closes a d = 32 bracket in a few steps, and for a generic map one
+block, which closes a d = 6 map with 36 terms in a few steps. Where the
+optimum lies on a face of the state cone on which A or B turns singular,
+the same Newton loop turns on a log barrier, whose stationary points the
+gauge rewriting certifies to a relative gap of 2 mu d / f.
 """
 
 import numpy as np
@@ -85,7 +86,8 @@ print(f"face symbol, d = {d}  bracket [{bounds.lower:.12f}, {bounds.upper:.12f}]
       f"  width {bounds.width:.2e}  steps {bounds.iterations}  path {bounds.path}")
 
 # a generic map with d^2 terms, of term rank r = 36; Newton on the state
-# factors works with 4 d^2 = 144 real unknowns
+# factors works with 4 d^2 = 144 real coordinates, 70 of them directions
+# that move the states
 d = 6
 left = rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))
 right = rng.standard_normal((d * d, d, d)) + 1j * rng.standard_normal((d * d, d, d))

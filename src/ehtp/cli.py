@@ -270,7 +270,7 @@ def load_scenario(obj, index: int, seed_override, tol_override) -> Scenario:
     seed = seed_override
     if seed is None:
         seed = _number(obj.get("seed", 0), "seed", integer=True, low=0, high=MAX_SEED)
-    tol = tol_override if tol_override is not None else _number(obj.get("tol", TOL), "tol")
+    tol = _number(tol_override, "--tol") if tol_override is not None else _number(obj.get("tol", TOL), "tol")
     params = obj.get("params", {})
     _schema(isinstance(params, dict), "'params' must be an object")
     measures = obj.get("measures", [])

@@ -48,7 +48,6 @@ __all__ = [
     "positive_family",
     "is_completely_positive",
     "strongly_independent_kraus",
-    "schur_symbol",
     "is_diagonal_bimodule",
     "positive_implies_cp_check",
     "sampled_positivity",
@@ -361,7 +360,7 @@ def strongly_independent_kraus(t: ElementaryOperator, tol: float = TOL) -> list[
     return kraus
 
 
-def schur_symbol(t: ElementaryOperator) -> np.ndarray:
+def _schur_symbol(t: ElementaryOperator) -> np.ndarray:
     """The symbol the map would have as a Schur multiplier: entry ``(j, k)``
     is the ``(j, k)`` entry of ``T(E_jk)``, ``sum_i a_i[j, j] b_i[k, k]``,
     one ``(d, n) @ (n, d)`` product of the term diagonals."""
@@ -374,7 +373,7 @@ def is_diagonal_bimodule(t: ElementaryOperator, tol: float = TOL) -> bool:
     the distance ``sqrt(sum_jk ||T(E_jk) - S_jk E_jk||_F^2)``, taken from the
     terms by :func:`choi_distance`, is at most ``tol`` times the data scale
     ``sum_i ||a_i||_F ||b_i||_F``."""
-    return choi_distance(t, schur_op(schur_symbol(t))) <= tol * _data_scale(t)
+    return choi_distance(t, schur_op(_schur_symbol(t))) <= tol * _data_scale(t)
 
 
 @dataclass(frozen=True)
@@ -414,7 +413,7 @@ def sampled_positivity(t: ElementaryOperator, trials: int = 50, tol: float = TOL
     if not is_diagonal_bimodule(t, tol):
         raise BimoduleError("map is not a bimodule map over the diagonal MASA")
     x = _positive_samples(np.random.default_rng(seed), t.dim, trials)
-    y = schur_symbol(t) * x
+    y = _schur_symbol(t) * x
     yh = y.conj().transpose(0, 2, 1)
     # normalize against input scale times term scale, not just ||y||: when
     # the map is numerically zero the output is pure float noise and would

@@ -66,85 +66,81 @@ singular vector u of a and the top right singular vector v of b (for b = 1
 the basis vectors at the largest ``|a_jj|`` and ``|b_kk|``), which attain it.
 
 Otherwise the terms are pruned, and one Newton loop (``_ascent``) ascends
-the dual on the states (``"weights"``): on the roots a and b of diagonal
-states when b = 1, on factors L of the states when b = d.  It maximizes
-``F = f + mu sum_s log det(L_s L_s*)`` over unit factors (Y. Nesterov and
-A. Nemirovskii, *Interior-Point Polynomial Algorithms in Convex
-Programming*, SIAM 1994), f the dual value below, with mu = 0 until the
-plain ascent of f declines.
+the dual on factors L of the states (``"weights"``), block-diagonal as the
+states are.  It maximizes ``F = f + mu sum_s log det(L_s L_s*)`` over unit
+factors (Y. Nesterov and A. Nemirovskii, *Interior-Point Polynomial
+Algorithms in Convex Programming*, SIAM 1994), f the dual value below, with
+mu = 0 until the plain ascent of f declines.
 
-**The weights, b = 1.**  Haagerup's dual on the symbol S
-(``elementary.schur_symbol`` of the terms as given):
-``f(a, b) = ||D_a S D_b||_1`` over unit vectors a and b in R^d, the state
-weights being ``p = a^2`` and ``q = b^2``, from ``a = b = d^-1/2``.  An
-iterate takes the thin SVD ``M = D_a S D_b = U Sigma V*``, truncated to the
-rank of S, the gradient and the 2d x 2d Hessian, the latter from one
-(2d, d, d) batch of directional derivatives of M and of its polar factor
-``W = U V*``.  A step costs one SVD of a d x d matrix, O(d^4) for the
-Hessian and one 2d x 2d ``eigh``, and a full-rank symbol closes in 3 to 10
-steps.
-
-**The factors, b = d.**  The dual ``f = tr (A^1/2 B A^1/2)^1/2``
-(J. Watrous, Chicago J. Theor. Comput. Sci. 2013) over factors of the
-states, ``rho = L_0 L_0*`` and ``sigma = L_1 L_1*`` with ``L_s`` of size
-d x k and ``||L_s||_F = 1`` (S. Burer and R. Monteiro, Math. Program. 95,
-2003).  With the pruned, balanced families ``F_0 = (a_i)`` and
-``F_1 = (b_i*)``, ``A = V_0* V_0`` and ``B = V_1* V_1`` are r x r, V_s
-having the columns ``vec(F_s,i* L_s)``, and f is the trace norm of
-``G = V_1 V_0*``, as for the lower end.  With the geometric mean
-``P = A^-1 # B``, ``df = tr(P dA)/2 + tr(P^-1 dB)/2``: the gradient in L_s is
-``K_s L_s`` with ``K_0 = sum_ij conj(P)_ij a_i a_j*`` and
-``K_1 = sum_ij conj(P^-1)_ij b_i* b_j``.  The Hessian is the derivative of
-that gradient through the polar factor W of G, whose derivative is that of
-the weights' polar factor, for all 4dk real directions in one batch.  k runs
-from ``ceil(r/d)``, the least rank that keeps A nonsingular, up to d: the
-factors start as the top k eigenvectors of ``K_s`` at the maximally mixed
-states, over ``sqrt(k)``, after two fixed-point steps ``L <- K L``, and where
-a step no longer raises f while ``K_s`` has an eigenvalue above f outside
-the range of ``L_s``, rank k + 1 starts again in the same way from the
-current factors.  A step costs O(d^3 k^3 r) for the Hessian and one
-4dk x 4dk ``eigh``; generic maps with d^2 terms close in 4 to 5 steps, at
-d = 8 in 1 to 1.5 s.
+**The factors.**  The dual ``f = tr (A^1/2 B A^1/2)^1/2`` (J. Watrous,
+Chicago J. Theor. Comput. Sci. 2013) over factors of the states,
+``rho = L_0 L_0*`` and ``sigma = L_1 L_1*``, each a stack of d/b blocks of
+size b x k with ``||L_s||_F = 1`` over all blocks (S. Burer and R. Monteiro,
+Math. Program. 95, 2003).  A Schur multiplier (b = 1) has d blocks of 1 x 1
+factors, the roots of its state weights ``p = |L_0|^2`` and
+``q = |L_1|^2``, and f is Haagerup's ``||D_p^1/2 S D_q^1/2||_1``.  With the
+pruned, balanced families ``F_0 = (a_i)`` and ``F_1 = (b_i*)``,
+``A = V_0* V_0`` and ``B = V_1* V_1`` are r x r, V_s having the columns
+``vec(F_s,i* L_s)`` (on the entries of the blocks), and f is the trace norm
+of ``G = V_1 V_0*``, as for the lower end.  f is smooth wherever A and B are
+nonsingular, also where a weight is zero: a rank-deficient symbol whose
+optimal weights vanish closes without the barrier while its optimal states
+keep A and B nonsingular.  With the geometric mean ``P = A^-1 # B``,
+``df = tr(P dA)/2 + tr(P^-1 dB)/2``: the gradient in L_s is ``K_s L_s`` with
+``K_0 = sum_ij conj(P)_ij a_i a_j*`` and ``K_1 = sum_ij conj(P^-1)_ij b_i* b_j``,
+block-diagonal.  The Hessian is the derivative of that gradient through the
+polar factor W of G, along a basis of the tangent directions of the loop
+below, all in one batch.  k runs from ``ceil(r/d)``, the least rank that
+keeps A nonsingular, up to b: the factors start as the top k eigenvectors of
+each block of ``K_s`` at the maximally mixed states, over ``sqrt(k)``, after
+two fixed-point steps ``L <- K L``, and where a step no longer raises f
+while ``K_s`` has an eigenvalue above f outside the range of ``L_s``, rank
+k + 1 starts again in the same way from the current factors.  With
+``N = dk`` complex coordinates on a side and m tangent directions (below
+``4N``), a step costs ``O(m N^2 r)`` for the Hessian and one m x m ``eigh``;
+full-rank Schur multipliers close in 3 to 10 steps, and generic maps with
+d^2 terms in 4 to 5.
 
 **The loop.**  Each step inverts the Hessian of F less ``(f + 2 mu d) I``
 (Euler's identity: F less its barrier is of degree one on each side) on the
-tangent space of the two spheres, off the directions ``L_s X``
-(X anti-Hermitian) that leave the states where they are, each eigenvalue
-``lambda`` replaced by ``-max(|lambda|, 1e-8 f)``, and halves the step until
-F does not fall by more than rounding.  The barrier adds ``2 mu L_s^-*``
-to the gradient and ``-2 mu Re tr(L^-1 dL L^-1 dL)`` to the Hessian, which
-is ``-2 mu / a_i^2`` on the diagonal for b = 1.  mu turns on
+tangent space of the two spheres, off the directions that turn one block by
+``L_s,c X`` (X anti-Hermitian) and leave the states where they are
+(``_tangent``), each eigenvalue ``lambda`` replaced by
+``-max(|lambda|, 1e-8 f)``, and halves the step until F does not fall by
+more than rounding.  The barrier adds ``2 mu L_s^-*`` to the gradient and
+``-2 mu Re tr(L^-1 dL L^-1 dL)`` to the Hessian, block by block, which is
+``-2 mu / |L_c|^2`` on the real direction of a real 1 x 1 block.  mu turns on
 where the plain ascent declines, its optimum then lying on a face of the
-state cone, where f is not smooth: a weight falls to ``CUTOFF`` of the
-largest, A or B turns singular (an eigenvalue below ``CUTOFF ** 0.5`` of the
-largest: an optimum with ``rank(rho) d < r``), no halving keeps f from
-falling, or 20 steps leave the gap open.  mu starts there at the certified
-gap over 2d and shrinks after each step, by 1e-3 for b = 1 and 1e-4 for
-b = d, but not below what the stopping gap needs.  At a stationary point of
-F, ``K_s L_s + 2 mu L_s^-* = (f + 2 mu d) L_s``, so
+state cone, where f is not smooth: A or B turns singular (an eigenvalue
+below ``CUTOFF ** 0.5`` of the largest: an optimum whose states miss a
+direction of the r terms, as where ``rank(rho) d < r``), no halving keeps f
+from falling, or 20 steps leave the gap open.  mu starts there at the
+certified gap over 2d and shrinks after each step, by 1e-3 for b = 1 and
+1e-4 for b = d, but not below what the stopping gap needs.  At a stationary
+point of F, ``K_s L_s + 2 mu L_s^-* = (f + 2 mu d) L_s``, so
 ``K_s = (f + 2 mu d) I - 2 mu rho_s^-1 <= (f + 2 mu d) I``, and the gauge
 rewriting certifies a relative gap of at most ``2 mu d / f`` on any face.
 No state on the central path has an eigenvalue below
 ``2 mu / (f + 2 mu d)``, and from the switch on each iterate's states are
 raised to that floor, which a Newton step overshoots on a face; a rank-k
-iterate is padded to rank d.  The loop stops at a certified relative gap of
+iterate is padded to rank b.  The loop stops at a certified relative gap of
 1e-12, or after 100 steps on the barrier with its best certified pair.
 
-**The certificate** of both paths is the rewriting ``_certificate`` of the
-pruned terms at the gauge ``conj P`` (the conjugate: the gauge's index
-convention transposes P), P the geometric mean of their form with block
-size b at the states of an iterate.  Its value is
-``sqrt(lambda_max(K_0) lambda_max(K_1))`` for ``K_s = R_s*(conj P)``, as
-above (for b = 1, ``K_0,ii = (U Sigma U*)_ii / a_i^2``), which is f at a
-stationary point of f with interior weights, where ``K_s L_s = f L_s``.  It
-certifies the upper end at the iterate with the least value, and the lower
-end is the one above at the states of the iterate with the largest f, both
-through the certification of the start point: the raw rewriting where its
-value is smaller, the rebuild of the map and the check that the bracket is
-not crossed.  For b = 1 the SVD also factors ``S = X Y*`` at
+**The certificate** is the rewriting ``_certificate`` of the pruned terms
+at the gauge ``conj P`` (the conjugate: the gauge's index convention
+transposes P), P the geometric mean of their form with block size b at the
+states of an iterate.  Its value is ``sqrt(lambda_max(K_0) lambda_max(K_1))``
+for ``K_s = R_s*(conj P)``, as above, over all blocks, which is f at a
+maximizer of f, where ``K_s L_s = f L_s`` and no eigenvalue of K_s exceeds
+f.  It certifies the upper end at the iterate with the least value, and the
+lower end is the one above at the states of the iterate with the largest f,
+both through the certification of the start point: the raw rewriting where
+its value is smaller, the rebuild of the map and the check that the bracket
+is not crossed.  For b = 1 the thin SVD ``U Sigma V*`` of ``D_a S D_b``, at
+the roots a and b of the weights, also factors ``S = X Y*`` at
 ``X = D_a^-1 U Sigma^1/2``, ``Y = D_b^-1 V Sigma^1/2``, but that rewriting
-divides the SVD's rounding by roots a_i that fall to about sqrt(mu) on a
-face, and misses the map where the gauge rewriting rebuilds it.
+divides the SVD's rounding by roots that fall to about sqrt(mu) on a face,
+and misses the map where the gauge rewriting rebuilds it.
 
 A crossed bracket (by more than ``TOL`` relative), on any path, raises
 :class:`NumericalError`.  A Newton path's certificate that does not rebuild
@@ -158,17 +154,17 @@ with T on the indices a and b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .elementary import ElementaryOperator, apply, choi_distance, schur_symbol, strongly_independent_kraus
+from .elementary import ElementaryOperator, apply, choi_distance, strongly_independent_kraus
 from .errors import CUTOFF, TOL, NotCompletelyPositiveError, NumericalError
 
 __all__ = ["NormInterval", "haagerup_norm_bounds", "prune_terms"]
 
 # Solver settings, not gates: they decide when the Newton loop on the
-# weights or the factors stops and when it turns the barrier on, and both
+# factors of the states stops and when it turns the barrier on, and both
 # ends it returns are certified whatever they are.
 _SDP_GAP = 1e-12           # stop at this certified relative gap
 _SDP_ITERS = 100           # cap on Newton steps on the barrier
@@ -190,8 +186,9 @@ class NormInterval:
     the maximally mixed states, or for a single term the states at the top
     singular vectors of its factors, meet the raw gauge, or when a Newton
     path's certificate misses the map, and ``"weights"`` for Newton on the
-    state weights (the roots of diagonal states for a Schur multiplier,
-    b = 1, and the factors L of ``rho = L L*`` for every other map, b = d).
+    factors L of the states ``rho = L L*``: d blocks of 1 x 1 factors, the
+    roots of the state weights, for a Schur multiplier (b = 1), one d x k
+    block for every other map (b = d).
     ``iterations`` counts every Newton step that ``"weights"`` takes, with
     mu = 0 and on the barrier, a step that no halving keeps included, and
     is 0 on the other two.  ``upper_trace`` logs the best upper bound after
@@ -382,44 +379,6 @@ def _lower_end(t: ElementaryOperator, xa: np.ndarray, xb: np.ndarray, root: np.n
     return float(np.linalg.norm(t.left.transpose(1, 0, 2).reshape(d, n * d) @ images))
 
 
-# The weight path.  For a Schur multiplier with symbol S the dual is
-# ``max ||D_a S D_b||_1`` over unit vectors a, b in R^d, the state weights
-# being ``p = a^2`` and ``q = b^2``.  The objective f is smooth wherever no
-# weight is zero, since ``M = D_a S D_b`` then keeps the rank of S, and it is
-# homogeneous of degree one in a and in b, so at a stationary point its
-# gradient is ``f (a, b)``.
-
-def _weight_factors(s: np.ndarray, a: np.ndarray, b: np.ndarray, rank: int) -> tuple:
-    """The thin SVD ``M = u diag(sig) v*`` of ``M = D_a S D_b``, truncated to
-    the rank of S, which M keeps while no weight is zero."""
-    u, sig, vh = np.linalg.svd(a[:, None] * s * b)
-    return u[:, :rank], sig[:rank], vh[:rank].conj().T
-
-
-def _weight_derivatives(s: np.ndarray, a: np.ndarray, b: np.ndarray, factors: tuple) -> tuple:
-    """The gradient and the 2d x 2d Hessian of ``f(a, b) = ||D_a S D_b||_1`` in
-    the coordinates ``(a, b)``, from the factors of M.
-
-    With the polar factor ``W = U V*`` and ``G = S o conj(W)``, f changes by
-    ``Re tr(W* dM)``, so the gradient is ``(Re G b, Re G^T a)``.  A Hessian
-    column differentiates it along one coordinate: ``dM`` is a row of ``S D_b``
-    or a column of ``D_a S``, and the polar factor moves by
-    ``_polar_derivatives``."""
-    u, sig, v = factors
-    d = len(a)
-    g = s * (u @ v.conj().T).conj()
-    grad = np.concatenate([(g @ b).real, (a @ g).real])
-    idx = np.arange(d)
-    dm = np.zeros((2 * d, d, d), dtype=np.complex128)
-    dm[idx, idx] = s * b
-    dm[d + idx, :, idx] = (a[:, None] * s).T
-    dg = s * _polar_derivatives(u, sig, v, dm).conj()
-    h = np.concatenate([(dg @ b).real, (a @ dg).real], axis=1)    # row n: the gradient's change along n
-    h[:d, d:] += g.real
-    h[d:, :d] += g.real.T
-    return grad, (h + h.T) / 2
-
-
 def _polar_derivatives(u: np.ndarray, sig: np.ndarray, v: np.ndarray, dm: np.ndarray) -> np.ndarray:
     """The derivatives of the polar factor ``W = U V*`` of ``M = U Sigma V*``
     (the thin SVD, of the rank of M) along each of the stacked directions dM:
@@ -433,38 +392,29 @@ def _polar_derivatives(u: np.ndarray, sig: np.ndarray, v: np.ndarray, dm: np.nda
     return u @ (omega @ vh + (udm - k @ vh) / sig[:, None]) + ((dmv - u @ k) / sig) @ vh
 
 
-def _ascent_step(normals: np.ndarray, grad: np.ndarray, hess: np.ndarray, f: float) -> np.ndarray:
+def _ascent_step(basis: np.ndarray, grad: np.ndarray, hess: np.ndarray, f: float) -> np.ndarray:
     """The Newton step of a function of degree one on each half of its
-    argument, over the product of the two unit spheres: the Hessian less
-    ``f I`` on the complement of the orthonormal columns ``normals`` (the two
-    halves of the point, and any directions along which f is constant), each
-    eigenvalue ``lambda`` replaced by ``-max(|lambda|, 1e-8 f)`` so that the
-    step ascends."""
-    n = len(grad)
-    tangent = np.eye(n) - normals @ normals.T
-    lam, vec = np.linalg.eigh(tangent @ (hess - f * np.eye(n)) @ tangent)
-    return tangent @ (vec @ ((vec.T @ (tangent @ grad)) / np.maximum(np.abs(lam), 1e-8 * f)))
+    argument, over the product of the two unit spheres: its Hessian ``hess``
+    on the orthonormal columns ``basis`` (tangent to both spheres, and off any
+    directions along which f is constant) less ``f I``, each eigenvalue
+    ``lambda`` replaced by ``-max(|lambda|, 1e-8 f)`` so that the step
+    ascends."""
+    lam, vec = np.linalg.eigh(hess - f * np.eye(len(hess)))
+    return basis @ (vec @ ((vec.T @ (basis.T @ grad)) / np.maximum(np.abs(lam), 1e-8 * f)))
 
 
-def _ascent(model, x: np.ndarray, barrier, floor, d: int, shrink: float, widen=None):
+def _ascent(form: _Form, x: np.ndarray):
     """Newton ascent of ``F = f + mu sum_s log det(L_s L_s*)`` over unit
     factors in the real coordinates x (see the module docstring), from
-    ``mu = 0``.  ``model(x)`` is ``(f, smooth, rest)``: f, whether f is smooth
-    at x, and a function that returns the upper value there and a function
-    that returns the gradient and the Hessian of f and the normals, the
-    latter only called where the gap stays open; ``barrier(x)`` is the log
-    det with its gradient and Hessian, ``floor(x, tau)`` the full-rank
-    factors of ``_floored``, and ``widen(x, f)``, where a step no longer
-    raises f, the factors of the next rank or None.  Returns ``(lower,
-    upper, steps, uppers)``: the points with the largest f and with the
-    least upper value, the count of Newton steps, and the upper value at
-    each iterate.
+    ``mu = 0``, on the model of ``_factor_model``.  Returns ``(lower, upper,
+    steps, uppers)``: the points with the largest f and with the least upper
+    value, the count of Newton steps, and the upper value at each iterate.
 
     The step, the decline where mu turns on (``_barrier_start``) and the
     schedule of mu are the module docstring's "loop"."""
-    eps = np.finfo(float).eps
+    eps, d, shape = np.finfo(float).eps, form.d, form.unit.shape
     mu, steps, last, stuck, uppers, low, top = 0.0, 0, _SDP_ITERS, False, [], None, None
-    state = model(x)
+    state = _factor_model(form, x)
     while True:
         f, smooth, rest = state
         # a point where f is not smooth has no upper value, and a point that
@@ -479,32 +429,35 @@ def _ascent(model, x: np.ndarray, barrier, floor, d: int, shrink: float, widen=N
         if not mu and (stuck or not smooth or steps == _WEIGHT_ITERS):
             # with no upper value yet (A singular at the start), a gap of f
             mu, last = _barrier_start(f, top[0] if top else 2 * f, d), steps + _SDP_ITERS
-            x = floor(x, 2 * mu / (f + 2 * mu * d))
-            state = model(x)
+            x = _floored(form, x, 2 * mu / (f + 2 * mu * d))
+            state = _factor_model(form, x)
             continue
-        grad, hess, normals = derivatives()
-        logdet, barrier_grad, barrier_hess = barrier(x) if mu else (0.0, 0.0, 0.0)
-        step = _ascent_step(normals, grad + mu * barrier_grad, hess + mu * barrier_hess, f + 2 * mu * d)
+        grad, hess, basis = derivatives()
+        logdet = 0.0
+        if mu:
+            logdet, barrier_grad, barrier_hess = _factor_barrier(x, shape)
+            grad, hess = grad + mu * barrier_grad, hess + mu * (basis.T @ barrier_hess @ basis)
+        step = _ascent_step(basis, grad, hess, f + 2 * mu * d)
         steps += 1
         target = f * (1 - 2 * x.size * eps) + mu * logdet
         stuck = True
         for halving in range(_WEIGHT_HALVINGS):
             new = (x + 0.5 ** halving * step).reshape(2, -1)
             new = (new / np.linalg.norm(new, axis=1, keepdims=True)).ravel()
-            trial = model(new)
-            if trial[0] + (mu * barrier(new)[0] if mu else 0.0) >= target:
+            trial = _factor_model(form, new)
+            if trial[0] + (mu * _factor_barrier(new, shape)[0] if mu else 0.0) >= target:
                 x, state, stuck = new, trial, False
                 break
         if mu and not stuck:
             # a step overshoots the states' small eigenvalues, which the
             # central path keeps above tau
-            x = floor(x, 2 * mu / (f + 2 * mu * d))
-            state = model(x)
-        elif not stuck and widen and state[0] <= f * (1 + 2 * x.size * eps):
-            wider = widen(x, f)
+            x = _floored(form, x, 2 * mu / (f + 2 * mu * d))
+            state = _factor_model(form, x)
+        elif not stuck and state[0] <= f * (1 + 2 * x.size * eps):
+            wider = _factor_widen(form, x, f)
             if wider is not None:
-                x, state = wider, model(wider)
-        mu = mu and max(mu * shrink, _SDP_GAP * f / (4 * d))
+                x, state = wider, _factor_model(form, wider)
+        mu = mu and max(mu * _BARRIER_SHRINK[form.b > 1], _SDP_GAP * f / (4 * d))
 
 
 def _barrier_start(f: float, upper: float, d: int) -> float:
@@ -513,66 +466,30 @@ def _barrier_start(f: float, upper: float, d: int) -> float:
     return max(upper - f, _SDP_GAP * f) / (2 * d)
 
 
-def _floored(roots: np.ndarray, tau: float) -> np.ndarray:
-    """Square factors, stacked as ``roots``, of their states ``L L*`` with
-    every eigenvalue raised to at least tau and each side then normalized
-    to trace 1: a rank-k factor is padded to full rank."""
+def _floored(form: _Form, x: np.ndarray, tau: float) -> np.ndarray:
+    """The real coordinates of square factors of the states ``L L*`` of the
+    factors with the coordinates x, every eigenvalue raised to at least tau
+    and each side then normalized to trace 1: a rank-k factor is padded to
+    full rank."""
+    roots = _roots(form, x)
     w, v = np.linalg.eigh(roots @ roots.conj().swapaxes(-1, -2))
     w = np.maximum(w, tau)
-    w /= w.reshape(2, -1).sum(axis=1).reshape(2, *(1,) * (w.ndim - 1))
-    return v * np.sqrt(w)[..., None, :]
+    w /= w.reshape(2, -1).sum(axis=1).reshape(2, 1, 1)
+    return _real(v * np.sqrt(w)[..., None, :])
 
 
-def _weight_model(s: np.ndarray, rank: int, x: np.ndarray):
-    """``_ascent``'s model at ``x = (a, b)``: f, smooth while no weight
-    ``a_i^2`` or ``b_j^2`` is at ``CUTOFF`` of the largest on its side, and
-    the gauge rewriting's value ``sqrt(max_i K_0,ii max_j K_1,jj)``,
-    ``K_0,ii = (U Sigma U*)_ii / a_i^2`` and likewise K_1, the gradient and
-    the Hessian of f, and the normals ``(a, 0)`` and ``(0, b)``.  f does not
-    see the signs of a and b."""
-    d = s.shape[0]
-    a, b = x[:d], x[d:]
-    factors = u, sig, v = _weight_factors(s, a, b, rank)
-    roots = np.abs(x).reshape(2, d)
-
-    def rest():
-        rows = (np.abs(u) ** 2 @ sig) / a ** 2, (np.abs(v) ** 2 @ sig) / b ** 2
-        normals = np.zeros((2 * d, 2))
-        normals[:d, 0], normals[d:, 1] = a, b
-        upper = float(np.sqrt(rows[0].max() * rows[1].max()))
-        return upper, lambda: (*_weight_derivatives(s, a, b, factors), normals)
-    return sig.sum(), (roots.min(axis=1) / roots.max(axis=1)).min() ** 2 > CUTOFF, rest
-
-
-def _weight_barrier(x: np.ndarray) -> tuple:
-    """``sum_s log det(L_s L_s*) = sum_i log x_i^2`` for the roots
-    ``x = (a, b)`` of diagonal states, its gradient and its Hessian."""
-    with np.errstate(divide="ignore"):  # a root at zero is off the barrier's domain
-        return np.log(x ** 2).sum(), 2 / x, np.diag(-2 / x ** 2)
-
-
-def _weight_ascent(s: np.ndarray):
-    """``_ascent`` of ``||D_a S D_b||_1`` over unit vectors a and b, from
-    ``a = b = d^-1/2``.  Returns ``_ascent``'s result, the points as the roots
-    of diagonal states stacked as ``(2, d, 1, 1)``."""
-    d = s.shape[0]
-    sv = np.linalg.svd(s, compute_uv=False)
-    model = partial(_weight_model, s, int(np.sum(sv > CUTOFF * sv[0])))
-    *found, steps, uppers = _ascent(model, np.full(2 * d, d ** -0.5), _weight_barrier,
-                                    lambda x, tau: _floored(x.reshape(2, d, 1, 1), tau).ravel(),
-                                    d, _BARRIER_SHRINK[0])
-    return *(x.reshape(2, d, 1, 1) for x in found), steps, uppers
-
-
-# The factor path.  For a map with b = d the dual is ``max f(L_0, L_1)`` over
-# factors ``L_s`` (d x k, ``||L_s||_F = 1``) of the states ``rho = L_0 L_0*``
-# and ``sigma = L_1 L_1*`` (S. Burer and R. Monteiro, Math. Program. 95, 2003):
-# ``f = ||G||_1`` for ``G = V_1 V_0*``, where V_s holds the polar vectors
-# ``vec(F_s,i* L_s)`` of the form's families.  G is linear in L_1 and
+# The factor path.  The dual is ``max f(L_0, L_1)`` over factors ``L_s`` of
+# the states ``rho = L_0 L_0*`` and ``sigma = L_1 L_1*`` (S. Burer and
+# R. Monteiro, Math. Program. 95, 2003), block-diagonal as the form's states
+# are: d/b blocks of size b x k with ``||L_s||_F = 1`` over all blocks, so a
+# Schur multiplier (b = 1) has d blocks of 1 x 1 factors, the roots of its
+# weights.  ``f = ||G||_1`` for ``G = V_1 V_0*``, where V_s holds the polar
+# vectors ``vec(F_s,i* L_s)`` of the form's families.  G is linear in L_1 and
 # conjugate-linear in L_0, so f is homogeneous of degree one in each, and
 # smooth wherever ``A = V_0* V_0`` and ``B = V_1* V_1`` are nonsingular, where
-# G keeps the rank r of the families.  A factor is a d x k array, stacked as
-# ``(2, 1, d, k)``; its real coordinates are ``(Re L_0, Im L_0, Re L_1, Im L_1)``.
+# G keeps the rank r of the families.  The factors are stacked as
+# ``(2, d/b, b, k)``; their real coordinates are
+# ``(Re L_0, Im L_0, Re L_1, Im L_1)``.
 
 def _factor_state(form: _Form, roots: np.ndarray) -> tuple:
     """The polar vectors V of the factors, the thin SVD ``(U, s, V)`` of G,
@@ -595,37 +512,40 @@ def _factor_state(form: _Form, roots: np.ndarray) -> tuple:
     return vecs, (q[1] @ u, s, q[0] @ vh.conj().T), gauges, tri
 
 
-def _factor_derivatives(form: _Form, roots: np.ndarray, vecs: np.ndarray, factors: tuple) -> np.ndarray:
-    """The Hessian of ``f = ||G||_1`` in the real coordinates of the factors.
+def _factor_derivatives(form: _Form, roots: np.ndarray, vecs: np.ndarray, factors: tuple,
+                        sides: list) -> np.ndarray:
+    """The Hessian of ``f = ||G||_1`` on the real directions ``sides[s]`` of
+    the coordinates of each side (``_tangent``), side 0's first.
 
-    Along a direction of ``L_0`` G moves by ``V_1 dV_0*``, along one of
-    ``L_1`` by ``dV_1 V_0*``, and the polar factor W of G by
-    ``_polar_derivatives``, all directions in one batch.  The gradient is
-    ``(K_0 L_0, K_1 L_1)`` with ``K_s = R_s*(conj P)`` and ``R_s*(conj P^-1)``,
-    which equals ``sum_i F_s,i unvec(Y_s)_i`` for ``Y_0 = W* V_1`` and
-    ``Y_1 = W V_0``; a Hessian row is the change of that sum along one
-    direction, through W and, across the two sides, through V."""
-    r, d, k = form.r, form.d, roots.shape[-1]
-    n = 2 * d * k
-    fam = form.blocks[:, :, 0]
+    Along a direction E of ``L_0`` G moves by ``V_1 dV_0*``, dV_0 holding the
+    polar vectors ``vec(F_0,i* E)``, along one of ``L_1`` by ``dV_1 V_0*``,
+    and the polar factor W of G by ``_polar_derivatives``, all directions in
+    one batch.  The gradient is ``(K_0 L_0, K_1 L_1)`` with
+    ``K_s = R_s*(conj P)`` and ``R_s*(conj P^-1)``, which equals
+    ``sum_i F_s,i unvec(Y_s)_i`` for ``Y_0 = W* V_1`` and ``Y_1 = W V_0``,
+    block by block; a Hessian row is the change of that sum along one
+    direction, through W and, across the two sides, through V, read on the
+    directions."""
+    r, (_, nb, b, k) = form.r, roots.shape
+    fam = form.blocks
     u, s, v = factors
     w = u @ v.conj().T
-    # dV_s along the real coordinate (p, q) of L_s: the column q of F_s,i* E_pq
-    dv = np.zeros((2, d, k, d, k, r), dtype=np.complex128)
-    idx = np.arange(k)
-    dv[:, :, idx, :, idx, :] = fam.conj().transpose(0, 2, 3, 1)
-    dv = dv.reshape(2, n // 2, n // 2, r)
-    dv = np.concatenate([dv, 1j * dv], axis=1)
+    half = nb * b * k
+    # dV_s along each direction of side s: the polar vectors of the direction
+    # taken as a factor
+    dv = [(fam[side].conj().swapaxes(-1, -2) @ (e[:half] + 1j * e[half:]).T.reshape(-1, 1, nb, b, k)
+           ).reshape(-1, r, half).swapaxes(1, 2) for side, e in enumerate(sides)]
+    m0, m = len(dv[0]), len(dv[0]) + len(dv[1])
     dw = _polar_derivatives(u, s, v, np.concatenate([vecs[1] @ dv[0].conj().swapaxes(1, 2),
                                                      dv[1] @ vecs[0].conj().T]))
     y = np.stack([dw.conj().swapaxes(1, 2) @ vecs[1], dw @ vecs[0]])
-    y[0, n:] += w.conj().T @ dv[1]
-    y[1, :n] += w @ dv[0]
-    # sum_i F_s,i unvec(Y_i), rows (i, m) of the stacked unvec(Y_i)[m, q]
-    stacked = y.reshape(2, 2 * n, d, k, r).transpose(0, 1, 4, 2, 3).reshape(2, 2 * n, r * d, k)
-    change = fam.transpose(0, 2, 1, 3).reshape(2, 1, d, r * d) @ stacked
-    h = np.concatenate([change.real.reshape(2, 2 * n, -1), change.imag.reshape(2, 2 * n, -1)], axis=2)
-    h = h.transpose(1, 0, 2).reshape(2 * n, 2 * n)
+    y[0, m0:] += w.conj().T @ dv[1]
+    y[1, :m0] += w @ dv[0]
+    # sum_i F_s,i,c unvec(Y_i)_c, rows (i, m) of the stacked unvec(Y_i)_c[m, q]
+    stacked = y.reshape(2, m, nb, b, k, r).transpose(0, 1, 2, 5, 3, 4).reshape(2, m, nb, r * b, k)
+    change = fam.transpose(0, 2, 3, 1, 4).reshape(2, 1, nb, b, r * b) @ stacked
+    change = np.concatenate([change.real.reshape(2, m, -1), change.imag.reshape(2, m, -1)], axis=2)
+    h = np.concatenate([change[0] @ sides[0], change[1] @ sides[1]], axis=1)
     return (h + h.T) / 2
 
 
@@ -640,79 +560,103 @@ def _complex(x: np.ndarray, shape: tuple) -> np.ndarray:
     return (x[:, 0] + 1j * x[:, 1]).reshape(shape)
 
 
-def _vertical(roots: np.ndarray) -> np.ndarray:
-    """Orthonormal real columns, one block per side, spanning the factor
-    ``L_s`` and the directions ``L_s X`` for anti-Hermitian k x k X, along
-    which the state ``L_s L_s*``, and so f, does not move to first order."""
-    k = roots.shape[-1]
+def _roots(form: _Form, x: np.ndarray) -> np.ndarray:
+    """The factors, stacked as ``(2, d/b, b, k)``, with the real coordinates x."""
+    return _complex(x, (*form.unit.shape[:-1], -1))
+
+
+def _tangent(roots: np.ndarray) -> tuple:
+    """For each side, orthonormal real columns spanning the directions of
+    its coordinates orthogonal to the factor ``L_s`` and to the turns
+    ``L_s,c X`` of each block, X anti-Hermitian k x k, along which the state
+    ``L_s L_s*``, and so f, does not move to first order; a block whose
+    factor is zero turns nowhere.  Returns the two sides' columns and both
+    as the columns of one basis of the coordinates of the two sides."""
+    _, nb, b, k = roots.shape
     j, l = np.triu_indices(k, 1)
     pairs = np.arange(len(j))
     gens = np.zeros((k * k, k, k), dtype=np.complex128)
     gens[np.arange(k), np.arange(k), np.arange(k)] = 1j
     gens[k + pairs, j, l], gens[k + pairs, l, j] = 1, -1
     gens[k + len(j) + pairs, j, l] = gens[k + len(j) + pairs, l, j] = 1j
-    moves = np.concatenate([roots, roots @ gens], axis=1).reshape(2, k * k + 1, -1)
-    q = np.linalg.qr(np.concatenate([moves.real, moves.imag], axis=2).swapaxes(1, 2))[0]
-    normals = np.zeros((2, q.shape[1], 2, q.shape[2]))
-    normals[[0, 1], :, [0, 1]] = q
-    return normals.reshape(2 * q.shape[1], -1)
+    turns = np.zeros((2, nb, k * k, nb, b, k), dtype=np.complex128)
+    c = np.arange(nb)
+    turns[:, c, :, c] = (roots[:, :, None] @ gens).swapaxes(0, 1)
+    moves = np.concatenate([roots.reshape(2, 1, -1), turns.reshape(2, nb * k * k, -1)], axis=1)
+    sides = []
+    for m in np.concatenate([moves.real, moves.imag], axis=2):
+        m = m[m.any(axis=1)]
+        sides.append(np.linalg.qr(m.T, mode="complete")[0][:, len(m):])
+    basis = np.zeros((2, sides[0].shape[0], sides[0].shape[1] + sides[1].shape[1]))
+    basis[0, :, :sides[0].shape[1]], basis[1, :, sides[0].shape[1]:] = sides
+    return sides, basis.reshape(-1, basis.shape[2])
 
 
 def _factor_model(form: _Form, x: np.ndarray):
-    """``_weight_model`` for factors of any rank with the real coordinates x:
+    """``_ascent``'s model at the real coordinates x of factors of any rank:
     f, smooth while neither A nor B has an eigenvalue at ``CUTOFF ** 0.5`` of
-    its largest, and the upper value ``sqrt(lambda_max(K_0) lambda_max(K_1))``,
-    the gradient ``(K_0 L_0, K_1 L_1)``, the Hessian and the normals."""
-    roots = _complex(x, (2, 1, form.d, -1))
+    its largest, and the upper value ``sqrt(lambda_max(K_0) lambda_max(K_1))``
+    over all blocks, the gradient ``(K_0 L_0, K_1 L_1)``, and the Hessian on
+    the tangent basis of ``_tangent`` with that basis."""
+    roots = _roots(form, x)
     vecs, factors, gauges, tri = _factor_state(form, roots)
     sv = np.linalg.svd(tri, compute_uv=False)
 
     def rest():
         spread = form._spread(gauges)
-        top = np.linalg.eigvalsh(spread)[:, 0, -1]
-        return float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0))), lambda: (
-            _real(spread @ roots), _factor_derivatives(form, roots, vecs, factors), _vertical(roots))
+        top = np.linalg.eigvalsh(spread)[..., -1].max(axis=1)
+
+        def derivatives():
+            sides, basis = _tangent(roots)
+            return _real(spread @ roots), _factor_derivatives(form, roots, vecs, factors, sides), basis
+        return float(np.sqrt(max(top[0], 0.0) * max(top[1], 0.0))), derivatives
     return factors[1].sum(), (sv[:, -1] / sv[:, 0]).min() ** 2 > CUTOFF ** 0.5, rest
 
 
-def _factor_barrier(x: np.ndarray, d: int) -> tuple:
+def _factor_barrier(x: np.ndarray, shape: tuple) -> tuple:
     """``sum_s log det(L_s L_s*)`` for square factors with the real
-    coordinates x, its gradient ``2 L_s^-*`` and its Hessian, the form
-    ``-2 Re tr(L^-1 dL L^-1 dL)``: on the directions E_pq and E_p'q' it is
-    ``-2 Re T`` for ``T = (L^-1)_qp' (L^-1)_q'p``, built for all pairs in one
-    batch, and an imaginary direction multiplies T by i."""
-    roots = _complex(x, (2, d, d))
+    coordinates x, stacked as ``shape``, its gradient ``2 L_s^-*`` and its
+    Hessian, the form ``-2 Re tr(L^-1 dL L^-1 dL)``: on the directions E_pq
+    and E_p'q' of one block it is ``-2 Re T`` for
+    ``T = (L^-1)_qp' (L^-1)_q'p``, built for all pairs of every block in one
+    batch, 0 across two blocks, and an imaginary direction multiplies T by i."""
+    roots = _complex(x, shape)
+    _, nb, b, _ = shape
     inv = np.linalg.inv(roots)
-    t = (inv[:, None, :, :, None] * inv.swapaxes(1, 2)[:, :, None, None, :]).reshape(2, d * d, d * d)
+    t = np.zeros((2, nb, b * b, nb, b * b), dtype=np.complex128)
+    c = np.arange(nb)
+    t[:, c, :, c] = (inv[:, :, None, :, :, None] * inv.swapaxes(-1, -2)[:, :, :, None, None, :]
+                     ).reshape(2, nb, b * b, b * b).swapaxes(0, 1)
+    t = t.reshape(2, nb * b * b, nb * b * b)
     side = 2 * np.block([[-t.real, t.imag], [t.imag, t.real]])
-    hess = np.zeros((2, 2 * d * d, 2, 2 * d * d))
+    hess = np.zeros((2, side.shape[1], 2, side.shape[1]))
     hess[0, :, 0], hess[1, :, 1] = side
     logdet = 2 * np.linalg.slogdet(roots)[1].sum()
-    return logdet, 2 * _real(inv.conj().swapaxes(1, 2)), hess.reshape(4 * d * d, 4 * d * d)
+    return logdet, 2 * _real(inv.conj().swapaxes(-1, -2)), hess.reshape(2 * side.shape[1], -1)
 
 
 def _factor_start(form: _Form, spread: np.ndarray, k: int) -> np.ndarray:
-    """Factors of rank k: the top k eigenvectors of ``K_s``, given as
-    ``spread``, over ``sqrt(k)``, after two fixed-point steps ``L <- K L``,
-    normalized."""
+    """Factors of rank k: the top k eigenvectors of each block of ``K_s``,
+    given as ``spread``, over ``sqrt(k)``, after two fixed-point steps
+    ``L <- K L``, normalized over all blocks."""
     roots = np.linalg.eigh(spread)[1][..., -k:] / np.sqrt(k)
     for _ in range(2):
         roots = form._spread(_factor_state(form, roots)[2]) @ roots
-        roots /= np.linalg.norm(roots, axis=(-2, -1), keepdims=True)
+        roots /= np.linalg.norm(roots.reshape(2, -1), axis=1).reshape(2, 1, 1, 1)
     return roots
 
 
 def _factor_widen(form: _Form, x: np.ndarray, f: float) -> np.ndarray | None:
     """Where a step of the rank-k ascent no longer raises f at the real
     coordinates x: the coordinates of the factors of rank k + 1 that
-    ``_factor_start`` takes from ``K_s`` there, when k is below d and ``K_s``
+    ``_factor_start`` takes from ``K_s`` there, when k is below b and ``K_s``
     has an eigenvalue above f outside the range of ``L_s``; else None."""
-    roots = _complex(x, (2, 1, form.d, -1))
-    if roots.shape[-1] == form.d:
+    roots = _roots(form, x)
+    if roots.shape[-1] == form.b:
         return None
     spread = form._spread(_factor_state(form, roots)[2])
     q = np.linalg.qr(roots)[0]
-    outside = np.eye(form.d) - q @ q.conj().swapaxes(-1, -2)
+    outside = np.eye(form.b) - q @ q.conj().swapaxes(-1, -2)
     if np.linalg.eigvalsh(outside @ spread @ outside)[..., -1].max() <= f:
         return None
     return _real(_factor_start(form, spread, roots.shape[-1] + 1))
@@ -720,38 +664,29 @@ def _factor_widen(form: _Form, x: np.ndarray, f: float) -> np.ndarray | None:
 
 def _factor_ascent(form: _Form):
     """``_ascent`` of ``f = ||G||_1`` over factors of rank k from
-    ``ceil(r/d)`` up to d (``_factor_widen``), starting from the maximally
+    ``ceil(r/d)`` up to b (``_factor_widen``), starting from the maximally
     mixed states (``_factor_start``).  Returns ``_ascent``'s result, the
-    points as factors stacked as ``(2, 1, d, k)``."""
-    d = form.d
-    spread = form._spread(_factor_state(form, form.unit / np.sqrt(d))[2])
-    start = _real(_factor_start(form, spread, -(-form.r // d)))
-    *found, steps, uppers = _ascent(partial(_factor_model, form), start, partial(_factor_barrier, d=d),
-                                    lambda x, tau: _real(_floored(_complex(x, (2, 1, d, -1)), tau)),
-                                    d, _BARRIER_SHRINK[1], partial(_factor_widen, form))
-    return *(_complex(x, (2, 1, d, -1)) for x in found), steps, uppers
+    points as factors stacked as ``(2, d/b, b, k)``."""
+    spread = form._spread(_factor_state(form, form.unit / np.sqrt(form.d))[2])
+    *found, steps, uppers = _ascent(form, _real(_factor_start(form, spread, -(-form.r // form.d))))
+    return *(_roots(form, x) for x in found), steps, uppers
 
 
-def _ascent_certificate(t: ElementaryOperator, pruned: ElementaryOperator, start_form: _Form,
-                        cap: float) -> tuple:
-    """``_certified``'s arguments after ``cap`` from the Newton path of the
-    block size b of ``start_form``: ``_weight_ascent`` on the symbol of t for
-    b = 1, ``_factor_ascent`` on the pruned terms for b = d.  The rewriting
-    is ``_certificate`` of the pruned terms at the gauge ``conj P`` of the
-    iterate with the least upper value, from their form with block size b,
-    and the witness that of the states of the iterate with the largest f in
-    ``start_form``, the form of the terms as given."""
+def _ascent_certificate(pruned: ElementaryOperator, start_form: _Form, cap: float) -> tuple:
+    """``_certified``'s arguments after ``cap`` from ``_factor_ascent`` on the
+    pruned terms, in their form with the block size b of ``start_form``.  The
+    rewriting is ``_certificate`` of the pruned terms at the gauge ``conj P``
+    of the iterate with the least upper value, and the witness that of the
+    states of the iterate with the largest f in ``start_form``, the form of
+    the terms as given."""
     left, right, row, col = _unit_families(pruned.left, pruned.right)
     form = _Form(np.stack([left, right.conj().transpose(0, 2, 1)]), start_form.b)
-    if form.b == 1:
-        (lower, upper, steps, uppers), scale = _weight_ascent(schur_symbol(t)), 1.0
-    else:
-        (lower, upper, steps, uppers), scale = _factor_ascent(form), row * col
+    lower, upper, steps, uppers = _factor_ascent(form)
     padded = np.zeros(start_form.unit.shape, dtype=np.complex128)
     padded[..., :lower.shape[-1]] = lower
     cert = _certificate(left * row, right * col, _factor_state(form, upper)[2][0])
     witness = start_form.dual_witness(padded)[1]
-    return cert, witness, steps, np.minimum.accumulate([cap, *(scale * np.array(uppers))]), "weights"
+    return cert, witness, steps, np.minimum.accumulate([cap, *(row * col * np.array(uppers))]), "weights"
 
 
 def _certified(t: ElementaryOperator, raw: tuple, cap: float, cert, witness: tuple, iterations: int,
@@ -826,9 +761,9 @@ def haagerup_norm_bounds(t: ElementaryOperator, restarts: int = 0, seed: int = 0
     start_form, raw, cap, start, closed = _start_point(t)
     # the maximally mixed states close the bracket for every regular
     # representation (and the zero map), and the top singular vectors for
-    # every single term; otherwise prune and ascend on the weights (b = 1)
-    # or the factors (b = d)
-    bracket = None if closed else _certified(t, raw, cap, *_ascent_certificate(t, prune_terms(t), start_form, cap))
+    # every single term; otherwise prune and ascend on the factors of the
+    # states
+    bracket = None if closed else _certified(t, raw, cap, *_ascent_certificate(prune_terms(t), start_form, cap))
     # a certificate that misses the map leaves the start point's bracket
     bracket = bracket or _certified(t, raw, cap, raw, start[1], 0, [cap], "start")
     if bracket is None:

@@ -40,7 +40,7 @@ of ``hnorm._SDP_GAP``, when a Cholesky factorization fails, or after
 ``_SDP_ITERS`` iterations; a Newton matrix that is singular to working
 precision, as it can be near the optimum, gives its least-squares
 direction.  :func:`bracket` is ``haagerup_norm_bounds`` with this solve in
-place of both Newton paths.
+place of the Newton loop.
 """
 
 import numpy as np
@@ -287,7 +287,7 @@ def _factorization_sdp(left: np.ndarray, right: np.ndarray, cap: float, b: int, 
 
 def bracket(t: ElementaryOperator, b: int | None = None) -> NormInterval:
     """The bracket of ``haagerup_norm_bounds`` with the interior-point solve
-    in place of both Newton paths, path ``"ipm"``: the start point as in the
+    in place of the Newton loop, path ``"ipm"``: the start point as in the
     package, then the solve on the pruned terms with states in blocks of size
     b, by default the package's ``_block_size``.  The map must not be
     completely positive; a certificate that misses the map raises."""

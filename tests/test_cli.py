@@ -748,6 +748,16 @@ def test_a_seed_flag_out_of_range_exits_two(tmp_path, capsys, seed):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "1e400"])
+def test_a_non_finite_tol_flag_exits_two_with_one_line(tmp_path, capsys, tol):
+    # read as a bare float, --tol inf passed every gate and --tol nan failed
+    # every gate; the flag is read as a scenario's own tol is
+    code = main(["run", "--scenario", scenario_file(tmp_path, z12_scenario("schur-identity", 1.0)), "--tol", tol])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("scenario error:") and "--tol" in lines[0]
+
+
 OVERFLOWS = {
     # the data scale of this map overflows, and `x <= tol * inf` passed
     # every positivity gate: the map was declared completely positive

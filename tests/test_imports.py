@@ -311,7 +311,7 @@ def test_the_package_holds_no_interior_point_solve():
 
 
 def test_the_norm_solver_has_one_newton_loop():
-    # both Newton paths, at mu = 0 and on the barrier, run in one loop:
+    # the Newton steps, at mu = 0 and on the barrier, run in one loop:
     # one call takes the Newton step and one loop halves it
     found = {}
     for func in _tree(PACKAGE / "hnorm.py").body:
@@ -322,6 +322,22 @@ def test_the_norm_solver_has_one_newton_loop():
                                                                      if isinstance(n, ast.Name)}:
                 found.setdefault("halvings", []).append(func.name)
     assert found == {"step": ["_ascent"], "halvings": ["_ascent"]}
+
+
+def test_one_model_feeds_the_newton_loop():
+    # a Schur multiplier runs the factor path on 1 x 1 blocks: hnorm defines
+    # no name of a separate weight path, one function calls the loop, and
+    # the symbol of a Schur multiplier is not read
+    tree = _tree(PACKAGE / "hnorm.py")
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert sorted(name for name in defined if name.startswith("_weight_")) == []
+    callers = [func.name for func in tree.body if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ascent"]
+    assert callers == ["_factor_ascent"]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert [name for name in imported if "schur_symbol" in name] == []
 
 
 def test_the_form_does_not_branch_on_its_block_size():

@@ -1,9 +1,9 @@
 """Completely bounded norm brackets: the completely positive fast path, Newton
-on the state weights of Schur multipliers and on the state factors of every
-other map, and their barrier continuation, checked on Schur multipliers,
-regular representations and random maps against independent oracles; the
-interior-point solve of the factorization SDP (``interior_point``) is the
-oracle of both Newton paths."""
+on block-diagonal state factors (1 x 1 blocks, the roots of the state
+weights, for Schur multipliers) and its barrier continuation, checked on
+Schur multipliers, regular representations and random maps against
+independent oracles; the interior-point solve of the factorization SDP
+(``interior_point``) is the oracle of the Newton loop."""
 
 import collections
 import itertools
@@ -788,13 +788,6 @@ def _f_oracle(s, x):
     return np.linalg.svd(x[:d, None] * s * x[d:], compute_uv=False).sum()
 
 
-def _derivatives(s, x, rank):
-    """The weight path's gradient and Hessian at ``x = (a, b)`` for a symbol of the given rank."""
-    d = s.shape[0]
-    a, b = x[:d], x[d:]
-    return hnorm._weight_derivatives(s, a, b, hnorm._weight_factors(s, a, b, rank))
-
-
 @pytest.fixture
 def barriers(monkeypatch):
     """One entry per ascent that declined and turned the barrier on."""
@@ -865,22 +858,10 @@ def _low_rank_symbol(d, rank, rng):
 
 
 class TestWeightPath:
-    # Newton on the state weights closes the diagonal brackets, on the
-    # barrier where an optimal weight is zero; the interior-point solve is
-    # its oracle
-    @pytest.mark.parametrize("rank", [5, 2])
-    def test_derivatives_match_central_differences(self, rank):
-        rng = np.random.default_rng(70 + rank)
-        s = _low_rank_symbol(5, rank, rng) if rank < 5 else _random_symbol(5, rng)
-        x = rng.uniform(0.5, 1.5, 10)
-        grad, hess = _derivatives(s, x, rank)
-        h, eye = 1e-5, np.eye(10)
-        fd_grad = [(_f_oracle(s, x + h * e) - _f_oracle(s, x - h * e)) / (2 * h) for e in eye]
-        fd_hess = np.array([(_derivatives(s, x + h * e, rank)[0] - _derivatives(s, x - h * e, rank)[0]) / (2 * h)
-                            for e in eye])
-        assert np.abs(grad - fd_grad).max() <= 1e-8 * np.abs(grad).max()
-        assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
-
+    # Newton on the factors of diagonal states, d blocks of 1 x 1 factors
+    # (the roots of the state weights), closes the diagonal brackets, on the
+    # barrier where an optimal state leaves A or B singular; the
+    # interior-point solve is its oracle
     @pytest.mark.parametrize("seed, closed", [(0, 50), (1, 50)])
     def test_contractivity_brackets_agree_with_the_solve(self, seed, closed, barriers):
         # every bracket that the start point leaves open closes on the
@@ -912,52 +893,67 @@ class TestWeightPath:
         assert b.path == "weights" and b.iterations <= 10
         assert b.width <= 1e-12 * b.upper
 
-    def test_a_zero_weight_optimum_closes_on_the_barrier(self, barriers):
+    def test_a_zero_weight_optimum_closes_without_the_barrier(self, barriers):
         # a rank-one symbol u v* attains max|u| max|v| on a single pair of
-        # weights, where f is not smooth: the plain ascent declines, and the
-        # barrier continuation closes the bracket
+        # weights; its one term leaves A and B 1 x 1 and nonsingular there, so
+        # f is smooth at the optimum and the plain ascent closes the bracket
         rng = np.random.default_rng(71)
         u, v = _random_symbol(4, rng)[:2]
         s = np.outer(u, v.conj())
         b = haagerup_norm_bounds(schur_op(s))
-        assert b.path == "weights" and b.width <= 1e-12 * b.upper and len(barriers) == 1
+        assert b.path == "weights" and b.width <= 1e-12 * b.upper and barriers == []
         assert b.upper == pytest.approx(np.abs(u).max() * np.abs(v).max(), rel=1e-12)
         _overlap([b, interior_point.bracket(schur_op(s))])
 
-    @pytest.mark.parametrize("case", ["face", "tiny", "rank4"])
+    @pytest.mark.parametrize("case", ["face", "tiny"])
     def test_face_symbols_close_on_the_barrier_and_agree_with_the_solve(self, case, barriers):
-        # the interior-point solve took 0.35 s, 1.05 s and 0.02 s here
+        # the interior-point solve took 0.35 s and 1.05 s here
         t = schur_op(_face_symbol(case, 16, 0))
         b = haagerup_norm_bounds(t)
         assert b.path == "weights" and len(barriers) == 1
         assert b.width <= 1e-12 * b.upper
         _overlap([b, interior_point.bracket(t)])
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_rank_four_symbols_close_without_the_barrier(self, seed, barriers):
+        # optimal weights are zero here, but A and B, 4 x 4, stay
+        # nonsingular, so f is smooth at the optimum; when the ascent declined
+        # at a weight of CUTOFF, the barrier took 19 and 39 steps (at seed 1
+        # A turns singular, and the barrier runs)
+        t = schur_op(_face_symbol("rank4", 16, seed))
+        b = haagerup_norm_bounds(t)
+        assert b.path == "weights" and barriers == [] and b.iterations <= 15
+        assert b.width <= 1e-12 * b.upper
+        _overlap([b, interior_point.bracket(t)])
+
     def test_the_gauge_rewriting_certifies_faces_where_the_diagonal_one_misses(self):
-        # at the iterate with the least upper value the SVD also factors
+        # at the iterate with the least upper value, with roots a and b of
+        # the state weights, the thin SVD U Sigma V* of D_a S D_b also factors
         # S = X Y* into the diagonal rewriting X = D_a^-1 U Sigma^1/2,
         # Y = D_b^-1 V Sigma^1/2, whose rounding is divided by weights down
         # to about sqrt(mu); the gauge rewriting rebuilds the map on every
         # seed-0 face, to at most 1e-5 of the gate, and the diagonal one
-        # misses on 6 of the 24
+        # misses on some of the 24
         misses = 0
         for t in _faces():
-            d, s = t.dim, elementary.schur_symbol(t)
-            _, upper, _, uppers = hnorm._weight_ascent(s)
-            a, b = upper.reshape(2, d).real
-            u, sig, v = hnorm._weight_factors(s, a, b, np.linalg.matrix_rank(s))
+            d, s = t.dim, elementary._schur_symbol(t)
+            form, families = _factor_form(t)
+            upper = hnorm._factor_ascent(form)[1]
+            a, b = np.abs(upper).reshape(2, d)
+            u, sig, vh = np.linalg.svd(a[:, None] * s * b)
+            rank = np.linalg.matrix_rank(s)
+            u, sig, v = u[:, :rank], sig[:rank], vh[:rank].conj().T
             diagonal = [(np.diag(x), np.diag(y.conj())) for x, y in zip((u * np.sqrt(sig) / a[:, None]).T,
                                                                         (v * np.sqrt(sig) / b[:, None]).T)]
-            form, families = _factor_form(t)
             gauge = hnorm._certificate(*families, hnorm._factor_state(form, upper)[2][0])
-            gate = TOL * min(uppers)
+            gate = TOL * haagerup_norm_bounds(t).upper
             assert elementary.choi_distance(ElementaryOperator(d, *gauge), t) <= 1e-5 * gate
             misses += elementary.choi_distance(ElementaryOperator.from_terms(d, diagonal), t) > gate
         assert misses > 0
 
     def test_iterations_count_every_newton_step(self, monkeypatch):
-        # an ascent that declines on a weight at CUTOFF counts the step that
-        # took the weight there
+        # an ascent that declines where A or B turns singular counts the step
+        # that took the states there
         steps, inner = [], hnorm._ascent_step
         monkeypatch.setattr(hnorm, "_ascent_step", lambda *args: steps.append(None) or inner(*args))
         faces = [schur_op(_face_symbol(case, 16, 0)) for case in ("face", "tiny", "rank4")]
@@ -1146,18 +1142,29 @@ class TestFactorPath:
     # Newton on the state factors closes the brackets of maps with b = d, on
     # the barrier where an optimal state leaves A or B singular; the
     # interior-point solve is its oracle
-    @pytest.mark.parametrize("r", [1, 3, 9])
-    def test_derivatives_match_central_differences(self, r):
-        # r = 1, 3 and d^2 at d = 3, with factors of rank ceil(r / d)
-        d, rng = 3, np.random.default_rng(80 + r)
-        fam = rng.standard_normal((2, r, d, d)) + 1j * rng.standard_normal((2, r, d, d))
-        form = hnorm._Form(fam, d)
-        shape = (2, 1, d, -(-r // d))
+    @pytest.mark.parametrize("b, r", [pytest.param(3, r, id=str(r)) for r in (1, 3, 9)]
+                             + [pytest.param(1, rank, id=f"b1-rank{rank}") for rank in (5, 2)])
+    def test_derivatives_match_central_differences(self, b, r):
+        # b = d = 3: r = 1, 3 and d^2, with factors of rank ceil(r / d); b = 1:
+        # the pruned form of a full-rank symbol and of a rank-2 symbol with a
+        # repeated row at d = 5, in d blocks of 1 x 1 factors, whose f is
+        # ||D_a S D_b||_1 at the roots a = |L_0| and b = |L_1| of the weights
+        if b == 1:
+            rng = np.random.default_rng(70 + r)
+            s = _low_rank_symbol(5, r, rng) if r < 5 else _random_symbol(5, rng)
+            form, families = _factor_form(schur_op(s))
+            shape = (2, 5, 1, 1)
+        else:
+            d, rng = 3, np.random.default_rng(80 + r)
+            fam = rng.standard_normal((2, r, d, d)) + 1j * rng.standard_normal((2, r, d, d))
+            form = hnorm._Form(fam, d)
+            shape = (2, 1, d, -(-r // d))
         roots = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         x = hnorm._real(roots)
         vecs, factors, _, _ = hnorm._factor_state(form, roots)
         f, grad = _factor_value_and_gradient(form, x, shape)
-        hess = hnorm._factor_derivatives(form, roots, vecs, factors)
+        # on the identity basis of each side's coordinates: the full Hessian
+        hess = hnorm._factor_derivatives(form, roots, vecs, factors, [np.eye(len(x) // 2)] * 2)
         h, eye = 1e-5, np.eye(len(x))
         fd_grad = [(_factor_value_and_gradient(form, x + h * e, shape)[0]
                     - _factor_value_and_gradient(form, x - h * e, shape)[0]) / (2 * h) for e in eye]
@@ -1168,6 +1175,30 @@ class TestFactorPath:
         # f is the trace norm of G = V_1 V_0*, which the QR core gives
         # without squaring a state root
         assert f == pytest.approx(np.linalg.svd(vecs[1] @ vecs[0].conj().T, compute_uv=False).sum(), rel=1e-13)
+        if b == 1:
+            # the form's families are the pruned terms over the scale of
+            # their raw gauge's value
+            scale = hnorm._factorization_value(*families)
+            assert f * scale == pytest.approx(_f_oracle(s, np.abs(roots).ravel()), rel=1e-12)
+
+    def test_a_zero_block_turns_nowhere(self):
+        # four 1 x 1 factors per side, one of them zero: the tangent basis is
+        # the complement of the factor L_s and of the turns i L_s,c of its
+        # nonzero blocks, 8 - 4 columns on side 0 and 8 - 5 on side 1
+        rng = np.random.default_rng(83)
+        roots = (rng.standard_normal(8) + 1j * rng.standard_normal(8)).reshape(2, 4, 1, 1)
+        roots[0, 1] = 0
+        moves = []
+        for side in range(2):
+            turns = [np.where(np.arange(4) == c, 1j * roots[side].ravel(), 0) for c in range(4) if roots[side, c]]
+            for move in [roots[side].ravel(), *turns]:
+                column = np.zeros((2, 8))
+                column[side] = np.concatenate([move.real, move.imag])
+                moves.append(column.ravel())
+        sides, basis = hnorm._tangent(roots)
+        assert [t.shape for t in sides] == [(8, 4), (8, 3)]
+        assert np.abs(basis.T @ basis - np.eye(7)).max() <= 1e-14
+        assert np.abs(basis.T @ np.array(moves).T).max() <= 1e-14
 
     def test_the_gauge_is_the_conjugate_of_the_geometric_mean(self):
         # the rewriting at conj P rebuilds the map and attains f; at P, the
@@ -1302,8 +1333,9 @@ class TestPlacement:
         assert len(barriers) == 1
 
     def test_contractivity_paths(self, barriers):
-        # every map of the suite has b = 1, where the factor path never runs;
-        # 24 optima lie on faces, where the barrier closes the bracket
+        # every map of the suite has b = 1, where the factor path runs on
+        # 1 x 1 blocks; 24 optima lie on faces, where the barrier closes the
+        # bracket
         paths = collections.Counter(haagerup_norm_bounds(t).path for t in _contractivity_ops())
         assert paths == {"cp": 100, "start": 2, "weights": 98}
         assert len(barriers) == 24
